@@ -34,15 +34,6 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling into the past)."""
 
 
-class _StopRun(Exception):
-    """Internal: raised by the end-of-run sentinel to stop the loop."""
-
-
-#: Sequence number of the end-of-run sentinel entry: larger than any real
-#: sequence, so at the stop time the sentinel sorts after every entry
-#: scheduled there (runs are inclusive of events at exactly ``until``).
-_SENTINEL_SEQ = 2 ** 62
-
 #: Pending-entry count above which an "auto" simulator migrates from the
 #: binary heap to the calendar queue.  Small runs (every paper-sized
 #: scenario) stay on the heap, whose C implementation is unbeatable at
@@ -500,16 +491,7 @@ class Simulator:
                 entry = pop(queue)
                 self.now = entry[0]
                 processed += 1
-                if len(entry) == 4:
-                    entry[2](*entry[3])
-                    continue
-                item = entry[2]
-                if item._value is _PENDING:
-                    item._ok = True
-                    item._value = getattr(item, "_deferred_value", None)
-                callbacks, item.callbacks = item.callbacks, []
-                for callback in callbacks:
-                    callback(item)
+                entry[2](*entry[3])
         finally:
             self._events_processed += processed
             self.heap_events_processed += processed
@@ -570,16 +552,7 @@ class Simulator:
                     break
                 self.now = entry[0]
                 processed += 1
-                if len(entry) == 4:
-                    entry[2](*entry[3])
-                    continue
-                item = entry[2]
-                if item._value is _PENDING:
-                    item._ok = True
-                    item._value = getattr(item, "_deferred_value", None)
-                callbacks, item.callbacks = item.callbacks, []
-                for callback in callbacks:
-                    callback(item)
+                entry[2](*entry[3])
         finally:
             self._events_processed += processed
             self.calendar_events_processed += processed

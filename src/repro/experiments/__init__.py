@@ -11,12 +11,18 @@ with pytest-benchmark and asserts the paper's qualitative claims on the
 results.
 """
 
-from repro.experiments.base import (
-    ExperimentResult,
-    arpanet_response_map,
-    arpanet_traffic,
-    equilibrium_reference_link,
-)
+from repro._lazy import lazy_exports
+
+# The helpers sit on the analysis package (numpy); the id tuples below
+# are all the command-line parsers need.
+__getattr__ = lazy_exports(__name__, {
+    "repro.experiments.base": (
+        "ExperimentResult",
+        "arpanet_response_map",
+        "arpanet_traffic",
+        "equilibrium_reference_link",
+    ),
+})
 
 __all__ = [
     "ExperimentResult",

@@ -15,16 +15,22 @@ Two views of every metric:
 
 Costs are integers in routing units (the 8-bit update field); *hops* are
 costs divided by the ambient idle cost of a reference line.
+
+Only the array API (``cost_at_utilization_array``, ``create_vector_state``,
+``measured_costs`` and the ``*_array`` queueing transforms) needs numpy, so
+the metric modules import it inside those functions: a packet-level run
+never enters them and does not pay for the import.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.topology.graph import Link
+
+if TYPE_CHECKING:  # pragma: no cover - see the module docstring on numpy
+    import numpy as np
 
 
 class LinkMetric(abc.ABC):
@@ -89,6 +95,8 @@ class LinkMetric(abc.ABC):
         metrics override it with closed-form numpy expressions that are
         element-for-element identical to the scalar method.
         """
+        import numpy as np
+
         u = np.asarray(utilizations, dtype=float)
         flat = [self.cost_at_utilization(link, float(x)) for x in u.ravel()]
         return np.array(flat, dtype=float).reshape(u.shape)

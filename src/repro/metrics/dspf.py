@@ -14,9 +14,7 @@ and shed every route it carries at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.metrics.base import LinkMetric
 from repro.metrics.params import DEFAULT_DSPF_PARAMS, DspfParams
@@ -26,6 +24,9 @@ from repro.metrics.queueing import (
 )
 from repro.topology.graph import Link
 from repro.units import seconds_to_ms
+
+if TYPE_CHECKING:  # pragma: no cover - see repro.metrics.base on numpy
+    import numpy as np
 
 
 @dataclass
@@ -106,6 +107,8 @@ class DelayMetric(LinkMetric):
     # Vectorized operational view
     # ------------------------------------------------------------------
     def create_vector_state(self, links: Sequence[Link]) -> DspfVectorState:
+        import numpy as np
+
         params = [self.params_for(link) for link in links]
         initial = np.array([float(self.initial_cost(l)) for l in links])
         return DspfVectorState(
@@ -119,6 +122,8 @@ class DelayMetric(LinkMetric):
     def measured_costs(
         self, vector_state: DspfVectorState, delays_s: np.ndarray
     ) -> np.ndarray:
+        import numpy as np
+
         state = vector_state
         units = np.rint(
             np.asarray(delays_s, dtype=float) * 1000.0 / state.ms_per_unit
@@ -143,6 +148,8 @@ class DelayMetric(LinkMetric):
     def cost_at_utilization_array(
         self, link: Link, utilizations: np.ndarray
     ) -> np.ndarray:
+        import numpy as np
+
         params = self.params_for(link)
         delays_s = utilization_to_delay_s_array(
             utilizations, link.bandwidth_bps,

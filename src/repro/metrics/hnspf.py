@@ -35,9 +35,7 @@ Key behaviours reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.metrics.base import LinkMetric
 from repro.metrics.params import DEFAULT_HNSPF_PARAMS, HnspfParams
@@ -47,6 +45,9 @@ from repro.metrics.queueing import (
 )
 from repro.topology.graph import Link
 from repro.units import AVERAGE_PACKET_BITS
+
+if TYPE_CHECKING:  # pragma: no cover - see repro.metrics.base on numpy
+    import numpy as np
 
 
 @dataclass
@@ -196,6 +197,8 @@ class HopNormalizedMetric(LinkMetric):
     # Vectorized operational view (Figure 3 over link arrays)
     # ------------------------------------------------------------------
     def create_vector_state(self, links: Sequence[Link]) -> HnspfVectorState:
+        import numpy as np
+
         params = [self.params_for(link) for link in links]
         return HnspfVectorState(
             bandwidth_bps=np.array([l.bandwidth_bps for l in links]),
@@ -215,6 +218,8 @@ class HopNormalizedMetric(LinkMetric):
     def measured_costs(
         self, vector_state: HnspfVectorState, delays_s: np.ndarray
     ) -> np.ndarray:
+        import numpy as np
+
         state = vector_state
         sample = delay_to_utilization_array(
             delays_s,
@@ -253,6 +258,8 @@ class HopNormalizedMetric(LinkMetric):
     def cost_at_utilization_array(
         self, link: Link, utilizations: np.ndarray
     ) -> np.ndarray:
+        import numpy as np
+
         params = self.params_for(link)
         raw = params.slope * np.asarray(utilizations, dtype=float) \
             + params.offset

@@ -11,13 +11,14 @@ load reaches capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.metrics.base import LinkMetric
 from repro.metrics.params import HOP_UNITS
 from repro.topology.graph import Link
+
+if TYPE_CHECKING:  # pragma: no cover - see repro.metrics.base on numpy
+    import numpy as np
 
 
 @dataclass
@@ -65,10 +66,14 @@ class MinHopMetric(LinkMetric):
     def cost_at_utilization_array(
         self, link: Link, utilizations: np.ndarray
     ) -> np.ndarray:
+        import numpy as np
+
         u = np.asarray(utilizations, dtype=float)
         return np.full(u.shape, float(self.hop_cost))
 
     def create_vector_state(self, links: Sequence[Link]) -> np.ndarray:
+        import numpy as np
+
         return np.full(len(links), float(self.hop_cost))
 
     def measured_costs(

@@ -12,9 +12,12 @@ time; total link delay adds the propagation term.  Delays are in seconds.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.units import AVERAGE_PACKET_BITS
+
+if TYPE_CHECKING:  # pragma: no cover - see repro.metrics.base on numpy
+    import numpy as np
 
 #: Utilizations are clamped just below 1 so the delay stays finite.
 MAX_MODEL_UTILIZATION = 0.999
@@ -84,6 +87,8 @@ def utilization_to_delay_s_array(
     packet_bits: float = AVERAGE_PACKET_BITS,
 ) -> np.ndarray:
     """Vector form of :func:`utilization_to_delay_s`."""
+    import numpy as np
+
     u = np.asarray(utilizations, dtype=float)
     if np.any(u < 0):
         raise ValueError(f"utilizations must be >= 0, got {u.min()}")
@@ -99,6 +104,8 @@ def delay_to_utilization_array(
     packet_bits: float = AVERAGE_PACKET_BITS,
 ) -> np.ndarray:
     """Vector form of :func:`delay_to_utilization`."""
+    import numpy as np
+
     delays = np.asarray(delays_s, dtype=float)
     service = packet_bits / np.asarray(bandwidths_bps, dtype=float)
     in_system = delays - propagations_s

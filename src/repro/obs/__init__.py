@@ -35,19 +35,7 @@ See ``docs/observability.md`` for the event schema, sink
 configuration, and the overhead guarantees.
 """
 
-from repro.obs.meters import (
-    LATENCY_BUCKETS_S,
-    UTILIZATION_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MeterRegistry,
-    SimulationMeters,
-    build_meters,
-    counter_timeseries,
-    read_snapshots_jsonl,
-    write_snapshots_jsonl,
-)
+from repro._lazy import lazy_exports
 from repro.obs.profiler import (
     PHASE_FORWARDING,
     PHASE_MEASUREMENT,
@@ -57,22 +45,6 @@ from repro.obs.profiler import (
     PhaseProfiler,
     instrument_psn,
     instrument_stats,
-)
-from repro.obs.spans import (
-    UpdateSpan,
-    build_update_spans,
-    convergence_episodes,
-    convergence_times,
-    latency_histogram,
-    propagation_latencies,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.streaming import (
-    FleetResult,
-    ProgressMonitor,
-    StreamAggregator,
-    StreamConfig,
 )
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.obs.tracer import (
@@ -98,6 +70,40 @@ from repro.obs.tracer import (
     build_tracer,
     events_to_dicts,
 )
+
+# What only a metered, span-analysed or fleet-streamed run uses; every
+# simulation imports this package for its tracer and telemetry.
+__getattr__ = lazy_exports(__name__, {
+    "repro.obs.meters": (
+        "LATENCY_BUCKETS_S",
+        "UTILIZATION_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MeterRegistry",
+        "SimulationMeters",
+        "build_meters",
+        "counter_timeseries",
+        "read_snapshots_jsonl",
+        "write_snapshots_jsonl",
+    ),
+    "repro.obs.spans": (
+        "UpdateSpan",
+        "build_update_spans",
+        "convergence_episodes",
+        "convergence_times",
+        "latency_histogram",
+        "propagation_latencies",
+        "to_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "repro.obs.streaming": (
+        "FleetResult",
+        "ProgressMonitor",
+        "StreamAggregator",
+        "StreamConfig",
+    ),
+})
 
 __all__ = [
     "CIRCUIT_FAIL",

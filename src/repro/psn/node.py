@@ -38,11 +38,6 @@ from repro.psn.flow_control import RFNM_BITS, HostInterface
 from repro.psn.interfaces import PROCESSING_DELAY_S, LinkTransmitter
 from repro.psn.measurement import DelayAverager, SignificanceCriterion
 from repro.psn.packet import Packet, PacketKind, acquire, release
-
-#: Hot-path aliases: one global load instead of two attribute chases.
-_ROUTING_UPDATE = PacketKind.ROUTING_UPDATE
-_UPDATE_ACK = PacketKind.UPDATE_ACK
-_RFNM = PacketKind.RFNM
 from repro.routing.defense import DefensePolicy, NodeDefense
 from repro.routing.flooding import FloodingState, RoutingUpdate
 from repro.routing.multipath import MultipathRouter
@@ -53,6 +48,11 @@ from repro.units import MEASUREMENT_INTERVAL_S
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a psn <-> sim import cycle
     from repro.sim.stats import StatsCollector
+
+#: Hot-path aliases: one global load instead of two attribute chases.
+_ROUTING_UPDATE = PacketKind.ROUTING_UPDATE
+_UPDATE_ACK = PacketKind.UPDATE_ACK
+_RFNM = PacketKind.RFNM
 
 #: Update cost advertising a dead link (anything >= this maps to inf).
 DOWN_COST = 2 ** 20
@@ -162,6 +162,11 @@ class Psn:
         this node's SPF, forwarding and measurement entry points are
         wrapped for per-phase wall-time attribution (``profile=True``
         runs only -- wrapping changes timing, never behaviour).
+    costs:
+        This node's private cost table, already holding every link's
+        idle cost.  The simulation evaluates the metric once and hands
+        each PSN a :meth:`~repro.routing.spf.CostTable.copy`; ``None``
+        builds the table here from ``metric``.
     """
 
     def __init__(
@@ -184,6 +189,7 @@ class Psn:
         defense_policy: Optional[DefensePolicy] = None,
         tracer: Optional[Tracer] = None,
         profiler: Optional[PhaseProfiler] = None,
+        costs: Optional[CostTable] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -205,7 +211,10 @@ class Psn:
                 window=flow_control_window, send=self._inject_now
             )
 
-        self.costs = CostTable.from_metric(network, metric)
+        self.costs = (
+            costs if costs is not None
+            else CostTable.from_metric(network, metric)
+        )
         self.flooding = FloodingState(
             network, node_id, neighbor_windows=incremental_flooding
         )

@@ -10,28 +10,34 @@
   -- deterministic fan-out of independent runs across processes.
 """
 
-from repro.obs.streaming import (
-    FleetResult,
-    ProgressMonitor,
-    StreamAggregator,
-    StreamConfig,
-)
+from repro._lazy import lazy_exports
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.sim.legacy_sim import BellmanFordSimulation
 from repro.sim.network_sim import NetworkSimulation, ScenarioConfig
-from repro.sim.parallel import (
-    BatchResult,
-    RunFailedError,
-    RunFailure,
-    RunSpec,
-    combined_telemetry,
-    replicate,
-    replication_seeds,
-    run_many,
-    run_spec,
-)
 from repro.sim.scenarios import build_scenario, scenario_names
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
+
+# A single run never fans out: the process pool (concurrent.futures,
+# multiprocessing) and the fleet aggregator load when first asked for.
+__getattr__ = lazy_exports(__name__, {
+    "repro.sim.parallel": (
+        "BatchResult",
+        "RunFailedError",
+        "RunFailure",
+        "RunSpec",
+        "combined_telemetry",
+        "replicate",
+        "replication_seeds",
+        "run_many",
+        "run_spec",
+    ),
+    "repro.obs.streaming": (
+        "FleetResult",
+        "ProgressMonitor",
+        "StreamAggregator",
+        "StreamConfig",
+    ),
+})
 
 __all__ = [
     "BatchResult",

@@ -25,15 +25,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.des import RandomStreams, Simulator
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import InvariantMonitor
-from repro.faults.plan import FaultPlan
 from repro.metrics.base import LinkMetric
 from repro.obs import runtime as obs_runtime
-from repro.obs.meters import build_meters
 from repro.obs.profiler import PhaseProfiler, instrument_stats
 from repro.obs.telemetry import RunTelemetry
 from repro.obs.tracer import CIRCUIT_FAIL, CIRCUIT_RESTORE, Tracer, build_tracer
@@ -41,12 +37,18 @@ from repro.psn.interfaces import DEFAULT_BUFFER_PACKETS, LinkTransmitter
 from repro.psn.node import Psn
 from repro.psn.packet import Packet, PacketKind
 from repro.routing.defense import DefenseConfig, DefensePolicy
+from repro.routing.spf import CostTable
 from repro.routing.spf_cache import SpfCache
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
 from repro.topology.graph import Link, Network
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.sources import start_sources
 from repro.units import AVERAGE_PACKET_BITS, MEASUREMENT_INTERVAL_S
+
+if TYPE_CHECKING:  # pragma: no cover - optional subsystems load where used
+    from repro.faults.injector import FaultInjector
+    from repro.faults.invariants import InvariantMonitor
+    from repro.obs.meters import SimulationMeters
 
 
 @dataclass
@@ -305,6 +307,9 @@ class NetworkSimulation:
             self.defense_policy = DefensePolicy(
                 network, metric, defense_config
             )
+        # Every PSN boots assuming idle costs everywhere: evaluate the
+        # metric (and the table's fingerprint) once, copy per node.
+        idle_costs = CostTable.from_metric(network, metric)
         self.psns: Dict[int, Psn] = {
             node.node_id: Psn(
                 self.sim,
@@ -330,6 +335,7 @@ class NetworkSimulation:
                 tracer=self.tracer,
                 profiler=self.profiler,
                 defense_policy=self.defense_policy,
+                costs=idle_costs.copy(),
             )
             for node in network
         }
@@ -359,6 +365,9 @@ class NetworkSimulation:
         #: measurement closes -- a fixed, deterministic order.
         self.fault_injector: Optional[FaultInjector] = None
         if self.config.faults is not None:
+            from repro.faults.injector import FaultInjector
+            from repro.faults.plan import FaultPlan
+
             plan = self.config.faults
             if not isinstance(plan, FaultPlan):
                 raise TypeError(
@@ -369,13 +378,19 @@ class NetworkSimulation:
         #: last: its periodic tick sees each routing period complete.
         self.invariant_monitor: Optional[InvariantMonitor] = None
         if self.config.check_invariants:
+            from repro.faults.invariants import InvariantMonitor
+
             self.invariant_monitor = InvariantMonitor(
                 self, strict=self.config.check_invariants == "strict"
             )
         #: Live metrics pipeline (None with ``metrics=None`` -- the
         #: zero-overhead default; the structural overhead tests assert
         #: this).  Built last so its first sample sees every subsystem.
-        self.meters = build_meters(self, self.config.metrics)
+        self.meters: Optional[SimulationMeters] = None
+        if self.config.metrics is not None:
+            from repro.obs.meters import build_meters
+
+            self.meters = build_meters(self, self.config.metrics)
 
     # ------------------------------------------------------------------
     # Wiring callbacks

@@ -13,11 +13,12 @@ costs in :mod:`repro.metrics`, and route computation in :mod:`repro.routing`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.topology.linetypes import LineType
+
+if TYPE_CHECKING:  # pragma: no cover - only to_networkx() loads networkx
+    import networkx as nx
 
 
 class TopologyError(ValueError):
@@ -236,7 +237,9 @@ class Network:
     # Analysis helpers
     # ------------------------------------------------------------------
     def to_networkx(self, include_down: bool = False) -> "nx.MultiDiGraph":
-        """Export to a networkx multigraph (for validation/analysis)."""
+        """Export to a networkx multigraph (for analysis)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for node in self.nodes.values():
             graph.add_node(node.node_id, name=node.name)
@@ -252,10 +255,28 @@ class Network:
         return graph
 
     def is_connected(self) -> bool:
-        """Whether every node can reach every other over up links."""
+        """Whether every node can reach every other over up links.
+
+        Strong connectivity: from any one node, every node is reachable
+        following up links forward, and again following them backward.
+        """
         if not self.nodes:
             return True
-        return nx.is_strongly_connected(self.to_networkx())
+        start = next(iter(self.nodes))
+        for peers in (
+            lambda node: [l.dst for l in self.out_links(node)],
+            lambda node: [l.src for l in self.in_links(node)],
+        ):
+            seen = {start}
+            frontier = [start]
+            while frontier:
+                for peer in peers(frontier.pop()):
+                    if peer not in seen:
+                        seen.add(peer)
+                        frontier.append(peer)
+            if len(seen) != len(self.nodes):
+                return False
+        return True
 
     def validate(self) -> None:
         """Sanity-check invariants; raises :class:`TopologyError` on failure.

@@ -4,7 +4,8 @@ import pytest
 
 from repro.metrics import DelayMetric, HopNormalizedMetric
 from repro.psn.node import DOWN_COST
-from repro.sim import NetworkSimulation, ScenarioConfig
+from repro.routing import CostTable
+from repro.sim import NetworkSimulation, ScenarioConfig, build_scenario
 from repro.topology import build_ring_network
 from repro.traffic import TrafficMatrix
 
@@ -48,6 +49,29 @@ def test_updates_flow_and_costs_converge():
         assert psn.costs.costs == reference, node_id
     # Idle network: every cost should have eased down to the minimum (30).
     assert all(c == 30.0 for c in reference)
+
+
+@pytest.mark.parametrize("scenario", ["aug87", "may87", "grid64"])
+def test_boot_cost_tables_are_private_copies_of_one_idle_table(scenario):
+    """The simulation evaluates the metric's idle costs once and copies
+    the table per PSN: each copy must be what the node would have built
+    for itself (values and fingerprint), and share nothing."""
+    sim = build_scenario(scenario, config=quiet_config())
+    network, metric = sim.network, sim.metric
+    for node_id, psn in sim.psns.items():
+        expected = CostTable.from_metric(network, metric)
+        for link in network.out_links(node_id, include_down=True):
+            expected[link.link_id] = float(metric.initial_cost(link))
+        assert psn.costs.costs == expected.costs, node_id
+        assert psn.costs.cache_key() == expected.cache_key(), node_id
+        assert psn.tree.costs is psn.costs
+
+    first, *others = sim.psns.values()
+    before = [(list(psn.costs.costs), psn.costs.cache_key())
+              for psn in others]
+    first.costs[0] = first.costs[0] + 7.0
+    assert [(psn.costs.costs, psn.costs.cache_key())
+            for psn in others] == before
 
 
 def test_measurement_interval_generates_updates_within_cap():

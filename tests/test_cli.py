@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from tests.test_import_hygiene import run_python
 
 
 def test_topology_command(capsys):
@@ -17,6 +18,27 @@ def test_topology_milnet(capsys):
     assert main(["topology", "milnet"]) == 0
     out = capsys.readouterr().out
     assert "milnet-1987" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["topology", "arpanet"],
+    ["simulate", "--scenario", "two-region-hnspf", "--duration", "20"],
+])
+def test_cold_start_imports_neither_numpy_nor_networkx(argv):
+    """Only ``experiment`` / ``validate`` / ``fluid`` reach the analysis
+    layer; the other commands must not pay its imports."""
+    code = (
+        "import sys\n"
+        "from repro.__main__ import main\n"
+        "try:\n"
+        f"    status = main({argv!r})\n"
+        "except SystemExit as stop:\n"
+        "    status = stop.code\n"
+        "loaded = [m for m in ('numpy', 'networkx') if m in sys.modules]\n"
+        "print('status', status, 'loaded', loaded)\n"
+    )
+    assert run_python(code).strip().splitlines()[-1] == "status 0 loaded []"
 
 
 def test_unknown_topology_rejected():
