@@ -94,6 +94,10 @@ class Psn:
         The run-wide statistics collector.
     streams:
         Random streams (used to stagger measurement phases).
+    costs:
+        This node's private cost table, already holding every link's
+        idle cost.  The simulation evaluates the metric once and hands
+        each PSN a :meth:`~repro.routing.spf.CostTable.copy`.
     measurement_interval_s:
         The averaging period (paper: 10 s).
     spf_cache:
@@ -162,11 +166,6 @@ class Psn:
         this node's SPF, forwarding and measurement entry points are
         wrapped for per-phase wall-time attribution (``profile=True``
         runs only -- wrapping changes timing, never behaviour).
-    costs:
-        This node's private cost table, already holding every link's
-        idle cost.  The simulation evaluates the metric once and hands
-        each PSN a :meth:`~repro.routing.spf.CostTable.copy`; ``None``
-        builds the table here from ``metric``.
     """
 
     def __init__(
@@ -178,6 +177,7 @@ class Psn:
         transmitters: Dict[int, LinkTransmitter],
         stats: "StatsCollector",
         streams: RandomStreams,
+        costs: CostTable,
         measurement_interval_s: float = MEASUREMENT_INTERVAL_S,
         multipath_mode: Optional[str] = None,
         multipath_slack: float = 0.0,
@@ -189,7 +189,6 @@ class Psn:
         defense_policy: Optional[DefensePolicy] = None,
         tracer: Optional[Tracer] = None,
         profiler: Optional[PhaseProfiler] = None,
-        costs: Optional[CostTable] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -211,10 +210,7 @@ class Psn:
                 window=flow_control_window, send=self._inject_now
             )
 
-        self.costs = (
-            costs if costs is not None
-            else CostTable.from_metric(network, metric)
-        )
+        self.costs = costs
         self.flooding = FloodingState(
             network, node_id, neighbor_windows=incremental_flooding
         )

@@ -324,6 +324,7 @@ class NetworkSimulation:
                 },
                 self.stats,
                 self.streams,
+                idle_costs.copy(),
                 measurement_interval_s=self.config.measurement_interval_s,
                 multipath_mode=self.config.multipath,
                 multipath_slack=self.config.multipath_slack,
@@ -335,7 +336,6 @@ class NetworkSimulation:
                 tracer=self.tracer,
                 profiler=self.profiler,
                 defense_policy=self.defense_policy,
-                costs=idle_costs.copy(),
             )
             for node in network
         }

@@ -263,9 +263,14 @@ class Network:
         if not self.nodes:
             return True
         start = next(iter(self.nodes))
+        # Reads ``link.up`` itself, never the cached up-links lists.
         for peers in (
-            lambda node: [l.dst for l in self.out_links(node)],
-            lambda node: [l.src for l in self.in_links(node)],
+            lambda node: [
+                l.dst for l in self.out_links(node, include_down=True) if l.up
+            ],
+            lambda node: [
+                l.src for l in self.in_links(node, include_down=True) if l.up
+            ],
         ):
             seen = {start}
             frontier = [start]

@@ -89,6 +89,19 @@ def test_reachable_forward_but_not_backward():
     assert oracle(network) is False
 
 
+def test_direct_up_write_is_seen_past_the_out_links_cache():
+    """a <-> b: with the up-links cache filled, taking a -> b down by
+    writing ``link.up`` leaves b reaching a but not a reaching b."""
+    network = Network()
+    a, b = (network.add_node().node_id for _ in range(2))
+    forward, _ = network.add_circuit(a, b, line_type("56K-T"))
+    assert network.is_connected() is True
+    assert network.out_links(a) == [forward]
+    forward.up = False
+    assert network.is_connected() is False
+    assert oracle(network) is False
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=24),
