@@ -83,9 +83,9 @@ def summarize_scale(record: dict) -> str:
     scenarios = record.get("scenarios", [])
     if scenarios:
         lines += [
-            "| scenario | nodes | links | fast-path | batched SPF | "
+            "| scenario | nodes | links | fast-path (batched SPF) | "
             "dup reduction | update-pkt reduction |",
-            "|---|---|---|---|---|---|---|",
+            "|---|---|---|---|---|---|",
         ]
         for scenario in scenarios:
             lines.append(
@@ -93,7 +93,6 @@ def summarize_scale(record: dict) -> str:
                 f"| {_fmt(scenario.get('nodes'))} "
                 f"| {_fmt(scenario.get('links'))} "
                 f"| {_fmt(scenario.get('fast_path_speedup'))}x "
-                f"| {_fmt(scenario.get('batched_spf_speedup'))}x "
                 f"| {_fmt(scenario.get('flood_duplicate_reduction'))} "
                 f"| {_fmt(scenario.get('flood_update_packet_reduction'))} |"
             )

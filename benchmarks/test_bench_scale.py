@@ -1,28 +1,27 @@
 """Large-network scaling benchmark: events/sec vs node count.
 
 Runs the scenario ladder -- aug87 (57 nodes), grid64 (64), rand256
-(256), rand512 (512) -- under five kernel configurations:
+(256), rand512 (512) -- under four configurations:
 
-* ``heap+perlink``   -- binary-heap scheduler, one incremental SPF pass
-  per routing update, classic flooding,
-* ``heap+batched``   -- heap scheduler, buffered updates applied in one
-  batched SPF pass per routing interval,
-* ``calendar+batched`` -- calendar-queue scheduler plus batched SPF,
-* ``calendar+batched+flood`` -- calendar queue, batched SPF, and
-  incremental flooding (per-neighbour sequence windows suppressing
-  provably redundant update forwards; duplicate-ack suppression pinned
-  off so this rung isolates the flood windows),
-* ``calendar+batched+flood+dupack`` -- the complete large-network fast
-  path: everything above plus duplicate-ack suppression (skip the
-  explicit ack of a duplicate whose implicit ack is provably en route,
-  with owed-ack piggybacking when the proof fails).
+* ``perlink`` -- one incremental SPF pass per routing update, classic
+  flooding,
+* ``batched`` -- buffered updates applied in one batched SPF pass per
+  routing interval,
+* ``batched+flood`` -- batched SPF and incremental flooding
+  (per-neighbour sequence windows suppressing provably redundant update
+  forwards; duplicate-ack suppression pinned off so this rung isolates
+  the flood windows),
+* ``batched+flood+dupack`` -- the complete large-network fast path:
+  everything above plus duplicate-ack suppression (skip the explicit
+  ack of a duplicate whose implicit ack is provably en route, with
+  owed-ack piggybacking when the proof fails).
 
 The *data-plane* fast path -- traffic-source arrival trains, the packet
 freelist, the chained link-service loop -- is always on (it is
 bit-identical by construction, so there is nothing to ablate), which
 means it speeds up every configuration here, the slow baselines most of
 all: it removed one kernel event per transmitted packet, and
-``heap+perlink`` transmits the most packets.  Config-to-config ratios
+``perlink`` transmits the most packets.  Config-to-config ratios
 therefore *understate* the data-plane gain; compare absolute walls
 against an older recording (at similar ``calibration_s``) to see it.
 
@@ -37,15 +36,15 @@ made on different days or machines (same convention as
 
 The short runs deliberately include each network's boot flood: a
 512-node network flooding link-state updates over ~1300 links is
-exactly the update-storm regime the batched SPF pass, the bucketed
-scheduler and the flood-suppression windows exist for.
+exactly the update-storm regime the batched SPF pass and the
+flood-suppression windows exist for.
 
 Besides the timings, every sample carries the run's flood counters
 (updates on the wire, duplicate deliveries, duplicates avoided) and a
 SHA-256 of the final routing tables, so the recorded file documents --
 and this test asserts -- that the fast path changes *traffic*, never
-*routing*: scheduler choice and SPF batching are bit-identical
-everywhere, and on the large rungs (incremental flooding's auto-on
+*routing*: SPF batching is bit-identical everywhere, and on the large
+rungs (incremental flooding's auto-on
 regime) the flooded runs deliver the same packets, end with the same
 tables, and cut duplicate update deliveries by at least
 :data:`FLOOD_MIN_DUPLICATE_REDUCTION`.
@@ -87,25 +86,15 @@ LADDER = [
 ]
 
 CONFIGS = {
-    "heap+perlink": {
-        "scheduler": "heap", "batched_spf": False,
-        "incremental_flooding": False,
+    "perlink": {"batched_spf": False, "incremental_flooding": False},
+    "batched": {"batched_spf": True, "incremental_flooding": False},
+    "batched+flood": {
+        "batched_spf": True, "incremental_flooding": True,
+        "dup_ack_suppression": False,
     },
-    "heap+batched": {
-        "scheduler": "heap", "batched_spf": True,
-        "incremental_flooding": False,
-    },
-    "calendar+batched": {
-        "scheduler": "calendar", "batched_spf": True,
-        "incremental_flooding": False,
-    },
-    "calendar+batched+flood": {
-        "scheduler": "calendar", "batched_spf": True,
-        "incremental_flooding": True, "dup_ack_suppression": False,
-    },
-    "calendar+batched+flood+dupack": {
-        "scheduler": "calendar", "batched_spf": True,
-        "incremental_flooding": True, "dup_ack_suppression": True,
+    "batched+flood+dupack": {
+        "batched_spf": True, "incremental_flooding": True,
+        "dup_ack_suppression": True,
     },
 }
 
@@ -113,14 +102,13 @@ SEED = 3
 
 #: Regression floor: the batched-SPF fast path must beat the
 #: small-network path by at least this factor on the 512-node scenario.
-#: Measured between ``calendar+batched`` and ``heap+perlink``
-#: (identical event counts), so the ratio is a pure throughput
-#: comparison.  The floor sits below the historical headline (1.84 in
-#: older recordings) deliberately: the data-plane fast path cut
-#: ``heap+perlink``'s absolute wall by ~20% (it removes one kernel
-#: event per transmitted packet, and the unsuppressed baseline
-#: transmits the most packets), which *tightens* this ratio even though
-#: every configuration got faster.  The gate guards against real
+#: Measured between ``batched`` and ``perlink`` (identical event
+#: counts), so the ratio is a pure throughput comparison.  The floor
+#: sits below the historical headline (1.84 in older recordings)
+#: deliberately: the data-plane fast path cut ``perlink``'s absolute
+#: wall by ~20% (it removes one kernel event per transmitted packet,
+#: and the unsuppressed baseline transmits the most packets), which
+#: *tightens* this ratio even though every configuration got faster.  The gate guards against real
 #: fast-path regressions, not against the baseline improving.
 RAND512_MIN_SPEEDUP = 1.3
 
@@ -141,7 +129,7 @@ DUP_ACK_MIN_ACK_REDUCTION = 0.15
 
 #: And the complete fast path (flood windows + duplicate-ack
 #: suppression) must cut total control packets on the wire by at least
-#: this fraction against the unsuppressed ``calendar+batched`` run
+#: this fraction against the unsuppressed ``batched`` run
 #: (measured ~0.21 at 512 nodes: flood suppression removes redundant
 #: update copies, dup-ack suppression removes their acks).
 FULL_PATH_MIN_CONTROL_REDUCTION = 0.15
@@ -202,7 +190,7 @@ def _run_once(rung, config_name):
     }
 
 
-def profile_rung(rung, config_name="calendar+batched+flood+dupack"):
+def profile_rung(rung, config_name="batched+flood+dupack"):
     """One profiled run of a rung: exclusive per-phase wall seconds.
 
     Returns ``{"wall_s": ..., "phases": {phase: seconds}}`` for the
@@ -246,25 +234,22 @@ def measure_scaling(repeats):
             configs[config_name] = dict(
                 sample, events_per_s=sample["events"] / sample["wall_s"]
             )
-        baseline = configs["heap+perlink"]["events_per_s"]
-        classic = configs["calendar+batched"]
-        flooded = configs["calendar+batched+flood"]
-        full = configs["calendar+batched+flood+dupack"]
+        baseline = configs["perlink"]
+        classic = configs["batched"]
+        flooded = configs["batched+flood"]
+        full = configs["batched+flood+dupack"]
         duplicates = classic["flood_duplicates"]
         scenarios.append(
             {
                 "name": rung["name"],
-                "nodes": configs["heap+perlink"]["nodes"],
-                "links": configs["heap+perlink"]["links"],
+                "nodes": baseline["nodes"],
+                "links": baseline["links"],
                 "duration_s": rung["duration_s"],
                 "warmup_s": rung["warmup_s"],
                 "seed": SEED,
                 "configs": configs,
-                "batched_spf_speedup": (
-                    configs["heap+batched"]["events_per_s"] / baseline
-                ),
                 "fast_path_speedup": (
-                    classic["events_per_s"] / baseline
+                    classic["events_per_s"] / baseline["events_per_s"]
                 ),
                 "flood_duplicate_reduction": (
                     1.0 - flooded["flood_duplicates"] / duplicates
@@ -294,17 +279,15 @@ def measure_scaling(repeats):
 def _render(scenarios):
     lines = [
         f"{'scenario':<10} {'nodes':>5} {'links':>5} "
-        f"{'heap+perlink':>14} {'heap+batched':>14} "
-        f"{'cal+batched':>14} {'fast path':>10} "
+        f"{'perlink':>14} {'batched':>14} {'fast path':>10} "
         f"{'dup cut':>8} {'upd cut':>8} {'ack cut':>8} {'ctl cut':>8}"
     ]
     for s in scenarios:
         cfg = s["configs"]
         lines.append(
             f"{s['name']:<10} {s['nodes']:>5} {s['links']:>5} "
-            f"{cfg['heap+perlink']['events_per_s']:>12,.0f}/s "
-            f"{cfg['heap+batched']['events_per_s']:>12,.0f}/s "
-            f"{cfg['calendar+batched']['events_per_s']:>12,.0f}/s "
+            f"{cfg['perlink']['events_per_s']:>12,.0f}/s "
+            f"{cfg['batched']['events_per_s']:>12,.0f}/s "
             f"{s['fast_path_speedup']:>9.2f}x "
             f"{s['flood_duplicate_reduction']:>7.1%} "
             f"{s['flood_update_packet_reduction']:>7.1%} "
@@ -336,7 +319,7 @@ def test_bench_scale_events_per_sec():
     repeats = int(os.environ.get("SCALE_BENCH_REPEATS", "2"))
     scenarios = measure_scaling(repeats)
     record = {
-        "schema": 2,
+        "schema": 3,
         "wall_is": f"best of {repeats} interleaved runs",
         "calibration_s": calibrate(),
         "repeats": repeats,
@@ -373,19 +356,10 @@ def test_bench_scale_events_per_sec():
     for s in scenarios:
         cfg = s["configs"]
         name = s["name"]
-        perlink = cfg["heap+perlink"]
-        batched = cfg["heap+batched"]
-        calendar = cfg["calendar+batched"]
-        flooded = cfg["calendar+batched+flood"]
-        full = cfg["calendar+batched+flood+dupack"]
-        # Scheduler choice can never change simulation results: with the
-        # same SPF and flooding modes, heap and calendar runs are
-        # bit-identical.
-        for field in ("events", "delivered_packets", "offered_packets",
-                      "routing_sha256"):
-            assert batched[field] == calendar[field], (
-                f"{name}: scheduler changed {field}"
-            )
+        perlink = cfg["perlink"]
+        batched = cfg["batched"]
+        flooded = cfg["batched+flood"]
+        full = cfg["batched+flood+dupack"]
         # Batched SPF shares the canonical tie-break with per-update
         # repair, so batching is bit-identical -- not merely close.
         for field in ("events", "delivered_packets", "offered_packets",
@@ -404,11 +378,11 @@ def test_bench_scale_events_per_sec():
         if s["nodes"] >= LARGE_NETWORK_MIN_NODES:
             for field in ("delivered_packets", "offered_packets",
                           "routing_sha256"):
-                assert calendar[field] == flooded[field], (
+                assert batched[field] == flooded[field], (
                     f"{name}: incremental flooding changed {field}"
                 )
             assert flooded["update_packets_sent"] < \
-                calendar["update_packets_sent"], (
+                batched["update_packets_sent"], (
                     f"{name}: flood suppression removed no update packets"
                 )
             assert s["flood_duplicate_reduction"] >= \

@@ -3,8 +3,8 @@
 
 Drives the three MILNET-and-beyond scale rungs (``grid64``,
 ``rand256``, ``rand512``) through ``run_many(..., stream=True)`` with
-the full fast-path configuration -- calendar queue, batched SPF repair,
-incremental flooding, duplicate-ack suppression -- and folds the
+the full fast-path configuration -- batched SPF repair, incremental
+flooding, duplicate-ack suppression -- and folds the
 streamed worker telemetry into one fleet summary.  ``on_error=
 "collect"`` is the resilience story: a crashed rung becomes a recorded
 failure with a replay recipe, never a dead sweep -- and the streamed
@@ -28,8 +28,8 @@ RUNGS = (
 def fast_path_config(duration_s: float, warmup_s: float) -> ScenarioConfig:
     return ScenarioConfig(
         duration_s=duration_s, warmup_s=warmup_s, seed=3,
-        scheduler="calendar", batched_spf=True,
-        incremental_flooding=True, dup_ack_suppression=True,
+        batched_spf=True, incremental_flooding=True,
+        dup_ack_suppression=True,
     )
 
 
@@ -44,8 +44,8 @@ def main() -> None:
         stream=StreamConfig(checkpoint_s=2.0),
     )
 
-    print("MILNET-scale sweep (calendar + batched SPF + incremental "
-          "flooding + dup-ack suppression)\n")
+    print("MILNET-scale sweep (batched SPF + incremental flooding + "
+          "dup-ack suppression)\n")
     header = (f"{'scenario':<10} {'delivered':>10} {'ratio':>6} "
               f"{'events':>10} {'updates':>8} {'acks':>8} "
               f"{'dup skip':>8} {'piggy':>6} {'retrans':>7}")

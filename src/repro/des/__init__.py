@@ -28,7 +28,7 @@ Example
 [10.0, 20.0, 30.0]
 """
 
-from repro.des.engine import CalendarQueue, Simulator, SimulationError
+from repro.des.engine import Simulator, SimulationError
 from repro.des.events import AllOf, AnyOf, Event, Timeout
 from repro.des.process import Interrupt, Process
 from repro.des.random_streams import RandomStreams
@@ -38,7 +38,6 @@ from repro.des.timers import PeriodicTimer, TimerWheel
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Event",
     "Interrupt",
     "PeriodicTimer",

@@ -12,7 +12,7 @@ Determinism: scripted events fire at fixed times; flap inter-event
 times are drawn *at fire time* from a dedicated per-link random stream
 (``fault-flap-<link_id>``), so each flapping circuit's trajectory
 depends only on the master seed and its own link id -- never on other
-traffic, other flaps, or scheduler backend.
+traffic or other flaps.
 """
 
 from __future__ import annotations

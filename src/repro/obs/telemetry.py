@@ -30,15 +30,11 @@ class RunTelemetry:
     runs: int = 1
 
     # -- kernel ---------------------------------------------------------
-    #: Queue entries processed, total and per scheduler backend.
+    #: Queue entries processed.
     events_processed: int = 0
-    events_heap: int = 0
-    events_calendar: int = 0
     #: Entries still pending when the run ended (scheduled = processed
     #: + pending: the sequence counter is drawn once per push).
     events_pending: int = 0
-    #: Calendar-queue bucket-array resizes (growth and shrink).
-    calendar_resizes: int = 0
 
     # -- route computation ---------------------------------------------
     spf_full_computations: int = 0
@@ -201,12 +197,7 @@ class RunTelemetry:
         sim = simulation.sim
         telemetry = cls(
             events_processed=sim.events_processed,
-            events_heap=sim.heap_events_processed,
-            events_calendar=sim.calendar_events_processed,
             events_pending=sim.pending,
-            calendar_resizes=(
-                sim._calendar.resizes if sim._calendar is not None else 0
-            ),
             trace_events=simulation.tracer.events_emitted,
             wall_s=wall_s,
             phase_wall_s=dict(phase_wall_s or {}),

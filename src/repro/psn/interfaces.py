@@ -19,8 +19,12 @@ fast lane rather than as a generator process, with a **chained service
 loop**: only the head-of-line departure is ever scheduled, and finishing
 one transmission both launches that packet's propagation directly (one
 ``call_in`` to arrival -- no intermediate launch event) and chains the
-next transmission.  Two kernel entries per packet per hop, down from the
-three the process formulation needed.  Utilization is accounted by
+next transmission.  Two kernel entries per packet per hop on a busy
+link (finish, arrive); a packet that finds the link idle pays a third,
+the ``call_soon`` that starts service after everything already queued
+at that instant -- it rides the kernel's now-lane, a ``deque`` append
+and ``popleft`` rather than a heap push and pop (see
+:mod:`repro.des.engine`).  Utilization is accounted by
 **interval accumulation**: a busy period opens when the wire goes from
 quiet to transmitting and closes when the queues drain, instead of
 summing per-packet transmission times -- same totals, one add per busy

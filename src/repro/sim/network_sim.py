@@ -86,11 +86,6 @@ class ScenarioConfig:
     #: tables.  Pure speed -- same-seed runs are bit-identical with it
     #: off -- so it only exists as a knob for A/B verification.
     spf_cache: bool = True
-    #: Event-queue backend: "auto" (heap for small runs, calendar queue
-    #: once the pending count grows), "heap", or "calendar".  Scheduler
-    #: choice never changes results, only speed; None defers to
-    #: ``Simulator.DEFAULT_SCHEDULER``.
-    scheduler: Optional[str] = None
     #: Batch routing updates per SPF repair: pending cost changes are
     #: applied in one ``SpfTree.update_costs`` pass when the tree is next
     #: consulted, instead of one incremental repair per update.  Batched
@@ -185,11 +180,6 @@ class ScenarioConfig:
                 f"multipath must be None, 'flow' or 'packet': "
                 f"{self.multipath!r}"
             )
-        if self.scheduler not in (None, "auto", "heap", "calendar"):
-            raise ValueError(
-                f"scheduler must be None, 'auto', 'heap' or 'calendar': "
-                f"{self.scheduler!r}"
-            )
         if self.check_invariants not in (False, True, "record", "strict"):
             raise ValueError(
                 f"check_invariants must be False, True, 'record' or "
@@ -233,7 +223,7 @@ class NetworkSimulation:
         self.traffic = traffic
         self.config = config or ScenarioConfig()
 
-        self.sim = Simulator(scheduler=self.config.scheduler)
+        self.sim = Simulator()
         self.streams = RandomStreams(self.config.seed)
         #: The run's tracer.  With tracing off this is the shared
         #: NULL_TRACER singleton: nothing is allocated, and components

@@ -85,6 +85,22 @@ def test_scheduling_into_the_past_raises():
         sim._schedule_at(1.0, event)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_invalid_times_rejected_at_every_entry_point(bad):
+    """A NaN passes ``x < 0`` and ``x < now``; in the queue it breaks the
+    heap invariant silently and ends with ``sim.now = nan``."""
+    sim = Simulator(start_time=5.0)
+    with pytest.raises(SimulationError):
+        sim.call_in(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        sim._schedule_call_at(5.0 + bad, lambda: None, ())
+    with pytest.raises(SimulationError):
+        sim._schedule_at(5.0 + bad, sim.event())
+    with pytest.raises(SimulationError):
+        sim.run(until=5.0 + bad)
+    assert sim.pending == 0 and sim.now == 5.0
+
+
 def test_run_until_event_returns_value():
     sim = Simulator()
     target = sim.timeout(3.0, value="done")

@@ -15,7 +15,7 @@ _QUICK = ScenarioConfig(duration_s=20.0, warmup_s=0.0)
 
 def _block(**overrides) -> RunTelemetry:
     telemetry = RunTelemetry(
-        events_processed=100, events_heap=100, spf_full_computations=2,
+        events_processed=100, spf_full_computations=2,
         flood_generated=5, cache_table_hits=3, cache_table_misses=1,
         wall_s=0.5, phase_wall_s={"spf": 0.2, "scheduling": 0.3},
     )
@@ -130,9 +130,7 @@ def test_collect_harvests_a_run():
     telemetry = simulation.telemetry()
     assert telemetry.runs == 1
     assert telemetry.events_processed > 0
-    # Per-backend splits partition the total.
-    assert telemetry.events_heap + telemetry.events_calendar == \
-        telemetry.events_processed
+    assert telemetry.events_pending == simulation.sim.pending
     assert telemetry.spf_full_computations >= len(simulation.psns)
     assert telemetry.flood_generated > 0
     assert telemetry.data_packets_sent > 0

@@ -35,20 +35,6 @@ def traced_run(tmp_path_factory):
     return simulation, read_trace(str(path))
 
 
-@pytest.fixture(scope="module")
-def calendar_traced_run(tmp_path_factory):
-    """The same scenario traced under the calendar-queue scheduler."""
-    path = tmp_path_factory.mktemp("traces") / "calendar.jsonl"
-    config = ScenarioConfig(
-        duration_s=60.0, warmup_s=0.0, trace=str(path),
-        scheduler="calendar",
-    )
-    simulation = build_scenario(SCENARIO, config=config)
-    simulation.run()
-    simulation.tracer.close()
-    return simulation, read_trace(str(path))
-
-
 def test_trace_reproduces_reported_cost_series(traced_run):
     simulation, events = traced_run
     series = cost_timeseries(events)
@@ -101,28 +87,8 @@ def test_read_trace_skips_blank_lines(tmp_path):
     ]
 
 
-def test_calendar_scheduler_trace_reproduces_live_series(
-    traced_run, calendar_traced_run
-):
-    """trace == live holds under the calendar queue too -- and the
-    calendar trace equals the heap trace (scheduler choice never
-    changes results, only speed)."""
-    simulation, events = calendar_traced_run
-    assert simulation.sim.calendar_events_processed > 0
-    series = cost_timeseries(events)
-    assert series
-    for link_id in series:
-        assert series[link_id] == simulation.stats.cost_series(link_id)
-    util = utilization_timeseries(events)
-    for link_id, samples in simulation.stats.utilization_history.items():
-        assert util[link_id] == samples
-    _heap_sim, heap_events = traced_run
-    assert events == heap_events
-
-
-def test_calendar_scheduler_spans_adapters(calendar_traced_run):
-    """The spans→timeseries adapters work on calendar-queue traces."""
-    _simulation, events = calendar_traced_run
+def test_spans_adapters_on_recorded_trace(traced_run):
+    _simulation, events = traced_run
     latencies = propagation_latency_series(events)
     assert latencies
     times = [t for t, _lat in latencies]

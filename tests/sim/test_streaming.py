@@ -136,8 +136,7 @@ def test_checkpointed_streaming_preserves_results(batch_baseline):
     assert fleet.progress.completed == len(specs)
     streamed = _comparable(fleet.telemetry)
     expected = _comparable(combined)
-    kernel = ("events_processed", "events_heap", "events_calendar",
-              "events_pending")
+    kernel = ("events_processed", "events_pending")
     for name in kernel:
         streamed.pop(name)
         expected.pop(name)
