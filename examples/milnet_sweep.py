@@ -3,9 +3,9 @@
 
 Drives the three MILNET-and-beyond scale rungs (``grid64``,
 ``rand256``, ``rand512``) through ``run_many(..., stream=True)`` with
-the full fast-path configuration -- batched SPF repair, incremental
-flooding, duplicate-ack suppression -- and folds the
-streamed worker telemetry into one fleet summary.  ``on_error=
+the large-network protocol configuration -- incremental flooding,
+duplicate-ack suppression -- and folds the streamed worker telemetry
+into one fleet summary.  ``on_error=
 "collect"`` is the resilience story: a crashed rung becomes a recorded
 failure with a replay recipe, never a dead sweep -- and the streamed
 per-checkpoint deltas keep the fleet aggregate readable mid-flight,
@@ -28,8 +28,7 @@ RUNGS = (
 def fast_path_config(duration_s: float, warmup_s: float) -> ScenarioConfig:
     return ScenarioConfig(
         duration_s=duration_s, warmup_s=warmup_s, seed=3,
-        batched_spf=True, incremental_flooding=True,
-        dup_ack_suppression=True,
+        incremental_flooding=True, dup_ack_suppression=True,
     )
 
 

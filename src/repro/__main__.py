@@ -81,7 +81,6 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         multipath=args.multipath,
         trace=trace,
-        profile=args.profile,
         faults=faults,
         check_invariants=args.check_invariants,
         defenses=args.defenses,
@@ -133,10 +132,7 @@ def cmd_simulate(args) -> int:
             from repro.report import read_trace
 
             events = read_trace(trace)
-        phase_wall_s = (
-            report.telemetry.phase_wall_s if report.telemetry else None
-        )
-        write_chrome_trace(args.chrome_trace, events, phase_wall_s)
+        write_chrome_trace(args.chrome_trace, events)
         print(f"\nchrome trace ({len(events)} events) -> "
               f"{args.chrome_trace}")
     if args.metrics_out:
@@ -146,7 +142,7 @@ def cmd_simulate(args) -> int:
         with open(args.metrics_prom, "w") as handle:
             handle.write(simulation.meters.to_prometheus())
         print(f"\nprometheus exposition -> {args.metrics_prom}")
-    if args.telemetry or args.profile:
+    if args.telemetry:
         print()
         print(_telemetry_table(report.telemetry))
     if args.resilience_summary or args.resilience_out:
@@ -179,14 +175,10 @@ def cmd_simulate(args) -> int:
 
 def _telemetry_table(telemetry) -> str:
     """Render a :class:`~repro.obs.telemetry.RunTelemetry` block."""
-    rows = []
-    for key, value in telemetry.to_dict().items():
-        if key == "phase_wall_s":
-            continue
-        rows.append((key, value))
-    for phase, seconds in sorted(telemetry.phase_wall_s.items()):
-        rows.append((f"wall [{phase}] (s)", round(seconds, 4)))
-    return ascii_table(["counter", "value"], rows, title="run telemetry")
+    return ascii_table(
+        ["counter", "value"], list(telemetry.to_dict().items()),
+        title="run telemetry",
+    )
 
 
 def cmd_experiment(args) -> int:
@@ -282,9 +274,6 @@ def main(argv: Optional[list] = None) -> int:
                                  "(see docs/observability.md)")
     p_simulate.add_argument("--telemetry", action="store_true",
                             help="print the run's hot-path counter block")
-    p_simulate.add_argument("--profile", action="store_true",
-                            help="attribute wall time per simulation "
-                                 "phase (implies --telemetry output)")
     p_simulate.add_argument("--faults", default=None, metavar="PLAN.json",
                             help="inject a declarative fault plan "
                                  "(see docs/robustness.md)")

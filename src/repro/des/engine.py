@@ -5,12 +5,9 @@ entries.  Time only advances when an entry is taken off the queue, so an
 arbitrary amount of computation can occur "instantaneously" in simulated
 time.
 
-Every entry is a plain ``(time, seq, fn, args)`` tuple: *scheduled calls*
-(:meth:`Simulator.call_in` / :meth:`Simulator.call_soon`) directly --
-no Event, no callbacks list, no generator frame, not even a wrapper
-object -- and :class:`~repro.des.events.Event` /
-:class:`~repro.des.events.Timeout`, the synchronization primitives
-processes ``yield`` on, through :meth:`Simulator._fire_event`.  ``seq``
+Every entry is a plain ``(time, seq, fn, args)`` tuple, a *scheduled
+call* (:meth:`Simulator.call_in` / :meth:`Simulator.call_soon`) -- no
+callbacks list, no generator frame, not even a wrapper object.  ``seq``
 is drawn from one counter at push time and entries fire in ``(time,
 seq)`` order, so entries at equal times fire in the order they were
 scheduled and simulations are fully deterministic.
@@ -20,15 +17,15 @@ One scheduler, three lanes
 The queue is kept in three lanes.  *Which scheduling call was made*
 picks the lane; nothing selects or tunes it:
 
-* **now** -- :meth:`Simulator.call_soon` (and a just-triggered Event's
-  callbacks): entries at the current instant, appended to a FIFO
-  ``deque``.  No entry of this lane is later than the clock and the
-  clock only moves forward, so append order *is* ``(time, seq)`` order
-  and neither end costs a sift.  A link going from idle to transmitting
-  starts this way: a fifth of a steady run's events.
-* **near** -- :meth:`Simulator.call_in` and Timeouts: transient entries
-  a few milliseconds out (a transmission finishing, a packet arriving),
-  in a binary heap.
+* **now** -- :meth:`Simulator.call_soon`: entries at the current
+  instant, appended to a FIFO ``deque``.  No entry of this lane is
+  later than the clock and the clock only moves forward, so append
+  order *is* ``(time, seq)`` order and neither end costs a sift.  A
+  link going from idle to transmitting starts this way: a fifth of a
+  steady run's events.
+* **near** -- :meth:`Simulator.call_in`: transient entries a few
+  milliseconds out (a transmission finishing, a packet arriving), in a
+  binary heap.
 * **recurring** -- :meth:`Simulator._schedule_call_at`: the timer
   wheel's ticks and the traffic sources' next arrivals, in a second
   binary heap.  The population is fixed -- one entry per flow, two per
@@ -53,10 +50,7 @@ import heapq
 from collections import deque
 from functools import partial
 from itertools import count
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
-
-from repro.des.events import _PENDING, Event, Timeout
-from repro.des.process import Process
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 #: A queue entry; ``seq`` is unique, so comparisons never reach ``fn``.
 Entry = Tuple[float, int, Callable[..., None], Tuple]
@@ -93,7 +87,6 @@ class Simulator:
         # C-level partials keep a push as fast as an inline heappush.
         self._push = partial(heapq.heappush, self._queue)
         self._push_recurring = partial(heapq.heappush, self._recurring)
-        self._active_process: Optional[Process] = None
         self._events_processed = 0
         self._timers = None
 
@@ -101,13 +94,8 @@ class Simulator:
     # Clock and introspection
     # ------------------------------------------------------------------
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
     def events_processed(self) -> int:
-        """Queue entries processed so far (events + scheduled calls)."""
+        """Queue entries processed so far."""
         return self._events_processed
 
     @property
@@ -135,29 +123,14 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of queued entries (events + scheduled calls)."""
+        """Number of queued entries."""
         return len(self._soon) + len(self._queue) + len(self._recurring)
 
     def __repr__(self) -> str:
         return f"<Simulator t={self.now} pending={self.pending}>"
 
     # ------------------------------------------------------------------
-    # Event construction helpers
-    # ------------------------------------------------------------------
-    def event(self, name: Optional[str] = None) -> Event:
-        """Create an untriggered :class:`Event` owned by this simulator."""
-        return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value=value)
-
-    def process(self, generator: Generator, name: Optional[str] = None) -> Process:
-        """Start a new cooperative process running ``generator``."""
-        return Process(self, generator, name=name)
-
-    # ------------------------------------------------------------------
-    # Scheduled calls (the allocation-light fast lane)
+    # Scheduling
     # ------------------------------------------------------------------
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Invoke ``fn(*args)`` after ``delay`` time units."""
@@ -179,33 +152,6 @@ class Simulator:
                 f"cannot schedule at {when}; clock already at {self.now}"
             )
         self._push_recurring((when, self._next_seq(), fn, args))
-
-    # ------------------------------------------------------------------
-    # Scheduling (kernel-internal, used by Event/Timeout)
-    # ------------------------------------------------------------------
-    def _schedule_at(self, when: float, event: Event) -> None:
-        if not when >= self.now:  # in the past or NaN
-            raise SimulationError(
-                f"cannot schedule at {when}; clock already at {self.now}"
-            )
-        self._push((when, self._next_seq(), self._fire_event, (event,)))
-
-    def _enqueue_event(self, event: Event) -> None:
-        """Schedule a just-triggered event's callbacks to run now."""
-        self._soon.append(
-            (self.now, self._next_seq(), self._fire_event, (event,))
-        )
-
-    @staticmethod
-    def _fire_event(event: Event) -> None:
-        """Run a due event's callbacks (the non-fast-lane heap payload)."""
-        if event._value is _PENDING:
-            # A Timeout reaching its firing time: install its value now.
-            event._ok = True
-            event._value = getattr(event, "_deferred_value", None)
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
 
     # ------------------------------------------------------------------
     # Running
@@ -275,24 +221,3 @@ class Simulator:
             self._events_processed += processed
         if until is not None:
             self.now = float(until)
-
-    def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` triggers; return its value.
-
-        Parameters
-        ----------
-        event:
-            The event to wait for.
-        limit:
-            Optional time bound; a :class:`SimulationError` is raised if the
-            event has not fired by then.
-        """
-        while not event.triggered:
-            if not self.pending:
-                raise SimulationError(f"queue drained before {event!r} fired")
-            if limit is not None and self.peek() > limit:
-                raise SimulationError(f"{event!r} did not fire by t={limit}")
-            self.step()
-        if not event.ok:
-            raise event.value
-        return event.value

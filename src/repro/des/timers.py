@@ -2,14 +2,13 @@
 
 The network simulator is full of strictly periodic activity: every PSN
 closes a measurement interval each 10 seconds and scans its
-retransmission table each second.  Running those as generator processes
-costs a Timeout event, a callbacks list and a generator resumption per
-tick.  A :class:`PeriodicTimer` instead re-pushes one bare scheduled
-call after each tick -- steady-state ticking costs a single heap tuple.
+retransmission table each second.  A :class:`PeriodicTimer` re-pushes
+one bare scheduled call after each tick -- steady-state ticking costs a
+single heap tuple.
 
 Ordering note: the callback runs *before* the next occurrence is pushed,
-exactly as a ``while True: yield timeout(i); body()`` process orders its
-work, so converting a loop process to a timer preserves event order.
+so whatever the callback schedules draws an earlier tie-break sequence
+than the timer's own next tick.
 """
 
 from __future__ import annotations

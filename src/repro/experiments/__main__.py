@@ -90,13 +90,8 @@ def _print_telemetry(experiment_id: str) -> None:
         return
     from repro.report import ascii_table
 
-    rows = [
-        (key, value)
-        for key, value in merged.to_dict().items()
-        if key != "phase_wall_s"
-    ]
     print(ascii_table(
-        ["counter", "value"], rows,
+        ["counter", "value"], list(merged.to_dict().items()),
         title=f"{experiment_id}: merged telemetry ({merged.runs} runs)",
     ))
 

@@ -1,7 +1,7 @@
-"""Simulation observability: tracing, telemetry, profiling.
+"""Simulation observability: tracing, telemetry, spans, metrics.
 
 The feedback loop real routing stacks have (SNMP counters, NOC traces)
-for this reproduction's simulator, in three zero-overhead-when-disabled
+for this reproduction's simulator, in zero-overhead-when-disabled
 pieces:
 
 * **structured event tracing** (:mod:`repro.obs.tracer`) -- a
@@ -17,9 +17,6 @@ pieces:
   duplicates, cache hits); attached to every
   :class:`~repro.sim.stats.SimulationReport` and mergeable across
   parallel replications with :func:`merge_telemetry`.
-* **profiling hooks** (:mod:`repro.obs.profiler`) -- exclusive
-  per-phase wall-time attribution (scheduling / SPF / forwarding /
-  measurement / stats) behind the ``profile=True`` scenario flag.
 * **causal spans** (:mod:`repro.obs.spans`) -- per-update flood trees
   reconstructed from lineage-tagged trace events: propagation-latency
   distributions, fan-out, convergence times, Chrome-trace export.
@@ -36,16 +33,6 @@ configuration, and the overhead guarantees.
 """
 
 from repro._lazy import lazy_exports
-from repro.obs.profiler import (
-    PHASE_FORWARDING,
-    PHASE_MEASUREMENT,
-    PHASE_SCHEDULING,
-    PHASE_SPF,
-    PHASE_STATS,
-    PhaseProfiler,
-    instrument_psn,
-    instrument_stats,
-)
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.obs.tracer import (
     CIRCUIT_FAIL,
@@ -55,7 +42,6 @@ from repro.obs.tracer import (
     NULL_TRACER,
     PACKET_DROP,
     SPF_BATCH_REPAIR,
-    SPF_RECOMPUTE,
     UPDATE_ACCEPTED,
     UPDATE_ACKED,
     UPDATE_FLOODED,
@@ -113,13 +99,7 @@ __all__ = [
     "LATENCY_BUCKETS_S",
     "NULL_TRACER",
     "PACKET_DROP",
-    "PHASE_FORWARDING",
-    "PHASE_MEASUREMENT",
-    "PHASE_SCHEDULING",
-    "PHASE_SPF",
-    "PHASE_STATS",
     "SPF_BATCH_REPAIR",
-    "SPF_RECOMPUTE",
     "UPDATE_ACCEPTED",
     "UPDATE_ACKED",
     "UPDATE_FLOODED",
@@ -134,7 +114,6 @@ __all__ = [
     "JsonlSink",
     "MeterRegistry",
     "NullSink",
-    "PhaseProfiler",
     "ProgressMonitor",
     "RingSink",
     "RunTelemetry",
@@ -151,8 +130,6 @@ __all__ = [
     "convergence_times",
     "counter_timeseries",
     "events_to_dicts",
-    "instrument_psn",
-    "instrument_stats",
     "latency_histogram",
     "merge_telemetry",
     "propagation_latencies",

@@ -316,9 +316,7 @@ class SimulationMeters:
         for field in fields(RunTelemetry):
             # ``events_pending`` falls as the queue drains (it gets the
             # gauge above); runs/wall fields are per-block bookkeeping.
-            if field.name in (
-                "runs", "phase_wall_s", "wall_s", "events_pending"
-            ):
+            if field.name in ("runs", "wall_s", "events_pending"):
                 continue
             self._telemetry_counters[field.name] = registry.counter(
                 f"repro_{field.name}",

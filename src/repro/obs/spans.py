@@ -22,11 +22,10 @@ and pruned edges.  From spans we derive:
   update, and, via :func:`convergence_episodes`, first cost change to
   last SPF settle across a whole burst of related updates.
 
-:func:`to_chrome_trace` exports spans (and the
-:class:`~repro.obs.profiler.PhaseProfiler` phase breakdown, if given)
-as Chrome trace-event JSON, loadable in Perfetto / ``chrome://tracing``
--- each lineage becomes an async span on its origin node's track, with
-accepts and acks as nested instants.
+:func:`to_chrome_trace` exports spans as Chrome trace-event JSON,
+loadable in Perfetto / ``chrome://tracing`` -- each lineage becomes an
+async span on its origin node's track, with accepts and acks as nested
+instants.
 
 Everything here is *post-hoc*: spans are built from a finished trace,
 so the zero-overhead guarantee is untouched -- an untraced run has no
@@ -46,7 +45,6 @@ from repro.obs.tracer import (
     COST_CHANGE,
     FLOOD_SUPPRESSED,
     SPF_BATCH_REPAIR,
-    SPF_RECOMPUTE,
     TraceEvent,
     UPDATE_ACCEPTED,
     UPDATE_ACKED,
@@ -75,7 +73,6 @@ EPISODE_EVENT_KINDS = (
     UPDATE_GENERATED,
     UPDATE_ACCEPTED,
     UPDATE_FLOODED,
-    SPF_RECOMPUTE,
     SPF_BATCH_REPAIR,
 )
 
@@ -273,27 +270,18 @@ def convergence_episodes(
 # ----------------------------------------------------------------------
 # Chrome trace-event export
 # ----------------------------------------------------------------------
-#: Process ids in the exported trace: network events on pid 0, the
-#: profiler phase breakdown on pid 1.
+#: Process id of the network track in the exported trace.
 _PID_NETWORK = 0
-_PID_PHASES = 1
 
 
-def to_chrome_trace(
-    events: Iterable,
-    phase_wall_s: Optional[Dict[str, float]] = None,
-) -> Dict[str, Any]:
+def to_chrome_trace(events: Iterable) -> Dict[str, Any]:
     """Render a trace as Chrome trace-event JSON (Perfetto-loadable).
 
     Each flood lineage becomes an async span (``ph: "b"``/``"e"``) on
     its origin's track, opening at generation and closing at the last
     acceptance (or reopening time for a degenerate single-event
     lineage); accepts and acks appear as nested instants (``"n"``).
-    Circuit failures/restores are global instant events (``"i"``).  If
-    a :class:`~repro.obs.profiler.PhaseProfiler` breakdown is given,
-    its exclusive per-phase wall seconds are laid end-to-end as
-    complete (``"X"``) events on a second process track -- relative
-    widths, not a timeline.
+    Circuit failures/restores are global instant events (``"i"``).
 
     Timestamps are microseconds (the format's unit); simulation seconds
     scale by 1e6.
@@ -383,42 +371,12 @@ def to_chrome_trace(
                     "args": {"link": event.get("link")},
                 }
             )
-    if phase_wall_s:
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": _PID_PHASES,
-                "tid": 0,
-                "args": {"name": "phase breakdown (wall time)"},
-            }
-        )
-        cursor_us = 0.0
-        for phase, seconds in phase_wall_s.items():
-            duration_us = seconds * 1e6
-            trace_events.append(
-                {
-                    "cat": "phase",
-                    "name": phase,
-                    "ph": "X",
-                    "ts": cursor_us,
-                    "dur": duration_us,
-                    "pid": _PID_PHASES,
-                    "tid": 0,
-                    "args": {"wall_s": seconds},
-                }
-            )
-            cursor_us += duration_us
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    path: str,
-    events: Iterable,
-    phase_wall_s: Optional[Dict[str, float]] = None,
-) -> str:
+def write_chrome_trace(path: str, events: Iterable) -> str:
     """Write :func:`to_chrome_trace` output as JSON; returns ``path``."""
     with open(path, "w") as handle:
-        json.dump(to_chrome_trace(events, phase_wall_s), handle)
+        json.dump(to_chrome_trace(events), handle)
         handle.write("\n")
     return path

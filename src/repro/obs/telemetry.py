@@ -18,7 +18,7 @@ is regression-tested.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Optional
 
 
@@ -121,23 +121,13 @@ class RunTelemetry:
     # -- wall time ------------------------------------------------------
     #: Wall seconds spent inside :meth:`NetworkSimulation.run`.
     wall_s: float = 0.0
-    #: Exclusive per-phase wall seconds (only under ``profile=True``;
-    #: empty otherwise).  Keys: ``spf``, ``forwarding``, ``stats``,
-    #: ``measurement``, ``scheduling`` (the unattributed residual).
-    phase_wall_s: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def merge(self, other: "RunTelemetry") -> "RunTelemetry":
         """A new block combining two runs (every field sums)."""
         merged = RunTelemetry()
         for name, value in asdict(self).items():
-            if name == "phase_wall_s":
-                continue
             setattr(merged, name, value + getattr(other, name))
-        phases = dict(self.phase_wall_s)
-        for phase, seconds in other.phase_wall_s.items():
-            phases[phase] = phases.get(phase, 0.0) + seconds
-        merged.phase_wall_s = phases
         return merged
 
     def diff(self, earlier: "RunTelemetry") -> "RunTelemetry":
@@ -156,15 +146,7 @@ class RunTelemetry:
         """
         delta = RunTelemetry()
         for name, value in asdict(self).items():
-            if name == "phase_wall_s":
-                continue
             setattr(delta, name, value - getattr(earlier, name))
-        phases = dict(self.phase_wall_s)
-        for phase, seconds in earlier.phase_wall_s.items():
-            phases[phase] = phases.get(phase, 0.0) - seconds
-        delta.phase_wall_s = {
-            phase: seconds for phase, seconds in phases.items() if seconds
-        }
         return delta
 
     def to_dict(self) -> Dict:
@@ -183,12 +165,7 @@ class RunTelemetry:
         return (self.cache_table_hits + self.cache_tree_hits) / lookups
 
     @classmethod
-    def collect(
-        cls,
-        simulation,
-        wall_s: float = 0.0,
-        phase_wall_s: Optional[Dict[str, float]] = None,
-    ) -> "RunTelemetry":
+    def collect(cls, simulation, wall_s: float = 0.0) -> "RunTelemetry":
         """Harvest counters from a finished (or paused) simulation.
 
         ``simulation`` is a :class:`~repro.sim.network_sim.NetworkSimulation`;
@@ -200,7 +177,6 @@ class RunTelemetry:
             events_pending=sim.pending,
             trace_events=simulation.tracer.events_emitted,
             wall_s=wall_s,
-            phase_wall_s=dict(phase_wall_s or {}),
         )
         for psn in simulation.psns.values():
             spf = psn.tree.stats
@@ -223,13 +199,12 @@ class RunTelemetry:
             telemetry.owed_acks_sent += flood.owed_acks_sent
             telemetry.owed_acks_piggybacked += flood.owed_acks_piggybacked
             telemetry.updates_retransmitted += flood.retransmitted
-        cache = simulation.spf_cache
-        if cache is not None:
-            telemetry.cache_table_hits = cache.stats.table_hits
-            telemetry.cache_table_misses = cache.stats.table_misses
-            telemetry.cache_tree_hits = cache.stats.tree_hits
-            telemetry.cache_tree_misses = cache.stats.tree_misses
-            telemetry.cache_evictions = cache.stats.evictions
+        cache = simulation.spf_cache.stats
+        telemetry.cache_table_hits = cache.table_hits
+        telemetry.cache_table_misses = cache.table_misses
+        telemetry.cache_tree_hits = cache.tree_hits
+        telemetry.cache_tree_misses = cache.tree_misses
+        telemetry.cache_evictions = cache.evictions
         for transmitter in simulation.transmitters.values():
             telemetry.data_packets_sent += transmitter.data_packets_sent
             telemetry.control_packets_sent += transmitter.control_packets_sent

@@ -48,8 +48,6 @@ UPDATE_FLOODED = "update-flooded"
 #: has it (per-neighbour sequence windows; ``data["on"]`` is the link it
 #: would have crossed).
 FLOOD_SUPPRESSED = "flood-suppressed"
-#: An incremental SPF repair ran; ``value`` is 1.0 if the tree changed.
-SPF_RECOMPUTE = "spf-recompute"
 #: A batched SPF repair pass ran; ``value`` is the changes absorbed.
 SPF_BATCH_REPAIR = "spf-batch-repair"
 #: A full-duplex circuit failed.
@@ -90,7 +88,6 @@ EVENT_KINDS = (
     UPDATE_ACKED,
     UPDATE_FLOODED,
     FLOOD_SUPPRESSED,
-    SPF_RECOMPUTE,
     SPF_BATCH_REPAIR,
     CIRCUIT_FAIL,
     CIRCUIT_RESTORE,

@@ -14,8 +14,8 @@ tracks busy time for utilization statistics and is where buffer-overflow
 drops (Figure 13's dropped packets) happen.
 
 This is the hottest code in the simulator -- every packet crosses a
-transmitter at every hop -- so it runs on the kernel's scheduled-call
-fast lane rather than as a generator process, with a **chained service
+transmitter at every hop -- so it runs on the kernel's bare scheduled
+calls (``call_in`` / ``call_soon``), with a **chained service
 loop**: only the head-of-line departure is ever scheduled, and finishing
 one transmission both launches that packet's propagation directly (one
 ``call_in`` to arrival -- no intermediate launch event) and chains the

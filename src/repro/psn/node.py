@@ -19,13 +19,11 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.des import RandomStreams, Simulator
 from repro.metrics.base import LinkMetric
 from repro.metrics.queueing import service_time_s
-from repro.obs.profiler import PhaseProfiler, instrument_psn
 from repro.obs.tracer import (
     DB_PURGED,
     FLOOD_SUPPRESSED,
     NEIGHBOR_QUARANTINED,
     SPF_BATCH_REPAIR,
-    SPF_RECOMPUTE,
     UPDATE_ACCEPTED,
     UPDATE_ACKED,
     UPDATE_FLOODED,
@@ -82,6 +80,16 @@ FLOOD_DEFER_FLIGHTS = 2.0
 class Psn:
     """One packet switching node.
 
+    Routing updates are written to the cost table as they arrive and
+    buffered; the SPF tree (and, under multipath, the router's candidate
+    sets) is repaired with one
+    :meth:`~repro.routing.spf.SpfTree.update_costs` pass when a
+    forwarding decision next consults it.  A flood reaching this node
+    while it has no data packet in flight then costs one Dijkstra pass
+    instead of one per update; the canonical smallest-link-id tie-break
+    (see :mod:`repro.routing.spf`) makes the tree the one per-update
+    repair would have built.
+
     Parameters
     ----------
     sim, network, node_id:
@@ -98,26 +106,14 @@ class Psn:
         This node's private cost table, already holding every link's
         idle cost.  The simulation evaluates the metric once and hands
         each PSN a :meth:`~repro.routing.spf.CostTable.copy`.
+    spf_cache:
+        The network-wide :class:`~repro.routing.spf_cache.SpfCache`.
+        Per-packet forwarding consults a flat next-hop table compiled
+        from (and kept consistent with) the node's SPF tree; the
+        equal-cost multipath router shares its Dijkstra trees through
+        it.
     measurement_interval_s:
         The averaging period (paper: 10 s).
-    spf_cache:
-        Optional network-wide :class:`~repro.routing.spf_cache.SpfCache`.
-        When present, per-packet forwarding consults a flat next-hop
-        table compiled from (and kept consistent with) the node's SPF
-        tree, instead of walking the tree's parent pointers; the
-        equal-cost multipath router also shares its Dijkstra trees
-        through it.  Pure speed: decisions are identical either way.
-    batched_spf:
-        Buffer incoming routing updates and repair the SPF tree with one
-        :meth:`~repro.routing.spf.SpfTree.update_costs` pass when the
-        tree is next consulted (a forwarding decision), instead of one
-        incremental repair per update.  Routing-update *bursts* -- a
-        flood reaching this node while it has no data packet in flight --
-        then cost one Dijkstra pass instead of many.  Batched and
-        per-update repair share the canonical smallest-link-id tie-break
-        (see :mod:`repro.routing.spf`), so the resulting trees are bit
-        identical and scenarios enable batching by default.  Ignored
-        under multipath, whose router recomputes per update anyway.
     incremental_flooding:
         Maintain per-neighbour sequence windows and suppress provably
         redundant update forwards, at flood time and at wire time (see
@@ -161,11 +157,6 @@ class Psn:
         duplicate suppression, SPF repairs).  A disabled or absent
         tracer costs nothing: the emission sites hold ``None`` and the
         per-packet forwarding path is never traced at all.
-    profiler:
-        Optional :class:`~repro.obs.profiler.PhaseProfiler`; when given,
-        this node's SPF, forwarding and measurement entry points are
-        wrapped for per-phase wall-time attribution (``profile=True``
-        runs only -- wrapping changes timing, never behaviour).
     """
 
     def __init__(
@@ -178,17 +169,15 @@ class Psn:
         stats: "StatsCollector",
         streams: RandomStreams,
         costs: CostTable,
+        spf_cache: SpfCache,
         measurement_interval_s: float = MEASUREMENT_INTERVAL_S,
         multipath_mode: Optional[str] = None,
         multipath_slack: float = 0.0,
         flow_control_window: Optional[int] = None,
-        spf_cache: Optional[SpfCache] = None,
-        batched_spf: bool = False,
         incremental_flooding: bool = False,
         dup_ack_suppression: bool = False,
         defense_policy: Optional[DefensePolicy] = None,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -280,36 +269,28 @@ class Psn:
         self.spf_cache = spf_cache
         self._forwarding: Optional[list] = None
         # Batched SPF repair: updates land in this buffer and are applied
-        # in one update_costs pass when the tree is next consulted.  None
-        # means per-update (eager) repair.  The *cost table* is written
-        # eagerly either way -- only the tree repair lags -- so reading
-        # ``psn.costs`` never depends on when this node last forwarded a
-        # packet; ``_pending_old`` remembers each buffered link's
-        # pre-batch cost so the flush can hand ``update_costs`` the true
-        # before/after diff.
-        self._pending_updates: Optional[list] = (
-            [] if (batched_spf and multipath_mode is None) else None
-        )
+        # in one update_costs pass when the tree is next consulted.  The
+        # *cost table* is written eagerly -- only the tree repair lags --
+        # so reading ``psn.costs`` never depends on when this node last
+        # forwarded a packet; ``_pending_old`` remembers each buffered
+        # link's pre-batch cost so the flush can hand ``update_costs``
+        # the true before/after diff.
+        self._pending_updates: list = []
         self._pending_old: Dict[int, float] = {}
         # Optional extension: equal-cost multipath forwarding (the
         # remedy the paper's section 4.5 cites for few-large-flows
         # traffic).  The router shares our cost table and is rebuilt
-        # whenever an update lands.
+        # with the tree when a burst of updates is flushed.
         self.router: Optional[MultipathRouter] = None
         if multipath_mode is not None:
             self.router = MultipathRouter(
                 network, node_id, self.costs, mode=multipath_mode,
                 slack=multipath_slack, cache=spf_cache,
             )
-        # Profiling must wrap the instance methods *before* the timer
-        # registrations below capture bound callbacks.
-        if profiler is not None:
-            instrument_psn(profiler, self)
         offset = streams.uniform(
             f"psn-{node_id}-phase", 0.0, measurement_interval_s
         )
-        # Periodic work rides the timer wheel: one reusable heap entry
-        # per timer instead of a Timeout + generator resumption per tick.
+        # Periodic work rides the timer wheel: one heap entry per timer.
         self._measurement = sim.timers.every(
             measurement_interval_s,
             self._close_measurement_interval,
@@ -410,8 +391,7 @@ class Psn:
 
     def forward(self, packet: Packet) -> None:
         """Single-path, destination-based forwarding."""
-        pending = self._pending_updates
-        if pending:
+        if self._pending_updates:
             self.flush_pending_updates()
         if len(packet.trail) >= MAX_HOPS:
             self.stats.packet_dropped(packet, "hop-limit", self.sim.now)
@@ -419,15 +399,12 @@ class Psn:
             return
         if self.router is not None:
             link_id = self.router.next_hop_link(packet.dst, src=packet.src)
-        elif self.spf_cache is not None:
-            # O(1) table lookup instead of walking tree parent pointers.
+        else:
             table = self._forwarding
             if table is None:
                 table = self._forwarding = \
                     self.spf_cache.forwarding_table(self.tree)
             link_id = table[packet.dst]
-        else:
-            link_id = self.tree.next_hop_link(packet.dst)
         if link_id is None:
             self.stats.packet_dropped(packet, "unreachable", self.sim.now)
             release(packet)
@@ -707,31 +684,22 @@ class Psn:
                 node=self.node_id, value=len(pending),
             )
         if self.tree.update_costs(pending):
-            self._forwarding = None
-
-    def _apply_update(self, update: RoutingUpdate) -> None:
-        cost = UNREACHABLE if update.cost >= DOWN_COST else float(update.cost)
-        if self._pending_updates is not None:
-            if update.link_id not in self._pending_old:
-                self._pending_old[update.link_id] = self.costs[update.link_id]
-            self.costs[update.link_id] = cost
-            self._pending_updates.append((update.link_id, cost))
-            return
-        if self._trace is not None:
-            self._trace.emit(
-                self.sim.now, SPF_RECOMPUTE,
-                node=self.node_id, link=update.link_id,
-            )
-        if self.tree.update_cost(update.link_id, cost):
             # The compiled next-hop table reflects the old tree; drop it
             # and recompile (or re-fetch from the cache) on the next
-            # packet.  No-op updates leave the tree -- and therefore the
+            # packet.  No-op batches leave the tree -- and therefore the
             # table -- untouched.
             self._forwarding = None
         if self.router is not None:
             # The router shares our cost table (updated by the tree);
             # rebuild its equal-cost candidate sets.
             self.router.recompute()
+
+    def _apply_update(self, update: RoutingUpdate) -> None:
+        cost = UNREACHABLE if update.cost >= DOWN_COST else float(update.cost)
+        if update.link_id not in self._pending_old:
+            self._pending_old[update.link_id] = self.costs[update.link_id]
+        self.costs[update.link_id] = cost
+        self._pending_updates.append((update.link_id, cost))
 
     def _flood(self, update: RoutingUpdate, arrived_on: Optional[int]) -> None:
         links = self.flooding.forward_links(arrived_on, update=update)

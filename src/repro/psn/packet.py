@@ -14,8 +14,7 @@ with a fresh packet id, so the hot path stops exercising the allocator
 entirely once the pool warms up.  Pooling is pure mechanics: ids still
 come from one monotonic counter, field values are fully reset on
 acquire, and nothing downstream retains packets past their release
-points (the stats collector copies what it needs), so pooled and
-unpooled runs are bit-identical.
+points (the stats collector copies what it needs).
 """
 
 from __future__ import annotations
@@ -101,22 +100,6 @@ _POOL_LIMIT = 8192
 #: hand the same object to two owners.
 _pooled_ids: set = set()
 
-_pool_enabled = True
-
-
-def configure_pool(enabled: bool) -> None:
-    """Enable or disable the freelist (A/B verification hook).
-
-    Disabling drops the warm pool; :func:`acquire` then allocates every
-    packet.  Behaviour is identical either way -- that is the point of
-    the knob.
-    """
-    global _pool_enabled
-    _pool_enabled = enabled
-    if not enabled:
-        _POOL.clear()
-        _pooled_ids.clear()
-
 
 def acquire(
     kind: PacketKind,
@@ -160,8 +143,6 @@ def release(packet: Packet) -> None:
     Callers own the packet at exactly one point (delivery, drop,
     suppression, flush); releasing twice is a bug and raises.
     """
-    if not _pool_enabled:
-        return
     key = id(packet)
     if key in _pooled_ids:
         raise RuntimeError(f"double release of {packet!r}")

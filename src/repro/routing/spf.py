@@ -21,9 +21,9 @@ each node's parent is the *smallest link id* among its tight in-links
 pure function of the cost table, so with this rule the whole tree is
 too: applying the same cost changes one at a time, in one batch, or by
 recomputing from scratch yields bit-identical trees.  That is what lets
-the simulator run batched SPF repair by default without perturbing the
-per-update goldens, and what makes shared forwarding tables (keyed only
-by cost fingerprint) exact rather than merely tie-equivalent.
+the simulator repair in batches without perturbing goldens recorded
+under per-update repair, and what makes shared forwarding tables (keyed
+only by cost fingerprint) exact rather than merely tie-equivalent.
 
 Costs are floats so the analysis package can sweep costs in fractional
 hops; the operational simulator feeds integer routing units.  Down links

@@ -65,14 +65,19 @@ class _LegacyNode:
         self.node_id = node_id
         self.transmitters = transmitters
         self.stats = stats
-        self.exchange_interval_s = exchange_interval_s
         self.metric_constant = metric_constant
         self.bf = BellmanFordNode(network, node_id)
         self.vectors_sent = 0
+        self._vector_bits = (
+            _VECTOR_HEADER_BITS + _VECTOR_BITS_PER_DEST * len(network.nodes)
+        )
         offset = streams.uniform(
             f"bf-{node_id}-phase", 0.0, exchange_interval_s
         )
-        sim.process(self._exchange_loop(offset), name=f"bf-{node_id}")
+        sim.timers.every(
+            exchange_interval_s, self._exchange,
+            first_fire_s=offset + exchange_interval_s,
+        )
 
     # ------------------------------------------------------------------
     def _link_toward(self, neighbour: int) -> Optional[LinkTransmitter]:
@@ -96,33 +101,26 @@ class _LegacyNode:
                 )
         return metrics
 
-    def _exchange_loop(self, offset_s: float):
-        yield self.sim.timeout(offset_s)
-        vector_bits = (
-            _VECTOR_HEADER_BITS
-            + _VECTOR_BITS_PER_DEST * len(self.network.nodes)
-        )
-        while True:
-            yield self.sim.timeout(self.exchange_interval_s)
-            # Re-minimize on the *instantaneous* queue lengths (the
-            # paper's complaint: a sample, not an average).
-            self.bf.recompute(self._current_metrics())
-            snapshot = self.bf.snapshot()
-            for neighbour in self.network.neighbors(self.node_id):
-                transmitter = self._link_toward(neighbour)
-                if transmitter is None:
-                    continue
-                packet = Packet(
-                    packet_id=next(_packet_ids),
-                    kind=PacketKind.DISTANCE_VECTOR,
-                    src=self.node_id,
-                    dst=neighbour,
-                    size_bits=vector_bits,
-                    created_s=self.sim.now,
-                    vector=dict(snapshot),
-                )
-                transmitter.send(packet)
-                self.vectors_sent += 1
+    def _exchange(self) -> None:
+        # Re-minimize on the *instantaneous* queue lengths (the paper's
+        # complaint: a sample, not an average).
+        self.bf.recompute(self._current_metrics())
+        snapshot = self.bf.snapshot()
+        for neighbour in self.network.neighbors(self.node_id):
+            transmitter = self._link_toward(neighbour)
+            if transmitter is None:
+                continue
+            packet = Packet(
+                packet_id=next(_packet_ids),
+                kind=PacketKind.DISTANCE_VECTOR,
+                src=self.node_id,
+                dst=neighbour,
+                size_bits=self._vector_bits,
+                created_s=self.sim.now,
+                vector=dict(snapshot),
+            )
+            transmitter.send(packet)
+            self.vectors_sent += 1
 
     # ------------------------------------------------------------------
     def inject(self, src: int, dst: int, size_bits: float) -> None:
@@ -230,10 +228,11 @@ class BellmanFordSimulation:
         (2/3 s) per hop while stale tables keep attracting traffic --
         the counting-to-infinity weakness of distance-vector routing.
         """
-        self.sim.process(self._fail_circuit(link_id, at_s))
+        self.sim.call_in(
+            max(at_s - self.sim.now, 0.0), self._fail_circuit, link_id
+        )
 
-    def _fail_circuit(self, link_id: int, at_s: float):
-        yield self.sim.timeout(max(at_s - self.sim.now, 0.0))
+    def _fail_circuit(self, link_id: int) -> None:
         affected = self.network.set_circuit_state(link_id, up=False)
         for link in affected:
             self.transmitters[link.link_id].flush()

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.des import RandomStreams, Simulator
 from repro.metrics.base import LinkMetric
 from repro.obs import runtime as obs_runtime
-from repro.obs.profiler import PhaseProfiler, instrument_stats
 from repro.obs.telemetry import RunTelemetry
 from repro.obs.tracer import CIRCUIT_FAIL, CIRCUIT_RESTORE, Tracer, build_tracer
 from repro.psn.interfaces import DEFAULT_BUFFER_PACKETS, LinkTransmitter
@@ -82,19 +81,6 @@ class ScenarioConfig:
     #: errors, a destroyed RFNM permanently consumes window share (the
     #: pre-timeout IMP behaved the same way).
     flow_control_window: Optional[int] = None
-    #: Share SPF results network-wide and forward via compiled next-hop
-    #: tables.  Pure speed -- same-seed runs are bit-identical with it
-    #: off -- so it only exists as a knob for A/B verification.
-    spf_cache: bool = True
-    #: Batch routing updates per SPF repair: pending cost changes are
-    #: applied in one ``SpfTree.update_costs`` pass when the tree is next
-    #: consulted, instead of one incremental repair per update.  Batched
-    #: and per-update repair share the canonical smallest-link-id
-    #: tie-break (see :mod:`repro.routing.spf`), so they build bit-
-    #: identical trees and ``None`` (auto) now means **on** at every
-    #: network size -- including the paper-sized golden scenarios.
-    #: ``False`` keeps the per-update path for A/B verification.
-    batched_spf: Optional[bool] = None
     #: Incremental flooding: per-neighbour sequence windows suppress
     #: update forwards the neighbour provably already has, at flood time
     #: and at wire time (see :mod:`repro.routing.flooding`).  ``None``
@@ -121,11 +107,6 @@ class ScenarioConfig:
     #: :class:`~repro.sim.parallel.RunSpec`).  Tracing never alters
     #: behaviour: traced runs stay bit-identical to untraced ones.
     trace: Optional[object] = None
-    #: Per-phase wall-time attribution (scheduling / SPF / forwarding /
-    #: measurement / stats), reported in the run telemetry's
-    #: ``phase_wall_s``.  Off by default: profiling wraps the hot
-    #: methods and costs real wall time (behaviour is unchanged).
-    profile: bool = False
     #: Compute the report's ``updates_per_trunk_s`` over the post-warmup
     #: window only, excluding the boot flood.  Default off (the
     #: historical whole-run average).  Enabling schedules one extra
@@ -199,13 +180,8 @@ class ScenarioConfig:
 
 
 #: Auto-enable the large-network control-plane fast paths (incremental
-#: flooding) on networks at least this big.  Batched SPF repair used to
-#: share this gate; with canonical tie-breaking it is simply on by
-#: default everywhere.
+#: flooding) on networks at least this big.
 LARGE_NETWORK_MIN_NODES = 128
-
-#: Backward-compatible alias (batched SPF's old auto-enable threshold).
-BATCHED_SPF_MIN_NODES = LARGE_NETWORK_MIN_NODES
 
 
 class NetworkSimulation:
@@ -232,10 +208,6 @@ class NetworkSimulation:
         if trace_spec is None:
             trace_spec = obs_runtime.next_trace_spec()
         self.tracer: Tracer = build_tracer(trace_spec)
-        #: Present only under ``profile=True``.
-        self.profiler: Optional[PhaseProfiler] = (
-            PhaseProfiler() if self.config.profile else None
-        )
         #: Accumulated wall seconds inside :meth:`run`.
         self._wall_s = 0.0
         #: Bucketed offered/delivered counts for resilience analysis;
@@ -250,12 +222,8 @@ class NetworkSimulation:
             post_warmup_update_rates=self.config.post_warmup_update_rates,
             timeline=self.timeline,
         )
-        if self.profiler is not None:
-            instrument_stats(self.profiler, self.stats)
-        #: One SPF cache for the whole network (None = disabled).
-        self.spf_cache: Optional[SpfCache] = (
-            SpfCache(network) if self.config.spf_cache else None
-        )
+        #: One SPF cache for the whole network.
+        self.spf_cache = SpfCache(network)
 
         self.transmitters: Dict[int, LinkTransmitter] = {
             link.link_id: LinkTransmitter(
@@ -269,9 +237,6 @@ class NetworkSimulation:
             )
             for link in network.links
         }
-        batched_spf = self.config.batched_spf
-        if batched_spf is None:
-            batched_spf = True
         incremental_flooding = self.config.incremental_flooding
         if incremental_flooding is None:
             incremental_flooding = (
@@ -315,16 +280,14 @@ class NetworkSimulation:
                 self.stats,
                 self.streams,
                 idle_costs.copy(),
+                self.spf_cache,
                 measurement_interval_s=self.config.measurement_interval_s,
                 multipath_mode=self.config.multipath,
                 multipath_slack=self.config.multipath_slack,
                 flow_control_window=self.config.flow_control_window,
-                spf_cache=self.spf_cache,
-                batched_spf=batched_spf,
                 incremental_flooding=incremental_flooding,
                 dup_ack_suppression=dup_ack_suppression,
                 tracer=self.tracer,
-                profiler=self.profiler,
                 defense_policy=self.defense_policy,
             )
             for node in network
@@ -441,10 +404,9 @@ class NetworkSimulation:
         horizon = until_s if until_s is not None else self.config.duration_s
         started = time.perf_counter()
         self.sim.run(until=horizon)
-        # Batched-SPF nodes may end the run with routing updates still
-        # buffered (received, but never needed for a forwarding decision
-        # since); apply them so post-run tree inspection sees every
-        # update, exactly as the per-update path would.
+        # Nodes may end the run with routing updates still buffered
+        # (received, but never needed for a forwarding decision since);
+        # apply them so post-run tree inspection sees every update.
         for psn in self.psns.values():
             psn.flush_pending_updates()
         self._wall_s += time.perf_counter() - started
@@ -487,9 +449,4 @@ class NetworkSimulation:
         An O(nodes + links) sweep over counters the subsystems keep
         anyway -- calling it never perturbs the simulation.
         """
-        phase_wall_s = None
-        if self.profiler is not None:
-            phase_wall_s = self.profiler.breakdown(self._wall_s)
-        return RunTelemetry.collect(
-            self, wall_s=self._wall_s, phase_wall_s=phase_wall_s
-        )
+        return RunTelemetry.collect(self, wall_s=self._wall_s)

@@ -18,7 +18,7 @@ def test_clock_custom_start():
 def test_timeout_advances_clock():
     sim = Simulator()
     fired = []
-    sim.timeout(5.0).callbacks.append(lambda evt: fired.append(sim.now))
+    sim.call_in(5.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [5.0]
     assert sim.now == 5.0
@@ -26,17 +26,15 @@ def test_timeout_advances_clock():
 
 def test_negative_timeout_rejected():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.timeout(-1.0)
+    with pytest.raises(SimulationError):
+        sim.call_in(-1.0, lambda: None)
 
 
 def test_run_until_bounds_execution():
     sim = Simulator()
     fired = []
     for delay in (1.0, 2.0, 3.0):
-        sim.timeout(delay).callbacks.append(
-            lambda evt, d=delay: fired.append(d)
-        )
+        sim.call_in(delay, fired.append, delay)
     sim.run(until=2.0)
     assert fired == [1.0, 2.0]
     assert sim.now == 2.0
@@ -60,7 +58,7 @@ def test_same_time_events_fire_in_scheduling_order():
     sim = Simulator()
     order = []
     for tag in ("a", "b", "c"):
-        sim.timeout(1.0).callbacks.append(lambda evt, t=tag: order.append(t))
+        sim.call_in(1.0, order.append, tag)
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -74,15 +72,14 @@ def test_step_with_empty_queue_raises():
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")
-    sim.timeout(7.0)
+    sim.call_in(7.0, lambda: None)
     assert sim.peek() == 7.0
 
 
 def test_scheduling_into_the_past_raises():
     sim = Simulator(start_time=5.0)
-    event = sim.event()
     with pytest.raises(SimulationError):
-        sim._schedule_at(1.0, event)
+        sim._schedule_call_at(1.0, lambda: None, ())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1.0])
@@ -95,38 +92,5 @@ def test_invalid_times_rejected_at_every_entry_point(bad):
     with pytest.raises(SimulationError):
         sim._schedule_call_at(5.0 + bad, lambda: None, ())
     with pytest.raises(SimulationError):
-        sim._schedule_at(5.0 + bad, sim.event())
-    with pytest.raises(SimulationError):
         sim.run(until=5.0 + bad)
     assert sim.pending == 0 and sim.now == 5.0
-
-
-def test_run_until_event_returns_value():
-    sim = Simulator()
-    target = sim.timeout(3.0, value="done")
-    assert sim.run_until_event(target) == "done"
-    assert sim.now == 3.0
-
-
-def test_run_until_event_respects_limit():
-    sim = Simulator()
-    target = sim.timeout(10.0)
-    with pytest.raises(SimulationError):
-        sim.run_until_event(target, limit=5.0)
-
-
-def test_run_until_event_raises_on_failed_event():
-    sim = Simulator()
-    event = sim.event()
-    sim.timeout(1.0).callbacks.append(
-        lambda evt: event.fail(ValueError("boom"))
-    )
-    with pytest.raises(ValueError, match="boom"):
-        sim.run_until_event(event)
-
-
-def test_run_until_event_detects_drained_queue():
-    sim = Simulator()
-    never = sim.event()
-    with pytest.raises(SimulationError):
-        sim.run_until_event(never)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Simulator, Store
+from repro.des import Simulator
 
 
 @settings(max_examples=50, deadline=None)
@@ -15,68 +15,16 @@ from repro.des import Simulator, Store
     )
 )
 def test_property_events_fire_in_time_order(delays):
-    """Whatever order timeouts are created in, callbacks fire in
-    nondecreasing time order (ties by creation order)."""
+    """Whatever order calls are scheduled in, they fire in
+    nondecreasing time order (ties by scheduling order)."""
     sim = Simulator()
     fired = []
     for delay in delays:
-        sim.timeout(delay).callbacks.append(
-            lambda evt, d=delay: fired.append((sim.now, d))
-        )
+        sim.call_in(delay, lambda d=delay: fired.append((sim.now, d)))
     sim.run()
     times = [t for t, _d in fired]
     assert times == sorted(times)
     assert sorted(d for _t, d in fired) == sorted(delays)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    operations=st.lists(
-        st.one_of(
-            st.tuples(st.just("put"), st.integers(0, 999)),
-            st.tuples(st.just("get"), st.just(0)),
-        ),
-        min_size=1,
-        max_size=40,
-    )
-)
-def test_property_store_is_fifo(operations):
-    """Any interleaving of try_put/try_get preserves FIFO order."""
-    sim = Simulator()
-    store = Store(sim)
-    put_order = []
-    got_order = []
-    for op, value in operations:
-        if op == "put":
-            store.try_put(value)
-            put_order.append(value)
-        else:
-            item = store.try_get()
-            if item is not None:
-                got_order.append(item)
-    # Drain the rest.
-    while True:
-        item = store.try_get()
-        if item is None:
-            break
-        got_order.append(item)
-    assert got_order == put_order
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    capacity=st.integers(min_value=1, max_value=5),
-    values=st.lists(st.integers(), min_size=1, max_size=20),
-)
-def test_property_bounded_store_never_exceeds_capacity(capacity, values):
-    sim = Simulator()
-    store = Store(sim, capacity=capacity)
-    accepted = 0
-    for value in values:
-        if store.try_put(value):
-            accepted += 1
-        assert len(store) <= capacity
-    assert accepted == min(len(values), capacity)
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,18 +34,18 @@ def test_property_bounded_store_never_exceeds_capacity(capacity, values):
     )
 )
 def test_property_process_clocks_are_exact(periods):
-    """Processes wake at exactly the sum of their timeouts -- no drift."""
+    """A chain of calls ends at exactly the sum of its delays -- no drift."""
     sim = Simulator()
     results = {}
 
-    def sleeper(sim, index, waits):
-        for wait in waits:
-            yield sim.timeout(wait)
-        results[index] = sim.now
+    def sleep(index, period, remaining):
+        if remaining:
+            sim.call_in(period, sleep, index, period, remaining - 1)
+        else:
+            results[index] = sim.now
 
     for index, period in enumerate(periods):
-        waits = [period] * 3
-        sim.process(sleeper(sim, index, waits))
+        sleep(index, period, 3)
     sim.run()
     for index, period in enumerate(periods):
         assert abs(results[index] - 3 * period) < 1e-9

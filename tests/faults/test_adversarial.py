@@ -138,7 +138,7 @@ def test_corrupt_update_trajectory_is_seed_deterministic():
     assert dataclasses.asdict(first) == dataclasses.asdict(second)
     counters = {
         name: value for name, value in first.telemetry.to_dict().items()
-        if name not in ("wall_s", "phase_wall_s")
+        if name != "wall_s"
     }
     for name, value in counters.items():
         assert value == getattr(second.telemetry, name)

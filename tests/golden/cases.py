@@ -10,11 +10,6 @@ dynamics, not just the packet totals.
 The case set deliberately crosses every forwarding feature: plain
 single-path, equal-cost multipath (both modes), line errors, RFNM flow
 control, and a link failure/recovery (topology up/down invalidation).
-
-Every case accepts :class:`ScenarioConfig` field overrides, so the same
-runs double as equivalence fixtures: the batched-SPF acceptance test
-replays each case with ``batched_spf`` forced on and off and demands
-bit-identical snapshots (see ``tests/sim/test_batched_spf_golden.py``).
 """
 
 from __future__ import annotations
@@ -36,58 +31,53 @@ def _ring(metric, config: ScenarioConfig, nodes: int = 4,
     return NetworkSimulation(network, metric, traffic, config)
 
 
-def _config(overrides: Dict, **fields) -> ScenarioConfig:
-    fields.update(overrides)
-    return ScenarioConfig(**fields)
-
-
-def _case_arpanet_aug87(**overrides):
-    config = _config(overrides, duration_s=30.0, warmup_s=10.0, seed=3)
+def _case_arpanet_aug87():
+    config = ScenarioConfig(duration_s=30.0, warmup_s=10.0, seed=3)
     simulation = build_scenario("aug87", config=config)
     return simulation, simulation.run()
 
 
-def _case_two_region_hnspf(**overrides):
-    config = _config(overrides, duration_s=60.0, warmup_s=10.0, seed=1)
+def _case_two_region_hnspf():
+    config = ScenarioConfig(duration_s=60.0, warmup_s=10.0, seed=1)
     simulation = build_scenario("two-region-hnspf", config=config)
     return simulation, simulation.run()
 
 
-def _case_ring_multipath_flow(**overrides):
+def _case_ring_multipath_flow():
     simulation = _ring(
         HopNormalizedMetric(),
-        _config(overrides, duration_s=60.0, warmup_s=10.0, seed=0,
-                multipath="flow"),
+        ScenarioConfig(duration_s=60.0, warmup_s=10.0, seed=0,
+                       multipath="flow"),
     )
     return simulation, simulation.run()
 
 
-def _case_ring_multipath_packet(**overrides):
+def _case_ring_multipath_packet():
     simulation = _ring(
         HopNormalizedMetric(),
-        _config(overrides, duration_s=60.0, warmup_s=10.0, seed=0,
-                multipath="packet"),
+        ScenarioConfig(duration_s=60.0, warmup_s=10.0, seed=0,
+                       multipath="packet"),
     )
     return simulation, simulation.run()
 
 
-def _case_ring_errors_flow_control(**overrides):
+def _case_ring_errors_flow_control():
     simulation = _ring(
         DelayMetric(),
-        _config(overrides, duration_s=60.0, warmup_s=10.0, seed=2,
-                line_error_rate=0.01, flow_control_window=8),
+        ScenarioConfig(duration_s=60.0, warmup_s=10.0, seed=2,
+                       line_error_rate=0.01, flow_control_window=8),
     )
     return simulation, simulation.run()
 
 
-def _case_failure_recovery(**overrides):
+def _case_failure_recovery():
     built = build_two_region_network(nodes_per_region=3)
     traffic = TrafficMatrix.two_region(
         built.west_ids, built.east_ids, inter_region_bps=60_000.0
     )
     simulation = NetworkSimulation(
         built.network, HopNormalizedMetric(), traffic,
-        _config(overrides, duration_s=90.0, warmup_s=10.0, seed=5),
+        ScenarioConfig(duration_s=90.0, warmup_s=10.0, seed=5),
     )
     bridge = built.bridge_a[0].link_id
     simulation.fail_circuit_at(bridge, 30.0)
@@ -105,14 +95,9 @@ CASES: Dict[str, Callable] = {
 }
 
 
-def run_case(name: str, **overrides) -> Dict:
-    """Run one case, returning its comparable snapshot dict.
-
-    ``overrides`` are :class:`ScenarioConfig` field values forced onto
-    the case's configuration (e.g. ``batched_spf=False``); the golden
-    snapshots are recorded with no overrides.
-    """
-    simulation, report = CASES[name](**overrides)
+def run_case(name: str) -> Dict:
+    """Run one case, returning its comparable snapshot dict."""
+    simulation, report = CASES[name]()
     digest = hashlib.sha256()
     for when, link_id, cost in simulation.stats.cost_history:
         digest.update(f"{when!r}:{link_id}:{cost};".encode())

@@ -34,7 +34,6 @@ def test_disabled_run_stores_none_at_emission_sites():
 
 def test_disabled_run_leaves_methods_unwrapped():
     simulation = _build()
-    assert simulation.profiler is None
     for psn in simulation.psns.values():
         assert not hasattr(psn.forward, "__wrapped__")
         assert not hasattr(psn._apply_update, "__wrapped__")

@@ -124,10 +124,10 @@ def test_convergence_episodes_chain_bursts():
         {"t": 1.0, "kind": "cost-change", "link": 0, "value": 100},
         {"t": 1.2, "kind": "update-generated", "node": 0, "link": 0,
          "origin": 0, "seq": 1},
-        {"t": 1.4, "kind": "spf-recompute", "node": 1, "link": 0},
+        {"t": 1.4, "kind": "spf-batch-repair", "node": 1, "value": 1},
         # > quiet_s of silence, then a second burst
         {"t": 20.0, "kind": "cost-change", "link": 1, "value": 50},
-        {"t": 20.1, "kind": "spf-recompute", "node": 2, "link": 1},
+        {"t": 20.1, "kind": "spf-batch-repair", "node": 2, "value": 1},
     ]
     episodes = convergence_episodes(events, quiet_s=5.0)
     assert episodes == [(1.0, 1.4), (20.0, 20.1)]
@@ -192,7 +192,7 @@ def test_spans_accept_dicts_and_trace_events(traced_run):
 # ----------------------------------------------------------------------
 def test_chrome_trace_shape(traced_run, tmp_path):
     _, report, events = traced_run
-    trace = to_chrome_trace(events, report.telemetry.phase_wall_s)
+    trace = to_chrome_trace(events)
     assert trace["displayTimeUnit"] == "ms"
     records = trace["traceEvents"]
     begins = [r for r in records if r["ph"] == "b"]
@@ -204,24 +204,20 @@ def test_chrome_trace_shape(traced_run, tmp_path):
         assert record["ts"] >= opened[record["id"]]
     # The file form is valid JSON with the same payload.
     path = str(tmp_path / "trace.json")
-    write_chrome_trace(path, events, report.telemetry.phase_wall_s)
+    write_chrome_trace(path, events)
     with open(path) as handle:
         assert json.load(handle) == trace
 
 
-def test_chrome_trace_includes_circuit_instants_and_phases():
+def test_chrome_trace_includes_circuit_instants():
     events = [
         {"t": 2.0, "kind": "circuit-fail", "link": 3},
         {"t": 9.0, "kind": "circuit-restore", "link": 3},
     ]
-    trace = to_chrome_trace(events, {"spf": 0.25, "scheduling": 0.75})
+    trace = to_chrome_trace(events)
     instants = [r for r in trace["traceEvents"] if r["ph"] == "i"]
     assert [r["name"] for r in instants] == \
         ["circuit-fail", "circuit-restore"]
-    phases = [r for r in trace["traceEvents"] if r["ph"] == "X"]
-    assert {r["name"] for r in phases} == {"spf", "scheduling"}
-    # Phases lie end-to-end: total extent equals total wall time.
-    assert sum(r["dur"] for r in phases) == pytest.approx(1e6)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,7 +16,7 @@ def _block(**overrides) -> RunTelemetry:
     telemetry = RunTelemetry(
         events_processed=100, spf_full_computations=2,
         flood_generated=5, cache_table_hits=3, cache_table_misses=1,
-        wall_s=0.5, phase_wall_s={"spf": 0.2, "scheduling": 0.3},
+        wall_s=0.5,
     )
     for name, value in overrides.items():
         setattr(telemetry, name, value)
@@ -26,23 +25,20 @@ def _block(**overrides) -> RunTelemetry:
 
 def test_merge_sums_every_field():
     a = _block()
-    b = _block(events_processed=50, phase_wall_s={"spf": 0.1})
+    b = _block(events_processed=50)
     merged = a.merge(b)
     assert merged.runs == 2
     assert merged.events_processed == 150
     assert merged.spf_full_computations == 4
     assert merged.wall_s == 1.0
-    assert merged.phase_wall_s == pytest.approx(
-        {"spf": 0.3, "scheduling": 0.3}
-    )
     # Inputs untouched.
     assert a.events_processed == 100 and b.events_processed == 50
 
 
 def test_merge_is_associative_and_commutative():
     a = _block(events_processed=1)
-    b = _block(events_processed=10, phase_wall_s={"forwarding": 0.1})
-    c = _block(events_processed=100, phase_wall_s={})
+    b = _block(events_processed=10)
+    c = _block(events_processed=100)
     left = a.merge(b).merge(c)
     right = a.merge(b.merge(c))
     assert left.to_dict() == right.to_dict()
@@ -55,7 +51,7 @@ def test_merge_is_associative_and_commutative():
 #: added counter is property-tested automatically.
 _COUNTER_FIELDS = [
     f.name for f in dataclasses.fields(RunTelemetry)
-    if f.name not in ("runs", "wall_s", "phase_wall_s")
+    if f.name not in ("runs", "wall_s")
 ]
 
 

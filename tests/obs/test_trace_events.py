@@ -44,8 +44,7 @@ def test_circuit_transitions_are_traced():
 
 
 def test_batched_spf_runs_emit_batch_repairs():
-    config = ScenarioConfig(duration_s=30.0, warmup_s=0.0, trace="memory",
-                            batched_spf=True)
+    config = ScenarioConfig(duration_s=30.0, warmup_s=0.0, trace="memory")
     simulation = build_scenario("two-region-dspf", config=config)
     simulation.run()
     kinds = _kinds(simulation)

@@ -99,20 +99,20 @@ def test_hop_limit_drops_looping_packets():
     sim = NetworkSimulation(net, HopNormalizedMetric(), traffic,
                             quiet_config())
     sim.run(until_s=20.0)
-    # Sabotage: node 1 sends everything for 2 back toward 0.  Knock the
-    # node off the compiled-table fast path first so the monkeypatched
-    # next_hop_link below is actually consulted per packet.
+    # Sabotage: node 1 sends everything for 2 back toward 0, whatever
+    # table its tree compiles to.
     back_link = net.links_between(1, 0)[0].link_id
-    sim.psns[1].spf_cache = None
+    compile_table = sim.spf_cache.forwarding_table
+
+    def evil_table(tree):
+        table = compile_table(tree)
+        if tree.root == 1:
+            table = list(table)
+            table[2] = back_link
+        return table
+
+    sim.spf_cache.forwarding_table = evil_table
     sim.psns[1]._forwarding = None
-    original = sim.psns[1].tree.next_hop_link
-
-    def evil_next_hop(dest):
-        if dest == 2:
-            return back_link
-        return original(dest)
-
-    sim.psns[1].tree.next_hop_link = evil_next_hop
     sim.run(until_s=40.0)
     assert sim.stats.hop_limit_drops > 0
 

@@ -1,30 +1,15 @@
-"""The packet freelist: recycling mechanics and behavioural identity.
+"""The packet freelist: recycling mechanics.
 
 Pooling is pure mechanics -- ids stay monotonic, fields fully reset on
-acquire, double release raises -- and the observable behaviour of a run
-must be bit-identical with the pool on or off.  That identity is the
-licence for having a freelist on the hot path at all.
+acquire, double release raises.
 """
 
 import pytest
 
-from repro.metrics import HopNormalizedMetric
-from repro.psn import packet as packet_mod
-from repro.psn.packet import PacketKind, acquire, configure_pool, release
-from repro.sim import NetworkSimulation, ScenarioConfig
-from repro.topology import build_ring_network
-from repro.traffic import TrafficMatrix
-
-
-@pytest.fixture(autouse=True)
-def _pool_restored():
-    """Leave the process-wide pool enabled (its default) after each test."""
-    yield
-    configure_pool(True)
+from repro.psn.packet import PacketKind, acquire, release
 
 
 def test_acquire_recycles_released_packet():
-    configure_pool(True)
     packet = acquire(PacketKind.DATA, 0, 3, 1000.0, 1.0)
     packet.trail.append(7)
     first_id = packet.packet_id
@@ -40,45 +25,7 @@ def test_acquire_recycles_released_packet():
 
 
 def test_double_release_raises():
-    configure_pool(True)
     packet = acquire(PacketKind.DATA, 0, 1, 1000.0, 0.0)
     release(packet)
     with pytest.raises(RuntimeError, match="double release"):
         release(packet)
-
-
-def test_disabled_pool_allocates_fresh_objects():
-    configure_pool(False)
-    packet = acquire(PacketKind.DATA, 0, 1, 1000.0, 0.0)
-    release(packet)  # no-op: nothing retained
-    assert packet_mod._POOL == []
-    again = acquire(PacketKind.DATA, 0, 1, 1000.0, 0.0)
-    assert again is not packet
-
-
-def _run(pooled):
-    configure_pool(pooled)
-    sim = NetworkSimulation(
-        build_ring_network(6), HopNormalizedMetric(),
-        TrafficMatrix({(0, 3): 2_000.0, (2, 5): 1_500.0}),
-        ScenarioConfig(duration_s=60.0, warmup_s=10.0, seed=3),
-    )
-    report = sim.run()
-    tables = {n: sim.psns[n].costs.costs for n in sim.psns}
-    return report, tables, sim.sim.events_processed
-
-
-def test_pooled_and_unpooled_runs_identical():
-    """The knob exists so this comparison can be made at any time."""
-    report_off, tables_off, events_off = _run(pooled=False)
-    report_on, tables_on, events_on = _run(pooled=True)
-
-    assert events_on == events_off
-    assert report_on.delivered_packets == report_off.delivered_packets
-    assert report_on.offered_packets == report_off.offered_packets
-    assert report_on.round_trip_delay_ms == report_off.round_trip_delay_ms
-    assert tables_on == tables_off
-    t_on, t_off = report_on.telemetry, report_off.telemetry
-    assert t_on.update_packets_sent == t_off.update_packets_sent
-    assert t_on.ack_packets_sent == t_off.ack_packets_sent
-    assert t_on.data_packets_sent == t_off.data_packets_sent

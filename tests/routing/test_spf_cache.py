@@ -1,27 +1,20 @@
 """Tests for the network-wide SPF cache and compiled forwarding tables.
 
-Covers the three guarantees the hot-path layer makes:
+Covers the two guarantees the hot-path layer makes:
 
 * compiled tables agree with :meth:`SpfTree.next_hop_link` entry for
   entry (including unreachable destinations),
 * cache keys invalidate on cost changes and on link up/down, and the
-  hit/miss accounting reflects every lookup,
-* a full simulation produces bit-identical reports with the cache on
-  and off -- the cache is pure speed, never behavior.
+  hit/miss accounting reflects every lookup.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import HopNormalizedMetric
 from repro.routing import CostTable, SpfTree
 from repro.routing.spf_cache import SpfCache, compile_forwarding_table
-from repro.sim import NetworkSimulation, ScenarioConfig
 from repro.topology import build_random_network, build_ring_network
-from repro.traffic import TrafficMatrix
 
 
 def _assert_table_matches_tree(table, tree):
@@ -182,31 +175,6 @@ def test_lru_eviction_is_bounded_and_counted():
 def test_max_entries_must_be_positive():
     with pytest.raises(ValueError):
         SpfCache(build_ring_network(3), max_entries=0)
-
-
-# ----------------------------------------------------------------------
-# End to end: the cache is pure speed
-# ----------------------------------------------------------------------
-def _run_ring(spf_cache: bool):
-    network = build_ring_network(4)
-    traffic = TrafficMatrix.uniform(network, total_bps=40_000.0)
-    simulation = NetworkSimulation(
-        network, HopNormalizedMetric(), traffic,
-        ScenarioConfig(duration_s=30.0, warmup_s=5.0, seed=11,
-                       spf_cache=spf_cache),
-    )
-    report = simulation.run()
-    return simulation, report
-
-
-def test_simulation_identical_with_cache_on_and_off():
-    sim_on, report_on = _run_ring(spf_cache=True)
-    sim_off, report_off = _run_ring(spf_cache=False)
-
-    assert sim_on.spf_cache is not None
-    assert sim_off.spf_cache is None
-    assert dataclasses.asdict(report_on) == dataclasses.asdict(report_off)
-    assert sim_on.stats.cost_history == sim_off.stats.cost_history
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,19 @@
 """Tests for the live 1969 Bellman-Ford simulation."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.sim import BellmanFordSimulation, NetworkSimulation, ScenarioConfig
 from repro.metrics import HopNormalizedMetric
-from repro.topology import build_ring_network, build_string_network
+from repro.topology import (
+    build_arpanet_1987,
+    build_ring_network,
+    build_string_network,
+)
+from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
 
 
@@ -53,6 +62,37 @@ def test_initial_convergence_drops_then_settles():
     # ...and post-warmup delivery is essentially total.
     report = sim.stats.report("BF-1969", 120.0)
     assert report.delivery_ratio > 0.98
+
+
+def _ring_probe():
+    net = build_ring_network(6)
+    traffic = TrafficMatrix.uniform(net, 40_000.0)
+    return net, traffic, ScenarioConfig(60, 10, seed=3), 0, 30.0
+
+
+def _arpanet_probe():
+    net = build_arpanet_1987()
+    traffic = TrafficMatrix.gravity(net, 300_000.0, weights=site_weights())
+    return net, traffic, ScenarioConfig(40, 10, seed=1), 5, 20.0
+
+
+@pytest.mark.parametrize("probe,digest,delivered", [
+    (_ring_probe, "eb4e067a5b7775f4", 3_344),
+    (_arpanet_probe, "0e792eec749f9116", 15_036),
+], ids=["ring6", "arpanet-1987"])
+def test_report_digest_is_pinned(probe, digest, delivered):
+    """Recorded on the generator-process kernel these runs were first
+    written for; the timer-wheel port must reproduce them bit for bit
+    (exchange phases, tie order and the mid-run circuit failure).  The
+    digest covers the report's JSON text, so the probes' integer
+    durations are part of it."""
+    net, traffic, scenario, link_id, fail_at_s = probe()
+    sim = BellmanFordSimulation(net, traffic, scenario)
+    sim.fail_circuit_at(link_id, fail_at_s)
+    report = sim.run()
+    text = json.dumps(dataclasses.asdict(report), sort_keys=True)
+    assert report.delivered_packets == delivered
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.slow

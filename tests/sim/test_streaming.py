@@ -30,10 +30,9 @@ def _specs(count=4, scenario="two-region-hnspf"):
 
 
 def _comparable(telemetry):
-    """Telemetry dict minus the wall-clock (nondeterministic) fields."""
+    """Telemetry dict minus the wall-clock (nondeterministic) field."""
     values = telemetry.to_dict()
     values.pop("wall_s")
-    values.pop("phase_wall_s")
     return values
 
 

@@ -1,5 +1,7 @@
 """Tests for the top-level CLI (python -m repro)."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -80,12 +82,11 @@ def test_simulate_with_observability_flags(capsys, tmp_path):
     assert main([
         "simulate", "--scenario", "two-region-dspf",
         "--duration", "20", "--trace", str(trace_path),
-        "--telemetry", "--profile",
+        "--telemetry",
     ]) == 0
     out = capsys.readouterr().out
     assert "run telemetry" in out
     assert "events_processed" in out
-    assert "wall [scheduling] (s)" in out
     assert trace_path.exists()
 
     from repro.report import cost_timeseries, read_trace
@@ -93,6 +94,23 @@ def test_simulate_with_observability_flags(capsys, tmp_path):
     events = read_trace(str(trace_path))
     assert events
     assert cost_timeseries(events)
+
+
+def test_simulate_writes_chrome_trace_and_metrics(tmp_path):
+    chrome_path = tmp_path / "trace.chrome.json"
+    metrics_path = tmp_path / "metrics.jsonl"
+    prom_path = tmp_path / "metrics.prom"
+    assert main([
+        "simulate", "--scenario", "two-region-dspf", "--duration", "20",
+        "--chrome-trace", str(chrome_path),
+        "--metrics-out", str(metrics_path),
+        "--metrics-prom", str(prom_path),
+    ]) == 0
+    assert json.loads(chrome_path.read_text())["traceEvents"]
+    snapshots = metrics_path.read_text().splitlines()
+    assert snapshots
+    assert all(isinstance(json.loads(line), dict) for line in snapshots)
+    assert "# TYPE " in prom_path.read_text()
 
 
 def test_experiments_runner_observability_flags(capsys, tmp_path):
