@@ -2,19 +2,17 @@
 """MILNET-scale sweep: the large generated topologies as one fleet.
 
 Drives the three MILNET-and-beyond scale rungs (``grid64``,
-``rand256``, ``rand512``) through ``run_many(..., stream=True)`` with
-the large-network protocol configuration -- incremental flooding,
-duplicate-ack suppression -- and folds the streamed worker telemetry
-into one fleet summary.  ``on_error=
-"collect"`` is the resilience story: a crashed rung becomes a recorded
-failure with a replay recipe, never a dead sweep -- and the streamed
-per-checkpoint deltas keep the fleet aggregate readable mid-flight,
-not only after the slowest rung finishes.
+``rand256``, ``rand512``) through ``run_many`` with the large-network
+protocol configuration -- incremental flooding, duplicate-ack
+suppression -- and folds the per-run telemetry into one fleet summary
+with ``combined_telemetry``.  ``on_error="collect"`` is the resilience
+story: a crashed rung becomes a recorded failure with a replay recipe,
+never a dead sweep.
 
 Run:  python examples/milnet_sweep.py
 """
 
-from repro.sim import RunSpec, ScenarioConfig, StreamConfig, run_many
+from repro.sim import RunSpec, ScenarioConfig, combined_telemetry, run_many
 
 #: (scenario, duration_s, warmup_s) -- durations shrink as the rung
 #: grows so each run's event count stays example-sized.
@@ -37,11 +35,8 @@ def main() -> None:
         RunSpec(name, fast_path_config(duration_s, warmup_s))
         for name, duration_s, warmup_s in RUNGS
     ]
-    fleet = run_many(
-        specs,
-        on_error="collect",     # a failed rung is reported, not fatal
-        stream=StreamConfig(checkpoint_s=2.0),
-    )
+    # A failed rung is reported, not fatal.
+    batch = run_many(specs, on_error="collect")
 
     print("MILNET-scale sweep (batched SPF + incremental flooding + "
           "dup-ack suppression)\n")
@@ -50,7 +45,7 @@ def main() -> None:
               f"{'dup skip':>8} {'piggy':>6} {'retrans':>7}")
     print(header)
     print("-" * len(header))
-    for spec, report in zip(specs, fleet.reports):
+    for spec, report in zip(specs, batch.results):
         if report is None:
             print(f"{spec.scenario:<10} FAILED")
             continue
@@ -61,16 +56,19 @@ def main() -> None:
               f"{t.dup_acks_suppressed:>8} {t.owed_acks_piggybacked:>6} "
               f"{t.updates_retransmitted:>7}")
 
-    total = fleet.telemetry
-    print(f"\nfleet: {fleet.progress.status()}; "
+    total = combined_telemetry(batch.reports)
+    status = f"runs {len(specs)}/{len(specs)} done"
+    if batch.failures:
+        status += f", {len(batch.failures)} failed"
+    print(f"\nfleet: {status}; "
           f"{total.events_processed} events across {total.runs} runs, "
           f"{total.control_packets_sent} control packets "
           f"({total.ack_packets_sent} acks, "
           f"{total.dup_acks_suppressed} duplicate-acks suppressed, "
           f"{total.owed_acks_piggybacked} owed acks piggybacked)")
-    for failure in fleet.failures:
+    for failure in batch.failures:
         print(f"failure: {failure}")
-    if fleet.ok:
+    if batch.ok:
         print("all rungs completed; retransmissions stayed at "
               f"{total.updates_retransmitted} "
               "(suppression never cost reliability)")

@@ -24,9 +24,6 @@ pieces:
   counter/gauge/histogram registry with a periodic sampler, Prometheus
   text exposition and JSONL snapshots, behind
   ``ScenarioConfig(metrics=...)``.
-* **streaming fleet telemetry** (:mod:`repro.obs.streaming`) --
-  incremental delta aggregation and progress monitoring for
-  ``run_many(..., stream=...)``.
 
 See ``docs/observability.md`` for the event schema, sink
 configuration, and the overhead guarantees.
@@ -57,7 +54,7 @@ from repro.obs.tracer import (
     events_to_dicts,
 )
 
-# What only a metered, span-analysed or fleet-streamed run uses; every
+# What only a metered or span-analysed run uses; every
 # simulation imports this package for its tracer and telemetry.
 __getattr__ = lazy_exports(__name__, {
     "repro.obs.meters": (
@@ -83,12 +80,6 @@ __getattr__ = lazy_exports(__name__, {
         "to_chrome_trace",
         "write_chrome_trace",
     ),
-    "repro.obs.streaming": (
-        "FleetResult",
-        "ProgressMonitor",
-        "StreamAggregator",
-        "StreamConfig",
-    ),
 })
 
 __all__ = [
@@ -108,18 +99,14 @@ __all__ = [
     "UTILIZATION",
     "UTILIZATION_BUCKETS",
     "Counter",
-    "FleetResult",
     "Gauge",
     "Histogram",
     "JsonlSink",
     "MeterRegistry",
     "NullSink",
-    "ProgressMonitor",
     "RingSink",
     "RunTelemetry",
     "SimulationMeters",
-    "StreamAggregator",
-    "StreamConfig",
     "TraceEvent",
     "Tracer",
     "UpdateSpan",

@@ -130,25 +130,6 @@ class RunTelemetry:
             setattr(merged, name, value + getattr(other, name))
         return merged
 
-    def diff(self, earlier: "RunTelemetry") -> "RunTelemetry":
-        """The increment from ``earlier`` to this block.
-
-        The streaming fleet path checkpoints a run by collecting
-        telemetry repeatedly and shipping only what changed:
-        ``later.diff(earlier)`` is the delta block such that merging
-        every delta of a run reproduces its final telemetry.  ``runs``
-        diffs like any other field, so the first delta of a run (diffed
-        against an empty ``RunTelemetry(runs=0)``) carries ``runs=1``
-        and later deltas carry ``runs=0`` -- fleet totals count each
-        run exactly once.  ``events_pending`` (the one non-monotonic
-        counter) may legitimately go negative in a delta; sums still
-        reconstruct the final value.
-        """
-        delta = RunTelemetry()
-        for name, value in asdict(self).items():
-            setattr(delta, name, value - getattr(earlier, name))
-        return delta
-
     def to_dict(self) -> Dict:
         """Plain-dict form (JSON-ready)."""
         return asdict(self)

@@ -18,7 +18,7 @@ from repro.sim.scenarios import build_scenario, scenario_names
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
 
 # A single run never fans out: the process pool (concurrent.futures,
-# multiprocessing) and the fleet aggregator load when first asked for.
+# multiprocessing) loads when first asked for.
 __getattr__ = lazy_exports(__name__, {
     "repro.sim.parallel": (
         "BatchResult",
@@ -31,28 +31,18 @@ __getattr__ = lazy_exports(__name__, {
         "run_many",
         "run_spec",
     ),
-    "repro.obs.streaming": (
-        "FleetResult",
-        "ProgressMonitor",
-        "StreamAggregator",
-        "StreamConfig",
-    ),
 })
 
 __all__ = [
     "BatchResult",
     "BellmanFordSimulation",
     "DeliveryTimeline",
-    "FleetResult",
     "NetworkSimulation",
-    "ProgressMonitor",
     "RunFailedError",
     "RunFailure",
     "RunSpec",
     "RunTelemetry",
     "ScenarioConfig",
-    "StreamAggregator",
-    "StreamConfig",
     "SimulationReport",
     "StatsCollector",
     "build_scenario",

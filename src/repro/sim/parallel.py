@@ -19,42 +19,34 @@ input order.  Determinism is preserved in both senses:
   how many replications surround it.
 
 **Graceful degradation.**  A thousand-replication sweep should not be
-discarded because one worker died.  ``run_many`` therefore supports
-
-* ``on_error="collect"`` -- finish everything that can finish and
-  return a :class:`BatchResult`: the completed reports plus one
-  structured :class:`RunFailure` record per run that could not (the
-  default ``on_error="raise"`` keeps the historical fail-fast
-  behaviour);
-* ``timeout_s`` -- a per-run wall-clock budget; a run that exceeds it
-  is abandoned (the pool is recycled) instead of hanging the sweep;
-* ``retries`` / ``retry_backoff_s`` -- bounded re-execution with
-  exponential backoff for *transient* failures (a crashed worker, a
-  timed-out run).  Deterministic in-run exceptions are never retried:
-  the same spec would fail the same way.
-
-Because runs are deterministic, re-executing one after a pool crash is
-safe: a completed retry returns exactly the report the first attempt
-would have produced.
+discarded because one worker died.  ``run_many`` is one
+submit-and-collect loop with at most ``processes`` runs in flight; it
+can collect failures as :class:`RunFailure` records instead of raising,
+abandon a run past its wall-clock budget, and retry *transient* losses
+(a timeout, a crashed worker) with exponential backoff.  Because runs
+are deterministic, re-executing one is safe: a completed retry returns
+exactly the report the first attempt would have produced.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Union
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from dataclasses import dataclass, field, replace
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.des.random_streams import RandomStreams
-from repro.obs.streaming import (
-    FleetResult,
-    ProgressMonitor,
-    StreamAggregator,
-    StreamConfig,
-)
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.sim.network_sim import ScenarioConfig
 from repro.sim.scenarios import build_scenario
@@ -89,11 +81,14 @@ class RunFailedError(RuntimeError):
     A bare pool traceback names the exception but not the run, which for
     a 100-replication sweep is useless -- the whole point of
     deterministic specs is that the failing run can be replayed alone.
-    This wrapper carries the scenario name and seed so the message is a
-    reproduction recipe, and it survives the trip back from a worker
-    process (``__reduce__`` below: exceptions raised in a pool are
-    pickled to the parent, and the default reduction would drop our
-    extra constructor arguments).
+    This wrapper carries the scenario name and seed, and ``replay`` --
+    the failing spec as a Python expression (its ``repr``, so every
+    config field rides along) -- so the message is a reproduction
+    recipe.  It survives the trip back from a worker process
+    (``__reduce__`` below: exceptions raised in a pool are pickled to
+    the parent, and the default reduction would drop our extra
+    constructor arguments).  Without ``replay`` the recipe names only
+    the scenario and seed.
 
     ``cause`` is the failure rendered as text.  On the worker side it is
     the *full* ``traceback.format_exception`` output, so the original
@@ -103,12 +98,16 @@ class RunFailedError(RuntimeError):
     the message only when there is more than the summary to show.
     """
 
-    def __init__(self, scenario: str, seed: int, cause: str) -> None:
+    def __init__(
+        self, scenario: str, seed: int, cause: str,
+        replay: Optional[str] = None,
+    ) -> None:
+        if replay is None:
+            replay = f"RunSpec({scenario!r}, ScenarioConfig(seed={seed}))"
         summary = cause.strip().rsplit("\n", 1)[-1].strip()
         message = (
             f"run failed: scenario={scenario!r} seed={seed} -- {summary}; "
-            f"replay with run_spec(RunSpec({scenario!r}, "
-            f"ScenarioConfig(seed={seed})))"
+            f"replay with run_spec({replay})"
         )
         if summary != cause.strip():
             message += f"\n--- worker traceback ---\n{cause.rstrip()}"
@@ -116,6 +115,7 @@ class RunFailedError(RuntimeError):
         self.scenario = scenario
         self.seed = seed
         self.cause = cause
+        self.replay = replay
 
     @property
     def summary(self) -> str:
@@ -123,7 +123,8 @@ class RunFailedError(RuntimeError):
         return self.cause.strip().rsplit("\n", 1)[-1].strip()
 
     def __reduce__(self):
-        return (RunFailedError, (self.scenario, self.seed, self.cause))
+        return (RunFailedError,
+                (self.scenario, self.seed, self.cause, self.replay))
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,8 @@ class RunFailure:
     raising.  ``traceback`` preserves the worker's full traceback text
     (or a one-line description for timeouts and pool crashes, where no
     Python traceback exists); ``attempts`` counts executions including
-    retries.
+    retries; ``replay`` is the spec's reproduction expression (see
+    :class:`RunFailedError`).
     """
 
     index: int
@@ -143,10 +145,13 @@ class RunFailure:
     error: str
     traceback: str
     attempts: int
+    replay: str
 
     def to_error(self) -> RunFailedError:
         """The failure as the exception ``on_error="raise"`` would raise."""
-        return RunFailedError(self.scenario, self.seed, self.traceback)
+        return RunFailedError(
+            self.scenario, self.seed, self.traceback, self.replay
+        )
 
     def to_dict(self) -> Dict:
         return {
@@ -156,6 +161,7 @@ class RunFailure:
             "error": self.error,
             "traceback": self.traceback,
             "attempts": self.attempts,
+            "replay": self.replay,
         }
 
 
@@ -228,9 +234,9 @@ def run_spec(spec: RunSpec) -> SimulationReport:
     """Build and run one spec to completion (the worker-side function).
 
     Any failure is re-raised as :class:`RunFailedError` identifying the
-    spec, chained to the original exception (visible on the serial path;
-    chaining doesn't survive the pool's pickle round-trip, so the full
-    traceback text also rides in ``cause``).
+    spec, chained to the original exception (visible when the run
+    executes in this process; chaining doesn't survive the pool's pickle
+    round-trip, so the full traceback text also rides in ``cause``).
     """
     try:
         config = _resolve_trace_dir(spec.config, spec.scenario)
@@ -242,6 +248,7 @@ def run_spec(spec: RunSpec) -> SimulationReport:
             spec.config.seed,
             "".join(traceback.format_exception(type(exc), exc,
                                                exc.__traceback__)).rstrip(),
+            repr(spec),
         ) from exc
 
 
@@ -277,8 +284,7 @@ def run_many(
     timeout_s: Optional[float] = None,
     retries: int = 0,
     retry_backoff_s: float = 0.5,
-    stream: Union[None, bool, StreamConfig] = None,
-) -> Union[List[SimulationReport], BatchResult, FleetResult]:
+) -> Union[List[SimulationReport], BatchResult]:
     """Run every spec, fanning out across worker processes.
 
     Parameters
@@ -286,48 +292,41 @@ def run_many(
     specs:
         The runs to execute.  Results come back in input order.
     processes:
-        Worker pool size; ``None`` uses one worker per CPU
-        (``os.cpu_count()``).  Never more workers than specs, and
-        ``processes == 1`` (or fewer than two specs) runs serially in
-        this process -- same results, no pool overhead -- so callers can
-        always use :func:`run_many` and tune ``processes`` freely.
+        Most runs in flight at once, which is also the pool size;
+        ``None`` uses one per CPU (``os.cpu_count()``).  Never more than
+        there are specs.  ``processes == 1`` (or fewer than two specs)
+        runs each spec in this process, through the same loop -- same
+        results, no pool -- so callers can always use :func:`run_many`
+        and tune ``processes`` freely.
     on_error:
-        ``"raise"`` (default): raise the first :class:`RunFailedError`,
-        returning a plain report list on success -- the historical
-        fail-fast contract.  ``"collect"``: never raise for a failed
-        run; return a :class:`BatchResult` with every completed report
-        plus structured :class:`RunFailure` records.
+        ``"raise"`` (default): raise the first final
+        :class:`RunFailedError`, returning a plain report list on
+        success -- the historical fail-fast contract.  ``"collect"``:
+        never raise for a failed run; return a :class:`BatchResult` with
+        every completed report plus structured :class:`RunFailure`
+        records.
     timeout_s:
-        Per-run wall-clock budget.  A run exceeding it counts as a
-        transient failure: the pool is recycled (a hung worker cannot be
-        cancelled, only abandoned) and the run is retried or recorded.
-        Only enforced when a pool is used; the serial path runs
-        everything in this process and cannot preempt a run.
+        Per-run wall-clock budget, counted from submission.  A run is
+        submitted only when a worker is free for it, so the budget is
+        the run's own.  A run past it is a transient loss: the pool is
+        recycled (a hung worker cannot be cancelled, only abandoned),
+        the other runs in flight are resubmitted without charge, and
+        the late run is retried or recorded.  Not enforced with
+        ``processes == 1``: nothing can preempt a run in this process.
     retries:
-        Extra executions granted to *transiently* failed runs (worker
-        crash, pool breakage, timeout).  Deterministic in-run exceptions
-        are never retried -- the same spec fails the same way.
+        Extra executions granted to transiently lost runs (a timeout, or
+        a worker crash attributed to the run).  In-run exceptions are
+        never retried -- the same spec fails the same way.
     retry_backoff_s:
-        Sleep before retry round *r* is ``retry_backoff_s * 2**(r-1)``
-        (exponential backoff, first retry waits one unit).
-    stream:
-        Streaming fleet aggregation (see :mod:`repro.obs.streaming`).
-        ``True`` or a :class:`~repro.obs.streaming.StreamConfig` makes
-        workers push incremental telemetry deltas and progress events
-        through a queue instead of pickling whole reports back, and
-        changes the return type to
-        :class:`~repro.obs.streaming.FleetResult` -- slot-aligned
-        reports (rebuilt master-side from small payloads), failures,
-        the incrementally reduced fleet telemetry, and the
-        :class:`~repro.obs.streaming.ProgressMonitor`.  ``on_error``
-        keeps its meaning (``"raise"`` fails fast, ``"collect"``
-        records).  Incompatible with ``timeout_s`` / ``retries`` (the
-        resilient sweep machinery owns those).
+        Sleep before a run's *k*-th retry is
+        ``retry_backoff_s * 2**(k-1)`` (exponential backoff, first
+        retry waits one unit).
 
-    Large spec lists are handed to the pool in chunks (about four per
-    worker) so per-task pickling round-trips don't dominate experiments
-    made of many short runs.  The chunked fast path is used whenever no
-    resilience feature is requested, keeping its overhead at zero.
+    A crashed worker breaks the whole pool, and the pool cannot say
+    which run killed it.  Every run in flight then becomes a *suspect*:
+    it is resubmitted without charging an attempt, suspects run one at a
+    time, and parallelism resumes once each has run alone.  A crash is
+    therefore only ever charged to a run that was alone on the pool.
     """
     specs = list(specs)
     if processes is not None and processes < 1:
@@ -342,498 +341,146 @@ def run_many(
         raise ValueError(f"timeout must be positive: {timeout_s}")
     if processes is None:
         processes = os.cpu_count() or 1
-    processes = min(processes, len(specs)) if specs else 1
-    if stream:
-        if timeout_s is not None or retries:
-            raise ValueError(
-                "stream= is incompatible with timeout_s/retries; "
-                "use the resilient batch path for those"
-            )
-        stream_config = (
-            stream if isinstance(stream, StreamConfig) else StreamConfig()
-        )
-        return _run_streaming(specs, processes, stream_config, on_error)
-    resilient = (
-        on_error == "collect" or timeout_s is not None or retries > 0
-    )
-    if processes <= 1 or len(specs) < 2:
-        result = _run_serial(specs, on_error, retries, retry_backoff_s)
-        return result if on_error == "collect" else result.reports
-    if not resilient:
-        chunksize = max(1, len(specs) // (processes * 4))
-        try:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                return list(pool.map(run_spec, specs, chunksize=chunksize))
-        except BrokenProcessPool:
-            # A worker died mid-sweep.  The chunked map cannot say which
-            # spec killed it, so re-run on the resilient path (runs are
-            # deterministic -- completed work re-executes identically)
-            # purely to attribute the crash and raise a RunFailedError
-            # naming the guilty spec instead of a bare pool traceback.
-            result = _run_resilient(
-                specs, processes, timeout_s=None, retries=0,
-                retry_backoff_s=retry_backoff_s, fail_fast=True,
-            )
-            result.raise_first()
-            return result.reports
-    result = _run_resilient(
-        specs, processes, timeout_s, retries, retry_backoff_s,
-        fail_fast=on_error == "raise",
-    )
-    if on_error == "raise":
-        result.raise_first()
-        return result.reports
-    return result
+    processes = max(1, min(processes, len(specs)))
+    budget_s = math.inf if timeout_s is None else timeout_s
 
-
-def _run_serial(
-    specs: Sequence[RunSpec],
-    on_error: str,
-    retries: int,
-    retry_backoff_s: float,
-) -> BatchResult:
-    """In-process execution (no pool, so no timeouts and no crashes to
-    survive; retries still apply to be contract-compatible, though a
-    deterministic failure never passes on a later attempt)."""
     results: List[Optional[SimulationReport]] = [None] * len(specs)
-    failures: List[RunFailure] = []
-    for index, spec in enumerate(specs):
-        try:
-            results[index] = run_spec(spec)
-        except RunFailedError as error:
-            if on_error == "raise":
-                raise
-            failures.append(RunFailure(
-                index=index,
-                scenario=spec.scenario,
-                seed=spec.config.seed,
-                error=error.summary,
-                traceback=error.cause,
-                attempts=1,
+    failures: Dict[int, RunFailure] = {}
+    attempts = [0] * len(specs)
+    waiting: Deque[int] = deque(range(len(specs)))
+    suspects: Deque[int] = deque()
+    #: future -> (spec index, wall-clock deadline)
+    running: Dict[Future, Tuple[int, float]] = {}
+    pool: Optional[Executor] = None
+
+    def record(index: int, error: RunFailedError) -> None:
+        failures[index] = RunFailure(
+            index=index,
+            scenario=error.scenario,
+            seed=error.seed,
+            error=error.summary,
+            traceback=error.cause,
+            attempts=attempts[index],
+            replay=error.replay,
+        )
+        if on_error == "raise":
+            raise error
+
+    def lose(index: int, description: str, lane: Deque[int]) -> None:
+        """Charge a transient loss: back to ``lane`` after backoff, or
+        recorded once the retries are spent."""
+        attempts[index] += 1
+        if attempts[index] > retries:
+            spec = specs[index]
+            record(index, RunFailedError(
+                spec.scenario, spec.config.seed, description, repr(spec)
             ))
-    return BatchResult(results=results, failures=failures)
-
-
-class _ResilientSweep:
-    """State machine behind the resilient :func:`run_many` path.
-
-    Two modes, because a broken pool cannot say *which* task killed it
-    (``BrokenProcessPool`` hits every in-flight future at once):
-
-    * **pooled** -- submit everything pending, harvest in input order.
-      Deterministic :class:`RunFailedError` results are final; a
-      *timeout* is charged to the run we were waiting on (nobody else is
-      affected -- the hung worker is reclaimed by recycling the pool at
-      the end of the round); a *broken pool* charges nobody and drops to
-      isolation mode.
-    * **isolation** -- run pending specs one at a time on the pool, so a
-      crash unambiguously identifies its spec.  Completed isolation runs
-      are kept (real progress, just without parallelism); once a crash
-      has been attributed -- retried or recorded -- the sweep returns to
-      pooled mode for the remainder.
-
-    Deterministic runs make re-execution after a lost round safe: a
-    retry returns exactly the report the first attempt would have.
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[RunSpec],
-        processes: int,
-        timeout_s: Optional[float],
-        retries: int,
-        retry_backoff_s: float,
-        fail_fast: bool,
-    ) -> None:
-        self.specs = specs
-        self.processes = processes
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
-        self.fail_fast = fail_fast
-        self.results: List[Optional[SimulationReport]] = [None] * len(specs)
-        self.failures: Dict[int, RunFailure] = {}
-        self.attempts = [0] * len(specs)
-        self.pending = list(range(len(specs)))
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self._backoff_rounds = 0
-        #: Every backoff delay actually applied, in order.  The schedule
-        #: is a pure function of ``retry_backoff_s`` and the number of
-        #: transient losses -- no wall-clock jitter -- which is what
-        #: makes failure-path tests reproducible; the regression test
-        #: pins this list.
-        self.backoff_delays: List[float] = []
-
-    # -- plumbing ------------------------------------------------------
-    def _fresh_pool(self) -> ProcessPoolExecutor:
-        if self.pool is not None:
-            _shutdown(self.pool)
-        self.pool = ProcessPoolExecutor(max_workers=self.processes)
-        return self.pool
-
-    def _backoff(self) -> None:
-        """Exponential sleep before re-running after a transient loss.
-
-        Deterministic by construction: round *r* (0-based) sleeps
-        exactly ``retry_backoff_s * 2**r`` seconds.  The sleep goes
-        through the module-level :data:`_sleep` hook so tests can
-        intercept it and pin the schedule without waiting it out.
-        """
-        delay = self.retry_backoff_s * (2 ** self._backoff_rounds)
-        self._backoff_rounds += 1
-        self.backoff_delays.append(delay)
+            return
+        delay = retry_backoff_s * 2 ** (attempts[index] - 1)
         if delay > 0:
             _sleep(delay)
+        lane.appendleft(index)
 
-    def _final(self, index: int, error: str, tb: str) -> None:
-        spec = self.specs[index]
-        self.failures[index] = RunFailure(
-            index=index,
-            scenario=spec.scenario,
-            seed=spec.config.seed,
-            error=error,
-            traceback=tb,
-            attempts=self.attempts[index],
-        )
-
-    def _charge_transient(self, index: int, description: str) -> bool:
-        """Charge a transient failure; True if the run may retry."""
-        if self.attempts[index] <= self.retries:
-            return True
-        self._final(index, description.split("\n", 1)[0], description)
-        return False
-
-    def _timeout_text(self) -> str:
-        return (
-            f"TimeoutError: run exceeded its {self.timeout_s}s "
-            f"wall-clock budget"
-        )
-
-    # -- the two modes -------------------------------------------------
-    def _pooled_round(self) -> str:
-        """One submit-everything round; returns the next mode."""
-        pool = self._fresh_pool() if self.pool is None else self.pool
-        futures = {
-            index: pool.submit(run_spec, self.specs[index])
-            for index in self.pending
-        }
-        resolved: List[int] = []
-        hung = False
-        broken = False
-        for index in self.pending:
-            spec = self.specs[index]
-            self.attempts[index] += 1
-            try:
-                self.results[index] = futures[index].result(
-                    timeout=self.timeout_s
+    try:
+        while waiting or suspects or running:
+            if pool is None:
+                # Spawned, not forked: a forked worker inherits locks
+                # an abandoned pool's threads may hold mid-cleanup.
+                pool = (ProcessPoolExecutor(
+                    max_workers=processes,
+                    mp_context=multiprocessing.get_context("spawn"),
+                ) if processes > 1 else _InlineExecutor())
+            solo = bool(suspects)
+            lane = suspects if solo else waiting
+            while lane and len(running) < (1 if solo else processes):
+                index = lane.popleft()
+                running[pool.submit(run_spec, specs[index])] = (
+                    index, time.monotonic() + budget_s,
                 )
-                resolved.append(index)
-            except RunFailedError as error:
-                self._final(index, error.summary, error.cause)
-                resolved.append(index)
-                if self.fail_fast:
-                    break
-            except FutureTimeout:
-                # Only this run is implicated; the rest of the pool is
-                # still computing.  The hung worker is reclaimed when
-                # the round's pool is recycled below.
-                hung = True
-                if not self._charge_transient(index, self._timeout_text()):
-                    resolved.append(index)
-                if self.fail_fast and self.failures:
-                    break
-            except Exception:
-                # Pool breakage: every in-flight future fails together,
-                # so blame cannot be assigned here.  Charge nobody
-                # (undo this harvest's attempt) and isolate.
-                self.attempts[index] -= 1
-                broken = True
-                break
-        done = set(resolved) | set(self.failures)
-        self.pending = [i for i in self.pending if i not in done]
-        if broken:
-            self._fresh_pool()
-            return "isolate"
-        if hung:
-            self._fresh_pool()
-            if self.pending:
-                self._backoff()
-        return "pooled"
-
-    def _isolation_step(self) -> str:
-        """Run exactly one pending spec alone; returns the next mode."""
-        index = self.pending[0]
-        spec = self.specs[index]
-        pool = self.pool if self.pool is not None else self._fresh_pool()
-        self.attempts[index] += 1
-        try:
-            self.results[index] = pool.submit(
-                run_spec, spec
-            ).result(timeout=self.timeout_s)
-        except RunFailedError as error:
-            self._final(index, error.summary, error.cause)
-        except FutureTimeout:
-            retrying = self._charge_transient(index, self._timeout_text())
-            self._fresh_pool()
-            if retrying:
-                self._backoff()
-                return "isolate"  # same spec, alone, next step
-        except Exception as exc:
-            # Alone on the pool, so the crash is unambiguously this
-            # spec's.  Attribution done -- parallelism can resume.
-            description = (
-                f"{type(exc).__name__}: worker process died while "
-                f"running this spec alone ({exc or 'no detail'})"
+            deadline = min(due for _, due in running.values())
+            done, _ = wait(
+                running, return_when=FIRST_COMPLETED,
+                timeout=(None if deadline == math.inf
+                         else max(0.0, deadline - time.monotonic())),
             )
-            retrying = self._charge_transient(index, description)
-            self._fresh_pool()
-            if retrying:
-                self._backoff()
-                return "isolate"
-            self.pending.pop(0)
-            return "pooled"
-        self.pending.pop(0)
-        return "pooled"
+            crashed: List[Tuple[int, BaseException]] = []
+            for future in done:
+                index, _ = running.pop(future)
+                try:
+                    results[index] = future.result()
+                except RunFailedError as error:
+                    attempts[index] += 1
+                    record(index, error)
+                except Exception as exc:
+                    crashed.append((index, exc))
+            now = time.monotonic()
+            late = [] if crashed else [
+                index for index, due in running.values() if due <= now
+            ]
+            if not (crashed or late):
+                continue
+            # The pool is lost either way: a crash broke it, and a late
+            # run's worker can only be abandoned with it.
+            others = sorted(
+                index for index, _ in running.values() if index not in late
+            )
+            running.clear()
+            _shutdown(pool)
+            pool = None
+            if len(crashed) == 1 and not others:
+                index, exc = crashed[0]
+                lose(index, (
+                    f"{type(exc).__name__}: worker process died while "
+                    f"running this spec alone ({exc or 'no detail'})"
+                ), suspects)
+            elif crashed:
+                suspects.extend(sorted(
+                    [index for index, _ in crashed] + others
+                ))
+            else:
+                waiting.extendleft(reversed(others))
+                for index in late:
+                    lose(index, (
+                        f"TimeoutError: run exceeded its {timeout_s}s "
+                        f"wall-clock budget"
+                    ), waiting)
+    finally:
+        if pool is not None:
+            _shutdown(pool)
+    batch = BatchResult(
+        results=results,
+        failures=[failures[index] for index in sorted(failures)],
+    )
+    return batch.reports if on_error == "raise" else batch
 
-    def run(self) -> BatchResult:
-        mode = "pooled"
+
+class _InlineExecutor(Executor):
+    """``run_many``'s pool for ``processes == 1``: runs each submission
+    in this process and hands back a future that is already done."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
         try:
-            while self.pending:
-                if self.fail_fast and self.failures:
-                    break
-                if mode == "isolate":
-                    mode = self._isolation_step()
-                else:
-                    mode = self._pooled_round()
-        finally:
-            if self.pool is not None:
-                _shutdown(self.pool)
-        ordered = [self.failures[i] for i in sorted(self.failures)]
-        return BatchResult(results=list(self.results), failures=ordered)
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
-def _run_resilient(
-    specs: Sequence[RunSpec],
-    processes: int,
-    timeout_s: Optional[float],
-    retries: int,
-    retry_backoff_s: float,
-    fail_fast: bool,
-) -> BatchResult:
-    """The submit-based pool path with timeouts, retries and collection."""
-    return _ResilientSweep(
-        specs, processes, timeout_s, retries, retry_backoff_s, fail_fast
-    ).run()
-
-
-def _shutdown(pool: ProcessPoolExecutor) -> None:
+def _shutdown(pool: Executor) -> None:
     """Tear a pool down without waiting on abandoned (hung) work."""
     # Snapshot the workers first: shutdown() drops the executor's
     # ``_processes`` reference, and a timed-out run may still be
     # executing in one of them.  (ProcessPoolExecutor keeps no public
     # handle on its workers.)
     workers = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - pre-3.9 signature
-        pool.shutdown(wait=False)
+    pool.shutdown(wait=False, cancel_futures=True)
     # Forcibly end still-running workers so abandoned work cannot
     # outlive the sweep or deadlock interpreter exit (the pool's atexit
     # hook joins its management thread, which waits on its workers).
     for process in workers:
         if process.is_alive():
             process.terminate()
-
-
-# ----------------------------------------------------------------------
-# Streaming fleet aggregation (run_many(..., stream=...))
-# ----------------------------------------------------------------------
-def _stream_worker(queue, index: int, spec: RunSpec,
-                   checkpoint_s: Optional[float]) -> None:
-    """Run one spec, pushing messages instead of returning a report.
-
-    Messages (see :mod:`repro.obs.streaming`): ``("started", index)``,
-    zero or more ``("delta", index, RunTelemetry)`` increments, then
-    exactly one of ``("completed", index, (fields, delta, extras))`` or
-    ``("failed", index, (scenario, seed, traceback_text))``.  The
-    completed payload is small: the report's dataclass fields (flat
-    scalars -- telemetry deliberately travels as deltas, not attached),
-    the final telemetry increment, and the non-field report attributes.
-    """
-    queue.put(("started", index))
-    try:
-        config = _resolve_trace_dir(spec.config, spec.scenario)
-        simulation = build_scenario(spec.scenario, config=config)
-        # Telescoping deltas: each checkpoint ships what changed since
-        # the last.  The baseline has runs=0 so the first delta carries
-        # runs=1 and the rest runs=0 -- fleet totals count each run once.
-        last = RunTelemetry(runs=0)
-
-        def checkpoint() -> None:
-            nonlocal last
-            current = simulation.telemetry()
-            queue.put(("delta", index, current.diff(last)))
-            last = current
-
-        if checkpoint_s is not None:
-            # The checkpoint callback only reads counters, so the extra
-            # timer events never perturb the run (same argument as the
-            # metrics sampler; pinned by tests/sim/test_streaming.py).
-            simulation.sim.timers.every(checkpoint_s, checkpoint)
-        report = simulation.run()
-        extras = {
-            "invariant_violations": report.invariant_violations,
-            "resilience": report.resilience,
-        }
-        queue.put((
-            "completed", index,
-            (asdict(report), report.telemetry.diff(last), extras),
-        ))
-    except Exception as exc:
-        text = "".join(traceback.format_exception(
-            type(exc), exc, exc.__traceback__
-        )).rstrip()
-        queue.put(("failed", index,
-                   (spec.scenario, spec.config.seed, text)))
-
-
-class _StreamMaster:
-    """Master-side reducer of worker stream messages."""
-
-    def __init__(
-        self, specs: Sequence[RunSpec], config: StreamConfig,
-        on_error: str,
-    ) -> None:
-        self.specs = specs
-        self.on_error = on_error
-        self.aggregator = StreamAggregator()
-        self.progress = ProgressMonitor(
-            len(specs), status_line=config.status_line
-        )
-        self.results: List[Optional[SimulationReport]] = [None] * len(specs)
-        self.failures: Dict[int, RunFailure] = {}
-        self.remaining = len(specs)
-
-    def consume(self, message) -> None:
-        kind, index = message[0], message[1]
-        if kind == "started":
-            self.progress.note_started(index)
-        elif kind == "delta":
-            self.aggregator.add_delta(index, message[2])
-        elif kind == "completed":
-            fields, delta, extras = message[2]
-            self.aggregator.add_delta(index, delta)
-            report = SimulationReport(**fields)
-            report.telemetry = self.aggregator.run_telemetry(index)
-            report.invariant_violations = extras["invariant_violations"]
-            report.resilience = extras["resilience"]
-            self.results[index] = report
-            self.remaining -= 1
-            self.progress.note_completed(index)
-        elif kind == "failed":
-            scenario, seed, text = message[2]
-            self.record_failure(index, scenario, seed, text)
-        else:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"unknown stream message {kind!r}")
-
-    def record_failure(
-        self, index: int, scenario: str, seed: int, text: str
-    ) -> None:
-        self.failures[index] = RunFailure(
-            index=index,
-            scenario=scenario,
-            seed=seed,
-            error=text.strip().rsplit("\n", 1)[-1].strip(),
-            traceback=text,
-            attempts=1,
-        )
-        self.remaining -= 1
-        self.progress.note_failed(index)
-        if self.on_error == "raise":
-            self.progress.close()
-            raise RunFailedError(scenario, seed, text)
-
-    def finish(self) -> FleetResult:
-        self.progress.close()
-        return FleetResult(
-            reports=list(self.results),
-            failures=[self.failures[i] for i in sorted(self.failures)],
-            telemetry=self.aggregator.total,
-            progress=self.progress,
-        )
-
-
-def _run_streaming(
-    specs: Sequence[RunSpec],
-    processes: int,
-    config: StreamConfig,
-    on_error: str,
-) -> FleetResult:
-    """The streaming ``run_many`` path (see :mod:`repro.obs.streaming`)."""
-    master = _StreamMaster(specs, config, on_error)
-    if processes <= 1 or len(specs) < 2:
-        # Serial: same protocol through an in-process queue, so the
-        # aggregation/progress machinery is identical either way.
-        import queue as queue_module
-
-        channel = queue_module.SimpleQueue()
-        for index, spec in enumerate(specs):
-            _stream_worker(channel, index, spec, config.checkpoint_s)
-            while not channel.empty():
-                master.consume(channel.get())
-        return master.finish()
-
-    import multiprocessing
-    import queue as queue_module
-
-    with multiprocessing.Manager() as manager:
-        # A manager queue proxy (unlike a raw mp.Queue) pickles through
-        # pool.submit, at the price of one broker process.
-        channel = manager.Queue()
-        pool = ProcessPoolExecutor(max_workers=processes)
-        try:
-            futures = {
-                index: pool.submit(
-                    _stream_worker, channel, index, spec,
-                    config.checkpoint_s,
-                )
-                for index, spec in enumerate(specs)
-            }
-            while master.remaining:
-                try:
-                    master.consume(channel.get(timeout=1.0))
-                    continue
-                except queue_module.Empty:
-                    pass
-                # Queue quiet: look for workers that died without
-                # posting "failed" (a crashed process / broken pool).
-                # Drain stragglers first -- a worker can post its final
-                # message and then die before the future resolves.
-                while True:
-                    try:
-                        master.consume(channel.get_nowait())
-                    except queue_module.Empty:
-                        break
-                for index, future in list(futures.items()):
-                    if master.results[index] is not None:
-                        del futures[index]
-                        continue
-                    if index in master.failures:
-                        del futures[index]
-                        continue
-                    if future.done() and future.exception() is not None:
-                        spec = specs[index]
-                        exc = future.exception()
-                        master.record_failure(
-                            index, spec.scenario, spec.config.seed,
-                            f"{type(exc).__name__}: worker process died "
-                            f"before reporting ({exc or 'no detail'})",
-                        )
-                        del futures[index]
-        finally:
-            _shutdown(pool)
-            master.progress.close()
-    return master.finish()
 
 
 def combined_telemetry(

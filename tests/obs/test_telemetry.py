@@ -82,25 +82,6 @@ def test_merge_associativity_property_over_every_counter(rows):
         )
 
 
-@given(st.lists(st.integers(min_value=0, max_value=10**6),
-                min_size=len(_COUNTER_FIELDS),
-                max_size=len(_COUNTER_FIELDS)),
-       st.lists(st.integers(min_value=0, max_value=10**6),
-                min_size=len(_COUNTER_FIELDS),
-                max_size=len(_COUNTER_FIELDS)))
-def test_diff_then_merge_round_trips(earlier_values, delta_values):
-    """``earlier.merge(later.diff(earlier))`` reconstructs ``later``.
-
-    The telescoping-delta identity the streaming fleet path relies on.
-    """
-    earlier = _arbitrary_block(earlier_values)
-    later = _arbitrary_block(
-        [a + b for a, b in zip(earlier_values, delta_values)]
-    )
-    rebuilt = earlier.merge(later.diff(earlier))
-    assert rebuilt.to_dict() == later.to_dict()
-
-
 def test_merge_telemetry_reducer_skips_none():
     assert merge_telemetry([]) is None
     assert merge_telemetry([None, None]) is None

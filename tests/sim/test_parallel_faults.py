@@ -92,57 +92,32 @@ def test_run_many_validates_resilience_arguments():
         run_many([], timeout_s=0.0)
 
 
-def test_retry_backoff_schedule_is_deterministic(monkeypatch):
-    """Regression: the retry backoff must be a pure function of
-    ``retry_backoff_s`` and the loss count -- no wall-clock jitter --
-    so failure-path tests can pin the exact schedule.  The sleep goes
-    through the module-level ``_sleep`` hook, which is what lets this
-    test observe it without waiting it out."""
-    from repro.sim import parallel
-
-    slept = []
-    monkeypatch.setattr(parallel, "_sleep", slept.append)
-    sweep = parallel._ResilientSweep(
-        [], processes=1, timeout_s=None, retries=4,
-        retry_backoff_s=0.5, fail_fast=False,
-    )
-    for _ in range(4):
-        sweep._backoff()
-    assert sweep.backoff_delays == [0.5, 1.0, 2.0, 4.0]
-    assert slept == sweep.backoff_delays
-    # Zero backoff still records the (all-zero) schedule, but never
-    # touches the sleep hook at all.
-    slept.clear()
-    instant = parallel._ResilientSweep(
-        [], processes=1, timeout_s=None, retries=2,
-        retry_backoff_s=0.0, fail_fast=False,
-    )
-    instant._backoff()
-    instant._backoff()
-    assert instant.backoff_delays == [0.0, 0.0]
-    assert slept == []
+def test_replay_recipe_rebuilds_the_failing_spec():
+    """The recipe carries the whole spec, not just its seed: replaying
+    ``ScenarioConfig(seed=4)`` would run a different (120 s) scenario."""
+    spec = RunSpec("_poison-fail", ScenarioConfig(
+        duration_s=30.0, warmup_s=5.0, seed=4,
+    ))
+    with pytest.raises(RunFailedError) as excinfo:
+        run_many([spec], processes=1)
+    error = excinfo.value
+    assert "duration_s=30.0" in str(error)
+    assert eval(error.replay, {"RunSpec": RunSpec,
+                               "ScenarioConfig": ScenarioConfig}) == spec
+    assert str(pickle.loads(pickle.dumps(error))) == str(error)
+    [failure] = run_many([spec], processes=1, on_error="collect").failures
+    assert str(failure.to_error()) == str(error)
 
 
 @pytest.mark.slow
 def test_pool_retries_record_their_backoff_schedule(monkeypatch):
-    """End to end: a crash-then-retry sweep applies exactly the
-    documented exponential schedule, observable on ``backoff_delays``
-    via the recording seam (the monkeypatched sleep keeps the test
-    fast)."""
+    """End to end: a crash-then-retry sweep sleeps exactly the
+    documented exponential schedule through the ``_sleep`` hook (the
+    monkeypatched sleep keeps the test fast)."""
     from repro.sim import parallel
 
     slept = []
     monkeypatch.setattr(parallel, "_sleep", slept.append)
-    schedules = []
-    original = parallel._ResilientSweep.run
-
-    def record(self):
-        try:
-            return original(self)
-        finally:
-            schedules.append(list(self.backoff_delays))
-
-    monkeypatch.setattr(parallel._ResilientSweep, "run", record)
     specs = [_GOOD[0], RunSpec("_poison-exit", ScenarioConfig(seed=5))]
     batch = run_many(
         specs, processes=2, on_error="collect",
@@ -150,11 +125,7 @@ def test_pool_retries_record_their_backoff_schedule(monkeypatch):
     )
     [failure] = batch.failures
     assert failure.attempts == 3
-    [schedule] = schedules
-    # One backoff per transient loss, doubling from retry_backoff_s.
-    assert schedule == [0.25 * 2 ** i for i in range(len(schedule))]
-    assert len(schedule) >= 2
-    assert slept == schedule
+    assert slept == [0.25, 0.5]
 
 
 def test_multiline_cause_survives_pickling_with_traceback():
@@ -266,8 +237,8 @@ def test_pool_crash_is_attributed_in_collect_mode():
 
 @pytest.mark.slow
 def test_pool_crash_raises_run_failed_error_by_default():
-    """Even on the fast chunked path, a dead worker must be translated
-    into a RunFailedError naming the spec, not a bare pool traceback."""
+    """A dead worker must be translated into a RunFailedError naming
+    the spec, not a bare pool traceback."""
     specs = _GOOD + [RunSpec("_poison-exit", ScenarioConfig(seed=13))]
     with pytest.raises(RunFailedError) as excinfo:
         run_many(specs, processes=2)
@@ -276,8 +247,13 @@ def test_pool_crash_raises_run_failed_error_by_default():
 
 
 @pytest.mark.slow
-def test_retries_re_execute_transient_failures():
-    """A crashing spec is retried ``retries`` times before finalizing."""
+def test_retries_re_execute_transient_failures(monkeypatch):
+    """A crashing spec is retried ``retries`` times before finalizing;
+    a zero backoff never touches the sleep hook."""
+    from repro.sim import parallel
+
+    slept = []
+    monkeypatch.setattr(parallel, "_sleep", slept.append)
     specs = [_GOOD[0], RunSpec("_poison-exit", ScenarioConfig(seed=5))]
     batch = run_many(
         specs, processes=2, on_error="collect",
@@ -286,6 +262,7 @@ def test_retries_re_execute_transient_failures():
     [failure] = batch.failures
     assert failure.attempts == 2
     assert len(batch.reports) == 1
+    assert slept == []
 
 
 @pytest.mark.slow
@@ -309,3 +286,19 @@ def test_timeout_abandons_hung_runs():
     [failure] = batch.failures
     assert failure.scenario == "_poison-hang"
     assert "TimeoutError" in failure.error
+
+
+@pytest.mark.slow
+def test_good_run_queued_behind_hung_runs_is_not_blamed():
+    """The budget counts from submission and only ``processes`` runs
+    are in flight, so a good run waiting for a worker behind two hung
+    ones never inherits their timeout."""
+    hung = [RunSpec("_poison-hang", ScenarioConfig(seed=seed))
+            for seed in (1, 2)]
+    batch = run_many(
+        hung + [_GOOD[0]], processes=2, on_error="collect", timeout_s=3.0,
+    )
+    assert batch.results[2] is not None
+    assert [failure.index for failure in batch.failures] == [0, 1]
+    assert all("TimeoutError" in failure.error
+               for failure in batch.failures)

@@ -43,13 +43,12 @@ def test_optional_subsystems_load_on_first_use():
         "import sys\n"
         "import repro.sim, repro.obs, repro.experiments\n"
         "lazy = ('repro.sim.parallel', 'repro.obs.meters', 'repro.obs.spans',\n"
-        "        'repro.obs.streaming', 'repro.experiments.base',\n"
-        "        'repro.faults', 'multiprocessing')\n"
+        "        'repro.experiments.base', 'repro.faults', 'multiprocessing')\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
         "for package in (repro.sim, repro.obs, repro.experiments):\n"
         "    for name in package.__all__:\n"
         "        assert getattr(package, name) is not None, name\n"
-        "from repro.sim import run_many, StreamConfig\n"
+        "from repro.sim import run_many\n"
         "from repro.obs import build_update_spans, MeterRegistry\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
         "try:\n"
@@ -61,7 +60,7 @@ def test_optional_subsystems_load_on_first_use():
     assert before == "[]"
     assert after == str(sorted([
         "repro.sim.parallel", "repro.obs.meters", "repro.obs.spans",
-        "repro.obs.streaming", "repro.experiments.base", "multiprocessing",
+        "repro.experiments.base", "multiprocessing",
     ]))
     assert error == "module 'repro.sim' has no attribute 'no_such_name'"
 
