@@ -2,12 +2,10 @@
 """MILNET-scale sweep: the large generated topologies as one fleet.
 
 Drives the three MILNET-and-beyond scale rungs (``grid64``,
-``rand256``, ``rand512``) through ``run_many`` with the large-network
-protocol configuration -- incremental flooding, duplicate-ack
-suppression -- and folds the per-run telemetry into one fleet summary
-with ``combined_telemetry``.  ``on_error="collect"`` is the resilience
-story: a crashed rung becomes a recorded failure with a replay recipe,
-never a dead sweep.
+``rand256``, ``rand512``) through ``run_many`` and folds the per-run
+telemetry into one fleet summary with ``combined_telemetry``.
+``on_error="collect"`` is the resilience story: a crashed rung becomes
+a recorded failure with a replay recipe, never a dead sweep.
 
 Run:  python examples/milnet_sweep.py
 """
@@ -23,26 +21,22 @@ RUNGS = (
 )
 
 
-def fast_path_config(duration_s: float, warmup_s: float) -> ScenarioConfig:
-    return ScenarioConfig(
-        duration_s=duration_s, warmup_s=warmup_s, seed=3,
-        incremental_flooding=True, dup_ack_suppression=True,
-    )
+def rung_config(duration_s: float, warmup_s: float) -> ScenarioConfig:
+    return ScenarioConfig(duration_s=duration_s, warmup_s=warmup_s, seed=3)
 
 
 def main() -> None:
     specs = [
-        RunSpec(name, fast_path_config(duration_s, warmup_s))
+        RunSpec(name, rung_config(duration_s, warmup_s))
         for name, duration_s, warmup_s in RUNGS
     ]
     # A failed rung is reported, not fatal.
     batch = run_many(specs, on_error="collect")
 
-    print("MILNET-scale sweep (batched SPF + incremental flooding + "
-          "dup-ack suppression)\n")
+    print("MILNET-scale sweep (batched SPF, classic reliable flooding)\n")
     header = (f"{'scenario':<10} {'delivered':>10} {'ratio':>6} "
               f"{'events':>10} {'updates':>8} {'acks':>8} "
-              f"{'dup skip':>8} {'piggy':>6} {'retrans':>7}")
+              f"{'retrans':>7}")
     print(header)
     print("-" * len(header))
     for spec, report in zip(specs, batch.results):
@@ -53,7 +47,6 @@ def main() -> None:
         print(f"{spec.scenario:<10} {report.delivered_packets:>10} "
               f"{report.delivery_ratio:>6.3f} {t.events_processed:>10} "
               f"{t.update_packets_sent:>8} {t.ack_packets_sent:>8} "
-              f"{t.dup_acks_suppressed:>8} {t.owed_acks_piggybacked:>6} "
               f"{t.updates_retransmitted:>7}")
 
     total = combined_telemetry(batch.reports)
@@ -64,14 +57,12 @@ def main() -> None:
           f"{total.events_processed} events across {total.runs} runs, "
           f"{total.control_packets_sent} control packets "
           f"({total.ack_packets_sent} acks, "
-          f"{total.dup_acks_suppressed} duplicate-acks suppressed, "
-          f"{total.owed_acks_piggybacked} owed acks piggybacked)")
+          f"{total.update_packets_sent} updates)")
     for failure in batch.failures:
         print(f"failure: {failure}")
     if batch.ok:
-        print("all rungs completed; retransmissions stayed at "
-              f"{total.updates_retransmitted} "
-              "(suppression never cost reliability)")
+        print("all rungs completed; "
+              f"{total.updates_retransmitted} updates retransmitted")
 
 
 if __name__ == "__main__":

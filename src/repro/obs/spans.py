@@ -43,7 +43,6 @@ from repro.obs.tracer import (
     CIRCUIT_FAIL,
     CIRCUIT_RESTORE,
     COST_CHANGE,
-    FLOOD_SUPPRESSED,
     SPF_BATCH_REPAIR,
     TraceEvent,
     UPDATE_ACCEPTED,
@@ -64,7 +63,6 @@ SPAN_EVENT_KINDS = (
     UPDATE_SUPPRESSED,
     UPDATE_ACKED,
     UPDATE_FLOODED,
-    FLOOD_SUPPRESSED,
 )
 
 #: Control-plane kinds whose activity defines a convergence episode.
@@ -107,8 +105,6 @@ class UpdateSpan:
     forwards: List[Tuple[float, int, int]] = field(default_factory=list)
     #: Receive-side duplicate suppressions (count).
     duplicates: int = 0
-    #: Send-side suppressions -- flood-time skips + wire-time drops.
-    flood_suppressed: int = 0
 
     @property
     def lineage(self) -> Lineage:
@@ -202,8 +198,6 @@ def build_update_spans(events: Iterable) -> List[UpdateSpan]:
             span.acks.append((t, node, event.get("on")))
         elif kind == UPDATE_FLOODED:
             span.forwards.append((t, node, int(event.get("value") or 0)))
-        elif kind == FLOOD_SUPPRESSED:
-            span.flood_suppressed += 1
     return list(spans.values())
 
 
@@ -322,7 +316,6 @@ def to_chrome_trace(events: Iterable) -> Dict[str, Any]:
                     "cost": span.cost,
                     "fan_out": span.fan_out,
                     "duplicates": span.duplicates,
-                    "flood_suppressed": span.flood_suppressed,
                 },
             }
         )

@@ -49,17 +49,6 @@ class RunTelemetry:
     flood_accepted: int = 0
     flood_duplicates: int = 0
     flood_forwarded: int = 0
-    #: Redundant forwards avoided by per-neighbour sequence windows
-    #: (flood-time skips + wire-time drops; 0 with windows off).
-    flood_duplicates_avoided: int = 0
-    #: Window entries evicted to stay under the per-neighbour bound.
-    flood_window_evictions: int = 0
-    #: Explicit duplicate-acks skipped (duplicate-ack suppression).
-    dup_acks_suppressed: int = 0
-    #: Owed acks paid explicitly after a skip's proof failed.
-    owed_acks_sent: int = 0
-    #: Owed-ack payments that rode a queued control packet's header.
-    owed_acks_piggybacked: int = 0
     #: Updates retransmitted by the per-link reliability timer.
     updates_retransmitted: int = 0
 
@@ -172,13 +161,6 @@ class RunTelemetry:
             telemetry.flood_accepted += flood.accepted
             telemetry.flood_duplicates += flood.duplicates
             telemetry.flood_forwarded += flood.forwarded
-            telemetry.flood_duplicates_avoided += (
-                flood.suppressed_flood + flood.suppressed_wire
-            )
-            telemetry.flood_window_evictions += flood.window_evictions
-            telemetry.dup_acks_suppressed += flood.dup_acks_suppressed
-            telemetry.owed_acks_sent += flood.owed_acks_sent
-            telemetry.owed_acks_piggybacked += flood.owed_acks_piggybacked
             telemetry.updates_retransmitted += flood.retransmitted
         cache = simulation.spf_cache.stats
         telemetry.cache_table_hits = cache.table_hits

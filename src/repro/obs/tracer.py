@@ -44,10 +44,6 @@ UPDATE_SUPPRESSED = "update-suppressed"
 UPDATE_ACKED = "update-acked"
 #: An update was forwarded onward; ``value`` is the number of links.
 UPDATE_FLOODED = "update-flooded"
-#: A queued update was dropped unsent -- the neighbour provably already
-#: has it (per-neighbour sequence windows; ``data["on"]`` is the link it
-#: would have crossed).
-FLOOD_SUPPRESSED = "flood-suppressed"
 #: A batched SPF repair pass ran; ``value`` is the changes absorbed.
 SPF_BATCH_REPAIR = "spf-batch-repair"
 #: A full-duplex circuit failed.
@@ -87,7 +83,6 @@ EVENT_KINDS = (
     UPDATE_SUPPRESSED,
     UPDATE_ACKED,
     UPDATE_FLOODED,
-    FLOOD_SUPPRESSED,
     SPF_BATCH_REPAIR,
     CIRCUIT_FAIL,
     CIRCUIT_RESTORE,

@@ -28,8 +28,8 @@ and ``popleft`` rather than a heap push and pop (see
 **interval accumulation**: a busy period opens when the wire goes from
 quiet to transmitting and closes when the queues drain, instead of
 summing per-packet transmission times -- same totals, one add per busy
-period instead of one per packet.  Dead packets (drops, wire-suppressed
-updates, line-error losses, flushes) go back to the packet freelist (see
+period instead of one per packet.  Dead packets (drops, line-error
+losses, flushes) go back to the packet freelist (see
 :mod:`repro.psn.packet`).
 """
 
@@ -88,8 +88,7 @@ class LinkTransmitter:
         "bits_sent", "data_bits_sent", "data_packets_sent",
         "control_packets_sent", "update_packets_sent",
         "ack_packets_sent", "drops",
-        "on_delay_sample", "suppress_update", "updates_suppressed",
-        "reorder_control",
+        "on_delay_sample", "reorder_control",
         "_start_next_b", "_finish_b",
         "_arrive_b", "_call_in", "_call_soon",
     )
@@ -143,13 +142,6 @@ class LinkTransmitter:
         self.drops = 0
         #: Delay samples are reported here; installed by the owning PSN.
         self.on_delay_sample: Optional[Callable[[float], None]] = None
-        #: Wire-time flood suppression (incremental flooding only).
-        #: Called with a head-of-line routing-update packet just before
-        #: it would transmit; returning True drops it unsent -- the
-        #: owning PSN's sequence windows prove the neighbour already has
-        #: it (its own copy crossed ours while we sat in the queue).
-        self.suppress_update: Optional[Callable[[Packet], bool]] = None
-        self.updates_suppressed = 0
         #: Adversarial control-packet reordering (fault injection only;
         #: see :class:`~repro.faults.adversarial.ReorderCircuit`).
         #: Called with the control-queue length just before a dequeue;
@@ -194,27 +186,6 @@ class LinkTransmitter:
             self._call_soon(self._start_next_b)
         return True
 
-    def piggyback_ack(self, update) -> bool:
-        """Attach an update acknowledgement to the next queued control packet.
-
-        The real IMP protocol carried update acks as header bits on
-        whatever packet next crossed the line; duplicate-ack
-        suppression's owed-ack payment uses the same trick -- when a
-        control packet is already queued toward the neighbour being
-        acked, the debt rides along for free instead of costing a
-        standalone ack packet.  Returns ``False`` when the control queue
-        is empty (the caller falls back to an explicit ack packet).
-        """
-        control = self._control
-        if not control:
-            return False
-        carrier = control[0]
-        if carrier.acks is None:
-            carrier.acks = [update]
-        else:
-            carrier.acks.append(update)
-        return True
-
     def queue_length(self) -> int:
         """Instantaneous output queue length (the 1969 metric's input)."""
         return len(self._data) + len(self._control)
@@ -243,14 +214,6 @@ class LinkTransmitter:
                     control.rotate(index)
                 else:
                     packet = control.popleft()
-                if (
-                    self.suppress_update is not None
-                    and packet.kind is _ROUTING_UPDATE
-                    and self.suppress_update(packet)
-                ):
-                    self.updates_suppressed += 1
-                    release(packet)
-                    continue
             elif data:
                 packet = data.popleft()
             else:

@@ -21,7 +21,6 @@ from repro.metrics.base import LinkMetric
 from repro.metrics.queueing import service_time_s
 from repro.obs.tracer import (
     DB_PURGED,
-    FLOOD_SUPPRESSED,
     NEIGHBOR_QUARANTINED,
     SPF_BATCH_REPAIR,
     UPDATE_ACCEPTED,
@@ -69,13 +68,6 @@ ACK_PACKET_BITS = 200.0
 #: declared dead.
 UPDATE_RETRANSMIT_S = 1.0
 
-#: Incremental flooding: how long the deferring side of a circuit holds
-#: a flood forward, in units of one-way control flight time
-#: (serialization + propagation + processing).  Two flights let the
-#: peer's symmetric copy -- sent when ours was decided -- arrive and
-#: plant the suppression proof before ours hits the wire.
-FLOOD_DEFER_FLIGHTS = 2.0
-
 
 class Psn:
     """One packet switching node.
@@ -114,35 +106,6 @@ class Psn:
         it.
     measurement_interval_s:
         The averaging period (paper: 10 s).
-    incremental_flooding:
-        Maintain per-neighbour sequence windows and suppress provably
-        redundant update forwards, at flood time and at wire time (see
-        :mod:`repro.routing.flooding`).  On each circuit the higher-id
-        endpoint additionally *defers* its forwards by one cross-flight
-        time, so the peer's symmetric copy -- which would otherwise
-        cross ours in flight -- arrives first and plants the
-        suppression proof.  Every node still learns every cost change;
-        reliable delivery is untouched (no proof means send), but the
-        flood stops delivering each update over every circuit twice.
-        Scenarios auto-enable this at the large-network threshold.
-    dup_ack_suppression:
-        Skip the explicit acknowledgement of a *duplicate* update when
-        this node's own copy of the same (or a newer) update was already
-        queued toward the sender -- that copy's arrival acts as the
-        implicit ack, so the explicit one is redundant.  The skip keeps
-        an **owed-ack** record: if the wire-time suppressor later
-        cancels the en-route copy (the proof evaporates), the owed ack
-        is paid on the spot -- piggybacked on the next queued control
-        packet's header when the backlog offers a carrier (acks were
-        header bits in the real IMP protocol), standalone otherwise --
-        and if the sender retransmits
-        anyway (the copy was lost to line noise, or the sender was
-        stuck when it arrived) the second duplicate is acknowledged
-        unconditionally.  Retransmission reliability is therefore
-        untouched: every skip either becomes an implicit ack or is
-        repaid within one retransmission period.  Requires (and is
-        forced off without) ``incremental_flooding``, whose sent/acked
-        windows carry the proofs.
     defense_policy:
         Optional shared :class:`~repro.routing.defense.DefensePolicy`;
         when given, every received update is screened (cost bounds,
@@ -174,8 +137,6 @@ class Psn:
         multipath_mode: Optional[str] = None,
         multipath_slack: float = 0.0,
         flow_control_window: Optional[int] = None,
-        incremental_flooding: bool = False,
-        dup_ack_suppression: bool = False,
         defense_policy: Optional[DefensePolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -200,20 +161,7 @@ class Psn:
             )
 
         self.costs = costs
-        self.flooding = FloodingState(
-            network, node_id, neighbor_windows=incremental_flooding
-        )
-        self._incremental_flooding = incremental_flooding
-        #: Duplicate-ack suppression rides on the incremental-flooding
-        #: windows (they carry the en-route proof); without them there
-        #: is never a proof, so the knob degrades to off.
-        self._dup_ack = dup_ack_suppression and incremental_flooding
-        #: Owed acknowledgements: (out link id, update key) -> the
-        #: sequence whose en-route copy justified skipping an explicit
-        #: duplicate ack.  Settled silently when the neighbour's ack
-        #: arrives, paid explicitly when the wire-time suppressor
-        #: cancels the en-route copy or the neighbour retransmits.
-        self._ack_owed: Dict[tuple, int] = {}
+        self.flooding = FloodingState(network, node_id)
         #: Byzantine-fault defense state (None = defenses off: no
         #: screening, no purge timer, nothing allocated).
         self.defense: Optional[NodeDefense] = None
@@ -231,9 +179,6 @@ class Psn:
                     purge_interval, self._purge_tick,
                     first_fire_s=purge_interval,
                 )
-        #: Forward hold time per deferring out-link (see below); empty
-        #: with incremental flooding off.
-        self._defer_s: Dict[int, float] = {}
         self._metric_state: Dict[int, object] = {}
         self._averager: Dict[int, DelayAverager] = {}
         self._criterion: Dict[int, SignificanceCriterion] = {}
@@ -248,19 +193,6 @@ class Psn:
             initial = metric.initial_cost(link)
             self.costs[link_id] = float(initial)
             self._advertised[link_id] = initial
-            if incremental_flooding:
-                transmitter.suppress_update = \
-                    self._make_wire_suppressor(link_id)
-                if node_id > link.dst:
-                    # Deferring side of this circuit: hold forwards for
-                    # two cross-flight times (serialization + propagation
-                    # + processing, both ways) so the peer's copy of the
-                    # same update can arrive and prove itself redundant.
-                    self._defer_s[link_id] = FLOOD_DEFER_FLIGHTS * (
-                        UPDATE_PACKET_BITS / link.bandwidth_bps
-                        + link.propagation_s
-                        + PROCESSING_DELAY_S
-                    )
 
         self.tree = SpfTree(network, node_id, self.costs)
         # Hot-path forwarding: a flat next-hop table compiled from the
@@ -297,9 +229,8 @@ class Psn:
             first_fire_s=offset + measurement_interval_s,
         )
         # Reliable update delivery (Rosen's protocol): every update sent
-        # on a link is retransmitted until the neighbour acknowledges it.
-        # (link_id, update.key()) -> (update, send time).
-        self._unacked: Dict[tuple, tuple] = {}
+        # on a link is retransmitted until the neighbour acknowledges it
+        # (the ledger is ``self.flooding.unacked``).
         sim.timers.every(UPDATE_RETRANSMIT_S, self._retransmit_tick)
         # A booting PSN floods its links' initial (ease-in) costs --
         # otherwise the rest of the network would assume idle costs and
@@ -355,14 +286,10 @@ class Psn:
         """
         kind = packet.kind
         if kind is _ROUTING_UPDATE:
-            if packet.acks is not None:
-                self._drain_piggyback(packet, via)
             self._handle_update(packet, via)
             release(packet)
             return
         if kind is _UPDATE_ACK:
-            if packet.acks is not None:
-                self._drain_piggyback(packet, via)
             self._handle_ack(packet, via)
             release(packet)
             return
@@ -456,26 +383,14 @@ class Psn:
             raise ValueError(f"routing-update packet without payload: {packet}")
         if self.control_stuck:
             return  # frozen control plane: no ack, no apply, no forward
-        if self._incremental_flooding:
-            # The neighbour forwarded this, so it has it: remember that
-            # (window), and treat it as an implicit ack for any older
-            # copy of the same key still awaiting retransmission toward
-            # that neighbour -- its information is superseded anyway.
-            # (Bookkeeping only -- no events -- so running it before the
-            # ack decision below changes nothing except that the
-            # decision sees current windows.)
-            sent_on = via.reverse_id
-            self.flooding.note_received(sent_on, update)
-            if sent_on is not None:
-                pending = self._unacked.get((sent_on, update.key()))
-                if pending is not None and \
-                        pending[0].sequence <= update.sequence:
-                    del self._unacked[(sent_on, update.key())]
         # Acknowledge on the reverse link -- duplicates too, since the
-        # duplicate usually means our earlier ACK was lost -- unless
-        # duplicate-ack suppression can prove the explicit ack redundant.
-        if not self._dup_ack or not self._skip_duplicate_ack(update, via):
-            self._send_ack(update, via)
+        # duplicate usually means our earlier ACK was lost.
+        ack_on = self.flooding.note_received(via.link_id, update)
+        if ack_on is not None:
+            self.transmitters[ack_on].send(acquire(
+                PacketKind.UPDATE_ACK, self.node_id, via.src,
+                ACK_PACKET_BITS, self.sim.now, update=update,
+            ))
         if self.defense is not None:
             # Screen *before* accept, so a rejected update never touches
             # the flooding database.  It was still ACKed above: the ack
@@ -511,102 +426,6 @@ class Psn:
         self._apply_update(update)
         self._flood(update, arrived_on=via.link_id)
 
-    def _skip_duplicate_ack(self, update: RoutingUpdate, via: Link) -> bool:
-        """Whether a duplicate update's explicit ack can be skipped.
-
-        True only when the sender provably does not need it: either it
-        already acknowledged our own copy of this sequence (so its
-        retransmission state for the key is long cleared), or our copy
-        was queued toward it and its arrival will be the implicit ack.
-        The latter skip records an owed ack; see ``dup_ack_suppression``
-        in the class docstring for how the debt is always repaid when
-        the proof fails.  Fresh (non-duplicate) updates are always
-        acknowledged explicitly.
-        """
-        reverse_id = via.reverse_id
-        if reverse_id is None:
-            return False
-        flooding = self.flooding
-        sequence = update.sequence
-        if not flooding.already_seen(update):
-            return False  # fresh update: ack it
-        key = update.key()
-        owed = self._ack_owed.get((reverse_id, key))
-        if owed is not None and owed >= sequence:
-            # We skipped once for this proof and the sender is *still*
-            # retransmitting -- the en-route copy never took effect
-            # (line noise, or the sender was stuck when it arrived).
-            # Pay the debt unconditionally; no third round can happen.
-            del self._ack_owed[(reverse_id, key)]
-            self._pay_owed_ack(update, reverse_id)
-            return True
-        if flooding.neighbor_acked(reverse_id, key) >= sequence:
-            # The sender explicitly acknowledged our own copy of this
-            # sequence, which means it received (and processed) it; its
-            # retransmission state is already clear.
-            flooding.stats.dup_acks_suppressed += 1
-            return True
-        if flooding.sent_seq(reverse_id, key) >= sequence:
-            # Our own copy is queued/en route toward the sender: its
-            # arrival is the implicit ack.  Remember the debt in case
-            # the wire-time suppressor cancels that copy.
-            self._ack_owed[(reverse_id, key)] = sequence
-            flooding.stats.dup_acks_suppressed += 1
-            return True
-        return False
-
-    def _send_ack(self, update: RoutingUpdate, via: Link) -> None:
-        if via.reverse_id is None:
-            return
-        reverse = self.transmitters.get(via.reverse_id)
-        if reverse is None or not self.network.link(via.reverse_id).up:
-            return
-        reverse.send(acquire(
-            PacketKind.UPDATE_ACK, self.node_id, via.src,
-            ACK_PACKET_BITS, self.sim.now, update=update,
-        ))
-
-    def _place_ack(self, update: RoutingUpdate, link_id: int) -> bool:
-        """Deliver one owed acknowledgement toward ``link_id``'s neighbour.
-
-        Piggybacks on the next queued control packet when one exists
-        (the real IMP protocol carried acks as header bits, so a queued
-        update tows the ack for free); otherwise sends a standalone ack
-        packet.  Returns ``True`` when the ack rode a carrier.
-        """
-        transmitter = self.transmitters.get(link_id)
-        if transmitter is None or not self.network.link(link_id).up:
-            return False
-        if transmitter.piggyback_ack(update):
-            return True
-        transmitter.send(acquire(
-            PacketKind.UPDATE_ACK, self.node_id,
-            self.network.link(link_id).dst,
-            ACK_PACKET_BITS, self.sim.now, update=update,
-        ))
-        return False
-
-    def _pay_owed_ack(self, update: RoutingUpdate, link_id: int) -> None:
-        """Pay an owed duplicate-ack on ``link_id`` right now.
-
-        Called by the wire-time suppressor when it cancels the en-route
-        copy whose arrival was going to act as the implicit ack.  The
-        payment piggybacks on the control backlog when it can; a
-        standalone re-entrant send lands in the transmitter's control
-        queue and goes out in the same dequeue loop.
-        """
-        self.flooding.stats.owed_acks_sent += 1
-        if self._place_ack(update, link_id):
-            self.flooding.stats.owed_acks_piggybacked += 1
-
-    def _drain_piggyback(self, packet: Packet, via: Link) -> None:
-        """Process acknowledgements riding a control packet's header."""
-        if self.control_stuck:
-            return
-        sent_on = via.reverse_id
-        for update in packet.acks:
-            self._register_ack(update, sent_on)
-
     def _handle_ack(self, packet: Packet, via: Link) -> None:
         update = packet.update
         if update is None:
@@ -614,22 +433,7 @@ class Psn:
         if self.control_stuck:
             return
         # The ACK arrived on the reverse of the link we sent the update on.
-        self._register_ack(update, via.reverse_id)
-
-    def _register_ack(
-        self, update: RoutingUpdate, sent_on: Optional[int]
-    ) -> None:
-        """One acknowledgement (explicit or piggybacked) took effect."""
-        pending = self._unacked.get((sent_on, update.key()))
-        if pending is not None and pending[0].sequence <= update.sequence:
-            del self._unacked[(sent_on, update.key())]
-        if self._ack_owed:
-            # The neighbour acknowledged our copy, so it received and
-            # processed it -- the implicit ack we were counting on took
-            # effect and any owed-ack debt for the key is settled.
-            owed = self._ack_owed.get((sent_on, update.key()))
-            if owed is not None and update.sequence >= owed:
-                del self._ack_owed[(sent_on, update.key())]
+        sent_on = via.reverse_id
         self.flooding.note_acked(sent_on, update)
         if self._trace is not None:
             self._trace.emit(
@@ -640,11 +444,12 @@ class Psn:
             )
 
     def _retransmit_tick(self) -> None:
-        if not self._unacked or self.control_stuck:
+        unacked = self.flooding.unacked
+        if not unacked or self.control_stuck:
             return
         now = self.sim.now
         overdue: Dict[int, list] = {}
-        for (link_id, _key), (update, sent_at) in self._unacked.items():
+        for (link_id, _key), (update, sent_at) in unacked.items():
             if now - sent_at >= UPDATE_RETRANSMIT_S:
                 overdue.setdefault(link_id, []).append(update)
         for link_id, updates in overdue.items():
@@ -702,16 +507,9 @@ class Psn:
         self._pending_updates.append((update.link_id, cost))
 
     def _flood(self, update: RoutingUpdate, arrived_on: Optional[int]) -> None:
-        links = self.flooding.forward_links(arrived_on, update=update)
-        defer = self._defer_s
+        links = self.flooding.forward_links(arrived_on)
         for link_id in links:
-            hold_s = defer.get(link_id)
-            if hold_s is None:
-                self._transmit_update(update, link_id)
-            else:
-                self.sim.call_in(
-                    hold_s, self._transmit_deferred, update, link_id
-                )
+            self._transmit_update(update, link_id)
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_FLOODED,
@@ -725,90 +523,8 @@ class Psn:
             PacketKind.ROUTING_UPDATE, self.node_id, None,
             UPDATE_PACKET_BITS, self.sim.now, update=update,
         )
-        # A newer update for the same (origin, link) supersedes any
-        # older one still awaiting its ACK on this link.
-        self._unacked[(link_id, update.key())] = (update, self.sim.now)
-        self.flooding.note_sent(link_id, update)
+        self.flooding.note_sent(link_id, update, self.sim.now)
         self.transmitters[link_id].send(packet)
-
-    def _transmit_deferred(self, update: RoutingUpdate, link_id: int) -> None:
-        """A held flood-forward came due: send unless now provably moot.
-
-        While we held it, the neighbour's own copy (or its ack) may have
-        arrived and proven possession; a newer update for the same key
-        may also have gone out on this link, superseding ours.  Either
-        way the transmission is redundant and is skipped; otherwise it
-        proceeds exactly as an immediate forward would have.
-        """
-        if not self.network.link(link_id).up:
-            # The link died during the hold; its advertise(DOWN) path
-            # already flushed the queue, and the neighbour re-syncs on
-            # recovery.  (An immediate forward would have been flushed
-            # or dropped at the dead wire the same way.)
-            return
-        flooding = self.flooding
-        key = update.key()
-        sequence = update.sequence
-        if flooding.neighbor_seq(link_id, key) >= sequence:
-            flooding.stats.suppressed_flood += 1
-            if self._trace is not None:
-                self._trace.emit(
-                    self.sim.now, FLOOD_SUPPRESSED,
-                    node=self.node_id, link=update.link_id,
-                    data={"origin": update.origin, "seq": sequence,
-                          "on": link_id},
-                )
-            return
-        if flooding.sent_seq(link_id, key) >= sequence:
-            flooding.stats.suppressed_flood += 1
-            return
-        self._transmit_update(update, link_id)
-
-    def _make_wire_suppressor(self, link_id: int):
-        """Dequeue-time suppression check for one transmitter.
-
-        During a flood the control queues run long; by the time a queued
-        update reaches the head of the line, the neighbour's own copy has
-        often crossed it in the other direction.  The windows then prove
-        the transmission redundant: drop it, and retire any pending
-        retransmission state it covered (the same proof an ACK gives).
-        """
-        def suppress(packet: Packet) -> bool:
-            update = packet.update
-            key = update.key()
-            known = self.flooding.neighbor_seq(link_id, key)
-            if known < update.sequence:
-                return False
-            self.flooding.stats.suppressed_wire += 1
-            pending = self._unacked.get((link_id, key))
-            if pending is not None and pending[0].sequence <= known:
-                del self._unacked[(link_id, key)]
-            owed = self._ack_owed.get((link_id, key))
-            if owed is not None and update.sequence >= owed:
-                # This queued copy was the en-route proof that let us
-                # skip an explicit duplicate ack; cancelling it would
-                # leave the neighbour retransmitting with no ack ever
-                # coming.  Pay the owed ack explicitly, right now.
-                del self._ack_owed[(link_id, key)]
-                self._pay_owed_ack(update, link_id)
-            riding = packet.acks
-            if riding is not None:
-                # The cancelled carrier had owed acks riding its header;
-                # re-home them on the next queued control packet (or as
-                # standalone ack packets if the queue just drained).
-                packet.acks = None
-                for owed_update in riding:
-                    self._place_ack(owed_update, link_id)
-            if self._trace is not None:
-                self._trace.emit(
-                    self.sim.now, FLOOD_SUPPRESSED,
-                    node=self.node_id, link=update.link_id,
-                    data={"origin": update.origin, "seq": update.sequence,
-                          "on": link_id},
-                )
-            return True
-
-        return suppress
 
     # ------------------------------------------------------------------
     # Defenses / adversarial hooks
@@ -878,12 +594,9 @@ class Psn:
         self.transmitters[link_id].flush()
         # Updates awaiting ACKs on the dead link will never be ACKed;
         # the neighbour will re-learn everything when the link returns.
-        for key in [k for k in self._unacked if k[0] == link_id]:
-            del self._unacked[key]
-        # Owed duplicate-acks toward that neighbour are moot for the
-        # same reason: its retransmission state resets with the circuit.
-        for key in [k for k in self._ack_owed if k[0] == link_id]:
-            del self._ack_owed[key]
+        unacked = self.flooding.unacked
+        for key in [k for k in unacked if k[0] == link_id]:
+            del unacked[key]
         self.advertise(link_id, DOWN_COST)
 
     def local_link_up(self, link_id: int) -> None:

@@ -63,11 +63,6 @@ class Packet:
     trail: List[int] = field(default_factory=list)
     #: Set by the transmitter when the packet is queued on an output link.
     enqueued_s: float = 0.0
-    #: Piggybacked update acknowledgements riding this control packet's
-    #: header (the real IMP protocol carried acks as header bits).  Only
-    #: ever set on queued control packets by duplicate-ack suppression's
-    #: owed-ack payment; None on the hot data path.
-    acks: Optional[List[RoutingUpdate]] = None
 
     @property
     def hop_count(self) -> int:
@@ -122,7 +117,6 @@ def acquire(
         packet.update = update
         packet.vector = None
         packet.enqueued_s = 0.0
-        packet.acks = None
         # trail was cleared at release; the list object itself is the
         # recycled asset (append/clear never reallocates a warm list).
         return packet
@@ -150,7 +144,6 @@ def release(packet: Packet) -> None:
         return
     packet.update = None
     packet.vector = None
-    packet.acks = None
     packet.trail.clear()
     _pooled_ids.add(key)
     _POOL.append(packet)

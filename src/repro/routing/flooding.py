@@ -12,19 +12,11 @@ to forward); the DES-side transmission and per-hop delay live in
 :mod:`repro.psn`.  Keeping the protocol pure makes it unit-testable
 without a simulator.
 
-**Per-neighbor sequence windows** (the large-network fast path): with
-``neighbor_windows=True`` the state additionally remembers, per outgoing
-link, the highest sequence number *sent to* and *provably held by* the
-neighbour for each ``(origin, link)`` update key -- fed by received
-updates (the neighbour forwarded it, so it has it) and by its explicit
-acknowledgements.  A node then never re-forwards an update the
-neighbour demonstrably already has: once at flood time
-(:meth:`forward_links`), and again at wire time just before a queued
-update would transmit (see ``LinkTransmitter.suppress_update``), which
-is where the boot flood's long control backlogs make cross-arrivals
-common.  Windows are bounded (FIFO eviction, counted); a missing entry
-never suppresses -- absence of proof means *send*, so reliability is
-untouched.
+Delivery is reliable, per link: every update sent on a link stays in
+the node's retransmission ledger (:attr:`FloodingState.unacked`) until
+the neighbour acknowledges it, and every received copy -- fresh or
+duplicate -- is acknowledged, since a duplicate usually means our
+earlier acknowledgement was lost.
 """
 
 from __future__ import annotations
@@ -33,12 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.topology.graph import Network
-
-#: Per-neighbour window bound: update keys remembered per outgoing link.
-#: 1024 keys cover every (origin, link) pair of a 512-node network's
-#: region of interest; beyond that, oldest entries fall off (safe: an
-#: evicted key just loses its suppression proof).
-WINDOW_KEYS_PER_NEIGHBOR = 1024
 
 
 @dataclass(frozen=True)
@@ -77,25 +63,6 @@ class FloodingStats:
     accepted: int = 0
     duplicates: int = 0
     forwarded: int = 0
-    #: Forwards skipped at flood time because the target neighbour is the
-    #: update's origin or its window already proves possession.
-    suppressed_flood: int = 0
-    #: Queued updates dropped at wire time (the neighbour's own copy
-    #: crossed ours while we sat in the control queue).
-    suppressed_wire: int = 0
-    #: Window entries discarded to stay under the per-neighbour bound.
-    window_evictions: int = 0
-    #: Explicit duplicate-acks skipped because the sender provably did
-    #: not need them (see ``Psn`` duplicate-ack suppression).
-    dup_acks_suppressed: int = 0
-    #: Owed acks paid explicitly after a skip's proof failed (the
-    #: wire-time suppressor cancelled the en-route copy, or the sender
-    #: retransmitted anyway).
-    owed_acks_sent: int = 0
-    #: The subset of owed-ack payments that rode a queued control
-    #: packet's header (piggyback) instead of costing a standalone
-    #: ack packet.
-    owed_acks_piggybacked: int = 0
     #: Updates retransmitted by the reliability timer (unacked past the
     #: retransmission period).
     retransmitted: int = 0
@@ -110,41 +77,18 @@ class FloodingState:
         Shared topology (used to enumerate forwarding links).
     node_id:
         The owning PSN.
-    neighbor_windows:
-        Maintain per-neighbour sequence windows and use them to suppress
-        provably redundant forwards (see the module docstring).  Off by
-        default: the paper-sized scenarios keep the classic protocol,
-        bit for bit.
-    window_limit:
-        Maximum update keys remembered per outgoing link.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        node_id: int,
-        neighbor_windows: bool = False,
-        window_limit: int = WINDOW_KEYS_PER_NEIGHBOR,
-    ) -> None:
+    def __init__(self, network: Network, node_id: int) -> None:
         self.network = network
         self.node_id = node_id
         self._highest_seen: Dict[Tuple[int, int], int] = {}
         self._own_sequence: Dict[int, int] = {}
-        self.neighbor_windows = neighbor_windows
-        self._window_limit = window_limit
-        #: link id -> {update key -> highest sequence the neighbour
-        #: provably has} (from its forwards and its acks).
-        self._neighbor_has: Dict[int, Dict[Tuple[int, int], int]] = {}
-        #: link id -> {update key -> highest sequence sent that way}.
-        self._sent_to: Dict[int, Dict[Tuple[int, int], int]] = {}
-        #: link id -> {update key -> highest sequence the neighbour has
-        #: *explicitly acknowledged*}.  Strictly stronger evidence than
-        #: ``_neighbor_has`` (which a received forward also feeds): an
-        #: entry here proves the neighbour processed our copy, which is
-        #: what duplicate-ack suppression needs -- the update being
-        #: screened would itself plant a ``_neighbor_has`` entry, so
-        #: that table cannot serve as the proof.
-        self._acked_by: Dict[int, Dict[Tuple[int, int], int]] = {}
+        #: Retransmission ledger: (link id, update key) -> (update, send
+        #: time) for every update sent and not yet acknowledged.  A newer
+        #: update for the same key replaces the older one in place, so
+        #: the scan order is the order keys were first sent on a link.
+        self.unacked: Dict[tuple, Tuple[RoutingUpdate, float]] = {}
         self.stats = FloodingStats()
 
     # ------------------------------------------------------------------
@@ -183,140 +127,59 @@ class FloodingState:
         self.stats.accepted += 1
         return True
 
-    def already_seen(self, update: RoutingUpdate) -> bool:
-        """Whether ``update`` would be a duplicate, without recording it.
-
-        A side-effect-free peek at the :meth:`accept` decision, used by
-        duplicate-ack suppression to classify an update *before* the
-        acknowledgement decision (which protocol-wise precedes accept).
-        """
-        return self._highest_seen.get(update.key(), 0) >= update.sequence
-
-    def forward_links(
-        self,
-        arrived_on: Optional[int],
-        update: Optional[RoutingUpdate] = None,
-    ) -> List[int]:
+    def forward_links(self, arrived_on: Optional[int]) -> List[int]:
         """Link ids an accepted update must be re-flooded on.
 
         Every up link out of this node except the reverse of the link it
         arrived on (sending it straight back is pure waste; other
-        duplicates are caught by sequence numbers).  With neighbour
-        windows enabled and the ``update`` supplied, links whose
-        neighbour provably already has it -- it *is* the origin, it
-        forwarded this sequence to us, or it acknowledged it -- are
-        suppressed too.
+        duplicates are caught by sequence numbers).
         """
         excluded = None
         if arrived_on is not None:
             excluded = self.network.link(arrived_on).reverse_id
-        links = []
-        if update is None or not self.neighbor_windows:
-            for link in self.network.out_links(self.node_id):
-                if link.link_id != excluded:
-                    links.append(link.link_id)
-        else:
-            key = update.key()
-            sequence = update.sequence
-            origin = update.origin
-            for link in self.network.out_links(self.node_id):
-                link_id = link.link_id
-                if link_id == excluded:
-                    continue
-                if link.dst == origin:
-                    # The originator has its own update by definition.
-                    self.stats.suppressed_flood += 1
-                    continue
-                if self.neighbor_seq(link_id, key) >= sequence:
-                    self.stats.suppressed_flood += 1
-                    continue
-                sent = self._sent_to.get(link_id)
-                if sent is not None and sent.get(key, 0) >= sequence:
-                    # Already sent (and still retransmitting until
-                    # acked): reliable delivery covers the neighbour.
-                    self.stats.suppressed_flood += 1
-                    continue
-                links.append(link_id)
+        links = [
+            link.link_id for link in self.network.out_links(self.node_id)
+            if link.link_id != excluded
+        ]
         self.stats.forwarded += len(links)
         return links
 
     # ------------------------------------------------------------------
-    # Per-neighbour sequence windows
+    # Reliable delivery
     # ------------------------------------------------------------------
-    def _note(
-        self,
-        table: Dict[int, Dict[Tuple[int, int], int]],
-        link_id: int,
-        key: Tuple[int, int],
-        sequence: int,
-    ) -> None:
-        window = table.get(link_id)
-        if window is None:
-            window = table[link_id] = {}
-        current = window.get(key)
-        if current is None:
-            if len(window) >= self._window_limit:
-                # FIFO eviction: drop the oldest-learned key.  Losing an
-                # entry only loses a suppression opportunity.
-                del window[next(iter(window))]
-                self.stats.window_evictions += 1
-            window[key] = sequence
-        elif sequence > current:
-            window[key] = sequence
-
     def note_received(
-        self, link_id: Optional[int], update: RoutingUpdate
+        self, link_id: int, update: RoutingUpdate
+    ) -> Optional[int]:
+        """``update`` arrived on ``link_id``: the link to acknowledge on.
+
+        Every copy is acknowledged, fresh or duplicate, so the answer
+        depends only on the circuit: the reverse link, or ``None`` when
+        the link is simplex or its reverse is down.
+        """
+        reverse_id = self.network.link(link_id).reverse_id
+        if reverse_id is None or not self.network.link(reverse_id).up:
+            return None
+        return reverse_id
+
+    def note_sent(
+        self, link_id: int, update: RoutingUpdate, now: float
     ) -> None:
-        """The neighbour behind ``link_id`` forwarded ``update`` to us."""
-        if not self.neighbor_windows or link_id is None:
-            return
-        self._note(self._neighbor_has, link_id, update.key(), update.sequence)
+        """``update`` was queued on ``link_id`` at ``now``: arm its entry.
+
+        A newer update for the same key supersedes any older one still
+        awaiting its acknowledgement on this link.
+        """
+        self.unacked[(link_id, update.key())] = (update, now)
 
     def note_acked(
         self, link_id: Optional[int], update: RoutingUpdate
     ) -> None:
-        """The neighbour behind ``link_id`` acknowledged ``update``."""
-        if not self.neighbor_windows or link_id is None:
-            return
-        self._note(self._neighbor_has, link_id, update.key(), update.sequence)
-        self._note(self._acked_by, link_id, update.key(), update.sequence)
+        """The neighbour behind ``link_id`` acknowledged ``update``.
 
-    def note_sent(self, link_id: int, update: RoutingUpdate) -> None:
-        """We queued ``update`` for transmission on ``link_id``."""
-        if not self.neighbor_windows:
-            return
-        self._note(self._sent_to, link_id, update.key(), update.sequence)
-
-    def neighbor_seq(self, link_id: int, key: Tuple[int, int]) -> int:
-        """Highest sequence the neighbour provably has for ``key``.
-
-        0 when nothing is known (sequence numbers start at 1, so 0 never
-        suppresses anything).
+        Retires the ledger entry unless it holds a newer sequence (the
+        acknowledgement is for a copy that entry has since replaced).
         """
-        window = self._neighbor_has.get(link_id)
-        if window is None:
-            return 0
-        return window.get(key, 0)
-
-    def neighbor_acked(self, link_id: int, key: Tuple[int, int]) -> int:
-        """Highest sequence the neighbour *explicitly acknowledged*.
-
-        0 when nothing is known.  Unlike :meth:`neighbor_seq` this is
-        never fed by received forwards, so it proves the neighbour
-        processed our copy (a stuck node acks nothing).
-        """
-        window = self._acked_by.get(link_id)
-        if window is None:
-            return 0
-        return window.get(key, 0)
-
-    def sent_seq(self, link_id: int, key: Tuple[int, int]) -> int:
-        """Highest sequence we ever queued toward ``link_id`` for ``key``.
-
-        0 when nothing was sent (or the window entry was evicted --
-        absence of proof never suppresses anything).
-        """
-        window = self._sent_to.get(link_id)
-        if window is None:
-            return 0
-        return window.get(key, 0)
+        entry = (link_id, update.key())
+        pending = self.unacked.get(entry)
+        if pending is not None and pending[0].sequence <= update.sequence:
+            del self.unacked[entry]

@@ -81,24 +81,6 @@ class ScenarioConfig:
     #: errors, a destroyed RFNM permanently consumes window share (the
     #: pre-timeout IMP behaved the same way).
     flow_control_window: Optional[int] = None
-    #: Incremental flooding: per-neighbour sequence windows suppress
-    #: update forwards the neighbour provably already has, at flood time
-    #: and at wire time (see :mod:`repro.routing.flooding`).  ``None``
-    #: (auto) enables it on networks of >= ``LARGE_NETWORK_MIN_NODES``
-    #: nodes, where duplicate update forwarding dominates event counts;
-    #: the paper-sized scenarios keep the classic protocol bit for bit.
-    incremental_flooding: Optional[bool] = None
-    #: Duplicate-ack suppression: skip a duplicate update's explicit
-    #: ack when the receiver's own copy is provably en route to the
-    #: sender (its arrival is the implicit ack), with an owed-ack
-    #: fallback when the wire-time suppressor cancels that copy (see
-    #: :class:`~repro.psn.node.Psn`).  ``None`` (auto) follows
-    #: ``incremental_flooding``, whose sequence windows carry the
-    #: proofs: on for large networks, off for the paper-sized golden
-    #: scenarios.  ``True`` requires incremental flooding (explicitly
-    #: or by network size); ``False`` keeps the classic
-    #: always-ack protocol for A/B verification.
-    dup_ack_suppression: Optional[bool] = None
     #: Structured event tracing (see :mod:`repro.obs`): ``None`` (off --
     #: the zero-overhead default, no sink is even allocated), ``"memory"``
     #: (in-memory ring), ``"null"`` (enabled, events discarded), a file
@@ -179,11 +161,6 @@ class ScenarioConfig:
             )
 
 
-#: Auto-enable the large-network control-plane fast paths (incremental
-#: flooding) on networks at least this big.
-LARGE_NETWORK_MIN_NODES = 128
-
-
 class NetworkSimulation:
     """A network of PSNs under one metric and one traffic matrix."""
 
@@ -237,19 +214,6 @@ class NetworkSimulation:
             )
             for link in network.links
         }
-        incremental_flooding = self.config.incremental_flooding
-        if incremental_flooding is None:
-            incremental_flooding = (
-                len(network.nodes) >= LARGE_NETWORK_MIN_NODES
-            )
-        dup_ack_suppression = self.config.dup_ack_suppression
-        if dup_ack_suppression is None:
-            dup_ack_suppression = incremental_flooding
-        elif dup_ack_suppression and not incremental_flooding:
-            raise ValueError(
-                "dup_ack_suppression=True requires incremental flooding "
-                "(its sequence windows carry the en-route proofs)"
-            )
         #: Shared update-screening policy (None with defenses off: the
         #: per-update fast path then costs one ``is not None`` check).
         self.defense_policy: Optional[DefensePolicy] = None
@@ -285,8 +249,6 @@ class NetworkSimulation:
                 multipath_mode=self.config.multipath,
                 multipath_slack=self.config.multipath_slack,
                 flow_control_window=self.config.flow_control_window,
-                incremental_flooding=incremental_flooding,
-                dup_ack_suppression=dup_ack_suppression,
                 tracer=self.tracer,
                 defense_policy=self.defense_policy,
             )

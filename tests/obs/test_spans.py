@@ -78,6 +78,8 @@ def test_span_counters_reconcile_with_telemetry(traced_run):
     assert sum(s.duplicates for s in spans) == telemetry.flood_duplicates
     rooted = sum(1 for s in spans if s.generated_t is not None)
     assert rooted == telemetry.flood_generated
+    forwarded = sum(n for s in spans for _t, _node, n in s.forwards)
+    assert forwarded == telemetry.flood_forwarded
 
 
 def test_acks_link_into_spans(traced_run):
@@ -198,6 +200,9 @@ def test_chrome_trace_shape(traced_run, tmp_path):
     begins = [r for r in records if r["ph"] == "b"]
     ends = [r for r in records if r["ph"] == "e"]
     assert len(begins) == len(ends) > 0
+    assert set(begins[0]["args"]) == {
+        "origin", "link", "seq", "cost", "fan_out", "duplicates",
+    }
     # Async spans pair up by id, and close no earlier than they open.
     opened = {r["id"]: r["ts"] for r in begins}
     for record in ends:

@@ -45,9 +45,7 @@ def test_merge_is_associative_and_commutative():
     assert a.merge(b).to_dict() == b.merge(a).to_dict()
 
 
-#: Every integer counter field, including the PR-5 flooding counters
-#: (``flood_duplicates_avoided``, ``flood_window_evictions``) and this
-#: PR's ``meter_samples`` -- derived from the dataclass so a newly
+#: Every integer counter field -- derived from the dataclass so a newly
 #: added counter is property-tested automatically.
 _COUNTER_FIELDS = [
     f.name for f in dataclasses.fields(RunTelemetry)
@@ -75,7 +73,7 @@ def test_merge_associativity_property_over_every_counter(rows):
     right = a.merge(b.merge(c)).to_dict()
     assert left == right
     assert a.merge(b).to_dict() == b.merge(a).to_dict()
-    for name in ("flood_duplicates_avoided", "flood_window_evictions",
+    for name in ("flood_duplicates", "updates_retransmitted",
                  "meter_samples"):
         assert left[name] == sum(
             getattr(block, name) for block in (a, b, c)

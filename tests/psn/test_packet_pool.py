@@ -21,7 +21,7 @@ def test_acquire_recycles_released_packet():
     assert recycled.kind is PacketKind.UPDATE_ACK
     assert (recycled.src, recycled.dst) == (2, 5)
     assert recycled.trail == [] and recycled.update is None
-    assert recycled.acks is None and recycled.enqueued_s == 0.0
+    assert recycled.enqueued_s == 0.0
 
 
 def test_double_release_raises():

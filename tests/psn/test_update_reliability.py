@@ -5,10 +5,17 @@ acknowledged; lost updates are repaired within a retransmission interval
 rather than waiting for the 50-second keepalive.
 """
 
+from hypothesis import given, settings, strategies as st
+
+from repro.faults import FaultPlan, LinkFlap
 from repro.metrics import HopNormalizedMetric
 from repro.psn.node import UPDATE_RETRANSMIT_S
 from repro.sim import NetworkSimulation, ScenarioConfig
-from repro.topology import build_ring_network, build_string_network
+from repro.topology import (
+    build_random_network,
+    build_ring_network,
+    build_string_network,
+)
 from repro.traffic import TrafficMatrix
 
 
@@ -26,7 +33,7 @@ def test_acks_clear_pending_retransmissions():
     sim.run(until_s=5.0)
     # Boot advertisements have all been ACKed: nothing pending anywhere.
     for node_id, psn in sim.psns.items():
-        assert psn._unacked == {}, node_id
+        assert psn.flooding.unacked == {}, node_id
 
 
 def test_lost_update_repaired_within_retransmit_interval():
@@ -68,12 +75,12 @@ def test_newer_update_supersedes_pending():
     # Only the newest is pending per (link, key).
     pending = [
         update.cost
-        for (link_id, _key), (update, _t) in psn._unacked.items()
+        for (link_id, _key), (update, _t) in psn.flooding.unacked.items()
     ]
     assert 40 not in pending
     assert pending.count(50) >= 1
     sim.run(until_s=10.0)
-    assert psn._unacked == {}
+    assert psn.flooding.unacked == {}
     for other in sim.psns.values():
         assert other.costs[own_link] == 50.0
 
@@ -87,4 +94,68 @@ def test_link_down_purges_pending():
     psn.advertise(dead, 60)
     net.set_circuit_state(dead, up=False)
     psn.local_link_down(dead)
-    assert not any(l == dead for (l, _k) in psn._unacked)
+    assert not any(l == dead for (l, _k) in psn.flooding.unacked)
+
+
+def test_no_retransmit_livelock_under_link_flaps():
+    """A flapping circuit flushes queued copies and acks mid-flight;
+    retransmission must stay a repair, never a steady state, and no
+    ledger entry on a live link may stall."""
+    net = build_ring_network(6)
+    flapped = net.out_links(2)[0].link_id
+    plan = FaultPlan(flaps=(
+        LinkFlap(link_id=flapped, mtbf_s=8.0, mttr_s=2.0, start_s=15.0),
+    ))
+    sim = NetworkSimulation(
+        net, HopNormalizedMetric(), TrafficMatrix({(0, 3): 2_000.0}),
+        ScenarioConfig(duration_s=120.0, warmup_s=10.0, seed=3,
+                       faults=plan, check_invariants="strict"),
+    )
+    report = sim.run()
+    assert report.invariant_violations == []
+    telemetry = report.telemetry
+    assert telemetry.flap_transitions > 0, "the fault must actually fire"
+    # A livelocked pair retransmits every second for the whole run.
+    assert telemetry.updates_retransmitted < \
+        0.05 * telemetry.update_packets_sent
+    now = sim.sim.now
+    for node_id, psn in sim.psns.items():
+        for (link_id, key), (_update, sent_at) in \
+                psn.flooding.unacked.items():
+            if net.link(link_id).up:
+                assert now - sent_at < 5 * UPDATE_RETRANSMIT_S, \
+                    (node_id, link_id, key)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    nodes=st.integers(min_value=3, max_value=5),
+    extra=st.integers(min_value=0, max_value=3),
+    topology_seed=st.integers(min_value=0, max_value=2**16),
+    error_rate=st.floats(min_value=0.0, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_lossy_flood_converges_and_drains(
+    nodes, extra, topology_seed, error_rate, seed
+):
+    """Once originations stop, every node holds every originator's
+    latest sequence and every ledger is empty, whatever the loss."""
+    net = build_random_network(nodes, extra, seed=topology_seed)
+    sim = NetworkSimulation(
+        net, HopNormalizedMetric(), TrafficMatrix.uniform(net, 20_000.0),
+        ScenarioConfig(duration_s=120.0, warmup_s=10.0, seed=seed,
+                       line_error_rate=error_rate),
+    )
+    sim.run(until_s=30.0)
+    # Drain: no new originations, only retransmissions and acks.
+    for psn in sim.psns.values():
+        psn._measurement.cancel()
+    sim.run(until_s=90.0)
+    for origin in sim.psns.values():
+        for link_id, sequence in origin.flooding._own_sequence.items():
+            key = (origin.node_id, link_id)
+            for psn in sim.psns.values():
+                assert psn.flooding._highest_seen[key] == sequence, \
+                    (psn.node_id, key)
+    for psn in sim.psns.values():
+        assert psn.flooding.unacked == {}, psn.node_id

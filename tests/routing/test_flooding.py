@@ -105,3 +105,31 @@ def test_update_is_immutable():
     update = RoutingUpdate(origin=0, link_id=1, cost=30, sequence=1)
     with pytest.raises(AttributeError):
         update.cost = 99
+
+
+def test_every_copy_is_acked_on_the_reverse_link(ring):
+    """Fresh or duplicate, a copy is acknowledged while the circuit is up."""
+    sender = FloodingState(ring, 0)
+    receiver = FloodingState(ring, 1)
+    via = next(l for l in ring.out_links(0) if l.dst == 1)
+    update = sender.originate(via.link_id, 42)
+    assert receiver.accept(update)
+    assert receiver.note_received(via.link_id, update) == via.reverse_id
+    assert not receiver.accept(update)
+    assert receiver.note_received(via.link_id, update) == via.reverse_id
+    ring.set_circuit_state(via.link_id, up=False)
+    assert receiver.note_received(via.link_id, update) is None
+
+
+def test_ledger_keeps_the_newest_copy_until_its_ack(ring):
+    state = FloodingState(ring, 0)
+    out = ring.out_links(0)[0].link_id
+    old = state.originate(out, 40)
+    state.note_sent(out, old, 1.0)
+    new = state.originate(out, 50)
+    state.note_sent(out, new, 2.0)
+    assert state.unacked == {(out, new.key()): (new, 2.0)}
+    state.note_acked(out, old)  # a late ack for the superseded copy
+    assert state.unacked == {(out, new.key()): (new, 2.0)}
+    state.note_acked(out, new)
+    assert state.unacked == {}
