@@ -14,7 +14,7 @@ pieces:
 * **hot-path counters** (:mod:`repro.obs.telemetry`) -- a
   :class:`RunTelemetry` block harvested once per run from counters the
   subsystems already keep (scheduler events, SPF work, flood
-  duplicates, cache hits); attached to every
+  duplicates, shared-tree hits); attached to every
   :class:`~repro.sim.stats.SimulationReport` and mergeable across
   parallel replications with :func:`merge_telemetry`.
 * **causal spans** (:mod:`repro.obs.spans`) -- per-update flood trees

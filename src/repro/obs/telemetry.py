@@ -38,6 +38,8 @@ class RunTelemetry:
 
     # -- route computation ---------------------------------------------
     spf_full_computations: int = 0
+    #: Always 0 (every repair is a batched pass); kept because
+    #: ``perfbench/metrics.py`` reads it.
     spf_incremental_updates: int = 0
     spf_no_op_updates: int = 0
     spf_nodes_scanned: int = 0
@@ -53,7 +55,10 @@ class RunTelemetry:
     updates_retransmitted: int = 0
 
     # -- SPF cache ------------------------------------------------------
+    #: Always 0 (forwarding tables are compiled, never stored); kept
+    #: because ``perfbench/metrics.py`` reads it.
     cache_table_hits: int = 0
+    #: Forwarding tables compiled.
     cache_table_misses: int = 0
     cache_tree_hits: int = 0
     cache_tree_misses: int = 0
@@ -123,17 +128,6 @@ class RunTelemetry:
         """Plain-dict form (JSON-ready)."""
         return asdict(self)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Combined SPF-cache hit fraction (nan with no lookups)."""
-        lookups = (
-            self.cache_table_hits + self.cache_table_misses
-            + self.cache_tree_hits + self.cache_tree_misses
-        )
-        if lookups == 0:
-            return float("nan")
-        return (self.cache_table_hits + self.cache_tree_hits) / lookups
-
     @classmethod
     def collect(cls, simulation, wall_s: float = 0.0) -> "RunTelemetry":
         """Harvest counters from a finished (or paused) simulation.
@@ -151,7 +145,6 @@ class RunTelemetry:
         for psn in simulation.psns.values():
             spf = psn.tree.stats
             telemetry.spf_full_computations += spf.full_computations
-            telemetry.spf_incremental_updates += spf.incremental_updates
             telemetry.spf_no_op_updates += spf.no_op_updates
             telemetry.spf_nodes_scanned += spf.nodes_scanned
             telemetry.spf_batched_passes += spf.batched_passes
@@ -163,7 +156,6 @@ class RunTelemetry:
             telemetry.flood_forwarded += flood.forwarded
             telemetry.updates_retransmitted += flood.retransmitted
         cache = simulation.spf_cache.stats
-        telemetry.cache_table_hits = cache.table_hits
         telemetry.cache_table_misses = cache.table_misses
         telemetry.cache_tree_hits = cache.tree_hits
         telemetry.cache_tree_misses = cache.tree_misses

@@ -79,8 +79,8 @@ class Psn:
     forwarding decision next consults it.  A flood reaching this node
     while it has no data packet in flight then costs one Dijkstra pass
     instead of one per update; the canonical smallest-link-id tie-break
-    (see :mod:`repro.routing.spf`) makes the tree the one per-update
-    repair would have built.
+    (see :mod:`repro.routing.spf`) makes the tree the one a full
+    recompute would build.
 
     Parameters
     ----------
@@ -100,10 +100,10 @@ class Psn:
         each PSN a :meth:`~repro.routing.spf.CostTable.copy`.
     spf_cache:
         The network-wide :class:`~repro.routing.spf_cache.SpfCache`.
-        Per-packet forwarding consults a flat next-hop table compiled
-        from (and kept consistent with) the node's SPF tree; the
-        equal-cost multipath router shares its Dijkstra trees through
-        it.
+        Per-packet forwarding consults a flat next-hop table it compiles
+        from the node's SPF tree, once per burst of updates that moves
+        the tree; the equal-cost multipath router shares its Dijkstra
+        trees through it.
     measurement_interval_s:
         The averaging period (paper: 10 s).
     defense_policy:
@@ -196,8 +196,8 @@ class Psn:
 
         self.tree = SpfTree(network, node_id, self.costs)
         # Hot-path forwarding: a flat next-hop table compiled from the
-        # tree, fetched from the shared cache and dropped whenever a
-        # routing update touches our cost table.
+        # tree on first use and dropped whenever a flushed burst of
+        # routing updates moves the tree.
         self.spf_cache = spf_cache
         self._forwarding: Optional[list] = None
         # Batched SPF repair: updates land in this buffer and are applied
@@ -490,9 +490,8 @@ class Psn:
             )
         if self.tree.update_costs(pending):
             # The compiled next-hop table reflects the old tree; drop it
-            # and recompile (or re-fetch from the cache) on the next
-            # packet.  No-op batches leave the tree -- and therefore the
-            # table -- untouched.
+            # and recompile on the next packet.  No-op batches leave the
+            # tree -- and therefore the table -- untouched.
             self._forwarding = None
         if self.router is not None:
             # The router shares our cost table (updated by the tree);

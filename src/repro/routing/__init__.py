@@ -1,7 +1,8 @@
 """Route computation and dissemination.
 
-* :class:`~repro.routing.spf.SpfTree` -- incremental Dijkstra SPF, the
-  route computation both D-SPF and HN-SPF share,
+* :class:`~repro.routing.spf.SpfTree` -- Dijkstra SPF with one
+  incremental repair (a batch of cost changes per pass), the route
+  computation both D-SPF and HN-SPF share,
 * :class:`~repro.routing.spf.CostTable` -- a node's view of link costs,
 * :class:`~repro.routing.flooding.FloodingState` -- sequence-numbered
   routing-update flooding (Rosen's updating protocol, simplified),
@@ -9,7 +10,8 @@
   1969 distributed Bellman-Ford algorithm with the instantaneous
   queue-length metric, kept as a historical baseline,
 * :class:`~repro.routing.spf_cache.SpfCache` -- network-wide sharing of
-  Dijkstra trees and compiled O(1) next-hop forwarding tables,
+  Dijkstra trees, plus a counted compile of a tree into an O(1)
+  next-hop forwarding table,
 * :class:`~repro.routing.defense.NodeDefense` -- Byzantine-update
   screening, neighbour quarantine and purge-and-reflood
   self-stabilization (the post-1980 ARPANET hardening).

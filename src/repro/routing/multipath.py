@@ -42,8 +42,8 @@ class MultipathRouter:
     ----------
     network, root, costs:
         As for :class:`~repro.routing.spf.SpfTree`.  The cost table is
-        shared; call :meth:`update_cost` to change it so the candidate
-        sets stay consistent.
+        shared; call :meth:`recompute` after changing it so the
+        candidate sets stay consistent.
     mode:
         ``"flow"`` (hash by flow) or ``"packet"`` (round-robin).
     slack:
@@ -59,7 +59,7 @@ class MultipathRouter:
     cache:
         Optional shared :class:`~repro.routing.spf_cache.SpfCache`.
         Recomputes need a Dijkstra tree per neighbour; with a shared
-        cache, nodes whose cost fingerprints agree (the common, converged
+        cache, nodes whose cost tables agree (the common, converged
         case) compute each tree once network-wide instead of once per
         router.  Results are identical with or without it.
     """
@@ -123,11 +123,6 @@ class MultipathRouter:
                     options.append(link.link_id)
             candidates[dest] = sorted(options)
         self._candidates = candidates
-
-    def update_cost(self, link_id: int, cost: float) -> None:
-        """Apply a cost change and recompute the candidate sets."""
-        self.costs[link_id] = cost
-        self.recompute()
 
     # ------------------------------------------------------------------
     # Forwarding

@@ -8,22 +8,21 @@ the tree -- e.g. *"if a routing update reports an increase in the cost for
 a link not in the tree, the algorithm does not recompute any part of the
 tree"*.
 
-:class:`SpfTree` implements both the full computation and the incremental
-update, and counts how much work each update costs (the Table-1 "PSN CPU
-utilization" proxy).  Correctness of the incremental path is property-
-tested against full recomputation.
+:class:`SpfTree` has two algorithms: the full computation, and one
+incremental repair, :meth:`SpfTree.update_costs`, which absorbs a whole
+burst of cost changes in a single pass (a single change is a batch of
+one).  An increase on a link not in the tree costs no work at all.  The
+tree counts how much work each repair costs (the Table-1 "PSN CPU
+utilization" proxy), and the repair is property-tested against full
+recomputation.
 
 **Canonical tie-breaking.**  Where several equal-cost shortest paths
-exist, every code path -- full recompute, per-link incremental repair,
-and the batched multi-link repair -- resolves the tie the same way:
-each node's parent is the *smallest link id* among its tight in-links
-(links ``u -> v`` with ``dist[u] + cost == dist[v]``).  Distances are a
-pure function of the cost table, so with this rule the whole tree is
-too: applying the same cost changes one at a time, in one batch, or by
-recomputing from scratch yields bit-identical trees.  That is what lets
-the simulator repair in batches without perturbing goldens recorded
-under per-update repair, and what makes shared forwarding tables (keyed
-only by cost fingerprint) exact rather than merely tie-equivalent.
+exist, both algorithms resolve the tie the same way: each node's parent
+is the *smallest link id* among its tight in-links (links ``u -> v``
+with ``dist[u] + cost == dist[v]``).  Distances are a pure function of
+the cost table, so with this rule the whole tree is too: repairing in
+batches of any size, or recomputing from scratch, yields bit-identical
+trees.
 
 Costs are floats so the analysis package can sweep costs in fractional
 hops; the operational simulator feeds integer routing units.  Down links
@@ -49,73 +48,23 @@ class SpfStats:
     """Work counters for route computation."""
 
     full_computations: int = 0
-    incremental_updates: int = 0
     no_op_updates: int = 0
     nodes_scanned: int = 0
-    #: Batched multi-link repair passes (see :meth:`SpfTree.update_costs`).
+    #: Repair passes that moved the tree (see :meth:`SpfTree.update_costs`).
     batched_passes: int = 0
-    #: Individual link changes absorbed by those passes.
+    #: Individual link changes absorbed by repair calls.
     batched_changes: int = 0
-
-    def reset(self) -> "SpfStats":
-        snapshot = SpfStats(
-            self.full_computations,
-            self.incremental_updates,
-            self.no_op_updates,
-            self.nodes_scanned,
-            self.batched_passes,
-            self.batched_changes,
-        )
-        self.full_computations = 0
-        self.incremental_updates = 0
-        self.no_op_updates = 0
-        self.nodes_scanned = 0
-        self.batched_passes = 0
-        self.batched_changes = 0
-        return snapshot
-
-
-#: Word size of the incremental content fingerprint.
-_FP_MASK = (1 << 64) - 1
-
-
-def _entry_fp(link_id: int, cost: float) -> int:
-    """Deterministic 64-bit digest of one ``(link_id, cost)`` entry.
-
-    Built on :func:`hash`, which is unseeded (and therefore stable across
-    processes) for numbers; equal numbers hash equal, so ``1`` and ``1.0``
-    fingerprint identically -- matching tuple equality of the raw costs.
-    """
-    return hash((link_id, cost)) & _FP_MASK
 
 
 @dataclass
 class CostTable:
     """A node's view of every link's cost, indexed by link id.
 
-    Mutate only through ``table[link_id] = cost`` -- besides validating,
-    that keeps the incremental fingerprint (see :meth:`cache_key`) honest.
+    Write through ``table[link_id] = cost``, which rejects negative
+    costs.
     """
 
     costs: List[float]
-
-    def __post_init__(self) -> None:
-        self._rebuild_fingerprint()
-
-    def _rebuild_fingerprint(self) -> None:
-        """Full O(L) fingerprint build (construction only)."""
-        xor_part = 0
-        sum_part = 0
-        for link_id, cost in enumerate(self.costs):
-            entry = _entry_fp(link_id, cost)
-            xor_part ^= entry
-            sum_part += entry
-        self._fp_xor = xor_part
-        self._fp_sum = sum_part & _FP_MASK
-        #: Entries touched while maintaining the fingerprint: ``L`` for a
-        #: full build, ``+1`` per mutation.  Regression-tested so cache
-        #: lookups stay O(changed), never O(links).
-        self.key_work = len(self.costs)
 
     @classmethod
     def uniform(cls, network: Network, cost: float) -> "CostTable":
@@ -132,33 +81,10 @@ class CostTable:
     def __setitem__(self, link_id: int, cost: float) -> None:
         if cost < 0:
             raise ValueError(f"link cost must be >= 0, got {cost}")
-        old = self.costs[link_id]
         self.costs[link_id] = cost
-        old_fp = _entry_fp(link_id, old)
-        new_fp = _entry_fp(link_id, cost)
-        self._fp_xor ^= old_fp ^ new_fp
-        self._fp_sum = (self._fp_sum - old_fp + new_fp) & _FP_MASK
-        self.key_work += 1
 
     def copy(self) -> "CostTable":
-        clone = CostTable.__new__(CostTable)
-        clone.costs = list(self.costs)
-        clone._fp_xor = self._fp_xor
-        clone._fp_sum = self._fp_sum
-        clone.key_work = 0
-        return clone
-
-    def cache_key(self) -> tuple:
-        """A hashable content fingerprint of the table, in O(1).
-
-        Two tables with equal keys route identically; the network-wide
-        SPF cache (:mod:`repro.routing.spf_cache`) uses this to share
-        Dijkstra results between nodes whose cost views agree.  The
-        fingerprint is maintained incrementally by ``__setitem__`` (two
-        independent 64-bit mixes of per-entry digests), so a lookup after
-        *k* mutations costs O(k) total, not O(links) per lookup.
-        """
-        return (len(self.costs), self._fp_xor, self._fp_sum)
+        return CostTable(list(self.costs))
 
 
 class SpfTree:
@@ -171,8 +97,8 @@ class SpfTree:
     root:
         Node id of the PSN owning this tree.
     costs:
-        The node's cost table.  The tree keeps a reference: mutate it
-        through :meth:`update_cost` so the tree stays consistent.
+        The node's cost table.  The tree keeps a reference: change it
+        through :meth:`update_costs` so the tree stays consistent.
     """
 
     def __init__(self, network: Network, root: int, costs: CostTable) -> None:
@@ -227,59 +153,12 @@ class SpfTree:
                         self.parent_link[link.dst] = link.link_id
 
     # ------------------------------------------------------------------
-    # Incremental update
+    # Incremental repair
     # ------------------------------------------------------------------
     def update_cost(self, link_id: int, new_cost: float) -> bool:
-        """Apply one link-cost change, adjusting only the affected region.
-
-        Implements the classic incremental SPF cases:
-
-        * cost increase on a link not in the tree: **no work at all**,
-        * cost decrease: propagate the (possible) improvement from the
-          link's head,
-        * cost increase on a tree link: detach the affected subtree and
-          re-attach it through its best boundary links.
-
-        Returns ``True`` when the tree was adjusted and ``False`` for a
-        no-op, so callers can keep routing state derived from the tree
-        (e.g. a compiled forwarding table) across no-op updates.
-        """
-        old_cost = self.costs[link_id]
-        self.costs[link_id] = new_cost
-        if new_cost == old_cost:
-            self.stats.no_op_updates += 1
-            return False
-        link = self.network.link(link_id)
-        in_tree = self.parent_link.get(link.dst) == link_id
-
-        if new_cost < old_cost:
-            base = self.dist[link.src]
-            if math.isinf(base):
-                self.stats.no_op_updates += 1
-                return False
-            if in_tree or base + new_cost < self.dist[link.dst]:
-                self.stats.incremental_updates += 1
-                self._propagate_improvement(link_id)
-                return True
-            if base + new_cost == self.dist[link.dst]:
-                # The decrease created an exact tie: no distance moves,
-                # but the canonical (min-link-id) parent may switch.
-                current = self.parent_link[link.dst]
-                if current is not None and link_id < current:
-                    self.parent_link[link.dst] = link_id
-                    self.stats.incremental_updates += 1
-                    return True
-            self.stats.no_op_updates += 1
-            return False
-
-        # Cost increased.
-        if not in_tree:
-            # "the algorithm does not recompute any part of the tree"
-            self.stats.no_op_updates += 1
-            return False
-        self.stats.incremental_updates += 1
-        self._reattach_subtree(link.dst)
-        return True
+        """Apply one link-cost change: :meth:`update_costs` on a batch of
+        one."""
+        return self.update_costs(((link_id, new_cost),))
 
     def update_costs(self, changes) -> bool:
         """Apply many link-cost changes in **one** repair pass.
@@ -287,19 +166,26 @@ class SpfTree:
         ``changes`` is an iterable of ``(link_id, new_cost)`` pairs (the
         last write wins when a link appears twice).  Semantically this is
         a batched routing interval: the tree afterwards is **bit
-        identical** to applying the same changes one :meth:`update_cost`
-        at a time, or to a full :meth:`recompute` -- all three resolve
-        equal-cost ties with the canonical smallest-link-id rule (see
-        the module docstring), and this equivalence is property-tested.
+        identical** to a full :meth:`recompute` on the final costs --
+        both resolve equal-cost ties with the canonical smallest-link-id
+        rule (see the module docstring), and this equivalence is
+        property-tested.
 
-        The pass generalizes the single-link cases: all increased tree
-        links detach one *union* subtree, which is re-seeded across its
-        boundary together with every decreased link, then settled with a
-        single Dijkstra scan.  Cost: one scan of the affected region,
+        The classic incremental cases, for a whole batch at once:
+
+        * cost increase on a link not in the tree: **no work at all**
+          (*"the algorithm does not recompute any part of the tree"*),
+        * cost increase on a tree link: the link's subtree is detached;
+          all such subtrees form one *union*, re-seeded across its
+          boundary,
+        * cost decrease: the link is relaxed directly.
+
+        A single Dijkstra scan then settles the affected region: one scan
         however many links changed, instead of one scan per link.
 
-        Returns ``True`` when the tree was adjusted (same contract as
-        :meth:`update_cost`).
+        Returns ``True`` when the tree was adjusted and ``False`` for a
+        no-op, so callers can keep routing state derived from the tree
+        (e.g. a compiled forwarding table) across no-op batches.
         """
         effective: Dict[int, float] = {}
         for link_id, new_cost in changes:
@@ -337,8 +223,7 @@ class SpfTree:
         # link; everything outside keeps a still-achievable distance.
         # Children are discovered through the static adjacency -- ``m``
         # hangs off ``n`` exactly when ``parent_link[m]`` is a link
-        # n->m -- so the walk costs O(subtree * degree) instead of the
-        # O(N) children index a 512-node tree pays per pass.
+        # n->m -- so the walk costs O(subtree * degree), not O(N).
         detached: Set[int] = set()
         if detach_roots:
             out_adj, in_adj = self._static_adjacency()
@@ -425,92 +310,6 @@ class SpfTree:
         self._canonicalize_parents(touched)
         return True
 
-    def _propagate_improvement(self, link_id: int) -> None:
-        """Relax outward from a link whose cost dropped."""
-        link = self.network.link(link_id)
-        heap: List = []
-        sequence = count()
-        touched: List[int] = []
-        candidate = self.dist[link.src] + self.costs[link_id]
-        if candidate < self.dist[link.dst] or (
-            self.parent_link.get(link.dst) == link_id
-            and candidate != self.dist[link.dst]
-        ):
-            self.dist[link.dst] = candidate
-            self.parent_link[link.dst] = link_id
-            touched.append(link.dst)
-            heapq.heappush(heap, (candidate, next(sequence), link.dst))
-        while heap:
-            d, _seq, node = heapq.heappop(heap)
-            if d > self.dist[node]:
-                continue
-            self.stats.nodes_scanned += 1
-            for out in self.network.out_links(node):
-                cost = self.costs[out.link_id]
-                if math.isinf(cost):
-                    continue
-                cand = d + cost
-                if cand < self.dist[out.dst]:
-                    self.dist[out.dst] = cand
-                    self.parent_link[out.dst] = out.link_id
-                    touched.append(out.dst)
-                    heapq.heappush(heap, (cand, next(sequence), out.dst))
-                elif cand == self.dist[out.dst]:
-                    # A new tie into a node whose distance is unchanged:
-                    # its canonical parent is min(old parent, this link).
-                    current = self.parent_link[out.dst]
-                    if current is not None and out.link_id < current:
-                        self.parent_link[out.dst] = out.link_id
-        self._canonicalize_parents(touched)
-
-    def _reattach_subtree(self, subtree_root: int) -> None:
-        """Recompute distances for the subtree hanging off ``subtree_root``.
-
-        Every node outside the subtree keeps its (still optimal) distance;
-        subtree nodes are re-seeded from all links crossing into the
-        subtree, then settled with Dijkstra.
-        """
-        subtree = self._collect_subtree(subtree_root)
-        for node in subtree:
-            self.dist[node] = UNREACHABLE
-            self.parent_link[node] = None
-
-        heap: List = []
-        sequence = count()
-        for node in subtree:
-            for link in self.network.in_links(node):
-                if link.src in subtree:
-                    continue
-                cost = self.costs[link.link_id]
-                base = self.dist[link.src]
-                if math.isinf(cost) or math.isinf(base):
-                    continue
-                candidate = base + cost
-                if candidate < self.dist[node]:
-                    self.dist[node] = candidate
-                    self.parent_link[node] = link.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), node))
-
-        while heap:
-            d, _seq, node = heapq.heappop(heap)
-            if d > self.dist[node]:
-                continue
-            self.stats.nodes_scanned += 1
-            for out in self.network.out_links(node):
-                cost = self.costs[out.link_id]
-                if math.isinf(cost):
-                    continue
-                candidate = d + cost
-                if candidate < self.dist[out.dst]:
-                    self.dist[out.dst] = candidate
-                    self.parent_link[out.dst] = out.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), out.dst))
-                elif candidate == self.dist[out.dst]:
-                    current = self.parent_link[out.dst]
-                    if current is not None and out.link_id < current:
-                        self.parent_link[out.dst] = out.link_id
-        self._canonicalize_parents(subtree)
-
     def _canonicalize_parents(self, nodes) -> None:
         """Re-derive the canonical parent for ``nodes`` from final dists.
 
@@ -567,33 +366,6 @@ class SpfTree:
                 in_map[link.dst].append(link)
             cache = self._adj_cache = (len(links), out_map, in_map)
         return cache[1], cache[2]
-
-    def _children_index(self) -> Dict[int, List[int]]:
-        """Tree children per node, from the parent-link pointers."""
-        children: Dict[int, List[int]] = {}
-        links = self.network.links
-        for node, link_id in self.parent_link.items():
-            if link_id is not None:
-                src = links[link_id].src
-                bucket = children.get(src)
-                if bucket is None:
-                    children[src] = [node]
-                else:
-                    bucket.append(node)
-        return children
-
-    def _collect_subtree(self, subtree_root: int) -> Set[int]:
-        """All nodes whose tree path passes through ``subtree_root``."""
-        children = self._children_index()
-        subtree: Set[int] = set()
-        stack = [subtree_root]
-        while stack:
-            node = stack.pop()
-            if node in subtree:
-                continue
-            subtree.add(node)
-            stack.extend(children.get(node, ()))
-        return subtree
 
     # ------------------------------------------------------------------
     # Queries

@@ -1,29 +1,27 @@
-"""Network-wide SPF result sharing and compiled forwarding tables.
+"""Compiled forwarding tables and network-wide shared SPF trees.
 
-All PSNs route over one shared topology, and -- because updates are
-flooded everywhere -- their cost tables spend most of a run agreeing
-with each other.  That makes SPF results a function of
-``(root, topology state, cost fingerprint)``, so they can be computed
-once and shared network-wide.  The :class:`SpfCache` keeps two stores:
-
+* **Compiled forwarding tables** -- :func:`compile_forwarding_table`
+  flattens a tree into a ``next_hop[dest] -> link_id`` list, consulted
+  per packet in O(1) instead of walking tree parent pointers per hop.
+  Each PSN compiles its own table from its own tree, so the table
+  inherits the tree's exact tie-breaking, and keeps it until a routing
+  update next moves the tree: one compile per effective burst of
+  updates.  Nothing is stored here.  A table belongs to one root, whose
+  PSN already holds its current one, so a network-wide table store
+  would never hit.
 * **Shared Dijkstra trees** -- full from-scratch shortest-path trees
-  keyed by root and cost fingerprint.  The equal-cost multipath router
-  needs a tree per neighbour per recompute; with a consistent cost view,
-  every node's "tree rooted at X" is the same object.  During D-SPF
-  oscillation the network revisits the same few cost states over and
-  over, so trees also get reused across *time*.
-* **Compiled forwarding tables** -- a flat ``next_hop[dest] -> link_id``
-  list per tree, consulted per packet in O(1) instead of walking tree
-  parent pointers per hop.  Tables are compiled from each PSN's own
-  incrementally-maintained tree, so they inherit its exact tie-breaking:
-  forwarding decisions with the cache on and off are identical.
+  keyed by ``(root, topology version, cost-table contents)``.  The
+  equal-cost multipath router needs a tree per neighbour per recompute;
+  with a consistent cost view, every node's "tree rooted at X" is the
+  same object.  During D-SPF oscillation the network revisits the same
+  few cost states over and over, so trees also get reused across
+  *time*.
 
-Entries are invalidated implicitly by keying: a cost change alters the
-fingerprint (see :meth:`~repro.routing.spf.CostTable.cache_key`) and a
-link up/down bumps the topology version
-(:attr:`~repro.topology.graph.Network.topology_version`), so stale
-entries can never be returned, only evicted.  The cache is bounded; old
-entries fall off in LRU order, deterministically.
+A cost change alters the key's contents, and a link up/down bumps the
+topology version
+(:attr:`~repro.topology.graph.Network.topology_version`), so a stale
+tree can never be returned, only evicted.  The tree store is bounded;
+old entries fall off in LRU order, deterministically.
 """
 
 from __future__ import annotations
@@ -38,21 +36,13 @@ from repro.topology.graph import Network
 
 @dataclass
 class SpfCacheStats:
-    """Hit/miss accounting for both cache stores."""
+    """Compile count for forwarding tables; hit/miss accounting for trees."""
 
-    table_hits: int = 0
+    #: Forwarding tables compiled (every request compiles).
     table_misses: int = 0
     tree_hits: int = 0
     tree_misses: int = 0
     evictions: int = 0
-
-    @property
-    def table_lookups(self) -> int:
-        return self.table_hits + self.table_misses
-
-    @property
-    def tree_lookups(self) -> int:
-        return self.tree_hits + self.tree_misses
 
 
 def compile_forwarding_table(tree: SpfTree) -> List[Optional[int]]:
@@ -97,16 +87,16 @@ def compile_forwarding_table(tree: SpfTree) -> List[Optional[int]]:
 
 
 class SpfCache:
-    """Shared SPF trees and compiled forwarding tables for one network.
+    """Shared SPF trees and counted forwarding-table compiles.
 
     Parameters
     ----------
     network:
-        The shared topology.  Cache keys include its
+        The shared topology.  Tree keys include its
         ``topology_version``, so link up/down events invalidate every
-        entry computed under the old link state.
+        tree computed under the old link state.
     max_entries:
-        Bound per store; least-recently-used entries are evicted.
+        Bound on the tree store; least-recently-used trees are evicted.
     """
 
     def __init__(self, network: Network, max_entries: int = 1024) -> None:
@@ -115,75 +105,37 @@ class SpfCache:
         self.network = network
         self.max_entries = max_entries
         self.stats = SpfCacheStats()
-        self._tables: OrderedDict = OrderedDict()
         self._trees: OrderedDict = OrderedDict()
 
     def __repr__(self) -> str:
         return (
-            f"<SpfCache tables={len(self._tables)} trees={len(self._trees)} "
-            f"hits={self.stats.table_hits + self.stats.tree_hits}>"
+            f"<SpfCache trees={len(self._trees)} "
+            f"hits={self.stats.tree_hits}>"
         )
 
-    # ------------------------------------------------------------------
-    # Forwarding tables
-    # ------------------------------------------------------------------
     def forwarding_table(self, tree: SpfTree) -> List[Optional[int]]:
-        """The compiled next-hop table for ``tree``'s current state.
-
-        Keyed by (root, topology version, cost fingerprint); compiled
-        from ``tree`` itself on a miss, so the result always matches the
-        owner's incremental tree decision-for-decision.
-        """
-        key = (
-            tree.root,
-            self.network.topology_version,
-            tree.costs.cache_key(),
-        )
-        table = self._tables.get(key)
-        if table is not None:
-            self.stats.table_hits += 1
-            self._tables.move_to_end(key)
-            return table
+        """The compiled next-hop table for ``tree``'s current state."""
         self.stats.table_misses += 1
-        table = compile_forwarding_table(tree)
-        self._remember(self._tables, key, table)
-        return table
+        return compile_forwarding_table(tree)
 
-    # ------------------------------------------------------------------
-    # Shared trees
-    # ------------------------------------------------------------------
     def shared_tree(self, root: int, costs: CostTable) -> SpfTree:
         """A full Dijkstra tree rooted at ``root`` under ``costs``.
 
         The tree is computed from scratch on a miss (over a private copy
         of ``costs``) and shared by reference afterwards -- treat it as
-        frozen.  Any node whose cost fingerprint matches gets the same
-        tree object back.
+        frozen.  Any node whose cost table holds the same values gets the
+        same tree object back.
         """
-        key = (root, self.network.topology_version, costs.cache_key())
-        tree = self._trees.get(key)
+        key = (root, self.network.topology_version, tuple(costs.costs))
+        trees = self._trees
+        tree = trees.get(key)
         if tree is not None:
             self.stats.tree_hits += 1
-            self._trees.move_to_end(key)
+            trees.move_to_end(key)
             return tree
         self.stats.tree_misses += 1
-        tree = SpfTree(self.network, root, costs.copy())
-        self._remember(self._trees, key, tree)
-        return tree
-
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-    def _remember(self, store: OrderedDict, key, value) -> None:
-        store[key] = value
-        if len(store) > self.max_entries:
-            store.popitem(last=False)
+        tree = trees[key] = SpfTree(self.network, root, costs.copy())
+        if len(trees) > self.max_entries:
+            trees.popitem(last=False)
             self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every cached entry (stats are kept)."""
-        self._tables.clear()
-        self._trees.clear()
-
-    def __len__(self) -> int:
-        return len(self._tables) + len(self._trees)
+        return tree

@@ -199,7 +199,7 @@ class NetworkSimulation:
             post_warmup_update_rates=self.config.post_warmup_update_rates,
             timeline=self.timeline,
         )
-        #: One SPF cache for the whole network.
+        #: Shared SPF trees and forwarding-table compiles, network-wide.
         self.spf_cache = SpfCache(network)
 
         self.transmitters: Dict[int, LinkTransmitter] = {
@@ -227,7 +227,7 @@ class NetworkSimulation:
                 network, metric, defense_config
             )
         # Every PSN boots assuming idle costs everywhere: evaluate the
-        # metric (and the table's fingerprint) once, copy per node.
+        # metric once, copy per node.
         idle_costs = CostTable.from_metric(network, metric)
         self.psns: Dict[int, Psn] = {
             node.node_id: Psn(

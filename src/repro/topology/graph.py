@@ -92,9 +92,9 @@ class Network:
         self._out_links: Dict[int, List[int]] = {}
         self._in_links: Dict[int, List[int]] = {}
         self._by_name: Dict[str, int] = {}
-        #: Bumped on any structural or up/down change; cached SPF results
-        #: (see repro.routing.spf_cache) key on it, so a link failure or
-        #: recovery implicitly invalidates every tree computed before it.
+        #: Bumped on any structural or up/down change; the shared SPF
+        #: trees (see repro.routing.spf_cache) key on it, so a link failure
+        #: or recovery implicitly invalidates every tree computed before it.
         self.topology_version = 0
         # Up-links-only adjacency, rebuilt lazily after each topology
         # change.  out_links() is called for every SPF scan and every

@@ -1,7 +1,6 @@
 """Tests for hot-path counter aggregation (:mod:`repro.obs.telemetry`)."""
 
 import dataclasses
-import math
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,11 +86,6 @@ def test_merge_telemetry_reducer_skips_none():
     merged = merge_telemetry([None, a, None, b])
     assert merged.runs == 2
     assert merged.events_processed == 101
-
-
-def test_cache_hit_rate():
-    assert _block().cache_hit_rate == 0.75
-    assert math.isnan(RunTelemetry().cache_hit_rate)
 
 
 def test_to_dict_covers_all_fields():

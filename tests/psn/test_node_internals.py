@@ -111,6 +111,6 @@ def test_spf_work_counters_accumulate():
     sim.run()
     psn = sim.psns[0]
     assert psn.tree.stats.full_computations == 1  # only the initial build
-    total_updates = (psn.tree.stats.incremental_updates
+    total_updates = (psn.tree.stats.batched_passes
                      + psn.tree.stats.no_op_updates)
     assert total_updates > 10

@@ -6,14 +6,15 @@ every repair path resolves equal-cost ties with the canonical
 smallest-link-id rule, making the tree a pure function of the cost
 table.  The property test drives it with random topologies and random
 deltas and checks distances *and* parent pointers against a
-from-scratch Dijkstra.
+from-scratch Dijkstra after every batch of a sequence, dead links
+included.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.routing.spf import CostTable, SpfTree
+from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
 from repro.topology.generators import build_random_network, build_ring_network
 
 
@@ -93,31 +94,40 @@ def test_update_costs_equals_recompute(data):
                                    seed=topo_seed)
     link_count = len(network.links)
 
-    cost_value = st.integers(min_value=1, max_value=20).map(float)
+    # Dead links (UNREACHABLE) are drawn too: they detach subtrees and
+    # partition the network, the cases a link failure produces.
+    cost_value = st.one_of(
+        st.integers(min_value=1, max_value=20).map(float),
+        st.just(UNREACHABLE),
+    )
     costs = data.draw(
         st.lists(cost_value, min_size=link_count, max_size=link_count),
         label="costs",
     )
-    changes = data.draw(
+    batches = data.draw(
         st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=link_count - 1),
-                cost_value,
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=link_count - 1),
+                    cost_value,
+                ),
+                max_size=link_count,
             ),
-            max_size=link_count,
+            min_size=1,
+            max_size=4,
         ),
-        label="changes",
+        label="batches",
     )
 
     tree = _tree(network, costs)
-    tree.update_costs(changes)
-
     final = list(costs)
-    for link_id, cost in changes:
-        final[link_id] = cost
-    fresh = _tree(network, final)
+    for changes in batches:
+        tree.update_costs(changes)
+        for link_id, cost in changes:
+            final[link_id] = cost
+        fresh = _tree(network, final)
 
-    assert tree.dist == fresh.dist
-    assert tree.parent_link == fresh.parent_link
-    assert list(tree.costs.costs) == final
-    _assert_valid_tree(tree, network, final)
+        assert tree.dist == fresh.dist
+        assert tree.parent_link == fresh.parent_link
+        assert list(tree.costs.costs) == final
+        _assert_valid_tree(tree, network, final)

@@ -1,8 +1,9 @@
 """Incremental SPF: unit tests for each case plus the equivalence property.
 
-The load-bearing guarantee is that a tree maintained through any sequence
-of single-link cost changes has exactly the same distances as a tree built
-from scratch on the final costs.
+``SpfTree.update_cost`` is the batched repair on a batch of one.  The
+load-bearing guarantee is that a tree maintained through any sequence of
+single-link cost changes has exactly the same distances and parent links
+as a tree built from scratch on the final costs.
 """
 
 import math
@@ -171,6 +172,7 @@ def test_property_incremental_equals_full(seed, n, extra, changes, root_pick):
                 assert math.isinf(tree.dist[node])
             else:
                 assert tree.dist[node] == pytest.approx(fresh.dist[node])
+        assert tree.parent_link == fresh.parent_link
 
 
 @settings(max_examples=30, deadline=None)
@@ -237,16 +239,16 @@ def test_property_noop_accounting_and_change_flag(seed, n, extra, changes):
     for raw_link, cost in changes:
         link_id = raw_link % len(net.links)
         noops_before = tree.stats.no_op_updates
-        incremental_before = tree.stats.incremental_updates
+        passes_before = tree.stats.batched_passes
         dist_before = dict(tree.dist)
         parents_before = dict(tree.parent_link)
         changed = tree.update_cost(link_id, cost)
         if changed:
-            assert tree.stats.incremental_updates == incremental_before + 1
+            assert tree.stats.batched_passes == passes_before + 1
             assert tree.stats.no_op_updates == noops_before
         else:
             assert tree.stats.no_op_updates == noops_before + 1
-            assert tree.stats.incremental_updates == incremental_before
+            assert tree.stats.batched_passes == passes_before
             assert tree.dist == dist_before
             assert tree.parent_link == parents_before
         # Either way the tree must agree with a from-scratch build.

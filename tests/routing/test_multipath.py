@@ -69,9 +69,11 @@ def test_flow_mode_is_sticky_per_flow():
 
 def test_update_cost_recomputes():
     net, s, m1, m2, t = diamond_network()
-    router = MultipathRouter(net, s, CostTable.uniform(net, 30.0))
+    costs = CostTable.uniform(net, 30.0)
+    router = MultipathRouter(net, s, costs)
     assert router.path_diversity(t) == 2
-    router.update_cost(net.links_between(s, m1)[0].link_id, 90.0)
+    costs[net.links_between(s, m1)[0].link_id] = 90.0
+    router.recompute()
     assert router.path_diversity(t) == 1
 
 

@@ -124,9 +124,6 @@ def test_stats_count_full_computations():
     assert tree.stats.full_computations == 1
     tree.recompute()
     assert tree.stats.full_computations == 2
-    snapshot = tree.stats.reset()
-    assert snapshot.full_computations == 2
-    assert tree.stats.full_computations == 0
 
 
 def test_cost_table_from_metric():
