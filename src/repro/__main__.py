@@ -303,7 +303,7 @@ def main(argv: Optional[list] = None) -> int:
                                  "interval and write JSONL snapshots to "
                                  "PATH (see docs/observability.md)")
     p_simulate.add_argument("--metrics-prom", default=None, metavar="PATH",
-                            help="write the final metrics registry in "
+                            help="write the final metrics snapshot in "
                                  "Prometheus text exposition to PATH")
     p_simulate.set_defaults(handler=cmd_simulate)
 

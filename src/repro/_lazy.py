@@ -2,7 +2,7 @@
 
 A package ``__init__`` that imports every submodule makes every user of
 one submodule pay for all of them.  The optional subsystems (process
-fan-out, span reconstruction, the metrics registry) are
+fan-out, span reconstruction, live metrics) are
 never touched by a default simulation run, so their public names are
 served by a module-level ``__getattr__`` instead: ``from repro.sim import
 run_many`` still works, and is what imports :mod:`repro.sim.parallel`.

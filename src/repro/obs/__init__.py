@@ -20,9 +20,9 @@ pieces:
 * **causal spans** (:mod:`repro.obs.spans`) -- per-update flood trees
   reconstructed from lineage-tagged trace events: propagation-latency
   distributions, fan-out, convergence times, Chrome-trace export.
-* **live metrics** (:mod:`repro.obs.meters`) -- a deterministic
-  counter/gauge/histogram registry with a periodic sampler, Prometheus
-  text exposition and JSONL snapshots, behind
+* **live metrics** (:mod:`repro.obs.meters`) -- the telemetry block
+  sampled every measurement interval into deterministic snapshots,
+  rendered as Prometheus text or written as JSONL, behind
   ``ScenarioConfig(metrics=...)``.
 
 See ``docs/observability.md`` for the event schema, sink
@@ -60,15 +60,10 @@ __getattr__ = lazy_exports(__name__, {
     "repro.obs.meters": (
         "LATENCY_BUCKETS_S",
         "UTILIZATION_BUCKETS",
-        "Counter",
-        "Gauge",
         "Histogram",
-        "MeterRegistry",
         "SimulationMeters",
-        "build_meters",
         "counter_timeseries",
-        "read_snapshots_jsonl",
-        "write_snapshots_jsonl",
+        "to_prometheus",
     ),
     "repro.obs.spans": (
         "UpdateSpan",
@@ -98,11 +93,8 @@ __all__ = [
     "UPDATE_SUPPRESSED",
     "UTILIZATION",
     "UTILIZATION_BUCKETS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "JsonlSink",
-    "MeterRegistry",
     "NullSink",
     "RingSink",
     "RunTelemetry",
@@ -110,7 +102,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "UpdateSpan",
-    "build_meters",
     "build_tracer",
     "build_update_spans",
     "convergence_episodes",
@@ -120,8 +111,7 @@ __all__ = [
     "latency_histogram",
     "merge_telemetry",
     "propagation_latencies",
-    "read_snapshots_jsonl",
     "to_chrome_trace",
+    "to_prometheus",
     "write_chrome_trace",
-    "write_snapshots_jsonl",
 ]

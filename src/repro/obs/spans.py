@@ -44,12 +44,12 @@ from repro.obs.tracer import (
     CIRCUIT_RESTORE,
     COST_CHANGE,
     SPF_BATCH_REPAIR,
-    TraceEvent,
     UPDATE_ACCEPTED,
     UPDATE_ACKED,
     UPDATE_FLOODED,
     UPDATE_GENERATED,
     UPDATE_SUPPRESSED,
+    events_to_dicts,
 )
 
 #: A flood lineage: the ``(origin, link_id, sequence)`` triple that
@@ -73,12 +73,6 @@ EPISODE_EVENT_KINDS = (
     UPDATE_FLOODED,
     SPF_BATCH_REPAIR,
 )
-
-
-def _as_dict(event) -> Dict[str, Any]:
-    if isinstance(event, TraceEvent):
-        return event.to_dict()
-    return event
 
 
 @dataclass
@@ -162,8 +156,7 @@ def build_update_spans(events: Iterable) -> List[UpdateSpan]:
     """
     spans: Dict[Lineage, UpdateSpan] = {}
     seen_accept: Dict[Lineage, set] = {}
-    for raw in events:
-        event = _as_dict(raw)
+    for event in events_to_dicts(events):
         kind = event.get("kind")
         if kind not in SPAN_EVENT_KINDS:
             continue
@@ -248,8 +241,7 @@ def convergence_episodes(
         raise ValueError(f"quiet_s must be positive: {quiet_s}")
     times = sorted(
         event["t"]
-        for raw in events
-        for event in (_as_dict(raw),)
+        for event in events_to_dicts(events)
         if event.get("kind") in EPISODE_EVENT_KINDS
     )
     episodes: List[Tuple[float, float]] = []
@@ -280,7 +272,7 @@ def to_chrome_trace(events: Iterable) -> Dict[str, Any]:
     Timestamps are microseconds (the format's unit); simulation seconds
     scale by 1e6.
     """
-    event_dicts = [_as_dict(event) for event in events]
+    event_dicts = events_to_dicts(events)
     spans = build_update_spans(event_dicts)
     trace_events: List[Dict[str, Any]] = [
         {

@@ -330,6 +330,14 @@ def build_tracer(spec: Union[None, str, Tracer]) -> Tracer:
     )
 
 
-def events_to_dicts(events: Iterable[TraceEvent]) -> List[Dict[str, Any]]:
-    """Convert events to the plain-dict form the JSONL sink writes."""
-    return [event.to_dict() for event in events]
+#: Either form a trace comes in: TraceEvent objects or JSONL dicts.
+EventLike = Union[TraceEvent, Dict[str, Any]]
+
+
+def events_to_dicts(events: Iterable[EventLike]) -> List[Dict[str, Any]]:
+    """The plain-dict form the JSONL sink writes; dicts (a JSONL trace
+    read back) pass through, so every post-hoc reader takes either."""
+    return [
+        event.to_dict() if isinstance(event, TraceEvent) else event
+        for event in events
+    ]

@@ -9,11 +9,9 @@ from repro.report.plots import ascii_chart
 from repro.report.resilience import resilience_summary
 from repro.report.timeseries import (
     bucketed_rate,
-    convergence_timeseries,
     cost_timeseries,
     drop_timeseries,
     event_counts,
-    propagation_latency_series,
     read_trace,
     utilization_timeseries,
 )
@@ -22,11 +20,9 @@ __all__ = [
     "ascii_chart",
     "ascii_table",
     "bucketed_rate",
-    "convergence_timeseries",
     "cost_timeseries",
     "drop_timeseries",
     "event_counts",
-    "propagation_latency_series",
     "read_trace",
     "resilience_summary",
     "utilization_timeseries",

@@ -43,13 +43,15 @@ def _burst(
     """(last update time, update count) of the burst starting at ``t0``.
 
     Walks the sorted update timestamps from the first at or after
-    ``t0``, chaining successive updates while the gap stays within
-    ``quiet_s``.  An empty burst returns ``(t0, 0)``.
+    ``t0``, chaining successive updates while the gap stays below
+    ``quiet_s`` (a gap of exactly ``quiet_s`` ends the burst, as in
+    :func:`repro.obs.spans.convergence_episodes`).  An empty burst
+    returns ``(t0, 0)``.
     """
     index = bisect_left(times, t0)
     last = t0
     count = 0
-    while index < len(times) and times[index] - last <= quiet_s:
+    while index < len(times) and times[index] - last < quiet_s:
         last = times[index]
         count += 1
         index += 1

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import (
     COST_CHANGE,
     PACKET_DROP,
-    TraceEvent,
     UTILIZATION,
+    EventLike,
+    events_to_dicts,
 )
-
-#: Either form the sinks produce: TraceEvent objects or JSONL dicts.
-EventLike = Union[TraceEvent, Dict[str, Any]]
 
 
 def read_trace(path: str) -> List[Dict[str, Any]]:
@@ -50,11 +48,6 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
     return events
 
 
-def _as_dicts(events: Iterable[EventLike]) -> Iterable[Dict[str, Any]]:
-    for event in events:
-        yield event.to_dict() if isinstance(event, TraceEvent) else event
-
-
 def cost_timeseries(
     events: Iterable[EventLike],
     link_id: Optional[int] = None,
@@ -65,7 +58,7 @@ def cost_timeseries(
     simulation-time order).  Restrict to one link with ``link_id``.
     """
     series: Dict[int, List[Tuple[float, int]]] = defaultdict(list)
-    for event in _as_dicts(events):
+    for event in events_to_dicts(events):
         if event["kind"] != COST_CHANGE:
             continue
         link = event["link"]
@@ -81,7 +74,7 @@ def utilization_timeseries(
 ) -> Dict[int, List[Tuple[float, float]]]:
     """Per-link utilization series from ``utilization`` sample events."""
     series: Dict[int, List[Tuple[float, float]]] = defaultdict(list)
-    for event in _as_dicts(events):
+    for event in events_to_dicts(events):
         if event["kind"] != UTILIZATION:
             continue
         link = event["link"]
@@ -97,7 +90,7 @@ def drop_timeseries(
     """``(t, reason)`` for every packet drop, in trace order (Fig. 13)."""
     return [
         (event["t"], event.get("reason", "unknown"))
-        for event in _as_dicts(events)
+        for event in events_to_dicts(events)
         if event["kind"] == PACKET_DROP
     ]
 
@@ -105,52 +98,9 @@ def drop_timeseries(
 def event_counts(events: Iterable[EventLike]) -> Dict[str, int]:
     """How many events of each kind the trace holds."""
     counts: Counter = Counter()
-    for event in _as_dicts(events):
+    for event in events_to_dicts(events):
         counts[event["kind"]] += 1
     return dict(counts)
-
-
-def propagation_latency_series(
-    events: Iterable[EventLike],
-) -> List[Tuple[float, float]]:
-    """``(accept_t, latency_s)`` for every per-node update acceptance.
-
-    The spans adapter (see :mod:`repro.obs.spans`): each point is one
-    node accepting one update, timed against that update's generation.
-    Empty for traces without lineage tags (pre-span traces) -- and a
-    single-event lineage (a generation nobody accepted) contributes no
-    points.  Plot with :func:`bucketed_rate` or feed the latencies into
-    :func:`repro.obs.spans.latency_histogram`.
-    """
-    from repro.obs.spans import build_update_spans
-
-    series: List[Tuple[float, float]] = []
-    for span in build_update_spans(_as_dicts(events)):
-        if span.generated_t is None:
-            continue
-        for t, _node in span.accepts:
-            series.append((t, t - span.generated_t))
-    series.sort(key=lambda point: point[0])
-    return series
-
-
-def convergence_timeseries(
-    events: Iterable[EventLike],
-    quiet_s: float = 5.0,
-) -> List[Tuple[float, float]]:
-    """``(start_t, duration_s)`` per convergence episode.
-
-    Delegates to :func:`repro.obs.spans.convergence_episodes`: bursts
-    of control-plane activity separated by at least ``quiet_s`` of
-    silence, each reported as its start time and time-to-quiescence.
-    Empty for an empty trace.
-    """
-    from repro.obs.spans import convergence_episodes
-
-    return [
-        (start, end - start)
-        for start, end in convergence_episodes(_as_dicts(events), quiet_s)
-    ]
 
 
 def bucketed_rate(

@@ -183,6 +183,26 @@ class SpfTree:
         A single Dijkstra scan then settles the affected region: one scan
         however many links changed, instead of one scan per link.
 
+        Parents come out canonical (smallest tight in-link id) with no
+        final sweep, because every tight in-link of a node whose state
+        moved is compared while the pass runs:
+
+        * a node whose distance *fell* cannot be tight through a source
+          whose distance did not change -- the old tree's triangle
+          inequality rules it out unless that link's own cost fell, and
+          decreased links are tie-compared in the direct-relaxation
+          loop.  Every other tight in-link comes from a source that is
+          popped at its final distance and tie-compared inline;
+        * a detached node sees every non-detached tight in-link at
+          boundary seeding, which walks in-links in ascending id order
+          with a strict ``<`` (so the first of equal candidates, the
+          smallest id, wins), and every detached tight in-link when that
+          link's source is popped;
+        * a node whose distance did not change keeps a still-tight
+          parent (losing it would have detached the node), and any
+          in-link that newly became tight has a popped source or a
+          decreased cost, so it was compared too.
+
         Returns ``True`` when the tree was adjusted and ``False`` for a
         no-op, so callers can keep routing state derived from the tree
         (e.g. a compiled forwarding table) across no-op batches.
@@ -243,7 +263,6 @@ class SpfTree:
         heap: List = []
         sequence = count()
         moved = bool(detached)
-        touched: Set[int] = set(detached)
 
         # Re-seed detached nodes from every link crossing the boundary.
         for node in detached:
@@ -271,7 +290,6 @@ class SpfTree:
             if candidate < dist[link.dst]:
                 dist[link.dst] = candidate
                 parent[link.dst] = link_id
-                touched.add(link.dst)
                 heapq.heappush(heap, (candidate, next(sequence), link.dst))
                 moved = True
             elif candidate == dist[link.dst]:
@@ -301,51 +319,12 @@ class SpfTree:
                 if candidate < dist[out.dst]:
                     dist[out.dst] = candidate
                     parent[out.dst] = out.link_id
-                    touched.add(out.dst)
                     heapq.heappush(heap, (candidate, next(sequence), out.dst))
                 elif candidate == dist[out.dst]:
                     current = parent[out.dst]
                     if current is not None and out.link_id < current:
                         parent[out.dst] = out.link_id
-        self._canonicalize_parents(touched)
         return True
-
-    def _canonicalize_parents(self, nodes) -> None:
-        """Re-derive the canonical parent for ``nodes`` from final dists.
-
-        The inline tie-comparisons in the relaxation loops keep parents
-        canonical for nodes whose distance never changed, but a node
-        whose distance *moved* can be tight through an in-link whose
-        source was never rescanned in that pass.  Tightness is a pure
-        function of distances and costs, so one sweep over the moved
-        nodes -- picking the smallest tight in-link id -- restores the
-        global invariant at O(moved * degree).
-        """
-        if not nodes:
-            return
-        _out_adj, in_adj = self._static_adjacency()
-        dist = self.dist
-        costs = self.costs
-        for node in nodes:
-            if node == self.root:
-                continue
-            d = dist[node]
-            if math.isinf(d):
-                self.parent_link[node] = None
-                continue
-            best: Optional[int] = None
-            for link in in_adj[node]:
-                if not link.up:
-                    continue
-                lid = link.link_id
-                if best is not None and lid >= best:
-                    continue
-                cost = costs[lid]
-                if math.isinf(cost):
-                    continue
-                if dist[link.src] + cost == d:
-                    best = lid
-            self.parent_link[node] = best
 
     def _static_adjacency(self) -> Tuple[Dict[int, List], Dict[int, List]]:
         """Per-node outgoing and incoming :class:`Link` lists, cached.

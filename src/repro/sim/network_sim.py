@@ -303,9 +303,9 @@ class NetworkSimulation:
         #: this).  Built last so its first sample sees every subsystem.
         self.meters: Optional[SimulationMeters] = None
         if self.config.metrics is not None:
-            from repro.obs.meters import build_meters
+            from repro.obs.meters import SimulationMeters
 
-            self.meters = build_meters(self, self.config.metrics)
+            self.meters = SimulationMeters(self, self.config.metrics)
 
     # ------------------------------------------------------------------
     # Wiring callbacks

@@ -92,8 +92,7 @@ def _milnet_hnspf(config: ScenarioConfig):
 # a dense matrix at 512 nodes would mean 262k sources.  The random
 # networks run on T1 trunks: at hundreds of links, flooding alone (one
 # update packet per link per flood) outgrows a 56 kb/s control channel,
-# which is exactly why the late-80s networks upgraded.  At >= 128 nodes
-# these auto-enable batched SPF repair.
+# which is exactly why the late-80s networks upgraded.
 # ----------------------------------------------------------------------
 def _grid64(config: ScenarioConfig):
     network = build_grid_network(8, 8)

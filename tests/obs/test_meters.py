@@ -1,52 +1,20 @@
-"""Tests for the live metrics registry (:mod:`repro.obs.meters`)."""
+"""Tests for the live metrics pipeline (:mod:`repro.obs.meters`)."""
 
 from dataclasses import asdict
 
 import pytest
 
-from repro.obs.meters import (
-    Counter,
-    Gauge,
-    Histogram,
-    MeterRegistry,
-    counter_timeseries,
-    read_snapshots_jsonl,
-)
+from repro.faults import CorruptUpdate, FaultEvent, FaultPlan, LinkFlap
+from repro.obs.meters import Histogram, counter_timeseries, to_prometheus
+from repro.report import read_trace
 from repro.sim import ScenarioConfig, build_scenario
 
 _QUICK = dict(duration_s=40.0, warmup_s=5.0)
 
 
 # ----------------------------------------------------------------------
-# Meter primitives
+# Histogram and exposition
 # ----------------------------------------------------------------------
-def test_counter_is_monotonic():
-    counter = Counter("repro_test_total")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    counter.set_total(9)
-    assert counter.value == 9
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-    with pytest.raises(ValueError):
-        counter.set_total(3)
-
-
-def test_gauge_moves_both_ways():
-    gauge = Gauge("repro_test_gauge")
-    gauge.set(5.0)
-    gauge.set(2.0)
-    assert gauge.value == 2.0
-
-
-def test_meter_name_validation():
-    with pytest.raises(ValueError):
-        Counter("not a name")
-    with pytest.raises(ValueError):
-        Gauge("9starts_with_digit")
-
-
 def test_histogram_buckets():
     histogram = Histogram("repro_test_hist", (0.1, 1.0, 10.0))
     for value in (0.05, 0.5, 0.5, 5.0, 50.0):
@@ -66,36 +34,32 @@ def test_histogram_buckets():
         Histogram("repro_test_empty", ())
 
 
-def test_registry_get_or_create_and_type_conflicts():
-    registry = MeterRegistry()
-    a = registry.counter("repro_x_total")
-    assert registry.counter("repro_x_total") is a
-    with pytest.raises(ValueError):
-        registry.gauge("repro_x_total")
-    registry.gauge("repro_y")
-    registry.histogram("repro_z", (1.0,))
-    assert len(registry) == 3
-
-
 def test_prometheus_exposition_format():
-    registry = MeterRegistry()
-    counter = registry.counter("repro_updates_total", "Updates seen")
-    counter.inc(3)
-    registry.gauge("repro_depth").set(2.5)
-    histogram = registry.histogram("repro_lat", (0.5, 1.0), "Latency")
+    histogram = Histogram("repro_link_utilization", (0.5, 1.0))
     histogram.observe(0.2)
     histogram.observe(2.0)
-    text = registry.to_prometheus()
+    text = to_prometheus({
+        "t": 10.0,
+        "counters": {"repro_flood_generated": 3.0},
+        "gauges": {"repro_events_pending": 2.5},
+        "histograms": {histogram.name: histogram.snapshot()},
+    })
     lines = text.splitlines()
-    assert "# HELP repro_updates_total Updates seen" in lines
-    assert "# TYPE repro_updates_total counter" in lines
-    assert "repro_updates_total 3" in lines
-    assert "repro_depth 2.5" in lines
-    assert 'repro_lat_bucket{le="0.5"} 1' in lines
-    assert 'repro_lat_bucket{le="1"} 1' in lines
-    assert 'repro_lat_bucket{le="+Inf"} 2' in lines
-    assert "repro_lat_sum 2.2" in lines
-    assert "repro_lat_count 2" in lines
+    assert lines[:3] == [
+        "# HELP repro_events_pending Scheduler entries still pending",
+        "# TYPE repro_events_pending gauge",
+        "repro_events_pending 2.5",
+    ]
+    assert "# HELP repro_flood_generated " \
+        "RunTelemetry.flood_generated running total" in lines
+    assert "# TYPE repro_flood_generated counter" in lines
+    assert "repro_flood_generated 3" in lines
+    assert "# TYPE repro_link_utilization histogram" in lines
+    assert 'repro_link_utilization_bucket{le="0.5"} 1' in lines
+    assert 'repro_link_utilization_bucket{le="1"} 1' in lines
+    assert 'repro_link_utilization_bucket{le="+Inf"} 2' in lines
+    assert "repro_link_utilization_sum 2.2" in lines
+    assert "repro_link_utilization_count 2" in lines
     assert text.endswith("\n")
 
 
@@ -117,7 +81,7 @@ def test_metered_run_samples_and_is_bit_identical():
     # One sample per measurement interval plus the end-of-run sample.
     assert meters.samples_taken == len(meters.snapshots) >= 4
     assert report.telemetry.meter_samples == meters.samples_taken
-    # Snapshots are time-ordered and mirror the telemetry totals.
+    # Snapshots are time-ordered and carry the telemetry totals.
     times = [s["t"] for s in meters.snapshots]
     assert times == sorted(times)
     final = meters.snapshots[-1]["counters"]
@@ -134,13 +98,64 @@ def test_metered_run_samples_and_is_bit_identical():
     assert util["count"] > 0
 
 
+def test_counters_never_decrease_under_faults_and_defenses():
+    """Every counter is monotonic across a faulted, defended run that is
+    split over two ``run`` calls."""
+    plan = FaultPlan(
+        events=(FaultEvent(12.0, "fail-circuit", link_id=0),
+                FaultEvent(25.0, "restore-circuit", link_id=0)),
+        flaps=(LinkFlap(2, mtbf_s=8.0, mttr_s=3.0),),
+        adversarial=(CorruptUpdate(node_id=1, rate_per_s=2.0,
+                                   start_s=10.0),),
+    )
+    simulation = build_scenario(
+        "two-region-hnspf",
+        config=ScenarioConfig(**_QUICK, metrics="memory", faults=plan,
+                              defenses=True, check_invariants=True),
+    )
+    simulation.run(until_s=22.0)
+    simulation.run()
+    snapshots = simulation.meters.snapshots
+    final = snapshots[-1]["counters"]
+    assert final["repro_faults_injected"] > 0
+    assert final["repro_corrupt_updates_injected"] > 0
+    assert final["repro_invariant_checks"] > 0
+    for name in final:
+        values = [value for _t, value in counter_timeseries(snapshots, name)]
+        assert len(values) == len(snapshots), name
+        assert values == sorted(values), name
+
+
+def test_exposition_lists_every_meter_of_the_last_snapshot():
+    simulation = build_scenario(
+        "two-region-dspf",
+        config=ScenarioConfig(**_QUICK, metrics="memory"),
+    )
+    simulation.run()
+    snapshot = simulation.meters.snapshots[-1]
+    lines = simulation.meters.to_prometheus().splitlines()
+    for table, kind in (("counters", "counter"), ("gauges", "gauge")):
+        for name, value in snapshot[table].items():
+            samples = [i for i, line in enumerate(lines)
+                       if line.split(" ")[0] == name]
+            assert len(samples) == 1, name
+            at = samples[0]
+            assert lines[at - 2].startswith(f"# HELP {name} ")
+            assert lines[at - 1] == f"# TYPE {name} {kind}"
+            assert float(lines[at].split(" ")[1]) == value
+    util = snapshot["histograms"]["repro_link_utilization"]
+    assert f'repro_link_utilization_bucket{{le="+Inf"}} {util["count"]}' \
+        in lines
+    assert f"repro_link_utilization_count {util['count']}" in lines
+
+
 def test_metrics_jsonl_export(tmp_path):
     path = str(tmp_path / "metrics.jsonl")
     simulation = build_scenario(
         "two-region-dspf", config=ScenarioConfig(**_QUICK, metrics=path)
     )
     simulation.run()
-    snapshots = read_snapshots_jsonl(path)
+    snapshots = read_trace(path)
     assert len(snapshots) == simulation.meters.samples_taken
     assert snapshots[-1] == simulation.meters.snapshots[-1]
     for snapshot in snapshots:

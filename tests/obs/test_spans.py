@@ -135,6 +135,15 @@ def test_convergence_episodes_chain_bursts():
     assert episodes == [(1.0, 1.4), (20.0, 20.1)]
     # A tighter quiet threshold splits the first burst apart too.
     assert len(convergence_episodes(events, quiet_s=0.1)) == 5
+    # A gap of exactly quiet_s splits the burst (1.5 -> 6.5 is 5.0 s),
+    # the same strict rule the resilience summary's burst applies.
+    split = [
+        {"t": 1.0, "kind": "cost-change", "link": 0, "value": 100},
+        {"t": 1.5, "kind": "spf-batch-repair", "node": 1, "value": 1},
+        {"t": 6.5, "kind": "cost-change", "link": 2, "value": 80},
+    ]
+    assert convergence_episodes(split, quiet_s=5.0) == \
+        [(1.0, 1.5), (6.5, 6.5)]
     with pytest.raises(ValueError):
         convergence_episodes(events, quiet_s=0.0)
 

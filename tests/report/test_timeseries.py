@@ -8,14 +8,17 @@ trace is a complete substitute for in-memory histories.
 
 import pytest
 
+from repro.obs.spans import (
+    build_update_spans,
+    convergence_episodes,
+    propagation_latencies,
+)
 from repro.obs.tracer import COST_CHANGE, TraceEvent, UTILIZATION
 from repro.report import (
     bucketed_rate,
-    convergence_timeseries,
     cost_timeseries,
     drop_timeseries,
     event_counts,
-    propagation_latency_series,
     read_trace,
     utilization_timeseries,
 )
@@ -88,30 +91,14 @@ def test_read_trace_skips_blank_lines(tmp_path):
 
 
 def test_spans_adapters_on_recorded_trace(traced_run):
+    """The spans views run on a JSONL trace read back from disk."""
     _simulation, events = traced_run
-    latencies = propagation_latency_series(events)
+    latencies = propagation_latencies(build_update_spans(events))
     assert latencies
-    times = [t for t, _lat in latencies]
-    assert times == sorted(times)
-    assert all(latency >= 0.0 for _t, latency in latencies)
-    episodes = convergence_timeseries(events, quiet_s=5.0)
+    assert all(latency >= 0.0 for latency in latencies)
+    episodes = convergence_episodes(events, quiet_s=5.0)
     assert episodes
-    assert all(duration >= 0.0 for _start, duration in episodes)
-
-
-def test_spans_adapters_on_empty_trace():
-    assert propagation_latency_series([]) == []
-    assert convergence_timeseries([]) == []
-
-
-def test_spans_adapters_on_single_event_lineage():
-    """A lone generation yields no latency points but one episode."""
-    events = [{
-        "t": 2.0, "kind": "update-generated", "node": 1, "link": 4,
-        "value": 120, "origin": 1, "seq": 3,
-    }]
-    assert propagation_latency_series(events) == []
-    assert convergence_timeseries(events) == [(2.0, 0.0)]
+    assert all(end >= start for start, end in episodes)
 
 
 def test_bucketed_rate():

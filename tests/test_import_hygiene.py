@@ -49,7 +49,7 @@ def test_optional_subsystems_load_on_first_use():
         "    for name in package.__all__:\n"
         "        assert getattr(package, name) is not None, name\n"
         "from repro.sim import run_many\n"
-        "from repro.obs import build_update_spans, MeterRegistry\n"
+        "from repro.obs import build_update_spans, SimulationMeters\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
         "try:\n"
         "    repro.sim.no_such_name\n"
