@@ -12,45 +12,36 @@ is drawn from one counter at push time and entries fire in ``(time,
 seq)`` order, so entries at equal times fire in the order they were
 scheduled and simulations are fully deterministic.
 
-One scheduler, three lanes
---------------------------
-The queue is kept in three lanes.  *Which scheduling call was made*
-picks the lane; nothing selects or tunes it:
+One scheduler, two lanes
+------------------------
+The queue is kept in two lanes.  *Which scheduling call was made* picks
+the lane; nothing selects or tunes it:
 
-* **now** -- :meth:`Simulator.call_soon`: entries at the current
-  instant, appended to a FIFO ``deque``.  No entry of this lane is
-  later than the clock and the clock only moves forward, so append
-  order *is* ``(time, seq)`` order and neither end costs a sift.  A
-  link going from idle to transmitting starts this way: a fifth of a
-  steady run's events.
-* **near** -- :meth:`Simulator.call_in`: transient entries a few
-  milliseconds out (a transmission finishing, a packet arriving), in a
-  binary heap.
+* **near** -- :meth:`Simulator.call_in` and :meth:`Simulator.call_soon`
+  (a ``call_in`` with no delay): transient entries at most a few
+  milliseconds out, in a binary heap.  Nearly all are packet arrivals,
+  and a link holds at most one (:mod:`repro.psn.interfaces`).
 * **recurring** -- :meth:`Simulator._schedule_call_at`: the timer
   wheel's ticks and the traffic sources' next arrivals, in a second
   binary heap.  The population is fixed -- one entry per flow, two per
   PSN -- and each waits orders of magnitude longer than a near entry.
 
-The loop fires the least ``(time, seq)`` of the three heads, which is
+The loop fires the lesser ``(time, seq)`` of the two heads, which is
 exactly the order a single heap of the same entries pops in: no tie can
 resolve differently (``tests/des/test_lane_order.py`` holds the kernel
 to a single-``heapq`` reference).  What the lanes buy is heap depth.
 On the 57-node ``aug87`` workload in steady state the queue peaks at
-306 near entries against 3 306 recurring ones: in one heap every push
-of a near entry sifts past a dozen levels of things that are not about
-to happen.  A 256-node boot flood is the other way round -- 24 307 near
-entries at its peak over 1 024 recurring ones -- and there the near
-heap is, near enough, the whole queue (measurements:
-docs/performance.md, "Scheduler").
+135 near entries against 3 306 recurring ones: in one heap every push
+of a near entry would sift past a dozen levels of things that are not
+about to happen (measurements: docs/performance.md, "Scheduler").
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from functools import partial
 from itertools import count
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 #: A queue entry; ``seq`` is unique, so comparisons never reach ``fn``.
 Entry = Tuple[float, int, Callable[..., None], Tuple]
@@ -74,10 +65,7 @@ class Simulator:
         #: the hot paths read it hundreds of thousands of times per run.
         #: Treat as read-only outside the kernel.
         self.now = float(start_time)
-        # The three lanes (module docstring).  Every entry of _soon is at
-        # or before the clock and every entry of the two heaps at or
-        # after it, which is what lets _soon be a FIFO.
-        self._soon: Deque[Entry] = deque()
+        # The two lanes (module docstring).
         self._queue: List[Entry] = []
         self._recurring: List[Entry] = []
         self._sequence = count()
@@ -109,12 +97,11 @@ class Simulator:
 
     def _head_lane(self):
         """The lane holding the least ``(time, seq)`` entry, or ``None``
-        if all three are empty (:meth:`run` inlines a faster form)."""
-        lanes = [
-            lane for lane in (self._soon, self._queue, self._recurring)
-            if lane
-        ]
-        return min(lanes, key=lambda lane: lane[0]) if lanes else None
+        if both are empty (:meth:`run` inlines the same test)."""
+        queue, recurring = self._queue, self._recurring
+        if queue and not (recurring and recurring[0] < queue[0]):
+            return queue
+        return recurring or None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -124,7 +111,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of queued entries."""
-        return len(self._soon) + len(self._queue) + len(self._recurring)
+        return len(self._queue) + len(self._recurring)
 
     def __repr__(self) -> str:
         return f"<Simulator t={self.now} pending={self.pending}>"
@@ -140,7 +127,7 @@ class Simulator:
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         """Invoke ``fn(*args)`` at the current time, after pending events."""
-        self._soon.append((self.now, self._next_seq(), fn, args))
+        self._push((self.now, self._next_seq(), fn, args))
 
     def _schedule_call_at(
         self, when: float, fn: Callable[..., None], args: Tuple
@@ -167,7 +154,7 @@ class Simulator:
         lane = self._head_lane()
         if lane is None:
             raise SimulationError("no events scheduled")
-        entry = lane.popleft() if lane is self._soon else heapq.heappop(lane)
+        entry = heapq.heappop(lane)
         self.now = entry[0]
         self._events_processed += 1
         entry[2](*entry[3])
@@ -190,10 +177,8 @@ class Simulator:
         # Inlined: identical semantics to step(), without the per-event
         # method calls and attribute traffic.  This loop is the single
         # hottest few lines of the whole simulator.
-        soon = self._soon
         queue = self._queue
         recurring = self._recurring
-        popleft = soon.popleft
         pop = heapq.heappop
         processed = 0
         try:
@@ -202,15 +187,7 @@ class Simulator:
                     lane = queue
                 else:
                     lane = recurring
-                if soon:
-                    # Nothing here is later than the clock, so the
-                    # horizon cannot cut in; only an older entry at this
-                    # same instant goes first.
-                    if lane and lane[0] < soon[0]:
-                        entry = pop(lane)
-                    else:
-                        entry = popleft()
-                elif lane and lane[0][0] <= horizon:
+                if lane and lane[0][0] <= horizon:
                     entry = pop(lane)
                 else:
                     break

@@ -4,8 +4,8 @@ Each simplex link has a transmitter at its source PSN: a finite FIFO
 buffer for data packets, an unbounded priority queue for routing updates
 (*"routing update processing is a high priority process within the
 PSN"* -- and update delivery was reliable in the real network), and a
-transmission state machine that serializes packets onto the wire at line
-rate, then delays them by the propagation time.
+wire that serializes packets at line rate, then delays them by the
+propagation time.
 
 The transmitter is also the **measurement point**: for every data packet
 it forwards it samples queueing + processing + transmission + propagation
@@ -14,22 +14,42 @@ tracks busy time for utilization statistics and is where buffer-overflow
 drops (Figure 13's dropped packets) happen.
 
 This is the hottest code in the simulator -- every packet crosses a
-transmitter at every hop -- so it runs on the kernel's bare scheduled
-calls (``call_in`` / ``call_soon``), with a **chained service
-loop**: only the head-of-line departure is ever scheduled, and finishing
-one transmission both launches that packet's propagation directly (one
-``call_in`` to arrival -- no intermediate launch event) and chains the
-next transmission.  Two kernel entries per packet per hop on a busy
-link (finish, arrive); a packet that finds the link idle pays a third,
-the ``call_soon`` that starts service after everything already queued
-at that instant -- it rides the kernel's now-lane, a ``deque`` append
-and ``popleft`` rather than a heap push and pop (see
-:mod:`repro.des.engine`).  Utilization is accounted by
-**interval accumulation**: a busy period opens when the wire goes from
-quiet to transmitting and closes when the queues drain, instead of
-summing per-packet transmission times -- same totals, one add per busy
-period instead of one per packet.  Dead packets (drops, line-error
-losses, flushes) go back to the packet freelist (see
+transmitter at every hop -- so the wire is an **analytic priority
+server**: a packet's departure and arrival times are computed when it
+*starts* transmitting (``depart = start + bits / rate``, ``arrive =
+depart + propagation``), and its arrival is the only kernel entry it
+costs per hop.  Committed packets wait in a FIFO ``_flight``; only its
+head holds a ``call_in`` entry, and each arrival schedules the next.
+
+**The commit rule.**  ``_wire_free`` is when the last committed packet's
+last bit leaves the wire.  Waiting packets are committed lazily: whenever
+the transmitter is touched (a send that finds packets waiting, an
+arrival, a utilization / backlog / queue-length read, a flush) it starts
+every packet whose turn came by now, each at the instant the wire freed,
+picking the control head before the data head (``reorder_control``, when
+set, is consulted here).  Every packet that could have pre-empted was
+enqueued before the wire freed, so it is already queued when the pick
+runs, and the pick happens by the previous packet's arrival at the
+latest, so no computed arrival lies in the past: nothing is ever
+cancelled or re-pushed.  Busy time is added per committed packet; a
+utilization read hands the part still ahead of the clock to the next
+interval -- the totals interval accumulation gave on the same schedule.
+
+Deliberate differences from the chained service loop this replaced
+(``call_soon`` start, ``call_in`` finish, ``call_in`` arrive):
+
+1. A packet reaching a free wire starts at once.  The deferred start let
+   a control packet enqueued later in the same instant overtake it; that
+   no longer happens.
+2. Hence in a same-instant burst the buffer excludes the packet on the
+   wire: the link holds ``buffer_packets + 1`` packets, as it already did
+   in steady state.
+3. ``reorder_control`` is consulted at the lazy commit, whose ``sim.now``
+   is at most one propagation time after the virtual dequeue.
+
+Counters and the delay sample (the same value as before) are taken at
+arrival; a packet sent on a down link is dropped at once.  Dead packets
+(drops, line-error losses, flushes) go back to the packet freelist (see
 :mod:`repro.psn.packet`).
 """
 
@@ -69,7 +89,8 @@ class LinkTransmitter:
         Callback ``deliver(packet, link)`` invoked at the destination PSN
         when the packet finishes propagation.
     buffer_packets:
-        Data buffer capacity; overflowing packets are dropped.
+        Data buffer capacity (packets waiting, not the one on the wire);
+        overflowing packets are dropped.
     on_drop:
         Optional callback ``on_drop(packet, link)`` for congestion drops.
     error_rate:
@@ -83,14 +104,12 @@ class LinkTransmitter:
 
     __slots__ = (
         "sim", "link", "deliver", "on_drop", "error_rate", "error_rng",
-        "line_error_losses", "_data", "_capacity", "_control", "_idle",
-        "_bandwidth_bps", "_propagation_s", "busy_s", "_busy_since",
-        "bits_sent", "data_bits_sent", "data_packets_sent",
+        "line_error_losses", "_data", "_capacity", "_control",
+        "_bandwidth_bps", "_propagation_s", "busy_s", "_wire_free",
+        "_flight", "bits_sent", "data_bits_sent", "data_packets_sent",
         "control_packets_sent", "update_packets_sent",
         "ack_packets_sent", "drops",
-        "on_delay_sample", "reorder_control",
-        "_start_next_b", "_finish_b",
-        "_arrive_b", "_call_in", "_call_soon",
+        "on_delay_sample", "reorder_control", "_arrive_b", "_call_in",
     )
 
     def __init__(
@@ -114,9 +133,7 @@ class LinkTransmitter:
         self.error_rate = error_rate
         self.error_rng = error_rng
         self.line_error_losses = 0
-        #: Plain deques, not Stores: nothing ever blocks on these
-        #: queues, so the synchronous structure keeps the per-packet
-        #: bookkeeping off the hot path.
+        #: Packets that have not started transmitting yet.
         self._data: deque = deque()
         self._capacity = buffer_packets
         self._control: deque = deque()
@@ -124,15 +141,14 @@ class LinkTransmitter:
         # per-packet path never chases link -> line_type attributes.
         self._bandwidth_bps = link.bandwidth_bps
         self._propagation_s = link.propagation_s
-        #: Whether the wire is quiet and no start-transmission call is
-        #: pending.  Flipped by send(); flipped back when the queues drain.
-        self._idle = True
+        #: When the last committed packet's last bit leaves the wire.
+        self._wire_free = float("-inf")
+        #: Committed packets in arrival order:
+        #: ``(arrive_s, packet, queueing_s, transmission_s)``.  The head,
+        #: and only the head, holds a kernel entry.
+        self._flight: deque = deque()
+        #: Wire time committed and not yet handed to a utilization read.
         self.busy_s = 0.0
-        #: Start of the open busy period (None while the wire is quiet).
-        #: Folded into ``busy_s`` when the queues drain or at a
-        #: utilization read -- one accumulation per busy period instead
-        #: of one per packet.
-        self._busy_since: Optional[float] = None
         self.bits_sent = 0.0
         self.data_bits_sent = 0.0
         self.data_packets_sent = 0
@@ -143,107 +159,95 @@ class LinkTransmitter:
         #: Delay samples are reported here; installed by the owning PSN.
         self.on_delay_sample: Optional[Callable[[float], None]] = None
         #: Adversarial control-packet reordering (fault injection only;
-        #: see :class:`~repro.faults.adversarial.ReorderCircuit`).
-        #: Called with the control-queue length just before a dequeue;
-        #: returns the 0-based queue position to transmit next (0 =
-        #: head, the normal order).  ``None`` -- the production value --
-        #: costs nothing: the check is one ``is not None`` on the cold
-        #: control branch.
+        #: see :class:`~repro.faults.adversarial.ReorderCircuit`): called
+        #: with the control-queue length at a pick, returns the 0-based
+        #: position to transmit next (0 = head).  ``None`` in production.
         self.reorder_control: Optional[Callable[[int], int]] = None
-        # Pre-bound stage callbacks: each packet passes through all of
-        # them, so the per-call bound-method allocation is worth avoiding.
-        self._start_next_b = self._start_next
-        self._finish_b = self._finish_transmission
+        # Pre-bound: every packet's arrival is scheduled with it.
         self._arrive_b = self._arrive
         self._call_in = sim.call_in
-        self._call_soon = sim.call_soon
 
     # ------------------------------------------------------------------
     # Enqueueing
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
-        """Queue ``packet`` for transmission.
+        """Transmit ``packet`` now if the wire is free, else queue it.
 
-        Returns ``False`` (and counts a drop) if the data buffer is full.
-        Routing updates use the unbounded control queue and are sent ahead
-        of any queued data.
+        Returns ``False`` (and counts a drop) if the link is down or the
+        data buffer is full.  Routing updates use the unbounded control
+        queue and are sent ahead of any queued data.
         """
-        packet.enqueued_s = self.sim.now
-        if packet.kind is not _DATA:
+        now = self.sim.now
+        if not self.link.up:
+            self._drop(packet)
+            release(packet)
+            return False
+        packet.enqueued_s = now
+        if self._control or self._data:
+            self._advance(now)
+        if self._wire_free <= now:
+            self._commit(packet, now)
+        elif packet.kind is not _DATA:
             self._control.append(packet)
+        elif len(self._data) >= self._capacity:
+            self._drop(packet)
+            return False
         else:
-            if len(self._data) >= self._capacity:
-                self.drops += 1
-                if self.on_drop is not None:
-                    self.on_drop(packet, self.link)
-                return False
             self._data.append(packet)
-        if self._idle:
-            # Defer to a fresh event (rather than starting synchronously)
-            # so the transmission begins after everything already queued
-            # at this instant -- the ordering the process version had.
-            self._idle = False
-            self._call_soon(self._start_next_b)
         return True
 
     def queue_length(self) -> int:
         """Instantaneous output queue length (the 1969 metric's input)."""
+        self._advance(self.sim.now)
         return len(self._data) + len(self._control)
 
     def control_backlog(self) -> int:
         """Control packets still waiting to be transmitted."""
+        self._advance(self.sim.now)
         return len(self._control)
 
     # ------------------------------------------------------------------
-    # Transmission state machine
+    # The wire
     # ------------------------------------------------------------------
-    def _start_next(self) -> None:
-        """Begin transmitting the head-of-line packet, if any."""
+    def _advance(self, now: float) -> None:
+        """Start every waiting packet whose turn came by ``now``."""
         control, data = self._control, self._data
-        while True:
-            if control:
-                if self.reorder_control is not None and len(control) > 1:
-                    index = self.reorder_control(len(control))
-                else:
-                    index = 0
-                if index:
-                    # Pull a non-head packet (bounded reordering): O(k)
-                    # rotates on a fault-injected circuit only.
-                    control.rotate(-index)
-                    packet = control.popleft()
-                    control.rotate(index)
-                else:
-                    packet = control.popleft()
-            elif data:
+        while self._wire_free <= now and (control or data):
+            if not control:
                 packet = data.popleft()
+            elif self.reorder_control is not None and len(control) > 1:
+                # Pull a non-head packet (bounded reordering): O(k)
+                # rotates on a fault-injected circuit only.
+                index = self.reorder_control(len(control))
+                control.rotate(-index)
+                packet = control.popleft()
+                control.rotate(index)
             else:
-                self._idle = True
-                if self._busy_since is not None:
-                    # The queues drained: close the busy period.
-                    self.busy_s += self.sim.now - self._busy_since
-                    self._busy_since = None
-                return
-            if not self.link.up:
-                # Wire is dead: the packet is lost (counted as a drop).
-                self.drops += 1
-                if self.on_drop is not None:
-                    self.on_drop(packet, self.link)
-                release(packet)
-                continue
-            if self._busy_since is None:
-                self._busy_since = self.sim.now
-            queueing_s = self.sim.now - packet.enqueued_s
-            transmission_s = packet.size_bits / self._bandwidth_bps
-            self._call_in(
-                transmission_s, self._finish_b,
-                packet, queueing_s, transmission_s,
-            )
-            return
+                packet = control.popleft()
+            self._commit(packet, self._wire_free)
 
-    def _finish_transmission(
-        self, packet: Packet, queueing_s: float, transmission_s: float
-    ) -> None:
-        """The last bit left the wire: account, launch, chain the next."""
+    def _commit(self, packet: Packet, start: float) -> None:
+        """Put ``packet`` on the wire at ``start``."""
+        transmission_s = packet.size_bits / self._bandwidth_bps
+        depart = self._wire_free = start + transmission_s
+        self.busy_s += transmission_s
+        arrive = depart + self._propagation_s
+        flight = self._flight
+        if not flight:
+            self._call_in(arrive - self.sim.now, self._arrive_b)
+        flight.append(
+            (arrive, packet, start - packet.enqueued_s, transmission_s)
+        )
+
+    def _arrive(self) -> None:
+        """The head of the flight finished propagating; deliver it."""
+        flight = self._flight
+        _, packet, queueing_s, transmission_s = flight.popleft()
+        now = self.sim.now
+        if flight:
+            self._call_in(flight[0][0] - now, self._arrive_b)
+        if self._control or self._data:
+            self._advance(now)
         self.bits_sent += packet.size_bits
         kind = packet.kind
         if kind is _DATA:
@@ -262,38 +266,35 @@ class LinkTransmitter:
                 self.update_packets_sent += 1
             elif kind is _UPDATE_ACK:
                 self.ack_packets_sent += 1
-        # Chained launch: the packet flies now; no intermediate event.
-        self._call_in(self._propagation_s, self._arrive_b, packet)
-        self._start_next()
-
-    def _arrive(self, packet: Packet) -> None:
-        """The packet finished flying down the wire; deliver it."""
         if self.error_rate > 0.0 and \
                 self.error_rng.random() < self.error_rate:
             # Destroyed by line noise: the receiver's checksum rejects it.
             self.line_error_losses += 1
-            if packet.kind is _DATA:
-                self.drops += 1
-                if self.on_drop is not None:
-                    self.on_drop(packet, self.link)
+            if kind is _DATA:
+                self._drop(packet)
             release(packet)
             return
         packet.trail.append(self.link.link_id)
         self.deliver(packet, self.link)
 
+    def _drop(self, packet: Packet) -> None:
+        self.drops += 1
+        if self.on_drop is not None:
+            self.on_drop(packet, self.link)
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def flush(self) -> int:
-        """Drop everything queued (used when the link goes down).
+        """Drop everything still waiting (used when the link goes down).
 
-        Returns the number of data packets discarded.
+        Packets already on the wire fly on and arrive.  Returns the
+        number of data packets discarded.
         """
+        self._advance(self.sim.now)
         discarded = len(self._data)
         for packet in self._data:
-            self.drops += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, self.link)
+            self._drop(packet)
             release(packet)
         self._data.clear()
         for packet in self._control:
@@ -305,12 +306,10 @@ class LinkTransmitter:
         """Busy fraction since the last call; resets the accumulator."""
         if interval_s <= 0:
             raise ValueError(f"interval must be positive, got {interval_s}")
-        if self._busy_since is not None:
-            # A transmission spans the boundary: attribute the elapsed
-            # part to this interval and restart the period at the read.
-            now = self.sim.now
-            self.busy_s += now - self._busy_since
-            self._busy_since = now
-        utilization = min(self.busy_s / interval_s, 1.0)
-        self.busy_s = 0.0
+        now = self.sim.now
+        self._advance(now)
+        # Wire time still ahead of the clock belongs to the next interval.
+        carry = max(self._wire_free - now, 0.0)
+        utilization = min((self.busy_s - carry) / interval_s, 1.0)
+        self.busy_s = carry
         return utilization

@@ -1,10 +1,11 @@
-"""The three-lane scheduler against a single-heap reference.
+"""The two-lane scheduler against a single-heap reference.
 
-:class:`~repro.des.Simulator` keeps its queue in three lanes (now / near
-/ recurring) and promises the firing order of *one* heap keyed by
-``(time, seq)``.  :class:`ReferenceKernel` below is that one heap, in
-twenty lines; a Hypothesis-drawn program of scheduling calls, callbacks
-that schedule further calls on every lane, timers, sliced ``run``,
+:class:`~repro.des.Simulator` keeps its queue in two lanes (near, which
+``call_in`` and ``call_soon`` fill, and recurring) and promises the
+firing order of *one* heap keyed by ``(time, seq)``.
+:class:`ReferenceKernel` below is that one heap, in twenty lines; a
+Hypothesis-drawn program of scheduling calls, callbacks that schedule
+further calls through every entry point, timers, sliced ``run``,
 ``step``, ``peek`` and ``pending`` must read the same on both.
 """
 

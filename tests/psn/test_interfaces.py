@@ -76,11 +76,11 @@ def test_buffer_overflow_drops():
         on_drop=lambda p, l: drops.append(p.packet_id),
     )
     accepted = [tx.send(data_packet(pid)) for pid in range(5)]
-    # One packet may already be dequeued by the transmitter only after the
-    # sim runs; synchronously, 2 fit and 3 drop.
-    assert accepted == [True, True, False, False, False]
-    assert drops == [2, 3, 4]
-    assert tx.drops == 3
+    # Same-instant rule: a packet reaching a free wire starts at once, so
+    # the buffer holds the next two and the last two drop.
+    assert accepted == [True, True, True, False, False]
+    assert drops == [3, 4]
+    assert tx.drops == 2
 
 
 def test_control_queue_never_drops():
@@ -158,14 +158,17 @@ def test_down_link_discards():
 def test_flush_discards_queue():
     sim = Simulator()
     link = make_link()
-    tx = LinkTransmitter(sim, link, lambda p, l: None)
+    delivered = []
+    tx = LinkTransmitter(sim, link, lambda p, l: delivered.append(p))
     for pid in range(4):
         tx.send(data_packet(pid))
     discarded = tx.flush()
-    # The transmitter may have dequeued the head already at t=0 only after
-    # running; synchronously all 4 are still queued.
-    assert discarded == 4
+    # Same-instant rule: packet 0 found the wire free and started at
+    # once, so it flies on and arrives; the three waiting are discarded.
+    assert discarded == 3
     assert tx.queue_length() == 0
+    sim.run()
+    assert [p.packet_id for p in delivered] == [0]
 
 
 def test_trail_records_link():
@@ -184,4 +187,8 @@ def test_queue_length_counts_both_queues():
     tx = LinkTransmitter(sim, link, lambda p, l: None)
     tx.send(data_packet(1))
     tx.send(update_packet(2))
+    tx.send(data_packet(3))
+    # Same-instant rule: packet 1 found the wire free and started at
+    # once; the update and packet 3 wait, one in each queue.
     assert tx.queue_length() == 2
+    assert tx.control_backlog() == 1
