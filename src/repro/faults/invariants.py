@@ -270,8 +270,8 @@ class InvariantMonitor:
         For each destination the next-hop choices of all PSNs form a
         functional graph; converged link-state routing must make it a
         forest into the destination.  Classic three-color walk, one pass
-        per destination, pure reads of the SPF trees (the compiled
-        forwarding tables are built from exactly these decisions).
+        per destination, pure reads of the SPF trees (the forwarding
+        tables resolve exactly these decisions).
         """
         self.loop_checks_run += 1
         simulation = self.simulation

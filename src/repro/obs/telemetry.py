@@ -55,10 +55,10 @@ class RunTelemetry:
     updates_retransmitted: int = 0
 
     # -- SPF cache ------------------------------------------------------
-    #: Always 0 (forwarding tables are compiled, never stored); kept
-    #: because ``perfbench/metrics.py`` reads it.
+    #: Always 0 (forwarding tables are built per tree, never stored);
+    #: kept because ``perfbench/metrics.py`` reads it.
     cache_table_hits: int = 0
-    #: Forwarding tables compiled.
+    #: Forwarding tables handed out (one per tree state a PSN forwards on).
     cache_table_misses: int = 0
     cache_tree_hits: int = 0
     cache_tree_misses: int = 0

@@ -106,7 +106,7 @@ class LinkTransmitter:
         "sim", "link", "deliver", "on_drop", "error_rate", "error_rng",
         "line_error_losses", "_data", "_capacity", "_control",
         "_bandwidth_bps", "_propagation_s", "busy_s", "_wire_free",
-        "_flight", "bits_sent", "data_bits_sent", "data_packets_sent",
+        "_flight", "data_bits_sent", "data_packets_sent",
         "control_packets_sent", "update_packets_sent",
         "ack_packets_sent", "drops",
         "on_delay_sample", "reorder_control", "_arrive_b", "_call_in",
@@ -149,7 +149,6 @@ class LinkTransmitter:
         self._flight: deque = deque()
         #: Wire time committed and not yet handed to a utilization read.
         self.busy_s = 0.0
-        self.bits_sent = 0.0
         self.data_bits_sent = 0.0
         self.data_packets_sent = 0
         self.control_packets_sent = 0
@@ -248,7 +247,6 @@ class LinkTransmitter:
             self._call_in(flight[0][0] - now, self._arrive_b)
         if self._control or self._data:
             self._advance(now)
-        self.bits_sent += packet.size_bits
         kind = packet.kind
         if kind is _DATA:
             self.data_packets_sent += 1

@@ -39,7 +39,7 @@ from repro.routing.defense import DefensePolicy, NodeDefense
 from repro.routing.flooding import FloodingState, RoutingUpdate
 from repro.routing.multipath import MultipathRouter
 from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
-from repro.routing.spf_cache import SpfCache
+from repro.routing.spf_cache import ForwardingTable, SpfCache
 from repro.topology.graph import Link, Network
 from repro.units import MEASUREMENT_INTERVAL_S
 
@@ -100,10 +100,11 @@ class Psn:
         each PSN a :meth:`~repro.routing.spf.CostTable.copy`.
     spf_cache:
         The network-wide :class:`~repro.routing.spf_cache.SpfCache`.
-        Per-packet forwarding consults a flat next-hop table it compiles
-        from the node's SPF tree, once per burst of updates that moves
-        the tree; the equal-cost multipath router shares its Dijkstra
-        trees through it.
+        Per-packet forwarding consults a next-hop table it hands out for
+        the node's SPF tree: a new one after each burst of updates that
+        moves the tree, its entries resolved on first lookup.  The
+        equal-cost multipath router shares its Dijkstra trees through
+        it.
     measurement_interval_s:
         The averaging period (paper: 10 s).
     defense_policy:
@@ -195,11 +196,11 @@ class Psn:
             self._advertised[link_id] = initial
 
         self.tree = SpfTree(network, node_id, self.costs)
-        # Hot-path forwarding: a flat next-hop table compiled from the
-        # tree on first use and dropped whenever a flushed burst of
-        # routing updates moves the tree.
+        # Hot-path forwarding: a next-hop table for the tree, taken on
+        # first use and dropped whenever a flushed burst of routing
+        # updates moves the tree.  Its entries resolve on first lookup.
         self.spf_cache = spf_cache
-        self._forwarding: Optional[list] = None
+        self._forwarding: Optional[ForwardingTable] = None
         # Batched SPF repair: updates land in this buffer and are applied
         # in one update_costs pass when the tree is next consulted.  The
         # *cost table* is written eagerly -- only the tree repair lags --
@@ -479,9 +480,11 @@ class Psn:
         # The table already holds the batch's final costs (written
         # eagerly as updates arrived); rewind it to the pre-batch values
         # so the repair pass computes the same old -> new diff it would
-        # have seen unbatched, then let it write the finals back.
+        # have seen unbatched, then let it write the finals back.  The
+        # old values were validated when they entered the table.
+        costs = self.costs.costs
         for link_id, old_cost in self._pending_old.items():
-            self.costs[link_id] = old_cost
+            costs[link_id] = old_cost
         self._pending_old.clear()
         if self._trace is not None:
             self._trace.emit(
@@ -489,8 +492,8 @@ class Psn:
                 node=self.node_id, value=len(pending),
             )
         if self.tree.update_costs(pending):
-            # The compiled next-hop table reflects the old tree; drop it
-            # and recompile on the next packet.  No-op batches leave the
+            # The next-hop table reflects the old tree; drop it and take
+            # a new one on the next packet.  No-op batches leave the
             # tree -- and therefore the table -- untouched.
             self._forwarding = None
         if self.router is not None:

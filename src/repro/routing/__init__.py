@@ -10,8 +10,8 @@
   1969 distributed Bellman-Ford algorithm with the instantaneous
   queue-length metric, kept as a historical baseline,
 * :class:`~repro.routing.spf_cache.SpfCache` -- network-wide sharing of
-  Dijkstra trees, plus a counted compile of a tree into an O(1)
-  next-hop forwarding table,
+  Dijkstra trees, plus counted next-hop forwarding tables whose entries
+  resolve from the tree on first lookup,
 * :class:`~repro.routing.defense.NodeDefense` -- Byzantine-update
   screening, neighbour quarantine and purge-and-reflood
   self-stabilization (the post-1980 ARPANET hardening).

@@ -24,9 +24,19 @@ the cost table, so with this rule the whole tree is too: repairing in
 batches of any size, or recomputing from scratch, yields bit-identical
 trees.
 
+**Flat, shared state.**  A tree is two lists indexed by node id --
+``dist`` and ``parent_link`` -- since :meth:`Network.add_node
+<repro.topology.graph.Network.add_node>` hands out dense ids.  The
+repair walks subtrees and their boundaries over the network's own
+``out_adjacency`` / ``in_adjacency`` lists, which every tree of the
+network reads; a tree keeps no adjacency of its own.  Next hops are not
+part of the tree: :mod:`repro.routing.spf_cache` resolves them from
+``parent_link`` when a destination is first looked up.
+
 Costs are floats so the analysis package can sweep costs in fractional
 hops; the operational simulator feeds integer routing units.  Down links
-have cost ``inf``.
+have cost ``inf``.  Costs, and hence distances, are never negative (or
+NaN), so ``== UNREACHABLE`` is the test for "no path".
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.topology.graph import Network
 
@@ -60,8 +70,8 @@ class SpfStats:
 class CostTable:
     """A node's view of every link's cost, indexed by link id.
 
-    Write through ``table[link_id] = cost``, which rejects negative
-    costs.
+    Write through ``table[link_id] = cost``, which rejects negative and
+    NaN costs.
     """
 
     costs: List[float]
@@ -79,7 +89,7 @@ class CostTable:
         return self.costs[link_id]
 
     def __setitem__(self, link_id: int, cost: float) -> None:
-        if cost < 0:
+        if not cost >= 0:
             raise ValueError(f"link cost must be >= 0, got {cost}")
         self.costs[link_id] = cost
 
@@ -108,13 +118,11 @@ class SpfTree:
         self.root = root
         self.costs = costs
         self.stats = SpfStats()
-        self.dist: Dict[int, float] = {}
-        #: link id of the tree edge *into* each node (None for root and
-        #: unreachable nodes).
-        self.parent_link: Dict[int, Optional[int]] = {}
-        #: Lazily built (link count, out map, in map) adjacency snapshot;
-        #: see :meth:`_static_adjacency`.
-        self._adj_cache: Optional[tuple] = None
+        #: Distance from the root, per node id (``UNREACHABLE`` if none).
+        self.dist: List[float] = []
+        #: link id of the tree edge *into* each node, per node id (None
+        #: for the root and unreachable nodes).
+        self.parent_link: List[Optional[int]] = []
         self.recompute()
 
     # ------------------------------------------------------------------
@@ -123,34 +131,42 @@ class SpfTree:
     def recompute(self) -> None:
         """Full Dijkstra from the root."""
         self.stats.full_computations += 1
-        self.dist = {node_id: UNREACHABLE for node_id in self.network.nodes}
-        self.parent_link = {node_id: None for node_id in self.network.nodes}
-        self.dist[self.root] = 0.0
-        heap: List = [(0.0, 0, self.root)]
-        sequence = count(1)
-        done: Set[int] = set()
+        size = len(self.network.nodes)
+        dist = self.dist = [UNREACHABLE] * size
+        parent = self.parent_link = [None] * size
+        costs = self.costs.costs
+        out_links = self.network.out_links
+        heappush, heappop = heapq.heappush, heapq.heappop
+        next_seq = count(1).__next__
+        root = self.root
+        dist[root] = 0.0
+        heap: List = [(0.0, 0, root)]
+        scanned = 0
         while heap:
-            d, _seq, node = heapq.heappop(heap)
-            if node in done or d > self.dist[node]:
+            # Every push strictly lowers its node's distance, so only a
+            # node's last entry passes this test: each node settles once.
+            d, _seq, node = heappop(heap)
+            if d > dist[node]:
                 continue
-            done.add(node)
-            self.stats.nodes_scanned += 1
-            for link in self.network.out_links(node):
-                cost = self.costs[link.link_id]
-                if math.isinf(cost):
+            scanned += 1
+            for link in out_links(node):
+                cost = costs[link.link_id]
+                if cost == UNREACHABLE:
                     continue
                 candidate = d + cost
-                if candidate < self.dist[link.dst]:
-                    self.dist[link.dst] = candidate
-                    self.parent_link[link.dst] = link.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), link.dst))
-                elif candidate == self.dist[link.dst]:
+                dst = link.dst
+                if candidate < dist[dst]:
+                    dist[dst] = candidate
+                    parent[dst] = link.link_id
+                    heappush(heap, (candidate, next_seq(), dst))
+                elif candidate == dist[dst]:
                     # Canonical tie-break: smallest tight link id.  Every
                     # settled node relaxes its out-links, so every tight
                     # in-link of every node gets compared here.
-                    current = self.parent_link[link.dst]
+                    current = parent[dst]
                     if current is not None and link.link_id < current:
-                        self.parent_link[link.dst] = link.link_id
+                        parent[dst] = link.link_id
+        self.stats.nodes_scanned += scanned
 
     # ------------------------------------------------------------------
     # Incremental repair
@@ -205,99 +221,106 @@ class SpfTree:
 
         Returns ``True`` when the tree was adjusted and ``False`` for a
         no-op, so callers can keep routing state derived from the tree
-        (e.g. a compiled forwarding table) across no-op batches.
+        (e.g. a forwarding table) across no-op batches.
         """
         effective: Dict[int, float] = {}
         for link_id, new_cost in changes:
-            if new_cost < 0:
+            if not new_cost >= 0:
                 raise ValueError(f"link cost must be >= 0, got {new_cost}")
             effective[link_id] = new_cost
 
+        network = self.network
+        links = network.links
+        costs = self.costs.costs
+        dist = self.dist
+        parent = self.parent_link
         decreased: List[int] = []
         detach_roots: List[int] = []
         applied = 0
         for link_id, new_cost in effective.items():
-            old_cost = self.costs[link_id]
+            old_cost = costs[link_id]
             if new_cost == old_cost:
                 continue
-            self.costs[link_id] = new_cost
+            costs[link_id] = new_cost  # validated on entry above
             applied += 1
-            link = self.network.link(link_id)
             if new_cost < old_cost:
                 decreased.append(link_id)
-            elif self.parent_link.get(link.dst) == link_id:
-                detach_roots.append(link.dst)
-            # Increases on non-tree links need no work at all.
+            else:
+                dst = links[link_id].dst
+                if parent[dst] == link_id:
+                    detach_roots.append(dst)
+                # Increases on non-tree links need no work at all.
 
         if applied == 0:
             self.stats.no_op_updates += 1
             return False
         self.stats.batched_changes += applied
 
-        dist = self.dist
-        parent = self.parent_link
-        network = self.network
-        costs = self.costs
-
         # Detach the union of the subtrees below every increased tree
         # link; everything outside keeps a still-achievable distance.
-        # Children are discovered through the static adjacency -- ``m``
-        # hangs off ``n`` exactly when ``parent_link[m]`` is a link
-        # n->m -- so the walk costs O(subtree * degree), not O(N).
+        # Children are found through the network's full adjacency (down
+        # links included: a tree may still hang off a link that has just
+        # failed) -- ``m`` hangs off ``n`` exactly when ``parent_link[m]``
+        # is a link n->m -- so the walk costs O(subtree * degree), not
+        # O(N).
         detached: Set[int] = set()
         if detach_roots:
-            out_adj, in_adj = self._static_adjacency()
+            out_adjacency = network.out_adjacency
             stack = detach_roots
             while stack:
                 node = stack.pop()
                 if node in detached:
                     continue
                 detached.add(node)
-                for link in out_adj[node]:
-                    if parent.get(link.dst) == link.link_id:
+                for link in out_adjacency[node]:
+                    if parent[link.dst] == link.link_id:
                         stack.append(link.dst)
         for node in detached:
             dist[node] = UNREACHABLE
             parent[node] = None
 
+        heappush, heappop = heapq.heappush, heapq.heappop
+        next_seq = count().__next__
         heap: List = []
-        sequence = count()
         moved = bool(detached)
 
         # Re-seed detached nodes from every link crossing the boundary.
+        in_adjacency = network.in_adjacency
         for node in detached:
-            for link in in_adj[node]:
-                if not link.up or link.src in detached:
+            for link in in_adjacency[node]:
+                src = link.src
+                if not link.up or src in detached:
                     continue
                 cost = costs[link.link_id]
-                base = dist[link.src]
-                if math.isinf(cost) or math.isinf(base):
+                base = dist[src]
+                if cost == UNREACHABLE or base == UNREACHABLE:
                     continue
                 candidate = base + cost
                 if candidate < dist[node]:
                     dist[node] = candidate
                     parent[node] = link.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), node))
+                    heappush(heap, (candidate, next_seq(), node))
 
         # Relax every decreased link directly.
         for link_id in decreased:
-            link = network.link(link_id)
+            link = links[link_id]
             base = dist[link.src]
             cost = costs[link_id]
-            if math.isinf(base) or math.isinf(cost):
+            if base == UNREACHABLE or cost == UNREACHABLE:
                 continue
             candidate = base + cost
-            if candidate < dist[link.dst]:
-                dist[link.dst] = candidate
-                parent[link.dst] = link_id
-                heapq.heappush(heap, (candidate, next(sequence), link.dst))
+            dst = link.dst
+            if candidate < dist[dst]:
+                dist[dst] = candidate
+                parent[dst] = link_id
+                heappush(heap, (candidate, next_seq(), dst))
                 moved = True
-            elif candidate == dist[link.dst]:
+            elif candidate == dist[dst]:
                 # The decrease made this link exactly tight: the
                 # canonical (min-link-id) parent may switch.
-                current = parent[link.dst]
+                current = parent[dst]
                 if current is not None and link_id < current:
-                    parent[link.dst] = link_id
+                    parent[dst] = link_id
                     moved = True
 
         if not heap and not moved:
@@ -306,52 +329,36 @@ class SpfTree:
         self.stats.batched_passes += 1
 
         # One settle pass over the whole affected region.
+        out_links = network.out_links
+        scanned = 0
         while heap:
-            d, _seq, node = heapq.heappop(heap)
+            d, _seq, node = heappop(heap)
             if d > dist[node]:
                 continue
-            self.stats.nodes_scanned += 1
-            for out in network.out_links(node):
+            scanned += 1
+            for out in out_links(node):
                 cost = costs[out.link_id]
-                if math.isinf(cost):
+                if cost == UNREACHABLE:
                     continue
                 candidate = d + cost
-                if candidate < dist[out.dst]:
-                    dist[out.dst] = candidate
-                    parent[out.dst] = out.link_id
-                    heapq.heappush(heap, (candidate, next(sequence), out.dst))
-                elif candidate == dist[out.dst]:
-                    current = parent[out.dst]
+                dst = out.dst
+                if candidate < dist[dst]:
+                    dist[dst] = candidate
+                    parent[dst] = out.link_id
+                    heappush(heap, (candidate, next_seq(), dst))
+                elif candidate == dist[dst]:
+                    current = parent[dst]
                     if current is not None and out.link_id < current:
-                        parent[out.dst] = out.link_id
+                        parent[dst] = out.link_id
+        self.stats.nodes_scanned += scanned
         return True
-
-    def _static_adjacency(self) -> Tuple[Dict[int, List], Dict[int, List]]:
-        """Per-node outgoing and incoming :class:`Link` lists, cached.
-
-        Down links are *included* -- callers check ``link.up`` where it
-        matters -- because the link set is append-only for a network's
-        lifetime while up/down flags toggle freely, which lets the lists
-        survive failures and recoveries.  Rebuilt only when links were
-        added since the snapshot was taken.
-        """
-        cache = self._adj_cache
-        links = self.network.links
-        if cache is None or cache[0] != len(links):
-            out_map: Dict[int, List] = {n: [] for n in self.network.nodes}
-            in_map: Dict[int, List] = {n: [] for n in self.network.nodes}
-            for link in links:
-                out_map[link.src].append(link)
-                in_map[link.dst].append(link)
-            cache = self._adj_cache = (len(links), out_map, in_map)
-        return cache[1], cache[2]
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def reachable(self, dest: int) -> bool:
         """Whether the root currently has any path to ``dest``."""
-        return not math.isinf(self.dist[dest])
+        return self.dist[dest] != UNREACHABLE
 
     def next_hop_link(self, dest: int) -> Optional[int]:
         """The outgoing link the root uses toward ``dest``.

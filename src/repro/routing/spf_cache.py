@@ -1,14 +1,19 @@
-"""Compiled forwarding tables and network-wide shared SPF trees.
+"""Forwarding tables resolved on demand, and network-wide shared SPF trees.
 
-* **Compiled forwarding tables** -- :func:`compile_forwarding_table`
-  flattens a tree into a ``next_hop[dest] -> link_id`` list, consulted
-  per packet in O(1) instead of walking tree parent pointers per hop.
-  Each PSN compiles its own table from its own tree, so the table
-  inherits the tree's exact tie-breaking, and keeps it until a routing
-  update next moves the tree: one compile per effective burst of
-  updates.  Nothing is stored here.  A table belongs to one root, whose
-  PSN already holds its current one, so a network-wide table store
-  would never hit.
+* **Forwarding tables** -- a :class:`ForwardingTable` maps ``dest ->
+  outgoing link id`` for one tree and resolves each destination's entry
+  on its first lookup, by walking ``parent_link`` up to the root's
+  out-link or to the first ancestor already resolved and back-filling
+  the chain.  A repair that moves the tree is typically followed by only
+  a few lookups before the next one, so resolving just what is looked
+  up saves an O(N) pass per repair; a resolved entry is a plain dict
+  hit.  Each PSN
+  takes a table for its own tree, so the table inherits the tree's exact
+  tie-breaking, and keeps it until a routing update next moves the tree.
+  Nothing is stored here: a table belongs to one root, whose PSN already
+  holds its current one, so a network-wide table store would never hit.
+  :func:`compile_forwarding_table` is the whole-table form, written over
+  the same resolution.
 * **Shared Dijkstra trees** -- full from-scratch shortest-path trees
   keyed by ``(root, topology version, cost-table contents)``.  The
   equal-cost multipath router needs a tree per neighbour per recompute;
@@ -36,58 +41,73 @@ from repro.topology.graph import Network
 
 @dataclass
 class SpfCacheStats:
-    """Compile count for forwarding tables; hit/miss accounting for trees."""
+    """Forwarding tables handed out; hit/miss accounting for trees."""
 
-    #: Forwarding tables compiled (every request compiles).
+    #: Forwarding tables handed out (every request builds a new one).
     table_misses: int = 0
     tree_hits: int = 0
     tree_misses: int = 0
     evictions: int = 0
 
 
-def compile_forwarding_table(tree: SpfTree) -> List[Optional[int]]:
-    """Flatten ``tree`` into ``next_hop[dest] -> outgoing link id``.
+class ForwardingTable(dict):
+    """``table[dest] -> outgoing link id`` for one tree, resolved on demand.
 
     Entry semantics match :meth:`SpfTree.next_hop_link` exactly: ``None``
-    for the root itself and for unreachable destinations.  One amortized
-    O(N) pass: each parent-pointer walk stops at the first node already
-    resolved and back-fills the whole chain.
+    for the root itself and for unreachable destinations.  The first
+    lookup of a destination walks ``parent_link`` up to the root's
+    out-link or to the first ancestor already resolved and back-fills
+    the whole chain, so resolving every destination is one amortized
+    O(N) pass and each later lookup is a dict hit.
+
+    The table reads the tree's lists in place, so it is valid until the
+    tree next moves (an :meth:`SpfTree.update_costs` that returns
+    ``True``); its owner then takes a new one.
     """
-    network = tree.network
-    root = tree.root
-    parent_link = tree.parent_link
-    links = network.links
-    size = len(network.nodes)
-    table: List[Optional[int]] = [None] * size
-    resolved = bytearray(size)
-    resolved[root] = 1
-    for dest in range(size):
-        if resolved[dest]:
-            continue
+
+    __slots__ = ("_parent_link", "_links", "_root")
+
+    def __init__(self, tree: SpfTree) -> None:
+        super().__init__()
+        self._parent_link = tree.parent_link
+        self._links = tree.network.links
+        self._root = tree.root
+        self[tree.root] = None
+
+    def __missing__(self, dest: int) -> Optional[int]:
+        parent_link = self._parent_link
+        links = self._links
+        root = self._root
         chain = [dest]
         node = dest
-        first_hop: Optional[int] = None
         while True:
-            link_id = parent_link.get(node)
+            link_id = parent_link[node]
             if link_id is None:
-                break  # unreachable: the whole chain forwards nowhere
+                first_hop = None  # unreachable: the chain forwards nowhere
+                break
             src = links[link_id].src
             if src == root:
                 first_hop = link_id
                 break
-            if resolved[src]:
-                first_hop = table[src]
+            if src in self:
+                first_hop = self[src]
                 break
             chain.append(src)
             node = src
         for member in chain:
-            table[member] = first_hop
-            resolved[member] = 1
-    return table
+            self[member] = first_hop
+        return first_hop
+
+
+def compile_forwarding_table(tree: SpfTree) -> List[Optional[int]]:
+    """Every entry of ``tree``'s :class:`ForwardingTable`, as a list
+    indexed by destination."""
+    table = ForwardingTable(tree)
+    return [table[dest] for dest in range(len(tree.network.nodes))]
 
 
 class SpfCache:
-    """Shared SPF trees and counted forwarding-table compiles.
+    """Shared SPF trees and counted forwarding tables.
 
     Parameters
     ----------
@@ -113,10 +133,11 @@ class SpfCache:
             f"hits={self.stats.tree_hits}>"
         )
 
-    def forwarding_table(self, tree: SpfTree) -> List[Optional[int]]:
-        """The compiled next-hop table for ``tree``'s current state."""
+    def forwarding_table(self, tree: SpfTree) -> ForwardingTable:
+        """A next-hop table for ``tree``'s current state, resolved on
+        demand (see :class:`ForwardingTable`)."""
         self.stats.table_misses += 1
-        return compile_forwarding_table(tree)
+        return ForwardingTable(tree)
 
     def shared_tree(self, root: int, costs: CostTable) -> SpfTree:
         """A full Dijkstra tree rooted at ``root`` under ``costs``.

@@ -199,7 +199,7 @@ class NetworkSimulation:
             post_warmup_update_rates=self.config.post_warmup_update_rates,
             timeline=self.timeline,
         )
-        #: Shared SPF trees and forwarding-table compiles, network-wide.
+        #: Shared SPF trees and counted forwarding tables, network-wide.
         self.spf_cache = SpfCache(network)
 
         self.transmitters: Dict[int, LinkTransmitter] = {

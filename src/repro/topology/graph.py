@@ -89,16 +89,23 @@ class Network:
         self.name = name
         self.nodes: Dict[int, Node] = {}
         self.links: List[Link] = []
-        self._out_links: Dict[int, List[int]] = {}
-        self._in_links: Dict[int, List[int]] = {}
+        #: Every link leaving / entering each node, indexed by node id
+        #: (ids are dense).  Down links are *included* -- readers check
+        #: ``link.up`` where it matters -- because the link set only
+        #: grows while up/down flags toggle freely; only
+        #: :meth:`add_link` changes these lists.  Every SPF tree of the
+        #: network reads them; treat them as read-only.
+        self.out_adjacency: List[List[Link]] = []
+        self.in_adjacency: List[List[Link]] = []
         self._by_name: Dict[str, int] = {}
         #: Bumped on any structural or up/down change; the shared SPF
         #: trees (see repro.routing.spf_cache) key on it, so a link failure
         #: or recovery implicitly invalidates every tree computed before it.
         self.topology_version = 0
-        # Up-links-only adjacency, rebuilt lazily after each topology
-        # change.  out_links() is called for every SPF scan and every
-        # flooded update, so the filtered lists are worth keeping.
+        # Up-links-only view of ``out_adjacency``, rebuilt lazily after
+        # each topology change.  out_links() is called for every SPF
+        # scan and every flooded update, so the filtered lists are worth
+        # keeping.
         self._up_out_cache: Dict[int, List[Link]] = {}
 
     # ------------------------------------------------------------------
@@ -113,8 +120,8 @@ class Network:
             raise TopologyError(f"duplicate node name {name!r}")
         node = Node(node_id, name)
         self.nodes[node_id] = node
-        self._out_links[node_id] = []
-        self._in_links[node_id] = []
+        self.out_adjacency.append([])
+        self.in_adjacency.append([])
         self._by_name[name] = node_id
         return node
 
@@ -130,8 +137,8 @@ class Network:
         self._require_node(dst)
         link = Link(len(self.links), src, dst, line_type, propagation_s)
         self.links.append(link)
-        self._out_links[src].append(link.link_id)
-        self._in_links[dst].append(link.link_id)
+        self.out_adjacency[src].append(link)
+        self.in_adjacency[dst].append(link)
         self.topology_version += 1
         self._up_out_cache.clear()
         return link
@@ -175,20 +182,19 @@ class Network:
         treat the result as read-only.
         """
         if include_down:
-            return [self.links[i] for i in self._out_links[node_id]]
+            return list(self.out_adjacency[node_id])
         cached = self._up_out_cache.get(node_id)
         if cached is None:
             cached = self._up_out_cache[node_id] = [
-                self.links[i]
-                for i in self._out_links[node_id]
-                if self.links[i].up
+                link for link in self.out_adjacency[node_id] if link.up
             ]
         return cached
 
     def in_links(self, node_id: int, include_down: bool = False) -> List[Link]:
         """Links entering ``node_id`` (up links only, by default)."""
-        links = (self.links[i] for i in self._in_links[node_id])
-        return [l for l in links if include_down or l.up]
+        return [
+            l for l in self.in_adjacency[node_id] if include_down or l.up
+        ]
 
     def links_between(self, src: int, dst: int) -> List[Link]:
         """All up links from ``src`` to ``dst`` (multi-circuit aware)."""

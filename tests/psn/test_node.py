@@ -97,14 +97,13 @@ def test_hop_limit_drops_looping_packets():
                             quiet_config())
     sim.run(until_s=20.0)
     # Sabotage: node 1 sends everything for 2 back toward 0, whatever
-    # table its tree compiles to.
+    # its tree says.
     back_link = net.links_between(1, 0)[0].link_id
     compile_table = sim.spf_cache.forwarding_table
 
     def evil_table(tree):
         table = compile_table(tree)
         if tree.root == 1:
-            table = list(table)
             table[2] = back_link
         return table
 

@@ -12,6 +12,7 @@ included.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
@@ -24,7 +25,8 @@ def _tree(network, costs, root=0):
 
 def _assert_valid_tree(tree, network, costs):
     """Structural invariants: every parent pointer is consistent."""
-    for node, link_id in tree.parent_link.items():
+    assert len(tree.parent_link) == len(tree.dist) == len(network.nodes)
+    for node, link_id in enumerate(tree.parent_link):
         if link_id is None:
             assert node == tree.root or math.isinf(tree.dist[node])
             continue
@@ -39,7 +41,7 @@ def _assert_valid_tree(tree, network, costs):
 def test_empty_batch_is_a_no_op():
     network = build_ring_network(5)
     tree = _tree(network, [1.0] * len(network.links))
-    before = dict(tree.dist)
+    before = list(tree.dist)
     assert tree.update_costs([]) is False
     assert tree.dist == before
     assert tree.stats.batched_passes == 0
@@ -59,6 +61,20 @@ def test_last_write_wins_for_duplicate_links():
     assert tree.costs[0] == 1.0
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_invalid_cost_rejects_the_whole_batch(bad):
+    """A negative or NaN cost raises before any change of the batch is
+    applied.  NaN used to pass a ``< 0`` guard and silently reroute:
+    on this ring node 1 ended up at distance 3."""
+    network = build_ring_network(4)
+    tree = _tree(network, [1.0] * len(network.links))
+    dist, parents = list(tree.dist), list(tree.parent_link)
+    with pytest.raises(ValueError):
+        tree.update_costs([(2, 5.0), (0, bad)])
+    assert tree.costs.costs == [1.0] * len(network.links)
+    assert tree.dist == dist and tree.parent_link == parents
+
+
 def test_mixed_batch_matches_recompute():
     network = build_random_network(10, extra_circuits=4, seed=7)
     costs = [float(c) for c in range(2, 2 + len(network.links))]
@@ -66,7 +82,7 @@ def test_mixed_batch_matches_recompute():
     # Guarantee real tree surgery: push one in-use (tree) link way up,
     # pull two others way down, bump one non-tree link.
     tree_link = next(
-        link_id for link_id in tree.parent_link.values() if link_id is not None
+        link_id for link_id in tree.parent_link if link_id is not None
     )
     changes = [(tree_link, 50.0), (1, 1.0), (5, 30.0), (8, 1.0)]
     assert tree.update_costs(changes) is True

@@ -131,7 +131,7 @@ def test_incremental_cheaper_than_full_on_arpanet():
     tree = SpfTree(net, 0, CostTable.uniform(net, 30.0))
     off_tree = [
         l.link_id for l in net.links
-        if tree.parent_link.get(l.dst) != l.link_id
+        if tree.parent_link[l.dst] != l.link_id
     ]
     scanned_before = tree.stats.nodes_scanned
     for link_id in off_tree[:20]:
@@ -240,8 +240,8 @@ def test_property_noop_accounting_and_change_flag(seed, n, extra, changes):
         link_id = raw_link % len(net.links)
         noops_before = tree.stats.no_op_updates
         passes_before = tree.stats.batched_passes
-        dist_before = dict(tree.dist)
-        parents_before = dict(tree.parent_link)
+        dist_before = list(tree.dist)
+        parents_before = list(tree.parent_link)
         changed = tree.update_cost(link_id, cost)
         if changed:
             assert tree.stats.batched_passes == passes_before + 1

@@ -103,6 +103,15 @@ def test_negative_cost_rejected():
         costs[0] = -1.0
 
 
+def test_nan_cost_rejected():
+    """NaN fails every comparison, so a ``cost < 0`` guard let it in."""
+    net = square_network()
+    costs = CostTable.uniform(net, 1.0)
+    with pytest.raises(ValueError):
+        costs[0] = float("nan")
+    assert costs[0] == 1.0
+
+
 def test_shortest_paths_are_hereditary():
     """Every subpath of a shortest path is a shortest path (the property
     destination-based forwarding depends on)."""

@@ -1,10 +1,11 @@
-"""Tests for compiled forwarding tables and the shared SPF tree store.
+"""Tests for forwarding tables and the shared SPF tree store.
 
 Covers the guarantees the hot-path layer makes:
 
-* compiled tables agree with :meth:`SpfTree.next_hop_link` entry for
-  entry (including unreachable destinations), and every request
-  compiles afresh from the tree's current state,
+* forwarding tables agree with :meth:`SpfTree.next_hop_link` entry for
+  entry (including unreachable destinations), whatever order entries
+  are first looked up in, and every request builds a new table over the
+  tree's current state,
 * shared-tree keys change with cost contents and on link up/down, the
   store is LRU-bounded, and the hit/miss accounting reflects every
   lookup.
@@ -14,15 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing import CostTable, SpfTree
+from repro.routing import UNREACHABLE, CostTable, SpfTree
 from repro.routing.spf_cache import SpfCache, compile_forwarding_table
 from repro.topology import build_random_network, build_ring_network
+
+
+def _lookups(table, network):
+    """Every destination's entry, in id order."""
+    return [table[dest] for dest in network.nodes]
 
 
 def _assert_table_matches_tree(table, tree):
     for dest in tree.network.nodes:
         assert table[dest] == tree.next_hop_link(dest), (
-            f"compiled table disagrees with tree at dest {dest}"
+            f"forwarding table disagrees with tree at dest {dest}"
         )
 
 
@@ -59,18 +65,73 @@ def test_compiled_table_handles_unreachable_partition():
     _assert_table_matches_tree(table, tree)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lazy_lookups_follow_the_tree_through_cost_batches(data):
+    """Random cost batches, dead links included, each followed by
+    lookups in a drawn order with repeats.  The table is kept across
+    batches that leave the tree alone and replaced after one that moves
+    it, as a PSN does; every lookup equals the whole-table compile and a
+    fresh tree's next hop."""
+    nodes = data.draw(st.integers(min_value=2, max_value=12), label="nodes")
+    extra = data.draw(st.integers(min_value=0, max_value=6), label="extra")
+    topo_seed = data.draw(st.integers(min_value=0, max_value=999),
+                          label="topo_seed")
+    net = build_random_network(nodes, extra_circuits=extra, seed=topo_seed)
+    root = data.draw(st.integers(min_value=0, max_value=nodes - 1),
+                     label="root")
+    cost_value = st.one_of(
+        st.integers(min_value=1, max_value=20).map(float),
+        st.just(UNREACHABLE),
+    )
+    batches = data.draw(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=len(net.links) - 1),
+                    cost_value,
+                ),
+                max_size=len(net.links),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        label="batches",
+    )
+    dest = st.integers(min_value=0, max_value=nodes - 1)
+
+    cache = SpfCache(net)
+    tree = SpfTree(net, root, CostTable.uniform(net, 1.0))
+    table = cache.forwarding_table(tree)
+    tables = 1
+    for dest_id in data.draw(st.lists(dest, max_size=nodes), label="warm"):
+        assert table[dest_id] == tree.next_hop_link(dest_id)
+    for changes in batches:
+        if tree.update_costs(changes):
+            table = cache.forwarding_table(tree)
+            tables += 1
+        fresh = SpfTree(net, root, tree.costs.copy())
+        compiled = compile_forwarding_table(tree)
+        order = data.draw(st.lists(dest, max_size=3 * nodes), label="order")
+        for dest_id in order + list(range(nodes)):
+            assert table[dest_id] == compiled[dest_id], dest_id
+            assert compiled[dest_id] == fresh.next_hop_link(dest_id), dest_id
+    assert cache.stats.table_misses == tables
+
+
 # ----------------------------------------------------------------------
-# Forwarding tables: compiled on every request, never stored
+# Forwarding tables: a new one on every request, never stored
 # ----------------------------------------------------------------------
 def test_forwarding_table_hit_and_miss_accounting():
-    """Every request compiles afresh and counts one ``table_misses``."""
+    """Every request builds a new table and counts one ``table_misses``."""
     net = build_ring_network(5)
     cache = SpfCache(net)
     tree = SpfTree(net, 0, CostTable.uniform(net, 10.0))
 
     first = cache.forwarding_table(tree)
     again = cache.forwarding_table(tree)
-    assert again is not first and again == first
+    assert again is not first
+    assert _lookups(again, net) == _lookups(first, net)
     assert cache.stats.table_misses == 2
     _assert_table_matches_tree(again, tree)
 
@@ -80,20 +141,20 @@ def test_forwarding_table_hit_and_miss_accounting():
 
 
 def test_cost_change_invalidates_cached_table():
-    """A table compiled after a cost change follows the repaired tree;
-    reverting the cost compiles the original table back."""
+    """A table taken after a cost change follows the repaired tree;
+    reverting the cost gives the original entries back."""
     net = build_ring_network(4)
     cache = SpfCache(net)
     tree = SpfTree(net, 0, CostTable.uniform(net, 5.0))
 
-    before = cache.forwarding_table(tree)
+    before = _lookups(cache.forwarding_table(tree), net)
     assert tree.update_cost(before[1], 50.0)
     moved = cache.forwarding_table(tree)
-    assert moved != before
+    assert _lookups(moved, net) != before
     _assert_table_matches_tree(moved, tree)
 
     tree.update_cost(before[1], 5.0)
-    assert cache.forwarding_table(tree) == before
+    assert _lookups(cache.forwarding_table(tree), net) == before
 
 
 # ----------------------------------------------------------------------
