@@ -84,8 +84,7 @@ def cobweb_trace(
     state = metric.create_state(link)
     if start_hops is not None:
         # Start the loop from an arbitrary advertised cost.
-        if hasattr(state, "last_reported"):
-            state.last_reported = int(round(start_hops * idle))
+        state.last_reported = int(round(start_hops * idle))
         rho = float(start_hops)
     else:
         rho = metric.initial_cost(link) / idle

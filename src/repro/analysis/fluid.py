@@ -33,10 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.metrics.base import LinkMetric
-from repro.metrics.queueing import (
-    utilization_to_delay_s,
-    utilization_to_delay_s_array,
-)
+from repro.metrics.queueing import utilization_to_delay_s_array
 from repro.routing.spf import CostTable, SpfTree
 from repro.topology.graph import Network
 from repro.traffic.matrix import TrafficMatrix
@@ -112,24 +109,15 @@ class FluidNetworkModel:
         self._trees: Optional[Dict[int, SpfTree]] = None
         self._tree_costs: Optional[List[float]] = None
         self._tree_topology: int = -1
-        # Vectorized fast path: metrics with a struct-of-arrays pipeline
-        # sweep every link in a handful of numpy passes per round.  The
-        # two paths are bit-identical per link (the vector pipeline is
-        # the same float operations in the same order), so which one
-        # runs is invisible in the results.
+        # Every link's metric state as one struct of arrays: the metric's
+        # transform sweeps all links in a handful of numpy passes per
+        # round, bit-identical per link to the PSN's scalar path.
         self._links = list(network.links)
         self._capacity = np.array([l.bandwidth_bps for l in self._links])
         self._propagation = np.array(
             [l.propagation_s for l in self._links]
         )
         self._vector_state = metric.create_vector_state(self._links)
-        self._metric_state = (
-            {
-                link.link_id: metric.create_state(link)
-                for link in network.links
-            }
-            if self._vector_state is None else {}
-        )
 
     # ------------------------------------------------------------------
     # One routing period
@@ -186,25 +174,10 @@ class FluidNetworkModel:
         load_arr = np.array([load[l.link_id] for l in self._links])
         utilization = np.minimum(load_arr / self._capacity, 1.0)
         overload = float(np.maximum(load_arr - self._capacity, 0.0).sum())
-        if self._vector_state is not None:
-            delays = utilization_to_delay_s_array(
-                utilization, self._capacity,
-                propagations_s=self._propagation,
-            )
-            new_costs = self.metric.measured_costs(
-                self._vector_state, delays
-            )
-        else:
-            new_costs = np.array([
-                float(self.metric.measured_cost(
-                    link, self._metric_state[link.link_id],
-                    utilization_to_delay_s(
-                        float(utilization[i]), link.bandwidth_bps,
-                        propagation_s=link.propagation_s,
-                    ),
-                ))
-                for i, link in enumerate(self._links)
-            ])
+        delays = utilization_to_delay_s_array(
+            utilization, self._capacity, propagations_s=self._propagation,
+        )
+        new_costs = self.metric.measured_costs(self._vector_state, delays)
         old_costs = np.asarray(self.costs.costs, dtype=float)
         changed_idx = np.nonzero(new_costs != old_costs)[0]
         for i in changed_idx:

@@ -4,8 +4,9 @@ The revised metric's headline claims are *invariants* of the running
 protocol, not just properties of the transform in isolation:
 
 * **cost bounds** -- every advertised cost stays inside its line type's
-  absolute band (HN-SPF: ``[min_cost, max_cost]``, the "at most ~3x an
-  idle line of the same type" normalization; D-SPF: ``[bias, 255]``);
+  absolute band, the metric's ``cost_bounds`` (HN-SPF: ``[min_cost,
+  max_cost]``, the "at most ~3x an idle line of the same type"
+  normalization; D-SPF: ``[idle cost, 255]``; min-hop: the hop cost);
 * **movement limits** -- between consecutive reports the cost moves at
   most ``max_up`` per elapsed measurement period up and ``max_down``
   down ("a little more than a half-hop", Figure 3's Limit_Movement);
@@ -33,8 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.metrics.dspf import DelayMetric
-from repro.metrics.hnspf import HopNormalizedMetric
 from repro.obs.tracer import INVARIANT_VIOLATION
 from repro.psn.node import DOWN_COST
 from repro.units import MAX_UPDATE_INTERVAL_S
@@ -135,9 +134,10 @@ class InvariantMonitor:
         metric = simulation.metric
         network = simulation.network
         steps = MAX_UPDATE_INTERVAL_S / self.interval_s
-        #: link_id -> (lo, hi) absolute cost bounds (metric-aware).
+        #: link_id -> (lo, hi) the metric's legal advertised-cost band.
         self._bounds: Dict[int, Tuple[int, int]] = {}
-        #: link_id -> (max_up, max_down) per-period movement limits.
+        #: link_id -> (max_up, max_down) per-period movement limits, for
+        #: metrics that limit movement.
         self._movement: Dict[int, Tuple[int, int]] = {}
         #: link_id -> (initial threshold, per-period decay).
         self._threshold: Dict[int, Tuple[float, float]] = {}
@@ -146,20 +146,10 @@ class InvariantMonitor:
         for link in network.links:
             link_id = link.link_id
             self._initial[link_id] = metric.initial_cost(link)
-            if isinstance(metric, HopNormalizedMetric):
-                params = metric.params_for(link)
-                self._bounds[link_id] = (
-                    metric.min_cost_for(link), params.max_cost
-                )
-                if metric.limit_movement:
-                    self._movement[link_id] = (params.max_up, params.max_down)
-            elif isinstance(metric, DelayMetric):
-                params = metric.params_for(link)
-                self._bounds[link_id] = (
-                    metric.initial_cost(link), params.max_cost
-                )
-            else:
-                continue  # unknown metric: ease-in and loop checks only
+            self._bounds[link_id] = metric.cost_bounds(link)
+            movement = metric.movement_limits(link)
+            if movement is not None:
+                self._movement[link_id] = movement
             threshold = float(metric.change_threshold(link))
             self._threshold[link_id] = (
                 threshold, threshold / max(steps - 1.0, 1.0)
@@ -201,24 +191,22 @@ class InvariantMonitor:
         self._last_advert[link_id] = (t, cost)
         if cost >= DOWN_COST:
             return  # a line declared dead carries no metric cost
-        bounds = self._bounds.get(link_id)
         link = self.simulation.network.link(link_id)
-        if bounds is not None:
-            lo, hi = bounds
-            if not lo <= cost <= hi:
-                self._record(
-                    t, "cost-bounds",
-                    f"advertised cost {cost} outside [{lo}, {hi}] for "
-                    f"line type {link.line_type.name}",
-                    node=link.src, link=link_id,
-                )
+        lo, hi = self._bounds[link_id]
+        if not lo <= cost <= hi:
+            self._record(
+                t, "cost-bounds",
+                f"advertised cost {cost} outside [{lo}, {hi}] for "
+                f"line type {link.line_type.name}",
+                node=link.src, link=link_id,
+            )
         if previous is None:
             return  # boot advertisement: nothing to compare against
         t_prev, c_prev = previous
         if c_prev >= DOWN_COST:
             # First advertisement after a restore: the paper's easing-in.
-            expected = self._initial.get(link_id)
-            if expected is not None and cost != expected:
+            expected = self._initial[link_id]
+            if cost != expected:
                 self._record(
                     t, "ease-in",
                     f"restored line advertised {cost}, expected the "
@@ -249,17 +237,15 @@ class InvariantMonitor:
                     f"{max_down}/period",
                     node=link.src, link=link_id,
                 )
-        threshold = self._threshold.get(link_id)
-        if threshold is not None:
-            initial, decay = threshold
-            required = max(initial - (periods - 1) * decay, 0.0)
-            if abs(delta) < required - _EPS:
-                self._record(
-                    t, "suppression",
-                    f"update of {delta:+d} went out below the significance "
-                    f"threshold ({required:.1f} after {periods} period(s))",
-                    node=link.src, link=link_id,
-                )
+        initial, decay = self._threshold[link_id]
+        required = max(initial - (periods - 1) * decay, 0.0)
+        if abs(delta) < required - _EPS:
+            self._record(
+                t, "suppression",
+                f"update of {delta:+d} went out below the significance "
+                f"threshold ({required:.1f} after {periods} period(s))",
+                node=link.src, link=link_id,
+            )
 
     # ------------------------------------------------------------------
     # Loop freedom

@@ -3,7 +3,10 @@
 The metric is the only thing the July 1987 revision changed -- route
 computation stayed SPF.  All three metrics implement
 :class:`~repro.metrics.base.LinkMetric`, so the simulator and the analysis
-package are metric-agnostic.
+package are metric-agnostic.  Each writes its transform once over a state
+class (:class:`HnspfLinkState`, :class:`DspfLinkState`, or the bare
+:class:`MetricState` for min-hop) that holds one link as plain floats or
+many as numpy arrays.
 
 >>> from repro.metrics import HopNormalizedMetric
 >>> from repro.topology import build_arpanet_1987
@@ -14,12 +17,14 @@ package are metric-agnostic.
 True
 >>> metric.cost_at_utilization(link, 1.0)
 90.0
+>>> metric.cost_bounds(link)
+(30, 90)
 """
 
-from repro.metrics.base import LinkMetric
+from repro.metrics.base import LinkMetric, MetricState
 from repro.metrics.dspf import DelayMetric, DspfLinkState
 from repro.metrics.hnspf import HnspfLinkState, HopNormalizedMetric
-from repro.metrics.minhop import MinHopLinkState, MinHopMetric
+from repro.metrics.minhop import MinHopMetric
 from repro.metrics.params import (
     DEFAULT_DSPF_PARAMS,
     DEFAULT_HNSPF_PARAMS,
@@ -44,7 +49,7 @@ __all__ = [
     "HnspfParams",
     "HopNormalizedMetric",
     "LinkMetric",
-    "MinHopLinkState",
+    "MetricState",
     "MinHopMetric",
     "delay_to_utilization",
     "service_time_s",

@@ -13,11 +13,15 @@ Two views of every metric:
   from steady utilization to cost
   (:meth:`LinkMetric.cost_at_utilization`), Figure 4/5's "Metric map".
 
-Costs are integers in routing units (the 8-bit update field); *hops* are
-costs divided by the ambient idle cost of a reference line.
+Costs are integers in routing units (the 8-bit update field).
 
-Only the array API (``cost_at_utilization_array``, ``create_vector_state``,
-``measured_costs`` and the ``*_array`` queueing transforms) needs numpy, so
+Each metric writes its transform once, as arithmetic plus a clip to the
+link's cost band (:meth:`LinkMetric.cost_bounds`) and a round, over one
+state class that holds the link's constants next to its history.  The
+state's fields are plain floats for one link (:meth:`create_state`) and
+numpy arrays for many (:meth:`create_vector_state`); the scalar path
+runs the transform with :func:`clip` and ``round``, the array path with
+:func:`clip_array` and ``np.rint``.  Only the array path needs numpy, so
 the metric modules import it inside those functions: a packet-level run
 never enters them and does not pay for the import.
 """
@@ -25,12 +29,36 @@ never enters them and does not pay for the import.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 
 from repro.topology.graph import Link
 
 if TYPE_CHECKING:  # pragma: no cover - see the module docstring on numpy
     import numpy as np
+
+
+def clip(x: float, lo: float, hi: float) -> float:
+    """``x`` held to ``[lo, hi]``: the scalar transforms' clip."""
+    return min(max(x, lo), hi)
+
+
+def clip_array(x: np.ndarray, lo: Any, hi: Any) -> np.ndarray:
+    """Element-wise :func:`clip`: the array transforms' clip."""
+    import numpy as np
+
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+@dataclass
+class MetricState:
+    """The history every metric keeps: the link's last reported cost.
+
+    Metrics with constants or a longer history extend this class; min-hop
+    uses it as is.
+    """
+
+    last_reported: int
 
 
 class LinkMetric(abc.ABC):
@@ -43,8 +71,22 @@ class LinkMetric(abc.ABC):
     # Operational view (driven by the PSN once per measurement interval)
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def create_state(self, link: Link) -> Any:
-        """Create the per-link mutable state (history) for ``link``."""
+    def create_state(self, link: Link) -> MetricState:
+        """The state (constants and history) of ``link``, as plain numbers."""
+
+    def create_vector_state(self, links: Sequence[Link]) -> MetricState:
+        """One state covering ``links``: each field an array, one slot per link.
+
+        :meth:`measured_costs` on it reproduces :meth:`measured_cost` on
+        the per-link states bit-identically per element.
+        """
+        import numpy as np
+
+        states = [self.create_state(link) for link in links]
+        return type(states[0])(**{
+            f.name: np.array([getattr(s, f.name) for s in states], dtype=float)
+            for f in fields(states[0])
+        })
 
     @abc.abstractmethod
     def initial_cost(self, link: Link) -> int:
@@ -55,11 +97,32 @@ class LinkMetric(abc.ABC):
         """
 
     @abc.abstractmethod
+    def cost_bounds(self, link: Link) -> Tuple[int, int]:
+        """The legal advertised-cost band ``(lo, hi)`` of ``link``.
+
+        Every cost the metric reports lies in it; the invariant monitor
+        and the defense layer's range screen read it from here.
+        """
+
+    def movement_limits(self, link: Link) -> Optional[Tuple[int, int]]:
+        """Per-period ``(max_up, max_down)`` cost movement, or ``None``."""
+        return None
+
+    @abc.abstractmethod
     def measured_cost(self, link: Link, state: Any, delay_s: float) -> int:
         """Consume one interval's average measured delay; return the cost.
 
         Mutates ``state``.  The returned cost already includes any
         movement limiting and clipping the metric performs.
+        """
+
+    @abc.abstractmethod
+    def measured_costs(
+        self, vector_state: Any, delays_s: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`measured_cost` for every link of a vector state at once.
+
+        Returns the reported costs as a float array of integral values.
         """
 
     @abc.abstractmethod
@@ -82,58 +145,14 @@ class LinkMetric(abc.ABC):
         """
 
     @abc.abstractmethod
-    def idle_cost(self, link: Link) -> float:
-        """Cost of an idle link -- the normalizer used by Figure 4."""
-
     def cost_at_utilization_array(
         self, link: Link, utilizations: np.ndarray
     ) -> np.ndarray:
-        """Vector form of :meth:`cost_at_utilization`.
+        """:meth:`cost_at_utilization` over an array of utilizations."""
 
-        The analysis package sweeps thousands of utilizations per call
-        through this.  The base implementation loops; the built-in
-        metrics override it with closed-form numpy expressions that are
-        element-for-element identical to the scalar method.
-        """
-        import numpy as np
-
-        u = np.asarray(utilizations, dtype=float)
-        flat = [self.cost_at_utilization(link, float(x)) for x in u.ravel()]
-        return np.array(flat, dtype=float).reshape(u.shape)
-
-    # ------------------------------------------------------------------
-    # Vectorized operational view (used by the fluid model)
-    # ------------------------------------------------------------------
-    def create_vector_state(self, links: Sequence[Link]) -> Optional[Any]:
-        """Per-link state for the vectorized measurement pipeline.
-
-        Returns an opaque struct-of-arrays state covering ``links``, or
-        ``None`` when the metric has no vectorized pipeline (callers
-        then fall back to per-link :meth:`create_state` /
-        :meth:`measured_cost`).  A metric that implements this MUST make
-        :meth:`measured_costs` reproduce :meth:`measured_cost`
-        bit-identically per element.
-        """
-        return None
-
-    def measured_costs(
-        self, vector_state: Any, delays_s: np.ndarray
-    ) -> np.ndarray:
-        """Consume one interval's delays for every link at once.
-
-        Mutates ``vector_state`` (the filter histories) and returns the
-        reported costs as a float array of integral values.
-        """
-        raise NotImplementedError(
-            f"{self.__class__.__name__} has no vectorized pipeline"
-        )
-
-    # ------------------------------------------------------------------
-    def hops(self, link: Link, cost_units: float, ambient_units: float) -> float:
-        """Express a cost in hops relative to an ambient per-hop cost."""
-        if ambient_units <= 0:
-            raise ValueError(f"ambient must be positive, got {ambient_units}")
-        return cost_units / ambient_units
+    @abc.abstractmethod
+    def idle_cost(self, link: Link) -> float:
+        """Cost of an idle link -- the normalizer used by Figure 4."""
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} {self.name}>"

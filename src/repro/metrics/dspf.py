@@ -2,8 +2,9 @@
 
 The link cost is the packet delay (queueing + processing measured per
 packet, transmission + propagation from tables) averaged over a ten-second
-interval, quantized to routing units, floored at a per-line-type *bias*
-and capped at the 8-bit maximum.
+interval, quantized to routing units, floored at the idle line's cost
+(the per-line-type *bias* plus the tabled propagation term) and capped at
+the 8-bit maximum.
 
 Its failure mode -- the reason this paper exists -- is that the range of
 permissible values is enormous (a loaded 9.6 kb/s line can report ~127x an
@@ -14,9 +15,9 @@ and shed every route it carries at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.metrics.base import LinkMetric
+from repro.metrics.base import LinkMetric, MetricState, clip, clip_array
 from repro.metrics.params import DEFAULT_DSPF_PARAMS, DspfParams
 from repro.metrics.queueing import (
     utilization_to_delay_s,
@@ -30,21 +31,16 @@ if TYPE_CHECKING:  # pragma: no cover - see repro.metrics.base on numpy
 
 
 @dataclass
-class DspfLinkState:
-    """Per-link D-SPF history: only the last reported cost."""
+class DspfLinkState(MetricState):
+    """D-SPF state: a line's quantum and cost band next to its last report.
 
-    last_reported: int
+    Plain floats for one link, numpy arrays for many.  ``floor`` is the
+    idle line's cost, which already includes the bias.
+    """
 
-
-@dataclass
-class DspfVectorState:
-    """Struct-of-arrays D-SPF state: one slot per link."""
-
-    ms_per_unit: np.ndarray
-    bias: np.ndarray
-    max_cost: np.ndarray
-    initial: np.ndarray
-    last_reported: np.ndarray
+    ms_per_unit: float
+    floor: float
+    max_cost: float
 
 
 class DelayMetric(LinkMetric):
@@ -72,11 +68,14 @@ class DelayMetric(LinkMetric):
                 f"no D-SPF parameters for line type {link.line_type.name!r}"
             ) from None
 
-    # ------------------------------------------------------------------
-    # Operational view
-    # ------------------------------------------------------------------
     def create_state(self, link: Link) -> DspfLinkState:
-        return DspfLinkState(last_reported=self.initial_cost(link))
+        lo, hi = self.cost_bounds(link)
+        return DspfLinkState(
+            last_reported=self.initial_cost(link),
+            ms_per_unit=self.params_for(link).ms_per_unit,
+            floor=float(lo),
+            max_cost=float(hi),
+        )
 
     def initial_cost(self, link: Link) -> int:
         """An idle line: bias plus the tabled propagation term."""
@@ -86,14 +85,8 @@ class DelayMetric(LinkMetric):
         )
         return min(params.bias + propagation_units, params.max_cost)
 
-    def measured_cost(
-        self, link: Link, state: DspfLinkState, delay_s: float
-    ) -> int:
-        params = self.params_for(link)
-        cost = params.delay_ms_to_units(seconds_to_ms(delay_s))
-        cost = max(cost, self.initial_cost(link))
-        state.last_reported = cost
-        return cost
+    def cost_bounds(self, link: Link) -> Tuple[int, int]:
+        return self.initial_cost(link), self.params_for(link).max_cost
 
     def change_threshold(self, link: Link) -> int:
         """Initial significance threshold: ~51 ms of delay change.
@@ -104,60 +97,52 @@ class DelayMetric(LinkMetric):
         return 8
 
     # ------------------------------------------------------------------
-    # Vectorized operational view
+    # The transform, written once for one link (clip, round) or many
+    # (clip_array, np.rint).  The band's ends are integers, so rounding
+    # after the clip equals quantizing first.
     # ------------------------------------------------------------------
-    def create_vector_state(self, links: Sequence[Link]) -> DspfVectorState:
-        import numpy as np
+    def _report(self, state: DspfLinkState, delay_s, clip, rint):
+        """Quantize the clipped delay and report it."""
+        state.last_reported = rint(self._cost(state, delay_s, clip))
+        return state.last_reported
 
-        params = [self.params_for(link) for link in links]
-        initial = np.array([float(self.initial_cost(l)) for l in links])
-        return DspfVectorState(
-            ms_per_unit=np.array([p.ms_per_unit for p in params]),
-            bias=np.array([float(p.bias) for p in params]),
-            max_cost=np.array([float(p.max_cost) for p in params]),
-            initial=initial,
-            last_reported=initial.copy(),
+    @staticmethod
+    def _cost(state: DspfLinkState, delay_s, clip):
+        """A delay in routing units, clipped to the link's cost band."""
+        return clip(
+            delay_s * 1000.0 / state.ms_per_unit, state.floor, state.max_cost
         )
 
+    def measured_cost(
+        self, link: Link, state: DspfLinkState, delay_s: float
+    ) -> int:
+        return self._report(state, delay_s, clip, round)
+
     def measured_costs(
-        self, vector_state: DspfVectorState, delays_s: np.ndarray
+        self, vector_state: DspfLinkState, delays_s: np.ndarray
     ) -> np.ndarray:
         import numpy as np
 
-        state = vector_state
-        units = np.rint(
-            np.asarray(delays_s, dtype=float) * 1000.0 / state.ms_per_unit
+        return self._report(
+            vector_state, np.asarray(delays_s, dtype=float),
+            clip_array, np.rint,
         )
-        cost = np.minimum(np.maximum(units, state.bias), state.max_cost)
-        cost = np.maximum(cost, state.initial)
-        state.last_reported = cost
-        return cost
 
     # ------------------------------------------------------------------
-    # Equilibrium view
+    # Equilibrium view: the M/M/1 delay, unquantized
     # ------------------------------------------------------------------
     def cost_at_utilization(self, link: Link, utilization: float) -> float:
-        params = self.params_for(link)
-        delay_s = utilization_to_delay_s(
+        return self._cost(self.create_state(link), utilization_to_delay_s(
             utilization, link.bandwidth_bps, propagation_s=link.propagation_s
-        )
-        units = seconds_to_ms(delay_s) / params.ms_per_unit
-        floor = float(self.initial_cost(link))
-        return min(max(units, floor), float(params.max_cost))
+        ), clip)
 
     def cost_at_utilization_array(
         self, link: Link, utilizations: np.ndarray
     ) -> np.ndarray:
-        import numpy as np
-
-        params = self.params_for(link)
-        delays_s = utilization_to_delay_s_array(
+        return self._cost(self.create_state(link), utilization_to_delay_s_array(
             utilizations, link.bandwidth_bps,
             propagations_s=link.propagation_s,
-        )
-        units = delays_s * 1000.0 / params.ms_per_unit
-        floor = float(self.initial_cost(link))
-        return np.minimum(np.maximum(units, floor), float(params.max_cost))
+        ), clip_array)
 
     def idle_cost(self, link: Link) -> float:
         return float(self.initial_cost(link))

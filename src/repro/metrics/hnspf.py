@@ -34,10 +34,11 @@ Key behaviours reproduced here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.metrics.base import LinkMetric
+from repro.metrics.base import LinkMetric, MetricState, clip, clip_array
 from repro.metrics.params import DEFAULT_HNSPF_PARAMS, HnspfParams
 from repro.metrics.queueing import (
     delay_to_utilization,
@@ -51,27 +52,22 @@ if TYPE_CHECKING:  # pragma: no cover - see repro.metrics.base on numpy
 
 
 @dataclass
-class HnspfLinkState:
-    """Per-link HNM history: the averaging filter and the last report."""
+class HnspfLinkState(MetricState):
+    """HNM state: a line's Figure 3 constants next to its history.
 
+    Plain floats for one link, numpy arrays for many.  With movement
+    limiting off, ``max_up`` and ``max_down`` are infinite.
+    """
+
+    bandwidth_bps: float
+    propagation_s: float
+    slope: float
+    offset: float
+    floor: float
+    max_cost: float
+    max_up: float
+    max_down: float
     last_average: float
-    last_reported: int
-
-
-@dataclass
-class HnspfVectorState:
-    """Struct-of-arrays HNM state: one slot per link, numpy throughout."""
-
-    bandwidth_bps: np.ndarray
-    propagation_s: np.ndarray
-    slope: np.ndarray
-    offset: np.ndarray
-    floor: np.ndarray
-    max_cost: np.ndarray
-    max_up: np.ndarray
-    max_down: np.ndarray
-    last_average: np.ndarray
-    last_reported: np.ndarray
 
 
 class HopNormalizedMetric(LinkMetric):
@@ -90,6 +86,9 @@ class HopNormalizedMetric(LinkMetric):
         Disable only for controlled experiments.
     packet_bits:
         Average packet size used by the delay-to-utilization table.
+    limit_movement:
+        Whether successive reports obey the per-period movement limits
+        (paper behaviour).  Disable only for ablation studies.
     """
 
     name = "HN-SPF"
@@ -121,12 +120,21 @@ class HopNormalizedMetric(LinkMetric):
                 f"no HN-SPF parameters for line type {link.line_type.name!r}"
             ) from None
 
-    # ------------------------------------------------------------------
-    # Operational view (Figure 3)
-    # ------------------------------------------------------------------
     def create_state(self, link: Link) -> HnspfLinkState:
+        params = self.params_for(link)
+        lo, hi = self.cost_bounds(link)
+        limits = self.movement_limits(link) or (math.inf, math.inf)
         return HnspfLinkState(
-            last_average=0.0, last_reported=self.initial_cost(link)
+            last_reported=self.initial_cost(link),
+            bandwidth_bps=link.bandwidth_bps,
+            propagation_s=link.propagation_s,
+            slope=params.slope,
+            offset=params.offset,
+            floor=float(lo),
+            max_cost=float(hi),
+            max_up=float(limits[0]),
+            max_down=float(limits[1]),
+            last_average=0.0,
         )
 
     def initial_cost(self, link: Link) -> int:
@@ -152,120 +160,88 @@ class HopNormalizedMetric(LinkMetric):
         bump = int(extra_s / 0.100)
         return min(params.min_cost + bump, params.max_cost)
 
-    def measured_cost(
-        self, link: Link, state: HnspfLinkState, delay_s: float
-    ) -> int:
-        params = self.params_for(link)
-        sample = delay_to_utilization(
-            delay_s,
-            link.bandwidth_bps,
-            propagation_s=link.propagation_s,
-            packet_bits=self.packet_bits,
-        )
-        average = self.smoothing * sample + (1.0 - self.smoothing) * state.last_average
-        state.last_average = average
+    def cost_bounds(self, link: Link) -> Tuple[int, int]:
+        return self.min_cost_for(link), self.params_for(link).max_cost
 
-        raw = params.raw_cost(average)
-        limited = self._limit_movement(raw, state.last_reported, params)
-        revised = int(round(
-            min(max(limited, float(self.min_cost_for(link))),
-                float(params.max_cost))
-        ))
-        state.last_reported = revised
-        return revised
-
-    def _limit_movement(
-        self, raw: float, last_reported: int, params: HnspfParams
-    ) -> float:
-        """Bound the change between successive reports.
+    def movement_limits(self, link: Link) -> Optional[Tuple[int, int]]:
+        """"A little more than a half-hop" up, one unit less down.
 
         The asymmetry (``max_down = max_up - 1``) makes a cost pinned
         against its limits march up one unit per full cycle, spreading the
         reported costs of identically-loaded lines.
         """
         if not self.limit_movement:
-            return raw
-        ceiling = last_reported + params.max_up
-        floor = last_reported - params.max_down
-        return min(max(raw, float(floor)), float(ceiling))
+            return None
+        params = self.params_for(link)
+        return params.max_up, params.max_down
 
     def change_threshold(self, link: Link) -> int:
         """"A little less than a half-hop" for the line type."""
         return self.params_for(link).min_change
 
     # ------------------------------------------------------------------
-    # Vectorized operational view (Figure 3 over link arrays)
+    # Figure 3, written once for one link (clip, round) or many
+    # (clip_array, np.rint)
     # ------------------------------------------------------------------
-    def create_vector_state(self, links: Sequence[Link]) -> HnspfVectorState:
-        import numpy as np
-
-        params = [self.params_for(link) for link in links]
-        return HnspfVectorState(
-            bandwidth_bps=np.array([l.bandwidth_bps for l in links]),
-            propagation_s=np.array([l.propagation_s for l in links]),
-            slope=np.array([p.slope for p in params]),
-            offset=np.array([p.offset for p in params]),
-            floor=np.array([float(self.min_cost_for(l)) for l in links]),
-            max_cost=np.array([float(p.max_cost) for p in params]),
-            max_up=np.array([float(p.max_up) for p in params]),
-            max_down=np.array([float(p.max_down) for p in params]),
-            last_average=np.zeros(len(links)),
-            last_reported=np.array(
-                [float(self.initial_cost(l)) for l in links]
-            ),
-        )
-
-    def measured_costs(
-        self, vector_state: HnspfVectorState, delays_s: np.ndarray
-    ) -> np.ndarray:
-        import numpy as np
-
-        state = vector_state
-        sample = delay_to_utilization_array(
-            delays_s,
-            state.bandwidth_bps,
-            propagations_s=state.propagation_s,
-            packet_bits=self.packet_bits,
-        )
+    def _report(self, state: HnspfLinkState, sample, clip, rint):
+        """Average the sample utilization, map, limit, clip and report."""
         average = (
             self.smoothing * sample
             + (1.0 - self.smoothing) * state.last_average
         )
         state.last_average = average
-        raw = state.slope * average + state.offset
-        if self.limit_movement:
-            ceiling = state.last_reported + state.max_up
-            floor = state.last_reported - state.max_down
-            limited = np.minimum(np.maximum(raw, floor), ceiling)
-        else:
-            limited = raw
-        revised = np.rint(
-            np.minimum(np.maximum(limited, state.floor), state.max_cost)
+        state.last_reported = rint(
+            self._cost(state, average, clip, state.last_reported)
         )
-        state.last_reported = revised
-        return revised
+        return state.last_reported
+
+    @staticmethod
+    def _cost(state: HnspfLinkState, utilization, clip, last_reported=None):
+        """Per-line-type linear map, Limit_Movement against
+        ``last_reported`` (when given), then Clip to the cost band."""
+        cost = state.slope * utilization + state.offset
+        if last_reported is not None:
+            cost = clip(
+                cost,
+                last_reported - state.max_down,
+                last_reported + state.max_up,
+            )
+        return clip(cost, state.floor, state.max_cost)
+
+    def measured_cost(
+        self, link: Link, state: HnspfLinkState, delay_s: float
+    ) -> int:
+        return self._report(state, delay_to_utilization(
+            delay_s, state.bandwidth_bps,
+            propagation_s=state.propagation_s, packet_bits=self.packet_bits,
+        ), clip, round)
+
+    def measured_costs(
+        self, vector_state: HnspfLinkState, delays_s: np.ndarray
+    ) -> np.ndarray:
+        import numpy as np
+
+        return self._report(vector_state, delay_to_utilization_array(
+            delays_s, vector_state.bandwidth_bps,
+            propagations_s=vector_state.propagation_s,
+            packet_bits=self.packet_bits,
+        ), clip_array, np.rint)
 
     # ------------------------------------------------------------------
-    # Equilibrium view
+    # Equilibrium view: the map and clip alone
     # ------------------------------------------------------------------
     def cost_at_utilization(self, link: Link, utilization: float) -> float:
-        params = self.params_for(link)
-        return min(
-            max(params.raw_cost(utilization), float(self.min_cost_for(link))),
-            float(params.max_cost),
-        )
+        return self._cost(self.create_state(link), utilization, clip)
 
     def cost_at_utilization_array(
         self, link: Link, utilizations: np.ndarray
     ) -> np.ndarray:
         import numpy as np
 
-        params = self.params_for(link)
-        raw = params.slope * np.asarray(utilizations, dtype=float) \
-            + params.offset
-        return np.minimum(
-            np.maximum(raw, float(self.min_cost_for(link))),
-            float(params.max_cost),
+        return self._cost(
+            self.create_state(link),
+            np.asarray(utilizations, dtype=float),
+            clip_array,
         )
 
     def idle_cost(self, link: Link) -> float:

@@ -10,10 +10,9 @@ load reaches capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Tuple
 
-from repro.metrics.base import LinkMetric
+from repro.metrics.base import LinkMetric, MetricState
 from repro.metrics.params import HOP_UNITS
 from repro.topology.graph import Link
 
@@ -21,15 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover - see repro.metrics.base on numpy
     import numpy as np
 
 
-@dataclass
-class MinHopLinkState:
-    """Min-hop keeps no history; present for interface symmetry."""
-
-    last_reported: int
-
-
 class MinHopMetric(LinkMetric):
     """A constant-cost metric (static shortest-hop routing).
+
+    Its state is the bare :class:`~repro.metrics.base.MetricState`: the
+    hop cost, which never moves.
 
     Parameters
     ----------
@@ -45,16 +40,24 @@ class MinHopMetric(LinkMetric):
             raise ValueError(f"hop_cost must be >= 1, got {hop_cost}")
         self.hop_cost = hop_cost
 
-    def create_state(self, link: Link) -> MinHopLinkState:
-        return MinHopLinkState(last_reported=self.hop_cost)
+    def create_state(self, link: Link) -> MetricState:
+        return MetricState(last_reported=self.hop_cost)
 
     def initial_cost(self, link: Link) -> int:
         return self.hop_cost
 
+    def cost_bounds(self, link: Link) -> Tuple[int, int]:
+        return self.hop_cost, self.hop_cost
+
     def measured_cost(
-        self, link: Link, state: MinHopLinkState, delay_s: float
+        self, link: Link, state: MetricState, delay_s: float
     ) -> int:
         return self.hop_cost
+
+    def measured_costs(
+        self, vector_state: MetricState, delays_s: np.ndarray
+    ) -> np.ndarray:
+        return vector_state.last_reported
 
     def change_threshold(self, link: Link) -> int:
         """Effectively infinite: load never triggers an update."""
@@ -68,18 +71,7 @@ class MinHopMetric(LinkMetric):
     ) -> np.ndarray:
         import numpy as np
 
-        u = np.asarray(utilizations, dtype=float)
-        return np.full(u.shape, float(self.hop_cost))
-
-    def create_vector_state(self, links: Sequence[Link]) -> np.ndarray:
-        import numpy as np
-
-        return np.full(len(links), float(self.hop_cost))
-
-    def measured_costs(
-        self, vector_state: np.ndarray, delays_s: np.ndarray
-    ) -> np.ndarray:
-        return vector_state.copy()
+        return np.full(np.shape(utilizations), float(self.hop_cost))
 
     def idle_cost(self, link: Link) -> float:
         return float(self.hop_cost)

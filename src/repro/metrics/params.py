@@ -81,15 +81,6 @@ class HnspfParams:
         """Intercept of the linear transform (``raw = slope*u + offset``)."""
         return self.max_cost - self.slope
 
-    def raw_cost(self, utilization: float) -> float:
-        """The unclipped linear transform of averaged utilization."""
-        return self.slope * utilization + self.offset
-
-    def cost_at_utilization(self, utilization: float) -> float:
-        """Equilibrium (un-rate-limited) cost at a steady utilization."""
-        return min(max(self.raw_cost(utilization), self.min_cost),
-                   float(self.max_cost))
-
     @classmethod
     def derive(
         cls,
@@ -177,11 +168,6 @@ class DspfParams:
             raise ValueError(f"need 0 < bias <= max: {self}")
         if self.ms_per_unit <= 0:
             raise ValueError(f"ms_per_unit must be positive: {self}")
-
-    def delay_ms_to_units(self, delay_ms: float) -> int:
-        """Quantize a measured delay to routing units, bias-floored."""
-        units = int(round(delay_ms / self.ms_per_unit))
-        return min(max(units, self.bias), self.max_cost)
 
     @classmethod
     def derive(cls, line: LineType) -> "DspfParams":

@@ -44,9 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.metrics.dspf import DelayMetric
-from repro.metrics.hnspf import HopNormalizedMetric
-
 #: Reasons :meth:`NodeDefense.screen` can reject an update with.
 REJECT_REASONS = (
     "quarantined",
@@ -139,19 +136,11 @@ class DefensePolicy:
 
     def __init__(self, network, metric, config: DefenseConfig) -> None:
         self.config = config
-        #: link_id -> (lo, hi) legal advertised-cost band.  A link
-        #: missing here (unknown metric) skips the range check.
-        self.bounds: Dict[int, Tuple[int, int]] = {}
-        for link in network.links:
-            if isinstance(metric, HopNormalizedMetric):
-                self.bounds[link.link_id] = (
-                    metric.min_cost_for(link), metric.params_for(link).max_cost
-                )
-            elif isinstance(metric, DelayMetric):
-                self.bounds[link.link_id] = (
-                    metric.initial_cost(link),
-                    metric.params_for(link).max_cost,
-                )
+        #: link_id -> (lo, hi) legal advertised-cost band, the metric's
+        #: :meth:`~repro.metrics.base.LinkMetric.cost_bounds`.
+        self.bounds: Dict[int, Tuple[int, int]] = {
+            link.link_id: metric.cost_bounds(link) for link in network.links
+        }
 
 
 @dataclass
@@ -255,9 +244,8 @@ class NodeDefense:
                 self._penalize(state, from_node, now)
                 return "rate-limit"
             state.tokens -= 1.0
-        bounds = self.policy.bounds.get(update.link_id)
-        if bounds is not None and update.cost < _DOWN_COST:
-            lo, hi = bounds
+        if update.cost < _DOWN_COST:
+            lo, hi = self.policy.bounds[update.link_id]
             if not lo <= update.cost <= hi:
                 self.stats.rejected_cost += 1
                 self._penalize(state, from_node, now)

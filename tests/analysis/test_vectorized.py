@@ -1,14 +1,19 @@
-"""The numpy fast paths must agree with the scalar reference paths.
+"""The numpy paths must agree with the scalar paths.
 
-The analysis package has two implementations of its hot loops: the
-original per-link Python (kept as the reference and as the fallback for
-third-party metrics) and the vectorized numpy pipeline used at scale.
-These tests pin their equivalence -- bit-identical for the operational
-(fluid) pipeline, within bisection tolerance for the equilibrium solver.
+Each metric writes its transform once and runs it on plain floats for
+one link (the PSN) or on numpy arrays for many (the fluid model, the
+metric maps).  These tests pin the two runs bit-identical -- for every
+metric and each HN-SPF ablation knob, on the inputs where rounding and
+clipping disagree most easily -- and the scalar and vectorized
+equilibrium solvers equal within bisection tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     build_response_map,
@@ -16,11 +21,11 @@ from repro.analysis import (
     equilibrium_points,
     reference_link,
 )
-from repro.analysis.fluid import FluidNetworkModel
 from repro.metrics import DelayMetric, HopNormalizedMetric, MinHopMetric
 from repro.metrics.queueing import (
     delay_to_utilization,
     delay_to_utilization_array,
+    service_time_s,
     utilization_to_delay_s,
     utilization_to_delay_s_array,
 )
@@ -29,6 +34,21 @@ from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
 
 ALL_METRICS = [HopNormalizedMetric, DelayMetric, MinHopMetric]
+
+#: Every metric, and HN-SPF once per ablation knob.
+METRIC_VARIANTS = [
+    pytest.param(HopNormalizedMetric, id="HopNormalizedMetric"),
+    pytest.param(lambda: HopNormalizedMetric(limit_movement=False),
+                 id="HopNormalizedMetric-limit_movement=False"),
+    pytest.param(lambda: HopNormalizedMetric(smoothing=1.0),
+                 id="HopNormalizedMetric-smoothing=1.0"),
+    pytest.param(lambda: HopNormalizedMetric(ease_in=False),
+                 id="HopNormalizedMetric-ease_in=False"),
+    pytest.param(DelayMetric, id="DelayMetric"),
+    pytest.param(MinHopMetric, id="MinHopMetric"),
+]
+
+AUG87_LINKS = list(build_arpanet_1987().links)
 
 
 @pytest.fixture(scope="module")
@@ -68,50 +88,109 @@ def test_cost_at_utilization_array_matches_scalar(metric_cls, link):
         assert cost == metric.cost_at_utilization(link, float(u))
 
 
-@pytest.mark.parametrize("metric_cls", ALL_METRICS)
-def test_measured_costs_vector_matches_scalar(metric_cls):
-    """The struct-of-arrays pipeline is bit-identical to per-link state."""
-    metric = metric_cls()
-    net = build_arpanet_1987()
-    links = list(net.links)
-    vstate = metric.create_vector_state(links)
-    assert vstate is not None
-    states = {l.link_id: metric.create_state(l) for l in links}
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        utilizations = rng.uniform(0.0, 1.0, len(links))
-        delays = utilization_to_delay_s_array(
-            utilizations,
-            np.array([l.bandwidth_bps for l in links]),
-            propagations_s=np.array([l.propagation_s for l in links]),
+def _nudged(delay, hits):
+    """The delay within a few ulps of ``delay`` for which ``hits`` holds
+    (or ``delay`` itself when none does)."""
+    below = above = delay
+    for _ in range(64):
+        if hits(below):
+            return below
+        if hits(above):
+            return above
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+    return delay
+
+
+def _tie_delay(metric, link, k):
+    """A delay whose raw cost lands exactly on a ``.5`` tie in the band.
+
+    HN-SPF's raw cost is the linear map of the *sample* utilization
+    (a tie in the reported cost whenever the average is the sample:
+    smoothing 1.0, or a settled link); D-SPF's is the delay in units.
+    """
+    state = metric.create_state(link)
+    if isinstance(metric, HopNormalizedMetric):
+        tie = state.floor + k % (state.max_cost - state.floor) + 0.5
+        u = min((tie - state.offset) / state.slope, 0.998)
+
+        def raw(d):
+            return state.slope * delay_to_utilization(
+                d, link.bandwidth_bps, propagation_s=link.propagation_s,
+                packet_bits=metric.packet_bits,
+            ) + state.offset
+
+        start = utilization_to_delay_s(
+            u, link.bandwidth_bps, propagation_s=link.propagation_s,
+            packet_bits=metric.packet_bits,
         )
-        vector = metric.measured_costs(vstate, delays)
-        for i, l in enumerate(links):
-            scalar = metric.measured_cost(l, states[l.link_id],
-                                          float(delays[i]))
-            assert vector[i] == scalar, (metric.name, l.link_id)
+        return _nudged(start, lambda d: raw(d) == tie)
+    if isinstance(metric, DelayMetric):
+        tie = state.floor + k % (state.max_cost - state.floor) + 0.5
+        return _nudged(
+            tie * state.ms_per_unit / 1000.0,
+            lambda d: d * 1000.0 / state.ms_per_unit == tie,
+        )
+    return 0.0
 
 
-@pytest.mark.parametrize("metric_cls", ALL_METRICS)
-def test_fluid_model_vector_path_matches_scalar(metric_cls):
-    metric = metric_cls()
-    net = build_arpanet_1987()
-    traffic = TrafficMatrix.gravity(net, 732_000.0, weights=site_weights())
-    vec = FluidNetworkModel(net, metric, traffic)
-    assert vec._vector_state is not None
-    scal = FluidNetworkModel(build_arpanet_1987(), metric_cls(), traffic)
-    # Force the per-link reference path.
-    scal._vector_state = None
-    scal._metric_state = {
-        l.link_id: scal.metric.create_state(l) for l in scal.network.links
-    }
-    for round_index in range(8):
-        a = vec.step(round_index)
-        b = scal.step(round_index)
-        assert vec.costs.costs == scal.costs.costs, round_index
-        assert a.mean_utilization == b.mean_utilization
-        assert a.churn == b.churn
-        assert a.overload_bps == b.overload_bps
+def _delay(metric, link, draw):
+    kind, x = draw
+    zero_load = service_time_s(link.bandwidth_bps) + link.propagation_s
+    if kind == "zero-load":
+        return zero_load
+    if kind == "below-propagation":
+        return x * link.propagation_s
+    if kind == "saturated":
+        return utilization_to_delay_s(
+            1.0, link.bandwidth_bps, propagation_s=link.propagation_s
+        ) * (1.0 + x)
+    if kind == "tie":
+        return _tie_delay(metric, link, int(x * 1000))
+    return zero_load / (1.0 - x)
+
+
+DELAY_DRAWS = st.tuples(
+    st.sampled_from(
+        ["zero-load", "below-propagation", "saturated", "tie", "load"]
+    ),
+    st.floats(min_value=0.0, max_value=0.999),
+)
+
+
+@pytest.mark.parametrize("make_metric", METRIC_VARIANTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_measured_costs_vector_matches_scalar(make_metric, data):
+    """On any subset of the aug87 links, over any delay sequence, the
+    array run of the transform equals the scalar run element for element;
+    the scalar run returns ints; and the equilibrium map agrees too."""
+    metric = make_metric()
+    indices = data.draw(st.lists(
+        st.integers(0, len(AUG87_LINKS) - 1),
+        min_size=1, max_size=24, unique=True,
+    ), label="links")
+    links = [AUG87_LINKS[i] for i in indices]
+    intervals = data.draw(st.integers(1, 10), label="intervals")
+    states = [metric.create_state(link) for link in links]
+    vstate = metric.create_vector_state(links)
+    for _ in range(intervals):
+        draws = data.draw(st.lists(
+            DELAY_DRAWS, min_size=len(links), max_size=len(links),
+        ), label="delays")
+        delays = [_delay(metric, l, d) for l, d in zip(links, draws)]
+        vector = metric.measured_costs(vstate, np.array(delays))
+        for i, (link, state, delay) in enumerate(zip(links, states, delays)):
+            scalar = metric.measured_cost(link, state, delay)
+            assert type(scalar) is int, (link.link_id, scalar)
+            assert vector[i] == scalar, (link.link_id, delay)
+        for link, delay in zip(links, delays):
+            u = delay_to_utilization(
+                delay, link.bandwidth_bps, propagation_s=link.propagation_s
+            )
+            curve = metric.cost_at_utilization_array(link, [u, 1.0 - u])
+            assert curve[0] == metric.cost_at_utilization(link, u)
+            assert curve[1] == metric.cost_at_utilization(link, 1.0 - u)
 
 
 @pytest.mark.parametrize("metric_cls", ALL_METRICS)

@@ -16,7 +16,7 @@ from repro.faults import (
     InvariantViolationError,
     LinkFlap,
 )
-from repro.metrics import HopNormalizedMetric
+from repro.metrics import HopNormalizedMetric, MinHopMetric
 from repro.obs.tracer import INVARIANT_VIOLATION
 from repro.sim import NetworkSimulation, ScenarioConfig
 from repro.topology import build_two_region_network
@@ -27,7 +27,7 @@ BRIDGE = 12  # bridge circuit A of the 3+3 two-region topology
 _RUN = dict(duration_s=90.0, warmup_s=10.0, seed=5)
 
 
-def _faulted(check_invariants, trace=None):
+def _faulted(check_invariants, trace=None, metric=None):
     built = build_two_region_network(nodes_per_region=3)
     traffic = TrafficMatrix.two_region(
         built.west_ids, built.east_ids, inter_region_bps=60_000.0
@@ -37,8 +37,17 @@ def _faulted(check_invariants, trace=None):
         check_invariants=check_invariants, trace=trace, **_RUN,
     )
     return NetworkSimulation(
-        built.network, HopNormalizedMetric(), traffic, config
+        built.network, metric or HopNormalizedMetric(), traffic, config
     )
+
+
+def test_clean_minhop_run_has_zero_violations():
+    """Min-hop's band is its hop cost: the monitor checks it too."""
+    simulation = _faulted(check_invariants=True, metric=MinHopMetric())
+    simulation.run()
+    monitor = simulation.invariant_monitor
+    assert set(monitor._bounds.values()) == {(30, 30)}
+    assert monitor.violations == []
 
 
 def _tighten_bound(simulation):

@@ -94,6 +94,15 @@ def test_cost_never_below_idle_floor():
     assert metric.measured_cost(link, state, 0.0) == metric.initial_cost(link)
 
 
+def test_cost_band_runs_from_idle_cost_to_8_bit_cap():
+    metric = DelayMetric()
+    link = make_link()
+    assert metric.cost_bounds(link) == (
+        metric.initial_cost(link), MAX_ROUTING_UNITS
+    )
+    assert metric.movement_limits(link) is None
+
+
 def test_equilibrium_map_is_mm1():
     metric = DelayMetric()
     link = make_link()

@@ -238,7 +238,20 @@ class TestBoundsAndThresholds:
         weird = replace(link.line_type, name="OC-48")
         link.line_type = weird
         with pytest.raises(KeyError, match="OC-48"):
-            metric.measured_cost(link, metric.create_state(make_link()), 0.01)
+            metric.create_state(link)
+
+    def test_cost_band_and_movement_limits(self):
+        params = DEFAULT_HNSPF_PARAMS["56K-T"]
+        long_haul = make_link("56K-T", propagation_s=0.250)
+        metric = HopNormalizedMetric()
+        assert metric.cost_bounds(long_haul) == (
+            metric.min_cost_for(long_haul), params.max_cost
+        )
+        assert metric.movement_limits(long_haul) == (
+            params.max_up, params.max_down
+        )
+        unlimited = HopNormalizedMetric(limit_movement=False)
+        assert unlimited.movement_limits(long_haul) is None
 
     def test_equilibrium_map_matches_params(self):
         metric = HopNormalizedMetric()

@@ -53,9 +53,9 @@ def test_rejects_nonpositive_hop_cost():
         MinHopMetric(hop_cost=0)
 
 
-def test_hops_helper():
-    metric = MinHopMetric()
+
+def test_cost_band_is_the_hop_cost():
+    metric = MinHopMetric(hop_cost=7)
     link = make_link()
-    assert metric.hops(link, 90.0, 30.0) == 3.0
-    with pytest.raises(ValueError):
-        metric.hops(link, 90.0, 0.0)
+    assert metric.cost_bounds(link) == (7, 7)
+    assert metric.movement_limits(link) is None

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis import reference_link
+from repro.metrics import DelayMetric, HopNormalizedMetric
 from repro.metrics.params import (
     DEFAULT_DSPF_PARAMS,
     DEFAULT_HNSPF_PARAMS,
@@ -77,20 +79,20 @@ class TestHnspfAnchors:
 
 class TestHnspfParamsBehaviour:
     def test_cost_flat_below_threshold(self):
-        p = DEFAULT_HNSPF_PARAMS["56K-T"]
-        assert p.cost_at_utilization(0.0) == 30
-        assert p.cost_at_utilization(0.3) == 30
-        assert p.cost_at_utilization(0.5) == pytest.approx(30)
+        metric, link = HopNormalizedMetric(), reference_link("56K-T")
+        assert metric.cost_at_utilization(link, 0.0) == 30
+        assert metric.cost_at_utilization(link, 0.3) == 30
+        assert metric.cost_at_utilization(link, 0.5) == pytest.approx(30)
 
     def test_cost_linear_above_threshold(self):
-        p = DEFAULT_HNSPF_PARAMS["56K-T"]
-        assert p.cost_at_utilization(0.75) == pytest.approx(60)
-        assert p.cost_at_utilization(1.0) == pytest.approx(90)
+        metric, link = HopNormalizedMetric(), reference_link("56K-T")
+        assert metric.cost_at_utilization(link, 0.75) == pytest.approx(60)
+        assert metric.cost_at_utilization(link, 1.0) == pytest.approx(90)
 
     def test_slope_and_offset_consistent(self):
         for p in DEFAULT_HNSPF_PARAMS.values():
-            assert p.raw_cost(1.0) == pytest.approx(p.max_cost)
-            assert p.raw_cost(p.utilization_threshold) == \
+            assert p.slope * 1.0 + p.offset == pytest.approx(p.max_cost)
+            assert p.slope * p.utilization_threshold + p.offset == \
                 pytest.approx(p.min_cost)
 
     def test_validation_rejects_bad_bounds(self):
@@ -162,13 +164,20 @@ class TestDspfParams:
         # The 8-bit field lets a 56 kb/s line range far beyond 20x; the
         # 20x figure is about *typical* heavy loading (delay ~ 256 ms).
         p = DEFAULT_DSPF_PARAMS["56K-T"]
-        heavy_units = p.delay_ms_to_units(256.0)
+        metric, link = DelayMetric(), reference_link("56K-T")
+        heavy_units = metric.measured_cost(
+            link, metric.create_state(link), 0.256
+        )
         assert heavy_units == pytest.approx(20 * p.bias, abs=2)
 
     def test_quantization_floors_at_bias(self):
+        # Zero propagation: the idle floor is the bias alone.
         p = DEFAULT_DSPF_PARAMS["56K-T"]
-        assert p.delay_ms_to_units(0.0) == p.bias
-        assert p.delay_ms_to_units(1e9) == p.max_cost
+        metric = DelayMetric()
+        link = reference_link("56K-T", propagation_s=0.0)
+        state = metric.create_state(link)
+        assert metric.measured_cost(link, state, 0.0) == p.bias
+        assert metric.measured_cost(link, state, 1e6) == p.max_cost
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ here without a simulator, exactly like the flooding tests.
 
 import pytest
 
-from repro.metrics import HopNormalizedMetric
+from repro.metrics import DelayMetric, HopNormalizedMetric, MinHopMetric
 from repro.psn.node import DOWN_COST
 from repro.routing import (
     REJECT_REASONS,
@@ -63,16 +63,20 @@ def test_policy_snapshots_cost_bounds_per_link():
         assert lo <= hi
 
 
-def test_unknown_metric_skips_range_screen():
-    class Weird:
-        pass
-
-    policy = DefensePolicy(NET, Weird(), DefenseConfig())
-    assert policy.bounds == {}
-    defense = NodeDefense(policy, 0, FloodingState(NET, 0))
+def test_policy_takes_each_metrics_own_band():
+    """D-SPF's band starts at the idle cost; min-hop's is the hop cost."""
+    dspf = DefensePolicy(NET, DelayMetric(), DefenseConfig())
+    for link in NET.links:
+        assert dspf.bounds[link.link_id] == (
+            DelayMetric().initial_cost(link), 255
+        )
+    minhop = DefensePolicy(NET, MinHopMetric(), DefenseConfig())
+    assert set(minhop.bounds.values()) == {(30, 30)}
+    defense = NodeDefense(minhop, 0, FloodingState(NET, 0))
     link = _own_link(1)
-    wild = RoutingUpdate(1, link, 999_999, 1)
-    assert defense.screen(wild, 1, 0.0) is None
+    assert defense.screen(RoutingUpdate(1, link, 30, 1), 1, 0.0) is None
+    assert defense.screen(RoutingUpdate(1, link, 31, 2), 1, 0.0) == \
+        "cost-range"
 
 
 def test_in_band_update_passes_every_screen():
