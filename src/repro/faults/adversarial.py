@@ -7,9 +7,9 @@ sequence numbers were bit-flipped garbage, every other node's database
 accepted them, and the network melted in an update storm.  This module
 makes that class of misbehaviour a declarative, seeded workload:
 
-* :class:`CorruptUpdate` -- a node floods forged updates about its own
-  links with bit-flipped sequence numbers and/or out-of-range cost
-  fields (the 1980 failure mode);
+* :class:`CorruptUpdate` -- a node floods forged updates (its whole
+  link-cost report) with bit-flipped sequence numbers and/or an
+  out-of-range cost entry (the 1980 failure mode);
 * :class:`BabblingNode` -- a node originates *well-formed* updates at a
   configurable rate, far beyond the measurement cadence (an update
   storm from one source);
@@ -57,16 +57,16 @@ def _check_window(start_s: float, until_s: Optional[float], what: str) -> None:
 
 @dataclass(frozen=True)
 class CorruptUpdate:
-    """A node emits forged routing updates about its own links.
+    """A node emits forged routing updates.
 
     Each emission (exponential inter-event times with rate
-    ``rate_per_s``) picks one of the node's links and forges an update
-    with a bit-flipped sequence number (a high bit OR-ed in, jumping
-    the sequence space the way the 1980 IMP's failing memory did),
-    an out-of-range cost field, or both.  The node's real origination
-    counters are untouched, so its *legitimate* updates keep their
-    honest sequence numbers -- which is exactly what lets a poisoned
-    database block them.
+    ``rate_per_s``) forges one whole update -- the node's current
+    report -- with a bit-flipped sequence number (a high bit OR-ed in,
+    jumping the node's sequence space the way the 1980 IMP's failing
+    memory did), an out-of-range cost for one drawn link, or both.  The
+    node's real origination counter is untouched, so its *legitimate*
+    updates keep their honest sequence numbers -- which is exactly what
+    lets a poisoned database block them.
     """
 
     kind = "corrupt-update"
@@ -116,8 +116,8 @@ class BabblingNode:
     """A node originates well-formed updates at an excessive rate.
 
     Unlike :class:`CorruptUpdate` the updates are protocol-legal --
-    proper sequence numbers, the node's current advertisements
-    re-announced verbatim -- so sanity validation passes them and only
+    proper sequence numbers, the node's current report re-announced
+    verbatim -- so sanity validation passes them and only
     per-neighbour rate limiting (see
     :mod:`repro.routing.defense`) can contain the storm.
     """
@@ -125,7 +125,7 @@ class BabblingNode:
     kind = "babbling-node"
 
     node_id: int
-    #: Mean updates per second (the honest cadence is one per link per
+    #: Mean updates per second (the honest cadence is at most one per
     #: 10-second measurement interval).
     rate_per_s: float = 10.0
     start_s: float = 0.0

@@ -263,14 +263,14 @@ class FaultInjector:
         )
 
     def _corrupt_fire(self, fault: CorruptUpdate, rng, links: List[int]) -> None:
-        """Emit one forged update, then rearm.
+        """Emit one forged update (the node's whole report), then rearm.
 
         Three corruption modes (drawn from the fault's own stream): a
         bit-flipped *sequence number* -- a high bit OR-ed into the next
         honest sequence, the 1980 failure mode that poisons every
         database against the node's later legitimate updates -- an
-        out-of-range *cost field* riding an honest sequence number, or
-        both at once.
+        out-of-range *cost field* for one drawn link riding an honest
+        sequence number, or both at once.
         """
         now = self.simulation.sim.now
         if fault.until_s is not None and now >= fault.until_s:
@@ -279,23 +279,23 @@ class FaultInjector:
         link_id = links[rng.randrange(len(links))]
         mode = rng.random()
         if mode < 0.6:
-            # Sequence bit-flip; the cost is the node's current honest
-            # advertisement, so only the sequence space is poisoned.
+            # Sequence bit-flip; the costs are the node's current honest
+            # advertisements, so only the sequence space is poisoned.
             sequence = (
-                psn.flooding._own_sequence.get(link_id, 0) + 1
+                psn.flooding._own_sequence + 1
             ) | (1 << rng.randint(8, 17))
-            cost = psn._advertised.get(link_id, 1)
+            forged = None
         elif mode < 0.85:
             # Garbage cost on an honest sequence number (below the
             # line-dead threshold, so undefended receivers route on it).
             sequence = None
-            cost = rng.randrange(100_000, 2 ** 20)
+            forged = {link_id: rng.randrange(100_000, 2 ** 20)}
         else:
             sequence = (
-                psn.flooding._own_sequence.get(link_id, 0) + 1
+                psn.flooding._own_sequence + 1
             ) | (1 << rng.randint(8, 17))
-            cost = rng.randrange(100_000, 2 ** 20)
-        psn.emit_forged_update(link_id, cost, sequence=sequence)
+            forged = {link_id: rng.randrange(100_000, 2 ** 20)}
+        psn.emit_forged_update(forged, sequence=sequence)
         self.corrupt_updates_injected += 1
         self.adversarial_applied.append((now, "corrupt-update", fault.node_id))
         self.simulation.sim.call_in(
@@ -305,30 +305,25 @@ class FaultInjector:
 
     def _arm_babble(self, fault: BabblingNode) -> None:
         rng = self.simulation.streams.stream(f"fault-babble-{fault.node_id}")
-        links = self._own_links(fault.node_id)
         delay = rng.expovariate(fault.rate_per_s)
         self.simulation.sim.call_in(
             max(fault.start_s - self.simulation.sim.now, 0.0) + delay,
-            self._babble_fire, fault, rng, links,
+            self._babble_fire, fault, rng,
         )
 
-    def _babble_fire(self, fault: BabblingNode, rng, links: List[int]) -> None:
+    def _babble_fire(self, fault: BabblingNode, rng) -> None:
         """One well-formed but gratuitous update: honest sequence, the
-        current advertisement re-announced verbatim.  Every sanity
+        node's current report re-announced verbatim.  Every sanity
         screen passes it (it is the truth, just far too often) -- only
         per-neighbour rate limiting contains a babbler."""
         now = self.simulation.sim.now
         if fault.until_s is not None and now >= fault.until_s:
             return
-        psn = self.simulation.psns[fault.node_id]
-        link_id = links[rng.randrange(len(links))]
-        cost = psn._advertised.get(link_id, 1)
-        psn.emit_forged_update(link_id, cost)
+        self.simulation.psns[fault.node_id].emit_forged_update()
         self.babble_updates_injected += 1
         self.adversarial_applied.append((now, "babbling-node", fault.node_id))
         self.simulation.sim.call_in(
-            rng.expovariate(fault.rate_per_s), self._babble_fire,
-            fault, rng, links,
+            rng.expovariate(fault.rate_per_s), self._babble_fire, fault, rng,
         )
 
     def _arm_stuck(self, fault: StuckNode) -> None:
@@ -400,34 +395,30 @@ class FaultInjector:
     def _node_poisoned(self, psn) -> bool:
         """Whether a node's database disagrees with ground truth.
 
-        Poisoned means either a *sequence* ahead of the owning node's
-        own origination counter (a forged sequence number got in -- the
-        owner's honest updates are now blocked), or the *cost* on
-        record at the owner's current sequence differs from what the
-        owner actually advertises (a forged cost got in).  A lagging
+        Poisoned means either a *sequence* ahead of an origin's own
+        origination counter (a forged sequence number got in -- the
+        origin's honest updates are now blocked), or a *cost* on record
+        at the origin's current sequence that differs from what the
+        origin actually advertises (a forged cost got in).  A lagging
         sequence is just propagation in flight, not poisoning.
         """
         from repro.psn.node import DOWN_COST
         from repro.routing.spf import UNREACHABLE
 
-        simulation = self.simulation
         seen = psn.flooding._highest_seen
-        for link in simulation.network.links:
-            if link.src == psn.node_id:
+        for origin, owner in self.simulation.psns.items():
+            if origin == psn.node_id:
                 continue
-            owner = simulation.psns[link.src]
-            own_seq = owner.flooding._own_sequence.get(link.link_id, 0)
-            recorded = seen.get((link.src, link.link_id), 0)
+            own_seq = owner.flooding._own_sequence
+            recorded = seen.get(origin, 0)
             if recorded > own_seq:
                 return True
             if recorded == own_seq and own_seq > 0:
-                advertised = owner._advertised.get(link.link_id)
-                if advertised is None:
-                    continue
-                applied = (
-                    UNREACHABLE if advertised >= DOWN_COST
-                    else float(advertised)
-                )
-                if psn.costs[link.link_id] != applied:
-                    return True
+                for link_id, advertised in owner._advertised.items():
+                    applied = (
+                        UNREACHABLE if advertised >= DOWN_COST
+                        else float(advertised)
+                    )
+                    if psn.costs[link_id] != applied:
+                        return True
         return False

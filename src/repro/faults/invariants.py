@@ -165,7 +165,10 @@ class InvariantMonitor:
         """Verify everything advertised since the last check.
 
         Runs the per-advertisement checks on the new slice of the
-        advertised-cost history, then -- only when the network was quiet
+        advertised-cost history -- one row per link an update reported
+        anew, so a quiet link riding along in its node's update at its
+        last advertised cost is never mistaken for a sub-threshold
+        report -- then -- only when the network was quiet
         for the whole period (no new updates, no buffered batched-SPF
         repairs) -- the loop-freedom check over the next-hop decisions.
         """

@@ -6,11 +6,11 @@ is.  Flat counters can't answer that; this module reconstructs the
 causal story from the event trace.
 
 Every routing update already carries a natural lineage id: the
-``(origin, link_id, sequence)`` triple is unique per generated update
-(:meth:`~repro.routing.flooding.RoutingUpdate.key` plus the sequence
-number), and PR 8 tags every update-related trace event with
-``origin``/``seq`` so the events of one flood can be grouped without
-any new wire fields.  :func:`build_update_spans` folds a trace into
+``(origin, sequence)`` pair is unique per generated update (each PSN
+numbers its updates in one sequence space), and every update-related
+trace event is tagged with ``origin``/``seq`` (plus the update's entry
+count) so the events of one flood can be grouped without any new wire
+fields.  :func:`build_update_spans` folds a trace into
 :class:`UpdateSpan` objects -- one per generated update -- whose
 accepts, forwards, acks and suppressions are the flood tree's nodes
 and pruned edges.  From spans we derive:
@@ -52,9 +52,9 @@ from repro.obs.tracer import (
     events_to_dicts,
 )
 
-#: A flood lineage: the ``(origin, link_id, sequence)`` triple that
-#: uniquely identifies one generated routing update.
-Lineage = Tuple[int, int, int]
+#: A flood lineage: the ``(origin, sequence)`` pair that uniquely
+#: identifies one generated routing update.
+Lineage = Tuple[int, int]
 
 #: Event kinds that carry lineage tags and feed span construction.
 SPAN_EVENT_KINDS = (
@@ -85,10 +85,10 @@ class UpdateSpan:
     """
 
     origin: int
-    link_id: int
     sequence: int
-    #: Advertised cost, if the generation event was in the trace.
-    cost: Optional[float] = None
+    #: ``(link, cost)`` entries the update carries (one per link of the
+    #: origin), if any event of the lineage recorded the count.
+    entries: Optional[int] = None
     #: Generation time (``None`` for a partial trace missing the root).
     generated_t: Optional[float] = None
     #: First acceptance per node: ``[(t, node), ...]`` in trace order.
@@ -102,12 +102,12 @@ class UpdateSpan:
 
     @property
     def lineage(self) -> Lineage:
-        return (self.origin, self.link_id, self.sequence)
+        return (self.origin, self.sequence)
 
     @property
     def lineage_id(self) -> str:
         """The lineage as a compact string (Chrome-trace span id)."""
-        return f"{self.origin}/{self.link_id}/{self.sequence}"
+        return f"{self.origin}/{self.sequence}"
 
     @property
     def nodes_reached(self) -> int:
@@ -166,21 +166,16 @@ def build_update_spans(events: Iterable) -> List[UpdateSpan]:
             continue
         node = event.get("node")
         t = event.get("t", 0.0)
-        # Every span event's ``link`` is the *lineage* link (the one
-        # whose cost the update advertises); the wire an ack or a
-        # suppression crossed rides separately in ``data["on"]``.
-        link = event.get("link")
-        if link is None:
-            continue
-        lineage: Lineage = (origin, link, seq)
+        lineage: Lineage = (origin, seq)
         span = spans.get(lineage)
         if span is None:
-            span = UpdateSpan(origin=origin, link_id=link, sequence=seq)
+            span = UpdateSpan(origin=origin, sequence=seq)
             spans[lineage] = span
             seen_accept[lineage] = set()
+        if span.entries is None:
+            span.entries = event.get("entries")
         if kind == UPDATE_GENERATED:
             span.generated_t = t
-            span.cost = event.get("value")
         elif kind == UPDATE_ACCEPTED:
             if node not in seen_accept[lineage]:
                 seen_accept[lineage].add(node)
@@ -303,9 +298,8 @@ def to_chrome_trace(events: Iterable) -> Dict[str, Any]:
                 "ts": begin_us,
                 "args": {
                     "origin": span.origin,
-                    "link": span.link_id,
                     "seq": span.sequence,
-                    "cost": span.cost,
+                    "entries": span.entries,
                     "fan_out": span.fan_out,
                     "duplicates": span.duplicates,
                 },

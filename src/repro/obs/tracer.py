@@ -31,9 +31,12 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 # ----------------------------------------------------------------------
 # Event kinds (the trace schema; see docs/observability.md)
 # ----------------------------------------------------------------------
-#: A node's advertised cost for one of its links changed.
+#: A node reported one of its links anew (one event per link an
+#: update reported; quiet links riding along add none).
 COST_CHANGE = "cost-change"
-#: A routing update was originated (flood root).
+#: A routing update was originated (flood root).  Every ``update-*``
+#: event carries ``origin``, ``seq`` and ``entries`` (the update's
+#: ``(link, cost)`` entry count, one per link of the origin).
 UPDATE_GENERATED = "update-generated"
 #: A received routing update was new and applied locally.
 UPDATE_ACCEPTED = "update-accepted"

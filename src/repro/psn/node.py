@@ -3,8 +3,9 @@
 Each :class:`Psn` owns the transmitters of its outgoing links, a private
 cost table with an incrementally-maintained SPF tree, flooding state, and
 per-link metric state.  A measurement process closes a ten-second
-averaging interval per link, runs the metric, and floods an update when
-the change is significant (or the 50-second cap expires).
+averaging interval per link and runs the metric; when any link's change
+is significant (or its 50-second cap expires) the node floods one update
+carrying the costs of all its links.
 
 Routing-update packets are processed the instant they are delivered --
 *"routing update processing is a high priority process within the PSN"* --
@@ -67,6 +68,14 @@ ACK_PACKET_BITS = 200.0
 #: protocol retransmits until the neighbour acknowledges or the line is
 #: declared dead.
 UPDATE_RETRANSMIT_S = 1.0
+
+
+def _lineage(update: RoutingUpdate, **extra) -> dict:
+    """Trace tags naming one update: origin, sequence, entry count."""
+    return {
+        "origin": update.origin, "seq": update.sequence,
+        "entries": len(update.costs), **extra,
+    }
 
 
 class Psn:
@@ -193,7 +202,7 @@ class Psn:
             # initial (ease-in) costs so the network learns them.
             initial = metric.initial_cost(link)
             self.costs[link_id] = float(initial)
-            self._advertised[link_id] = initial
+            self._advertised[link_id] = initial if link.up else DOWN_COST
 
         self.tree = SpfTree(network, node_id, self.costs)
         # Hot-path forwarding: a next-hop table for the tree, taken on
@@ -233,16 +242,18 @@ class Psn:
         # on a link is retransmitted until the neighbour acknowledges it
         # (the ledger is ``self.flooding.unacked``).
         sim.timers.every(UPDATE_RETRANSMIT_S, self._retransmit_tick)
-        # A booting PSN floods its links' initial (ease-in) costs --
-        # otherwise the rest of the network would assume idle costs and
-        # the ease-in would only exist in the owner's imagination.
+        # A booting PSN floods its links' initial (ease-in) costs in one
+        # update -- otherwise the rest of the network would assume idle
+        # costs and the ease-in would only exist in the owner's
+        # imagination.
         boot_jitter = streams.uniform(f"psn-{node_id}-boot", 0.0, 0.1)
         sim.call_in(boot_jitter, self._boot_advertise)
 
     def _boot_advertise(self) -> None:
-        for link_id in self.transmitters:
-            if self.network.link(link_id).up:
-                self.advertise(link_id, self._advertised[link_id])
+        self.advertise({
+            link_id: cost for link_id, cost in self._advertised.items()
+            if self.network.link(link_id).up
+        })
 
     def _init_link_state(self, link: Link) -> None:
         zero_load = (
@@ -343,6 +354,7 @@ class Psn:
     # Measurement / update generation
     # ------------------------------------------------------------------
     def _close_measurement_interval(self) -> None:
+        reported: Dict[int, int] = {}
         for link_id, transmitter in self.transmitters.items():
             link = self.network.link(link_id)
             utilization = transmitter.take_utilization(
@@ -357,20 +369,30 @@ class Psn:
             )
             change = cost - self._advertised[link_id]
             if self._criterion[link_id].should_report(change):
-                self.advertise(link_id, cost)
+                reported[link_id] = cost
+        if reported:
+            self.advertise(reported)
 
-    def advertise(self, link_id: int, cost: int) -> None:
-        """Originate and flood an update about one of our own links."""
+    def advertise(self, reported: Dict[int, int]) -> None:
+        """Originate and flood one update carrying all our link costs.
+
+        ``reported`` maps the links whose significance criterion fired
+        (or that just went down or up) to their new costs.  Every other
+        own link rides along at its last advertised cost, its criterion
+        untouched: the update's packaging is per node, each link's
+        reporting rule stays per link.
+        """
         if self.control_stuck:
             return  # a frozen control plane reports nothing
-        update = self.flooding.originate(link_id, cost)
-        self._advertised[link_id] = cost
-        self.stats.update_originated(link_id, cost, self.sim.now)
+        advertised = self._advertised
+        advertised.update(reported)
+        update = self.flooding.originate(advertised.items())
+        self.stats.update_originated(reported.items(), self.sim.now)
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_GENERATED,
-                node=self.node_id, link=link_id, value=cost,
-                data={"origin": update.origin, "seq": update.sequence},
+                node=self.node_id, value=len(reported),
+                data=_lineage(update),
             )
         self._apply_update(update)
         self._flood(update, arrived_on=None)
@@ -403,24 +425,22 @@ class Psn:
                 if self._trace is not None:
                     self._trace.emit(
                         self.sim.now, UPDATE_REJECTED,
-                        node=self.node_id, link=update.link_id,
-                        data={"reason": reason, "origin": update.origin,
-                              "seq": update.sequence, "from": via.src},
+                        node=self.node_id,
+                        data={**_lineage(update), "reason": reason,
+                              "from": via.src},
                     )
                 return
         if not self.flooding.accept(update):
             if self._trace is not None:
                 self._trace.emit(
                     self.sim.now, UPDATE_SUPPRESSED,
-                    node=self.node_id, link=update.link_id,
-                    data={"origin": update.origin, "seq": update.sequence},
+                    node=self.node_id, data=_lineage(update),
                 )
             return
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_ACCEPTED,
-                node=self.node_id, link=update.link_id, value=update.cost,
-                data={"origin": update.origin, "seq": update.sequence},
+                node=self.node_id, data=_lineage(update),
             )
         if self.defense is not None:
             self.defense.note_accepted(update, self.sim.now)
@@ -439,9 +459,7 @@ class Psn:
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_ACKED,
-                node=self.node_id, link=update.link_id,
-                data={"origin": update.origin, "seq": update.sequence,
-                      "on": sent_on},
+                node=self.node_id, data=_lineage(update, on=sent_on),
             )
 
     def _retransmit_tick(self) -> None:
@@ -450,7 +468,7 @@ class Psn:
             return
         now = self.sim.now
         overdue: Dict[int, list] = {}
-        for (link_id, _key), (update, sent_at) in unacked.items():
+        for (link_id, _origin), (update, sent_at) in unacked.items():
             if now - sent_at >= UPDATE_RETRANSMIT_S:
                 overdue.setdefault(link_id, []).append(update)
         for link_id, updates in overdue.items():
@@ -465,8 +483,8 @@ class Psn:
                 # packets have actually been on the wire.
                 continue
             # The queue is drained: retransmit this link's whole
-            # overdue batch (the real protocol carried all of a
-            # node's pending costs in a single update packet).
+            # overdue batch, one update per origin, each carrying all
+            # of that node's link costs in one packet.
             for update in updates:
                 self._transmit_update(update, link_id)
                 self.flooding.stats.retransmitted += 1
@@ -502,11 +520,23 @@ class Psn:
             self.router.recompute()
 
     def _apply_update(self, update: RoutingUpdate) -> None:
-        cost = UNREACHABLE if update.cost >= DOWN_COST else float(update.cost)
-        if update.link_id not in self._pending_old:
-            self._pending_old[update.link_id] = self.costs[update.link_id]
-        self.costs[update.link_id] = cost
-        self._pending_updates.append((update.link_id, cost))
+        """Write an update's entries into the cost table.
+
+        Only entries that move a cost are buffered for the next SPF
+        flush; a quiet link riding along at its last advertised cost
+        leaves the table, and so the tree, as it was.
+        """
+        costs = self.costs
+        pending_old = self._pending_old
+        for link_id, reported in update.costs:
+            cost = UNREACHABLE if reported >= DOWN_COST else float(reported)
+            old = costs.costs[link_id]
+            if cost == old:
+                continue
+            if link_id not in pending_old:
+                pending_old[link_id] = old
+            costs[link_id] = cost
+            self._pending_updates.append((link_id, cost))
 
     def _flood(self, update: RoutingUpdate, arrived_on: Optional[int]) -> None:
         links = self.flooding.forward_links(arrived_on)
@@ -515,8 +545,7 @@ class Psn:
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_FLOODED,
-                node=self.node_id, link=update.link_id, value=len(links),
-                data={"origin": update.origin, "seq": update.sequence},
+                node=self.node_id, value=len(links), data=_lineage(update),
             )
 
     def _transmit_update(self, update: RoutingUpdate, link_id: int) -> None:
@@ -560,26 +589,33 @@ class Psn:
 
     def emit_forged_update(
         self,
-        link_id: int,
-        cost: int,
+        forged: Optional[Dict[int, int]] = None,
         sequence: Optional[int] = None,
     ) -> RoutingUpdate:
-        """Adversarial harness: flood a forged update about one own link.
+        """Adversarial harness: flood a forged update from this node.
 
-        With ``sequence=None`` the update is protocol-legal -- it spends
-        a real sequence number from the origination counter (the
-        babbling-node fault: well-formed, just far too frequent).  With
-        an explicit ``sequence`` the forgery bypasses the counter
-        entirely (the corrupt-update fault: the counter keeps its honest
-        value, so legitimate later updates carry *smaller* sequence
-        numbers than the forgery -- exactly the 1980 poisoning).
-        Neither path touches ``_advertised`` or the origination stats:
-        forged traffic is the fault, not a report.
+        The update carries this node's current advertisements with the
+        ``forged`` entries (link -> cost) written over them; with no
+        ``forged`` entries it re-announces the current update verbatim.
+        With ``sequence=None`` it is protocol-legal -- it spends a real
+        sequence number from the origination counter (the babbling-node
+        fault: well-formed, just far too frequent).  With an explicit
+        ``sequence`` the forgery bypasses the counter entirely (the
+        corrupt-update fault: the counter keeps its honest value, so
+        legitimate later updates carry *smaller* sequence numbers than
+        the forgery -- exactly the 1980 poisoning).  Neither path
+        touches ``_advertised`` or the origination stats: forged traffic
+        is the fault, not a report.
         """
+        costs = dict(self._advertised)
+        if forged:
+            costs.update(forged)
         if sequence is None:
-            update = self.flooding.originate(link_id, cost)
+            update = self.flooding.originate(costs.items())
         else:
-            update = RoutingUpdate(self.node_id, link_id, cost, sequence)
+            update = RoutingUpdate(
+                self.node_id, sequence, tuple(costs.items())
+            )
         self._flood(update, arrived_on=None)
         return update
 
@@ -599,7 +635,7 @@ class Psn:
         unacked = self.flooding.unacked
         for key in [k for k in unacked if k[0] == link_id]:
             del unacked[key]
-        self.advertise(link_id, DOWN_COST)
+        self.advertise({link_id: DOWN_COST})
 
     def local_link_up(self, link_id: int) -> None:
         """React to one of our own links recovering.
@@ -612,4 +648,4 @@ class Psn:
         self._init_link_state(link)
         self.transmitters[link_id].on_delay_sample = \
             self._averager[link_id].add_sample
-        self.advertise(link_id, self.metric.initial_cost(link))
+        self.advertise({link_id: self.metric.initial_cost(link)})

@@ -1,11 +1,13 @@
 """Routing-update flooding.
 
 Routing updates carry *"only link cost information; no other routing
-information is disseminated through the network"*.  Each update names the
-reporting node, the link, the new cost and a per-(node, link) sequence
-number; updates are flooded -- forwarded on every link except the one they
-arrived on -- with duplicate suppression by sequence number, the essence of
-Rosen's updating protocol [Rosen 1980].
+information is disseminated through the network"*.  Each update is one
+PSN's report: the reporting node, a per-node sequence number, and one
+``(link, cost)`` entry for every link the node owns -- the shape of the
+IS-IS link-state PDU, one per system listing its neighbour entries.
+Updates are flooded -- forwarded on every link except the one they
+arrived on -- with duplicate suppression by sequence number, the essence
+of Rosen's updating protocol [Rosen 1980].
 
 :class:`FloodingState` is the pure protocol logic (what to accept, where
 to forward); the DES-side transmission and per-hop delay live in
@@ -16,43 +18,32 @@ Delivery is reliable, per link: every update sent on a link stays in
 the node's retransmission ledger (:attr:`FloodingState.unacked`) until
 the neighbour acknowledges it, and every received copy -- fresh or
 duplicate -- is acknowledged, since a duplicate usually means our
-earlier acknowledgement was lost.
+earlier acknowledgement was lost.  The ledger holds at most one update
+per (link, origin): a node's newer report supersedes its older one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.graph import Network
 
 
 @dataclass(frozen=True)
 class RoutingUpdate:
-    """One link-cost report, as flooded through the network.
+    """One PSN's link-cost report, as flooded through the network.
 
-    In the real ARPANET an update packages all of a PSN's local link
-    costs; we flood one link per update (the per-link sequence-number
-    space makes the two equivalent for protocol purposes and simpler to
-    reason about).
+    ``costs`` holds one ``(link_id, cost)`` entry per link ``origin``
+    owns, a down link at the line-dead cost.  As in the ARPANET, a PSN
+    sends all of its link costs in one update under one sequence number:
+    Table 1 counts these per-node updates, so the report -- not the link
+    -- is the unit of update traffic.
     """
 
     origin: int
-    link_id: int
-    cost: int
     sequence: int
-    #: Cached (origin, link_id); computed once, read on every accept,
-    #: transmit and acknowledgement.
-    _key: Tuple[int, int] = field(
-        init=False, repr=False, compare=False, default=None
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (self.origin, self.link_id))
-
-    def key(self) -> Tuple[int, int]:
-        """Identity of the sequence-number space this update lives in."""
-        return self._key
+    costs: Tuple[Tuple[int, int], ...]
 
 
 @dataclass
@@ -82,31 +73,34 @@ class FloodingState:
     def __init__(self, network: Network, node_id: int) -> None:
         self.network = network
         self.node_id = node_id
-        self._highest_seen: Dict[Tuple[int, int], int] = {}
-        self._own_sequence: Dict[int, int] = {}
-        #: Retransmission ledger: (link id, update key) -> (update, send
+        #: origin node -> highest sequence number accepted from it.
+        self._highest_seen: Dict[int, int] = {}
+        #: Sequence number of this node's latest origination.
+        self._own_sequence = 0
+        #: Retransmission ledger: (link id, origin) -> (update, send
         #: time) for every update sent and not yet acknowledged.  A newer
-        #: update for the same key replaces the older one in place, so
-        #: the scan order is the order keys were first sent on a link.
-        self.unacked: Dict[tuple, Tuple[RoutingUpdate, float]] = {}
+        #: update from the same origin replaces the older one in place,
+        #: so the scan order is the order origins were first sent on a
+        #: link.
+        self.unacked: Dict[Tuple[int, int], Tuple[RoutingUpdate, float]] = {}
         self.stats = FloodingStats()
 
     # ------------------------------------------------------------------
     # Origination
     # ------------------------------------------------------------------
-    def originate(self, link_id: int, cost: int) -> RoutingUpdate:
-        """Create a new update about one of this node's own links."""
-        link = self.network.link(link_id)
-        if link.src != self.node_id:
-            raise ValueError(
-                f"node {self.node_id} does not own link {link_id} "
-                f"(owned by {link.src})"
-            )
-        sequence = self._own_sequence.get(link_id, 0) + 1
-        self._own_sequence[link_id] = sequence
-        update = RoutingUpdate(self.node_id, link_id, cost, sequence)
+    def originate(self, costs: Sequence[Tuple[int, int]]) -> RoutingUpdate:
+        """Create this node's next update from its ``(link, cost)`` entries."""
+        for link_id, _cost in costs:
+            owner = self.network.link(link_id).src
+            if owner != self.node_id:
+                raise ValueError(
+                    f"node {self.node_id} does not own link {link_id} "
+                    f"(owned by {owner})"
+                )
+        self._own_sequence += 1
+        update = RoutingUpdate(self.node_id, self._own_sequence, tuple(costs))
         # The originator has, by definition, seen its own update.
-        self._highest_seen[update.key()] = sequence
+        self._highest_seen[self.node_id] = self._own_sequence
         self.stats.generated += 1
         return update
 
@@ -119,11 +113,10 @@ class FloodingState:
         Returns ``True`` exactly when the update should be applied to the
         local cost table and forwarded onward.
         """
-        highest = self._highest_seen.get(update.key(), 0)
-        if update.sequence <= highest:
+        if update.sequence <= self._highest_seen.get(update.origin, 0):
             self.stats.duplicates += 1
             return False
-        self._highest_seen[update.key()] = update.sequence
+        self._highest_seen[update.origin] = update.sequence
         self.stats.accepted += 1
         return True
 
@@ -166,10 +159,10 @@ class FloodingState:
     ) -> None:
         """``update`` was queued on ``link_id`` at ``now``: arm its entry.
 
-        A newer update for the same key supersedes any older one still
-        awaiting its acknowledgement on this link.
+        A newer update from the same origin supersedes any older one
+        still awaiting its acknowledgement on this link.
         """
-        self.unacked[(link_id, update.key())] = (update, now)
+        self.unacked[(link_id, update.origin)] = (update, now)
 
     def note_acked(
         self, link_id: Optional[int], update: RoutingUpdate
@@ -179,7 +172,7 @@ class FloodingState:
         Retires the ledger entry unless it holds a newer sequence (the
         acknowledgement is for a copy that entry has since replaced).
         """
-        entry = (link_id, update.key())
+        entry = (link_id, update.origin)
         pending = self.unacked.get(entry)
         if pending is not None and pending[0].sequence <= update.sequence:
             del self.unacked[entry]

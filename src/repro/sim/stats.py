@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import COST_CHANGE, PACKET_DROP, UTILIZATION, Tracer
 from repro.psn.packet import Packet
@@ -86,7 +86,8 @@ class SimulationReport:
     #: Mean round-trip delay, ms (twice the mean one-way delay; the
     #: ARPANET measured echoes, we measure one-way transit).
     round_trip_delay_ms: float
-    #: Routing updates generated network-wide per second.
+    #: Routing updates (one per originating PSN report) generated
+    #: network-wide per second.
     updates_per_s: float
     #: Routing-update transmissions per trunk per second (flooding puts
     #: each update on every link; Table 1's "Rtg. Updates per Trunk/sec").
@@ -196,8 +197,13 @@ class StatsCollector:
         self.congestion_drops = 0
         self.unreachable_drops = 0
         self.hop_limit_drops = 0
+        #: Post-warmup originated updates: one per PSN report, Table 1's
+        #: per-node update.
         self.updates_originated = 0
-        #: (time, link_id, cost) for every originated update.
+        #: (time, link_id, cost) for every link an update reported: the
+        #: links whose significance criterion fired or whose line went
+        #: down or up.  Quiet links riding along in the same update at
+        #: their last advertised cost add no row.
         self.cost_history: List[Tuple[float, int, int]] = []
         #: per-link utilization time series: link_id -> [(time, value)].
         self.utilization_history: Dict[int, List[Tuple[float, float]]] = \
@@ -263,11 +269,16 @@ class StatsCollector:
         else:
             raise ValueError(f"unknown drop reason {reason!r}")
 
-    def update_originated(self, link_id: int, cost: int, now: float) -> None:
+    def update_originated(
+        self, reported: Iterable[Tuple[int, int]], now: float
+    ) -> None:
+        """One PSN originated one update; ``reported`` are its
+        ``(link_id, cost)`` entries that were reported anew."""
         self._note_time(now)
-        self.cost_history.append((now, link_id, cost))
-        if self._trace is not None:
-            self._trace.emit(now, COST_CHANGE, link=link_id, value=cost)
+        for link_id, cost in reported:
+            self.cost_history.append((now, link_id, cost))
+            if self._trace is not None:
+                self._trace.emit(now, COST_CHANGE, link=link_id, value=cost)
         if now >= self.warmup_s:
             self.updates_originated += 1
 

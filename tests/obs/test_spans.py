@@ -41,14 +41,17 @@ def test_every_generated_update_becomes_a_span(traced_run):
 
 
 def test_lineages_are_unique_and_well_formed(traced_run):
-    _, _, events = traced_run
+    simulation, _, events = traced_run
     spans = build_update_spans(events)
     lineages = [span.lineage for span in spans]
     assert len(set(lineages)) == len(lineages)
     for span in spans:
-        assert span.lineage == (span.origin, span.link_id, span.sequence)
-        assert span.lineage_id == \
-            f"{span.origin}/{span.link_id}/{span.sequence}"
+        assert span.lineage == (span.origin, span.sequence)
+        assert span.lineage_id == f"{span.origin}/{span.sequence}"
+        # One entry per link the origin owns.
+        assert span.entries == len(
+            simulation.network.out_links(span.origin, include_down=True)
+        )
 
 
 def test_accepts_cover_the_flood_and_latencies_are_causal(traced_run):
@@ -163,11 +166,12 @@ def test_empty_trace_builds_nothing():
 def test_single_event_lineage_converges_instantly():
     """A generation nobody accepted is a zero-length span, not a crash."""
     events = [{
-        "t": 3.0, "kind": "update-generated", "node": 4, "link": 9,
-        "value": 140, "origin": 4, "seq": 17,
+        "t": 3.0, "kind": "update-generated", "node": 4, "value": 1,
+        "origin": 4, "seq": 17, "entries": 3,
     }]
     [span] = build_update_spans(events)
     assert span.generated_t == 3.0
+    assert span.entries == 3
     assert span.accepts == []
     assert span.settle_t is None
     assert span.convergence_s == 0.0
@@ -210,7 +214,7 @@ def test_chrome_trace_shape(traced_run, tmp_path):
     ends = [r for r in records if r["ph"] == "e"]
     assert len(begins) == len(ends) > 0
     assert set(begins[0]["args"]) == {
-        "origin", "link", "seq", "cost", "fan_out", "duplicates",
+        "origin", "seq", "entries", "fan_out", "duplicates",
     }
     # Async spans pair up by id, and close no earlier than they open.
     opened = {r["id"]: r["ts"] for r in begins}

@@ -44,7 +44,10 @@ def test_circuit_transitions_are_traced():
 
 
 def test_batched_spf_runs_emit_batch_repairs():
-    config = ScenarioConfig(duration_s=30.0, warmup_s=0.0, trace="memory")
+    # An update that moves no cost buffers nothing, so the first repair
+    # waits for D-SPF's first real cost change (after the 30-s mark on
+    # this lightly loaded network).
+    config = ScenarioConfig(duration_s=60.0, warmup_s=0.0, trace="memory")
     simulation = build_scenario("two-region-dspf", config=config)
     simulation.run()
     kinds = _kinds(simulation)

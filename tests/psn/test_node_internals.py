@@ -3,9 +3,10 @@
 import pytest
 
 from repro.metrics import HopNormalizedMetric, MinHopMetric
-from repro.psn.node import UPDATE_PACKET_BITS
+from repro.psn.node import DOWN_COST, UPDATE_PACKET_BITS
 from repro.psn.packet import Packet, PacketKind
-from repro.sim import NetworkSimulation, ScenarioConfig
+from repro.routing.spf import UNREACHABLE
+from repro.sim import NetworkSimulation, ScenarioConfig, build_scenario
 from repro.topology import build_ring_network, build_string_network
 from repro.traffic import TrafficMatrix
 
@@ -39,11 +40,57 @@ def test_advertise_applies_locally_and_floods():
     sim.run(until_s=1.0)
     psn = sim.psns[0]
     own_link = net.out_links(0)[0].link_id
-    psn.advertise(own_link, 77)
+    psn.advertise({own_link: 77})
     assert psn.costs[own_link] == 77.0
     sim.sim.run(until=2.0)
     for node_id, other in sim.psns.items():
         assert other.costs[own_link] == 77.0, node_id
+
+
+def test_boot_flood_originates_once_per_node():
+    """A booting PSN sends all of its link costs in one update."""
+    sim = build_scenario(
+        "two-region-hnspf", config=ScenarioConfig(duration_s=20.0,
+                                                  warmup_s=0.0),
+    )
+    sim.run(until_s=1.0)  # past the 0.1-s boot jitter, before any close
+    nodes = len(sim.network.nodes)
+    assert sim.telemetry().flood_generated == nodes
+    assert sim.stats.updates_originated == nodes
+    # ... while every up link still gets its own cost-history row.
+    assert len(sim.stats.cost_history) == len(sim.network.links)
+
+
+def test_bundle_carries_every_own_link():
+    """A quiet link rides along at its last advertised cost and a down
+    link at DOWN_COST; only the reported link gets a history row."""
+    net = build_ring_network(4)
+    sim = build_sim(net)
+    sim.run(until_s=1.0)
+    psn = sim.psns[0]
+    quiet, moved = (link.link_id for link in net.out_links(0))
+    booted = psn._advertised[quiet]
+    rows = len(sim.stats.cost_history)
+
+    def pending_on(link_id):
+        [(update, _t)] = [
+            entry for (link, _origin), entry in psn.flooding.unacked.items()
+            if link == link_id
+        ]
+        return dict(update.costs)
+
+    psn.advertise({moved: 77})
+    assert pending_on(quiet) == {quiet: booted, moved: 77}
+    assert sim.stats.cost_history[rows:] == [(1.0, moved, 77)]
+    # The line dies: the next update names it dead, the quiet link
+    # still at its last advertised cost.
+    net.set_circuit_state(moved, up=False)
+    psn.local_link_down(moved)
+    assert pending_on(quiet) == {quiet: booted, moved: DOWN_COST}
+    sim.sim.run(until=2.0)
+    for node_id, other in sim.psns.items():
+        assert other.costs[quiet] == float(booted), node_id
+        assert other.costs[moved] == UNREACHABLE, node_id
 
 
 def test_update_packet_without_payload_raises():

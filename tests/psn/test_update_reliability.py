@@ -70,12 +70,13 @@ def test_newer_update_supersedes_pending():
     sim.run(until_s=5.0)
     psn = sim.psns[0]
     own_link = net.out_links(0)[0].link_id
-    psn.advertise(own_link, 40)
-    psn.advertise(own_link, 50)  # before any ACK can return
-    # Only the newest is pending per (link, key).
+    psn.advertise({own_link: 40})
+    psn.advertise({own_link: 50})  # before any ACK can return
+    # Only the newest is pending per (link, origin).
     pending = [
-        update.cost
-        for (link_id, _key), (update, _t) in psn.flooding.unacked.items()
+        dict(update.costs)[own_link]
+        for (link_id, _origin), (update, _t)
+        in psn.flooding.unacked.items()
     ]
     assert 40 not in pending
     assert pending.count(50) >= 1
@@ -91,10 +92,10 @@ def test_link_down_purges_pending():
     sim.run(until_s=5.0)
     dead = net.out_links(0)[0].link_id
     psn = sim.psns[0]
-    psn.advertise(dead, 60)
+    psn.advertise({dead: 60})
     net.set_circuit_state(dead, up=False)
     psn.local_link_down(dead)
-    assert not any(l == dead for (l, _k) in psn.flooding.unacked)
+    assert not any(l == dead for (l, _origin) in psn.flooding.unacked)
 
 
 def test_no_retransmit_livelock_under_link_flaps():
@@ -120,11 +121,11 @@ def test_no_retransmit_livelock_under_link_flaps():
         0.05 * telemetry.update_packets_sent
     now = sim.sim.now
     for node_id, psn in sim.psns.items():
-        for (link_id, key), (_update, sent_at) in \
+        for (link_id, origin), (_update, sent_at) in \
                 psn.flooding.unacked.items():
             if net.link(link_id).up:
                 assert now - sent_at < 5 * UPDATE_RETRANSMIT_S, \
-                    (node_id, link_id, key)
+                    (node_id, link_id, origin)
 
 
 @settings(max_examples=20, deadline=None)
@@ -139,23 +140,34 @@ def test_lossy_flood_converges_and_drains(
     nodes, extra, topology_seed, error_rate, seed
 ):
     """Once originations stop, every node holds every originator's
-    latest sequence and every ledger is empty, whatever the loss."""
+    latest sequence and every ledger is empty, whatever the loss -- and
+    no node's record of any origin's sequence ever went backwards."""
     net = build_random_network(nodes, extra, seed=topology_seed)
     sim = NetworkSimulation(
         net, HopNormalizedMetric(), TrafficMatrix.uniform(net, 20_000.0),
         ScenarioConfig(duration_s=120.0, warmup_s=10.0, seed=seed,
                        line_error_rate=error_rate),
     )
+    highest = {}
+
+    def sequences_only_advance():
+        for psn in sim.psns.values():
+            for origin, sequence in psn.flooding._highest_seen.items():
+                key = (psn.node_id, origin)
+                assert sequence >= highest.get(key, 0), key
+                highest[key] = sequence
+
+    sim.sim.timers.every(0.1, sequences_only_advance)
     sim.run(until_s=30.0)
     # Drain: no new originations, only retransmissions and acks.
     for psn in sim.psns.values():
         psn._measurement.cancel()
     sim.run(until_s=90.0)
+    sequences_only_advance()
     for origin in sim.psns.values():
-        for link_id, sequence in origin.flooding._own_sequence.items():
-            key = (origin.node_id, link_id)
-            for psn in sim.psns.values():
-                assert psn.flooding._highest_seen[key] == sequence, \
-                    (psn.node_id, key)
+        sequence = origin.flooding._own_sequence
+        for psn in sim.psns.values():
+            assert psn.flooding._highest_seen[origin.node_id] == sequence, \
+                (psn.node_id, origin.node_id)
     for psn in sim.psns.values():
         assert psn.flooding.unacked == {}, psn.node_id

@@ -11,27 +11,41 @@ def ring():
     return build_ring_network(4)
 
 
+def _report(network, node, cost):
+    """Every link of ``node`` at ``cost``: one node's whole update."""
+    return [(link.link_id, cost) for link in network.out_links(node)]
+
+
 def test_originate_increments_sequence(ring):
     state = FloodingState(ring, 0)
-    own_link = ring.out_links(0)[0].link_id
-    first = state.originate(own_link, 30)
-    second = state.originate(own_link, 47)
+    first = state.originate(_report(ring, 0, 30))
+    second = state.originate(_report(ring, 0, 47))
     assert first.sequence == 1
     assert second.sequence == 2
-    assert first.key() == second.key()
+    assert first.origin == second.origin == 0
+    assert state._own_sequence == 2
+
+
+def test_update_carries_every_entry_it_was_given(ring):
+    state = FloodingState(ring, 0)
+    entries = [(link.link_id, 30 + i)
+               for i, link in enumerate(ring.out_links(0))]
+    update = state.originate(entries)
+    assert update.costs == tuple(entries)
 
 
 def test_originate_rejects_foreign_link(ring):
     state = FloodingState(ring, 0)
     foreign = ring.out_links(1)[0].link_id
     with pytest.raises(ValueError):
-        state.originate(foreign, 30)
+        state.originate(_report(ring, 0, 30) + [(foreign, 30)])
+    assert state._own_sequence == 0  # a refused update spends nothing
 
 
 def test_accept_new_then_reject_duplicate(ring):
     sender = FloodingState(ring, 0)
     receiver = FloodingState(ring, 1)
-    update = sender.originate(ring.out_links(0)[0].link_id, 42)
+    update = sender.originate(_report(ring, 0, 42))
     assert receiver.accept(update)
     assert not receiver.accept(update)
     assert receiver.stats.accepted == 1
@@ -41,26 +55,30 @@ def test_accept_new_then_reject_duplicate(ring):
 def test_stale_sequence_rejected(ring):
     sender = FloodingState(ring, 0)
     receiver = FloodingState(ring, 1)
-    link = ring.out_links(0)[0].link_id
-    old = sender.originate(link, 42)
-    new = sender.originate(link, 60)
+    old = sender.originate(_report(ring, 0, 42))
+    new = sender.originate(_report(ring, 0, 60))
     assert receiver.accept(new)
     assert not receiver.accept(old)
 
 
 def test_originator_ignores_reflected_copy(ring):
     sender = FloodingState(ring, 0)
-    update = sender.originate(ring.out_links(0)[0].link_id, 42)
+    update = sender.originate(_report(ring, 0, 42))
     assert not sender.accept(update)
 
 
-def test_sequence_spaces_independent_per_link(ring):
-    sender = FloodingState(ring, 0)
-    links = [l.link_id for l in ring.out_links(0)]
-    u1 = sender.originate(links[0], 42)
-    u2 = sender.originate(links[1], 42)
-    assert u1.sequence == u2.sequence == 1
-    assert u1.key() != u2.key()
+def test_one_sequence_space_per_origin(ring):
+    """A node's updates share one counter; each origin has its own."""
+    a, b = FloodingState(ring, 0), FloodingState(ring, 1)
+    first = a.originate(_report(ring, 0, 42))
+    second = a.originate(_report(ring, 0, 43))
+    other = b.originate(_report(ring, 1, 42))
+    assert (first.sequence, second.sequence, other.sequence) == (1, 2, 1)
+    receiver = FloodingState(ring, 2)
+    assert receiver.accept(second)
+    assert receiver.accept(other)  # origin 1's space is untouched by 0's
+    assert not receiver.accept(first)
+    assert receiver._highest_seen == {0: 2, 1: 1}
 
 
 def test_forward_links_exclude_arrival_reverse(ring):
@@ -82,7 +100,7 @@ def test_forward_links_all_when_originating(ring):
 def test_flood_reaches_every_node_once(ring):
     """Simulate a full synchronous flood; every node accepts exactly once."""
     states = {n: FloodingState(ring, n) for n in ring.nodes}
-    update = states[0].originate(ring.out_links(0)[0].link_id, 55)
+    update = states[0].originate(_report(ring, 0, 55))
     frontier = [(update, link_id) for link_id in
                 states[0].forward_links(None)]
     accepted = {0}
@@ -102,9 +120,9 @@ def test_flood_reaches_every_node_once(ring):
 
 
 def test_update_is_immutable():
-    update = RoutingUpdate(origin=0, link_id=1, cost=30, sequence=1)
+    update = RoutingUpdate(origin=0, sequence=1, costs=((0, 30),))
     with pytest.raises(AttributeError):
-        update.cost = 99
+        update.costs = ((0, 99),)
 
 
 def test_every_copy_is_acked_on_the_reverse_link(ring):
@@ -112,7 +130,7 @@ def test_every_copy_is_acked_on_the_reverse_link(ring):
     sender = FloodingState(ring, 0)
     receiver = FloodingState(ring, 1)
     via = next(l for l in ring.out_links(0) if l.dst == 1)
-    update = sender.originate(via.link_id, 42)
+    update = sender.originate(_report(ring, 0, 42))
     assert receiver.accept(update)
     assert receiver.note_received(via.link_id, update) == via.reverse_id
     assert not receiver.accept(update)
@@ -124,12 +142,12 @@ def test_every_copy_is_acked_on_the_reverse_link(ring):
 def test_ledger_keeps_the_newest_copy_until_its_ack(ring):
     state = FloodingState(ring, 0)
     out = ring.out_links(0)[0].link_id
-    old = state.originate(out, 40)
+    old = state.originate(_report(ring, 0, 40))
     state.note_sent(out, old, 1.0)
-    new = state.originate(out, 50)
+    new = state.originate(_report(ring, 0, 50))
     state.note_sent(out, new, 2.0)
-    assert state.unacked == {(out, new.key()): (new, 2.0)}
+    assert state.unacked == {(out, 0): (new, 2.0)}
     state.note_acked(out, old)  # a late ack for the superseded copy
-    assert state.unacked == {(out, new.key()): (new, 2.0)}
+    assert state.unacked == {(out, 0): (new, 2.0)}
     state.note_acked(out, new)
     assert state.unacked == {}

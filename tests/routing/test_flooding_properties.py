@@ -11,7 +11,7 @@ def synchronous_flood(network, origin_node, update):
     """Flood an update to completion; return per-node accept counts."""
     states = {n: FloodingState(network, n) for n in network.nodes}
     # Re-key the origin's state so sequence numbers line up.
-    states[origin_node]._highest_seen[update.key()] = update.sequence
+    states[origin_node]._highest_seen[update.origin] = update.sequence
     frontier = [
         (update, link_id)
         for link_id in states[origin_node].forward_links(None)
@@ -48,8 +48,9 @@ def test_property_flood_reaches_everyone_exactly_once(
     network = build_random_network(n, extra_circuits=extra, seed=seed)
     origin = origin_pick % n
     origin_state = FloodingState(network, origin)
-    own_link = network.out_links(origin)[0].link_id
-    update = origin_state.originate(own_link, 42)
+    update = origin_state.originate(
+        [(link.link_id, 42) for link in network.out_links(origin)]
+    )
 
     accepts = synchronous_flood(network, origin, update)
     assert accepts[origin] == 0
@@ -70,17 +71,19 @@ def test_property_repeated_floods_keep_latest(n, seed, costs):
     """Sequenced re-floods: every node ends holding only the newest."""
     network = build_random_network(n, extra_circuits=3, seed=seed)
     origin_state = FloodingState(network, 0)
-    own_link = network.out_links(0)[0].link_id
+    own_links = [link.link_id for link in network.out_links(0)]
     receivers = {
         node: FloodingState(network, node)
         for node in network.nodes if node != 0
     }
     last_accepted = {}
     for cost in costs:
-        update = origin_state.originate(own_link, cost)
+        update = origin_state.originate(
+            [(link_id, cost) for link_id in own_links]
+        )
         for node, state in receivers.items():
             if state.accept(update):
-                last_accepted[node] = update.cost
+                last_accepted[node] = update.costs[0][1]
         # Replaying any older update is always rejected.
         for node, state in receivers.items():
             assert not state.accept(update)

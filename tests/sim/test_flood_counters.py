@@ -4,7 +4,9 @@ On ``rand256`` over its first simulated second (the boot flood, before
 any measurement interval closes) Rosen's protocol must leave every node
 holding every originator's advertised cost, put exactly one explicit ack
 on the wire per update copy received, and end with every retransmission
-ledger empty.  All three are deterministic counters of a seeded run.
+ledger empty.  Each PSN sends its boot costs in one update, so the boot
+originates exactly one update per node.  All four are deterministic
+counters of a seeded run.
 """
 
 import pytest
@@ -30,6 +32,7 @@ def test_boot_flood_is_acked_copy_for_copy_and_drains():
     flood = [psn.flooding.stats for psn in psns.values()]
     received = sum(s.accepted + s.duplicates for s in flood)
     telemetry = report.telemetry
+    assert telemetry.flood_generated == len(psns) == 256
     assert all(link.up for link in simulation.network.links)
     assert telemetry.line_error_losses == 0
     assert telemetry.ack_packets_sent == received

@@ -78,12 +78,14 @@ def test_throughput_in_kbps(net):
 
 def test_update_accounting(net):
     stats = StatsCollector(net, warmup_s=10.0)
-    stats.update_originated(3, 42, 5.0)   # during warmup: kept in history
-    stats.update_originated(3, 55, 20.0)
-    stats.update_originated(4, 60, 30.0)
+    stats.update_originated([(3, 42)], 5.0)   # warmup: kept in history
+    stats.update_originated([(3, 55), (4, 58)], 20.0)  # one update
+    stats.update_originated([(4, 60)], 30.0)
     report = stats.report("test", 110.0)
+    # Updates count per originating node, not per reported link.
     assert report.updates_per_s == pytest.approx(2 / 100.0)
     assert stats.cost_series(3) == [(5.0, 42), (20.0, 55)]
+    assert stats.cost_series(4) == [(20.0, 58), (30.0, 60)]
     # per node: 2 updates / 100 s / 4 nodes.
     assert report.update_period_per_node_s == pytest.approx(200.0)
 
