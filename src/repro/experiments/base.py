@@ -8,14 +8,11 @@ from typing import Any, Dict
 
 from repro.analysis import build_response_map, reference_link
 from repro.analysis.response_map import NetworkResponseMap
+from repro.sim.scenarios import MAY_1987_BPS
 from repro.topology import build_arpanet_1987
 from repro.topology.arpanet import site_weights
 from repro.topology.graph import Link, Network
 from repro.traffic import TrafficMatrix
-
-#: The paper's network-wide internode traffic figures (Table 1).
-MAY_1987_TRAFFIC_BPS = 366_260.0
-AUG_1987_TRAFFIC_BPS = 413_990.0
 
 
 @dataclass
@@ -31,7 +28,7 @@ class ExperimentResult:
         return self.rendered
 
 
-def arpanet_traffic(total_bps: float = MAY_1987_TRAFFIC_BPS) -> TrafficMatrix:
+def arpanet_traffic(total_bps: float = MAY_1987_BPS) -> TrafficMatrix:
     """The synthetic peak-hour gravity matrix on the embedded topology."""
     return TrafficMatrix.gravity(
         build_arpanet_1987(), total_bps, weights=site_weights()
@@ -42,7 +39,7 @@ def arpanet_traffic(total_bps: float = MAY_1987_TRAFFIC_BPS) -> TrafficMatrix:
 def _cached_response_map() -> NetworkResponseMap:
     network = build_arpanet_1987()
     traffic = TrafficMatrix.gravity(
-        network, MAY_1987_TRAFFIC_BPS, weights=site_weights()
+        network, MAY_1987_BPS, weights=site_weights()
     )
     return build_response_map(network, traffic)
 

@@ -9,14 +9,11 @@ fidelity caveat about BF's surprisingly competitive steady state.
 
 from __future__ import annotations
 
-from repro.experiments.base import (
-    ExperimentResult,
-    MAY_1987_TRAFFIC_BPS,
-    fresh_arpanet,
-)
+from repro.experiments.base import ExperimentResult, fresh_arpanet
 from repro.metrics import DelayMetric, HopNormalizedMetric
 from repro.report import ascii_table
 from repro.sim import BellmanFordSimulation, NetworkSimulation, ScenarioConfig
+from repro.sim.scenarios import MAY_1987_BPS
 from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
 
@@ -32,7 +29,7 @@ def run(fast: bool = False) -> ExperimentResult:
     for label in ("BF-1969", "D-SPF", "HN-SPF"):
         network = fresh_arpanet()
         traffic = TrafficMatrix.gravity(
-            network, MAY_1987_TRAFFIC_BPS, weights=site_weights()
+            network, MAY_1987_BPS, weights=site_weights()
         )
         config = ScenarioConfig(duration_s=duration, warmup_s=warmup,
                                 seed=3)

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.experiments.base import (
-    ExperimentResult,
-    MAY_1987_TRAFFIC_BPS,
-    fresh_arpanet,
-)
+from repro.experiments.base import ExperimentResult, fresh_arpanet
 from repro.metrics import DelayMetric, HopNormalizedMetric
 from repro.report import ascii_chart, ascii_table
 from repro.sim import NetworkSimulation, ScenarioConfig
+from repro.sim.scenarios import MAY_1987_BPS
 from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
 
@@ -38,7 +35,7 @@ def run(fast: bool = False) -> ExperimentResult:
     for day in range(days):
         metric = DelayMetric() if day < switch_day else HopNormalizedMetric()
         network = fresh_arpanet()
-        total = MAY_1987_TRAFFIC_BPS * (1.0 + DAILY_GROWTH) ** day
+        total = MAY_1987_BPS * (1.0 + DAILY_GROWTH) ** day
         traffic = TrafficMatrix.gravity(
             network, total, weights=site_weights()
         )

@@ -14,19 +14,9 @@ comparison.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.experiments.base import (
-    AUG_1987_TRAFFIC_BPS,
-    MAY_1987_TRAFFIC_BPS,
-    ExperimentResult,
-    fresh_arpanet,
-)
-from repro.metrics import DelayMetric, HopNormalizedMetric
+from repro.experiments.base import ExperimentResult
 from repro.report import ascii_table
-from repro.sim import NetworkSimulation, ScenarioConfig
-from repro.topology.arpanet import site_weights
-from repro.traffic import TrafficMatrix
+from repro.sim import ScenarioConfig, build_scenario
 
 TITLE = "Table 1: ARPANET Network-wide Performance Indicators"
 
@@ -57,23 +47,10 @@ def run(fast: bool = False) -> ExperimentResult:
     duration = 180.0 if fast else 600.0
     warmup = 60.0 if fast else 120.0
 
-    scenarios = (
-        ("May 87 (D-SPF)", DelayMetric(), MAY_1987_TRAFFIC_BPS),
-        ("Aug 87 (HN-SPF)", HopNormalizedMetric(), AUG_1987_TRAFFIC_BPS),
-    )
-    reports: Dict[str, object] = {}
-    for label, metric, total_bps in scenarios:
-        network = fresh_arpanet()
-        traffic = TrafficMatrix.gravity(
-            network, total_bps, weights=site_weights()
-        )
-        sim = NetworkSimulation(
-            network, metric, traffic,
-            ScenarioConfig(duration_s=duration, warmup_s=warmup, seed=3),
-        )
-        reports[label] = sim.run()
-
-    may, aug = reports["May 87 (D-SPF)"], reports["Aug 87 (HN-SPF)"]
+    # The benchmark's may87 / aug87 workloads, by construction.
+    config = ScenarioConfig(duration_s=duration, warmup_s=warmup, seed=3)
+    may = build_scenario("may87", config=config).run()
+    aug = build_scenario("aug87", config=config).run()
     rows = [
         ("Internode Traffic (kbps)", may.internode_traffic_kbps,
          aug.internode_traffic_kbps,

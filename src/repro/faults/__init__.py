@@ -21,7 +21,6 @@ from repro.faults.adversarial import (
     CorruptUpdate,
     ReorderCircuit,
     StuckNode,
-    adversarial_from_dict,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
@@ -35,6 +34,7 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
     LinkFlap,
+    adversarial_from_dict,
     load_fault_plan,
 )
 

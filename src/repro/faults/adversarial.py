@@ -35,28 +35,40 @@ see ``docs/robustness.md`` for the pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
-
-#: JSON ``kind`` tags of the adversarial fault kinds.
-ADVERSARIAL_KINDS = (
-    "corrupt-update",
-    "babbling-node",
-    "stuck-node",
-    "reorder-circuit",
-)
+from typing import Optional, Tuple, Union
 
 
-def _check_window(start_s: float, until_s: Optional[float], what: str) -> None:
-    if start_s < 0:
-        raise ValueError(f"{what}: start must be >= 0: {start_s}")
-    if until_s is not None and until_s <= start_s:
-        raise ValueError(
-            f"{what}: until ({until_s}) must follow start ({start_s})"
-        )
+class _Adversary:
+    """What every kind declares as class attributes: its JSON ``kind``
+    tag, the family of its random stream (``<stream>-<target>``) and
+    the name of its target field; and what every kind checks: a
+    non-negative target, a positive rate if it has one, and a
+    ``[start_s, until_s)`` window."""
+
+    kind: str
+    stream: str
+    target: str
+
+    def __post_init__(self) -> None:
+        target = getattr(self, self.target)
+        if target < 0:
+            raise ValueError(f"{self.target} must be >= 0: {target}")
+        rate = getattr(self, "rate_per_s", 1.0)
+        if rate <= 0:
+            raise ValueError(f"rate must be positive: {rate}")
+        if self.start_s < 0:
+            raise ValueError(
+                f"{self.kind}: start must be >= 0: {self.start_s}"
+            )
+        if self.until_s is not None and self.until_s <= self.start_s:
+            raise ValueError(
+                f"{self.kind}: until ({self.until_s}) must follow start "
+                f"({self.start_s})"
+            )
 
 
 @dataclass(frozen=True)
-class CorruptUpdate:
+class CorruptUpdate(_Adversary):
     """A node emits forged routing updates.
 
     Each emission (exponential inter-event times with rate
@@ -70,6 +82,8 @@ class CorruptUpdate:
     """
 
     kind = "corrupt-update"
+    stream = "fault-corrupt"
+    target = "node_id"
 
     node_id: int
     #: Mean forged updates per second.
@@ -79,40 +93,9 @@ class CorruptUpdate:
     #: No emissions at or after this time (``None`` = until run end).
     until_s: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.node_id < 0:
-            raise ValueError(f"node_id must be >= 0: {self.node_id}")
-        if self.rate_per_s <= 0:
-            raise ValueError(f"rate must be positive: {self.rate_per_s}")
-        _check_window(self.start_s, self.until_s, self.kind)
-
-    def to_dict(self) -> Dict:
-        out: Dict = {
-            "kind": self.kind,
-            "node_id": self.node_id,
-            "rate_per_s": self.rate_per_s,
-        }
-        if self.start_s:
-            out["start_s"] = self.start_s
-        if self.until_s is not None:
-            out["until_s"] = self.until_s
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CorruptUpdate":
-        return cls(
-            node_id=int(data["node_id"]),
-            rate_per_s=float(data.get("rate_per_s", 1.0)),
-            start_s=float(data.get("start_s", 0.0)),
-            until_s=(
-                float(data["until_s"]) if data.get("until_s") is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class BabblingNode:
+class BabblingNode(_Adversary):
     """A node originates well-formed updates at an excessive rate.
 
     Unlike :class:`CorruptUpdate` the updates are protocol-legal --
@@ -123,6 +106,8 @@ class BabblingNode:
     """
 
     kind = "babbling-node"
+    stream = "fault-babble"
+    target = "node_id"
 
     node_id: int
     #: Mean updates per second (the honest cadence is at most one per
@@ -131,40 +116,9 @@ class BabblingNode:
     start_s: float = 0.0
     until_s: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.node_id < 0:
-            raise ValueError(f"node_id must be >= 0: {self.node_id}")
-        if self.rate_per_s <= 0:
-            raise ValueError(f"rate must be positive: {self.rate_per_s}")
-        _check_window(self.start_s, self.until_s, self.kind)
-
-    def to_dict(self) -> Dict:
-        out: Dict = {
-            "kind": self.kind,
-            "node_id": self.node_id,
-            "rate_per_s": self.rate_per_s,
-        }
-        if self.start_s:
-            out["start_s"] = self.start_s
-        if self.until_s is not None:
-            out["until_s"] = self.until_s
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "BabblingNode":
-        return cls(
-            node_id=int(data["node_id"]),
-            rate_per_s=float(data.get("rate_per_s", 10.0)),
-            start_s=float(data.get("start_s", 0.0)),
-            until_s=(
-                float(data["until_s"]) if data.get("until_s") is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class StuckNode:
+class StuckNode(_Adversary):
     """A node's control plane freezes: receive but never forward or ack.
 
     While stuck the node drops every incoming routing update and ack
@@ -175,39 +129,18 @@ class StuckNode:
     """
 
     kind = "stuck-node"
+    #: Draws nothing; the family only keys the one-per-target rule.
+    stream = "stuck"
+    target = "node_id"
 
     node_id: int
     start_s: float = 0.0
     #: When the control plane unfreezes (``None`` = stuck forever).
     until_s: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.node_id < 0:
-            raise ValueError(f"node_id must be >= 0: {self.node_id}")
-        _check_window(self.start_s, self.until_s, self.kind)
-
-    def to_dict(self) -> Dict:
-        out: Dict = {"kind": self.kind, "node_id": self.node_id}
-        if self.start_s:
-            out["start_s"] = self.start_s
-        if self.until_s is not None:
-            out["until_s"] = self.until_s
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "StuckNode":
-        return cls(
-            node_id=int(data["node_id"]),
-            start_s=float(data.get("start_s", 0.0)),
-            until_s=(
-                float(data["until_s"]) if data.get("until_s") is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ReorderCircuit:
+class ReorderCircuit(_Adversary):
     """Bounded reordering of a circuit's queued control packets.
 
     With probability ``probability`` per dequeue (both directions of
@@ -220,6 +153,9 @@ class ReorderCircuit:
     """
 
     kind = "reorder-circuit"
+    #: One stream per duplex circuit, named by its lower link id.
+    stream = "fault-reorder"
+    target = "link_id"
 
     link_id: int
     #: Per-dequeue probability of picking a non-head control packet.
@@ -230,69 +166,25 @@ class ReorderCircuit:
     until_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.link_id < 0:
-            raise ValueError(f"link_id must be >= 0: {self.link_id}")
+        super().__post_init__()
         if not 0.0 < self.probability <= 1.0:
             raise ValueError(
                 f"probability must be in (0, 1]: {self.probability}"
             )
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1: {self.depth}")
-        _check_window(self.start_s, self.until_s, self.kind)
-
-    def to_dict(self) -> Dict:
-        out: Dict = {
-            "kind": self.kind,
-            "link_id": self.link_id,
-            "probability": self.probability,
-            "depth": self.depth,
-        }
-        if self.start_s:
-            out["start_s"] = self.start_s
-        if self.until_s is not None:
-            out["until_s"] = self.until_s
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ReorderCircuit":
-        return cls(
-            link_id=int(data["link_id"]),
-            probability=float(data.get("probability", 0.25)),
-            depth=int(data.get("depth", 3)),
-            start_s=float(data.get("start_s", 0.0)),
-            until_s=(
-                float(data["until_s"]) if data.get("until_s") is not None
-                else None
-            ),
-        )
 
 
 #: Any adversarial fault.
 AdversarialFault = Union[CorruptUpdate, BabblingNode, StuckNode, ReorderCircuit]
 
-_BY_KIND = {
-    CorruptUpdate.kind: CorruptUpdate,
-    BabblingNode.kind: BabblingNode,
-    StuckNode.kind: StuckNode,
-    ReorderCircuit.kind: ReorderCircuit,
+#: Each kind's class by its JSON ``kind`` tag.
+BY_KIND = {
+    cls.kind: cls
+    for cls in (CorruptUpdate, BabblingNode, StuckNode, ReorderCircuit)
 }
-
-
-def adversarial_from_dict(data: Dict) -> AdversarialFault:
-    """Dispatch one JSON object to its fault kind by its ``kind`` tag."""
-    try:
-        kind = data["kind"]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"adversarial fault needs a 'kind' tag: {data!r}"
-        ) from None
-    cls = _BY_KIND.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown adversarial kind {kind!r}; "
-            f"known: {', '.join(ADVERSARIAL_KINDS)}"
-        )
-    return cls.from_dict(data)
+#: JSON ``kind`` tags of the adversarial fault kinds.
+ADVERSARIAL_KINDS = tuple(BY_KIND)
 
 
 def adversarial_stream_key(fault: AdversarialFault) -> Tuple[str, int]:
@@ -302,10 +194,4 @@ def adversarial_stream_key(fault: AdversarialFault) -> Tuple[str, int]:
     entangle their trajectories; :class:`~repro.faults.plan.FaultPlan`
     rejects such plans at construction.
     """
-    if isinstance(fault, CorruptUpdate):
-        return ("fault-corrupt", fault.node_id)
-    if isinstance(fault, BabblingNode):
-        return ("fault-babble", fault.node_id)
-    if isinstance(fault, StuckNode):
-        return ("stuck", fault.node_id)
-    return ("fault-reorder", fault.link_id)
+    return (fault.stream, getattr(fault, fault.target))

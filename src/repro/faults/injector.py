@@ -17,11 +17,10 @@ traffic or other flaps.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.faults.adversarial import (
-    BabblingNode,
-    CorruptUpdate,
+    AdversarialFault,
     ReorderCircuit,
     StuckNode,
 )
@@ -73,15 +72,14 @@ class FaultInjector:
             sim.call_in(max(event.at_s - sim.now, 0.0), self._fire, event)
         for flap in plan.flaps:
             self._arm_flap(flap)
+        arm = {
+            "corrupt-update": self._arm_emitter,
+            "babbling-node": self._arm_emitter,
+            "stuck-node": self._arm_stuck,
+            "reorder-circuit": self._arm_reorder,
+        }
         for fault in plan.adversarial:
-            if isinstance(fault, CorruptUpdate):
-                self._arm_corrupt(fault)
-            elif isinstance(fault, BabblingNode):
-                self._arm_babble(fault)
-            elif isinstance(fault, StuckNode):
-                self._arm_stuck(fault)
-            elif isinstance(fault, ReorderCircuit):
-                self._arm_reorder(fault)
+            arm[fault.kind](fault)
         if plan.adversarial:
             # The containment sampler is read-only (it only compares
             # databases against owners' counters), so sampling never
@@ -102,38 +100,34 @@ class FaultInjector:
             for node in event.nodes:
                 if node not in network.nodes:
                     raise ValueError(f"no such node {node}: {event}")
-        seen_circuits = {}
+        # Either direction names a duplex circuit.  Two flaps on one
+        # circuit would fight over the same physical line; two reorders
+        # would share its one stream and entangle their draws.
+        flapped: Dict[int, int] = {}
         for flap in plan.flaps:
-            if not 0 <= flap.link_id < links:
-                raise ValueError(f"no such link {flap.link_id}: {flap}")
-            # Either direction names the duplex circuit; two flaps on
-            # one circuit would fight over the same physical line.
-            link = network.link(flap.link_id)
-            circuit = min(
-                flap.link_id,
-                link.reverse_id if link.reverse_id is not None
-                else flap.link_id,
-            )
-            if circuit in seen_circuits:
-                raise ValueError(
-                    f"links {seen_circuits[circuit]} and {flap.link_id} "
-                    f"flap the same duplex circuit"
-                )
-            seen_circuits[circuit] = flap.link_id
-        reordered = {}
+            self._claim_circuit(flapped, flap.link_id, flap, "flap")
+        reordered: Dict[int, int] = {}
         for fault in plan.adversarial:
-            if isinstance(fault, ReorderCircuit):
-                if not 0 <= fault.link_id < links:
-                    raise ValueError(f"no such link {fault.link_id}: {fault}")
-                circuit = self._circuit_id(fault.link_id)
-                if circuit in reordered:
-                    raise ValueError(
-                        f"links {reordered[circuit]} and {fault.link_id} "
-                        f"reorder the same duplex circuit"
-                    )
-                reordered[circuit] = fault.link_id
-            elif fault.node_id not in network.nodes:
-                raise ValueError(f"no such node {fault.node_id}: {fault}")
+            target = getattr(fault, fault.target)
+            if fault.target == "link_id":
+                self._claim_circuit(reordered, target, fault, "reorder")
+            elif target not in network.nodes:
+                raise ValueError(f"no such node {target}: {fault}")
+
+    def _claim_circuit(
+        self, claimed: Dict[int, int], link_id: int, entry, verb: str
+    ) -> None:
+        """Check that ``link_id`` exists and that no earlier entry in
+        ``claimed`` holds its duplex circuit, then claim it."""
+        if not 0 <= link_id < len(self.simulation.network.links):
+            raise ValueError(f"no such link {link_id}: {entry}")
+        circuit = self._circuit_id(link_id)
+        if circuit in claimed:
+            raise ValueError(
+                f"links {claimed[circuit]} and {link_id} "
+                f"{verb} the same duplex circuit"
+            )
+        claimed[circuit] = link_id
 
     # ------------------------------------------------------------------
     # Scripted events
@@ -253,77 +247,57 @@ class FaultInjector:
             )
         )
 
-    def _arm_corrupt(self, fault: CorruptUpdate) -> None:
-        rng = self.simulation.streams.stream(f"fault-corrupt-{fault.node_id}")
+    def _arm_emitter(self, fault: AdversarialFault) -> None:
+        """Start a corrupt-update or babbling-node Poisson emitter on
+        its own ``<stream>-<node>`` stream."""
+        rng = self.simulation.streams.stream(f"{fault.stream}-{fault.node_id}")
         links = self._own_links(fault.node_id)
         delay = rng.expovariate(fault.rate_per_s)
         self.simulation.sim.call_in(
             max(fault.start_s - self.simulation.sim.now, 0.0) + delay,
-            self._corrupt_fire, fault, rng, links,
+            self._emitter_fire, fault, rng, links,
         )
 
-    def _corrupt_fire(self, fault: CorruptUpdate, rng, links: List[int]) -> None:
-        """Emit one forged update (the node's whole report), then rearm.
+    def _emitter_fire(
+        self, fault: AdversarialFault, rng, links: List[int]
+    ) -> None:
+        """Emit one update from an emitter, then rearm it.
 
-        Three corruption modes (drawn from the fault's own stream): a
-        bit-flipped *sequence number* -- a high bit OR-ed into the next
-        honest sequence, the 1980 failure mode that poisons every
-        database against the node's later legitimate updates -- an
-        out-of-range *cost field* for one drawn link riding an honest
-        sequence number, or both at once.
+        A babbler re-announces the node's current report verbatim on an
+        honest sequence: every sanity screen passes it (it is the
+        truth, just far too often) and only per-neighbour rate limiting
+        contains it.  A corrupter forges the whole report in one of
+        three modes drawn from its stream: a bit-flipped *sequence
+        number* -- a high bit OR-ed into the next honest sequence, the
+        1980 failure mode that poisons every database against the
+        node's later legitimate updates -- an out-of-range *cost field*
+        for one drawn link riding an honest sequence number, or both.
         """
         now = self.simulation.sim.now
         if fault.until_s is not None and now >= fault.until_s:
             return
         psn = self.simulation.psns[fault.node_id]
-        link_id = links[rng.randrange(len(links))]
-        mode = rng.random()
-        if mode < 0.6:
-            # Sequence bit-flip; the costs are the node's current honest
-            # advertisements, so only the sequence space is poisoned.
-            sequence = (
-                psn.flooding._own_sequence + 1
-            ) | (1 << rng.randint(8, 17))
-            forged = None
-        elif mode < 0.85:
-            # Garbage cost on an honest sequence number (below the
-            # line-dead threshold, so undefended receivers route on it).
-            sequence = None
-            forged = {link_id: rng.randrange(100_000, 2 ** 20)}
+        if fault.kind == "babbling-node":
+            psn.emit_forged_update()
+            self.babble_updates_injected += 1
         else:
-            sequence = (
-                psn.flooding._own_sequence + 1
-            ) | (1 << rng.randint(8, 17))
-            forged = {link_id: rng.randrange(100_000, 2 ** 20)}
-        psn.emit_forged_update(forged, sequence=sequence)
-        self.corrupt_updates_injected += 1
-        self.adversarial_applied.append((now, "corrupt-update", fault.node_id))
+            link_id = links[rng.randrange(len(links))]
+            mode = rng.random()
+            sequence = forged = None
+            if mode < 0.6 or mode >= 0.85:
+                sequence = (
+                    psn.flooding._own_sequence + 1
+                ) | (1 << rng.randint(8, 17))
+            if mode >= 0.6:
+                # Below the line-dead threshold, so undefended
+                # receivers route on it.
+                forged = {link_id: rng.randrange(100_000, 2 ** 20)}
+            psn.emit_forged_update(forged, sequence=sequence)
+            self.corrupt_updates_injected += 1
+        self.adversarial_applied.append((now, fault.kind, fault.node_id))
         self.simulation.sim.call_in(
-            rng.expovariate(fault.rate_per_s), self._corrupt_fire,
+            rng.expovariate(fault.rate_per_s), self._emitter_fire,
             fault, rng, links,
-        )
-
-    def _arm_babble(self, fault: BabblingNode) -> None:
-        rng = self.simulation.streams.stream(f"fault-babble-{fault.node_id}")
-        delay = rng.expovariate(fault.rate_per_s)
-        self.simulation.sim.call_in(
-            max(fault.start_s - self.simulation.sim.now, 0.0) + delay,
-            self._babble_fire, fault, rng,
-        )
-
-    def _babble_fire(self, fault: BabblingNode, rng) -> None:
-        """One well-formed but gratuitous update: honest sequence, the
-        node's current report re-announced verbatim.  Every sanity
-        screen passes it (it is the truth, just far too often) -- only
-        per-neighbour rate limiting contains a babbler."""
-        now = self.simulation.sim.now
-        if fault.until_s is not None and now >= fault.until_s:
-            return
-        self.simulation.psns[fault.node_id].emit_forged_update()
-        self.babble_updates_injected += 1
-        self.adversarial_applied.append((now, "babbling-node", fault.node_id))
-        self.simulation.sim.call_in(
-            rng.expovariate(fault.rate_per_s), self._babble_fire, fault, rng,
         )
 
     def _arm_stuck(self, fault: StuckNode) -> None:
@@ -352,7 +326,7 @@ class FaultInjector:
         draws (draws happen only on in-window dequeues).
         """
         circuit = self._circuit_id(fault.link_id)
-        rng = self.simulation.streams.stream(f"fault-reorder-{circuit}")
+        rng = self.simulation.streams.stream(f"{fault.stream}-{circuit}")
         sim = self.simulation.sim
 
         def pick(queue_len: int) -> int:

@@ -9,7 +9,10 @@ babbling, stuck and reordering behaviours from
 :mod:`repro.faults.adversarial`.  Plans are plain frozen dataclasses of
 primitives, so they pickle into a
 :class:`~repro.sim.parallel.RunSpec`'s config and round-trip through
-JSON (``python -m repro simulate --faults PLAN.json``).
+JSON (``python -m repro simulate --faults PLAN.json``) through one
+codec for every entry kind: it writes each field but an optional one
+left at its empty default, and reads by coercing each value to its
+field's annotated type and rejecting any key that is not a field.
 
 The plan is pure data; :class:`~repro.faults.injector.FaultInjector`
 compiles it onto a running :class:`~repro.sim.network_sim.NetworkSimulation`
@@ -20,12 +23,14 @@ machinery.  See ``docs/robustness.md`` for the JSON schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from repro.faults.adversarial import (
+    ADVERSARIAL_KINDS,
+    BY_KIND,
     AdversarialFault,
-    adversarial_from_dict,
     adversarial_stream_key,
 )
 
@@ -86,26 +91,6 @@ class FaultEvent:
         if self.action in _GROUP_ACTIONS and not self.nodes:
             raise ValueError(f"{self.action} needs a nodes group: {self}")
 
-    def to_dict(self) -> Dict:
-        out: Dict = {"at_s": self.at_s, "action": self.action}
-        if self.link_id is not None:
-            out["link_id"] = self.link_id
-        if self.node_id is not None:
-            out["node_id"] = self.node_id
-        if self.nodes:
-            out["nodes"] = list(self.nodes)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultEvent":
-        return cls(
-            at_s=float(data["at_s"]),
-            action=data["action"],
-            link_id=data.get("link_id"),
-            node_id=data.get("node_id"),
-            nodes=tuple(data.get("nodes", ())),
-        )
-
 
 @dataclass(frozen=True)
 class LinkFlap:
@@ -145,31 +130,6 @@ class LinkFlap:
             raise ValueError(
                 f"until ({self.until_s}) must follow start ({self.start_s})"
             )
-
-    def to_dict(self) -> Dict:
-        out: Dict = {
-            "link_id": self.link_id,
-            "mtbf_s": self.mtbf_s,
-            "mttr_s": self.mttr_s,
-        }
-        if self.start_s:
-            out["start_s"] = self.start_s
-        if self.until_s is not None:
-            out["until_s"] = self.until_s
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "LinkFlap":
-        return cls(
-            link_id=int(data["link_id"]),
-            mtbf_s=float(data["mtbf_s"]),
-            mttr_s=float(data["mttr_s"]),
-            start_s=float(data.get("start_s", 0.0)),
-            until_s=(
-                float(data["until_s"]) if data.get("until_s") is not None
-                else None
-            ),
-        )
 
 
 #: Canonical same-timestamp ordering of scripted events: every
@@ -253,12 +213,13 @@ class FaultPlan:
 
     def to_dict(self) -> Dict:
         out: Dict = {
-            "events": [event.to_dict() for event in self.events],
-            "flaps": [flap.to_dict() for flap in self.flaps],
+            "events": [_entry_to_dict(event) for event in self.events],
+            "flaps": [_entry_to_dict(flap) for flap in self.flaps],
         }
         if self.adversarial:
             out["adversarial"] = [
-                fault.to_dict() for fault in self.adversarial
+                {"kind": fault.kind, **_entry_to_dict(fault)}
+                for fault in self.adversarial
             ]
         return out
 
@@ -272,10 +233,10 @@ class FaultPlan:
             )
         return cls(
             events=tuple(
-                FaultEvent.from_dict(e) for e in data.get("events", ())
+                _entry_from_dict(FaultEvent, e) for e in data.get("events", ())
             ),
             flaps=tuple(
-                LinkFlap.from_dict(f) for f in data.get("flaps", ())
+                _entry_from_dict(LinkFlap, f) for f in data.get("flaps", ())
             ),
             adversarial=tuple(
                 adversarial_from_dict(a) for a in data.get("adversarial", ())
@@ -293,6 +254,63 @@ class FaultPlan:
     def from_json(cls, path: str) -> "FaultPlan":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
+
+
+# ----------------------------------------------------------------------
+# The one codec of plan entries (events, flaps, adversarial kinds)
+# ----------------------------------------------------------------------
+def _entry_to_dict(entry) -> Dict:
+    """Every field of one entry, except an optional one left at its
+    empty default (``0``, ``None``, ``()``); tuples become lists."""
+    out: Dict = {}
+    for spec in fields(entry):
+        value = getattr(entry, spec.name)
+        if spec.default in (0, None, ()) and value == spec.default:
+            continue
+        out[spec.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _coerce(hint: Any, value: Any) -> Any:
+    """``value`` as the annotated type ``hint`` (``Optional[X]``,
+    ``Tuple[X, ...]`` or a plain type)."""
+    if get_origin(hint) is Union:
+        return None if value is None else _coerce(get_args(hint)[0], value)
+    if get_origin(hint) is tuple:
+        return tuple(_coerce(get_args(hint)[0], item) for item in value)
+    return hint(value)
+
+
+def _entry_from_dict(cls, data: Dict):
+    """Build one ``cls`` entry, coercing each value to its field's
+    annotated type; a key that is not a field is an error."""
+    names = [spec.name for spec in fields(cls)]
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise ValueError(
+            f"unknown {getattr(cls, 'kind', cls.__name__)} keys {unknown}; "
+            f"known: {', '.join(names)}"
+        )
+    hints = get_type_hints(cls)
+    return cls(**{k: _coerce(hints[k], v) for k, v in data.items()})
+
+
+def adversarial_from_dict(data: Dict) -> AdversarialFault:
+    """Dispatch one JSON object to its fault kind by its ``kind`` tag."""
+    try:
+        kind = data["kind"]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"adversarial fault needs a 'kind' tag: {data!r}"
+        ) from None
+    if kind not in BY_KIND:
+        raise ValueError(
+            f"unknown adversarial kind {kind!r}; "
+            f"known: {', '.join(ADVERSARIAL_KINDS)}"
+        )
+    return _entry_from_dict(
+        BY_KIND[kind], {k: v for k, v in data.items() if k != "kind"}
+    )
 
 
 def load_fault_plan(path: str) -> FaultPlan:

@@ -5,12 +5,13 @@ for this reproduction's simulator, in zero-overhead-when-disabled
 pieces:
 
 * **structured event tracing** (:mod:`repro.obs.tracer`) -- a
-  :class:`Tracer` records typed, simulation-timestamped control-plane
-  events (cost changes, update flooding, SPF repairs, circuit
-  transitions, drops, utilization samples) into a pluggable sink:
-  in-memory ring, JSONL file, or null.  The
-  :mod:`repro.report.timeseries` adapter turns a trace back into the
-  paper's Fig. 8-13-style time series.
+  :class:`Tracer` records simulation-timestamped control-plane events
+  (cost changes, update flooding, SPF repairs, circuit transitions,
+  drops, utilization samples) as plain dicts into a pluggable sink:
+  in-memory ring, JSONL file, or null.  A ring's events and a JSONL
+  trace read back are the same objects, so every reader (spans, the
+  :mod:`repro.report.timeseries` adapter for the paper's
+  Fig. 8-13-style time series) takes either.
 * **hot-path counters** (:mod:`repro.obs.telemetry`) -- a
   :class:`RunTelemetry` block harvested once per run from counters the
   subsystems already keep (scheduler events, SPF work, flood
@@ -48,10 +49,8 @@ from repro.obs.tracer import (
     JsonlSink,
     NullSink,
     RingSink,
-    TraceEvent,
     Tracer,
     build_tracer,
-    events_to_dicts,
 )
 
 # What only a metered or span-analysed run uses; every
@@ -99,7 +98,6 @@ __all__ = [
     "RingSink",
     "RunTelemetry",
     "SimulationMeters",
-    "TraceEvent",
     "Tracer",
     "UpdateSpan",
     "build_tracer",
@@ -107,7 +105,6 @@ __all__ = [
     "convergence_episodes",
     "convergence_times",
     "counter_timeseries",
-    "events_to_dicts",
     "latency_histogram",
     "merge_telemetry",
     "propagation_latencies",

@@ -49,7 +49,6 @@ from repro.obs.tracer import (
     UPDATE_FLOODED,
     UPDATE_GENERATED,
     UPDATE_SUPPRESSED,
-    events_to_dicts,
 )
 
 #: A flood lineage: the ``(origin, sequence)`` pair that uniquely
@@ -148,15 +147,15 @@ class UpdateSpan:
 def build_update_spans(events: Iterable) -> List[UpdateSpan]:
     """Fold a trace into one :class:`UpdateSpan` per flood lineage.
 
-    ``events`` may be :class:`~repro.obs.tracer.TraceEvent` objects or
-    the plain dicts a JSONL trace loads into -- both carry the same
-    keys.  Events without a ``seq`` tag (pre-PR-8 traces, non-update
-    kinds) are ignored, so the builder is safe on any trace.  Spans are
-    returned in first-appearance order.
+    ``events`` are trace dicts, from a tracer's ring or
+    :func:`~repro.report.timeseries.read_trace` alike.  Events without
+    a ``seq`` tag (older traces, non-update kinds) are ignored, so the
+    builder is safe on any trace.  Spans are returned in
+    first-appearance order.
     """
     spans: Dict[Lineage, UpdateSpan] = {}
     seen_accept: Dict[Lineage, set] = {}
-    for event in events_to_dicts(events):
+    for event in events:
         kind = event.get("kind")
         if kind not in SPAN_EVENT_KINDS:
             continue
@@ -236,7 +235,7 @@ def convergence_episodes(
         raise ValueError(f"quiet_s must be positive: {quiet_s}")
     times = sorted(
         event["t"]
-        for event in events_to_dicts(events)
+        for event in events
         if event.get("kind") in EPISODE_EVENT_KINDS
     )
     episodes: List[Tuple[float, float]] = []
@@ -267,8 +266,8 @@ def to_chrome_trace(events: Iterable) -> Dict[str, Any]:
     Timestamps are microseconds (the format's unit); simulation seconds
     scale by 1e6.
     """
-    event_dicts = events_to_dicts(events)
-    spans = build_update_spans(event_dicts)
+    events = list(events)
+    spans = build_update_spans(events)
     trace_events: List[Dict[str, Any]] = [
         {
             "name": "process_name",
@@ -336,7 +335,7 @@ def to_chrome_trace(events: Iterable) -> Dict[str, Any]:
                 },
             }
         )
-    for event in event_dicts:
+    for event in events:
         if event.get("kind") in (CIRCUIT_FAIL, CIRCUIT_RESTORE):
             trace_events.append(
                 {

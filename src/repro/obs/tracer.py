@@ -3,13 +3,15 @@
 The paper's evidence is *instrumented* network behaviour: Figures 8-13
 are time series of reported cost, utilization and update traffic
 captured from live trunks.  The :class:`Tracer` records the same
-control-plane story from a simulation run -- typed events with
-simulation timestamps -- into a pluggable sink:
+control-plane story from a simulation run -- simulation-timestamped
+events, each a plain dict (``{"t", "kind", ...}``) -- into a pluggable
+sink:
 
 * :class:`RingSink` -- a bounded in-memory ring (the default for
   interactive use; old events fall off the front),
-* :class:`JsonlSink` -- one JSON object per line in a file, the
-  interchange format the :mod:`repro.report.timeseries` adapter reads,
+* :class:`JsonlSink` -- the same dicts, one JSON object per line in a
+  file (:func:`repro.report.timeseries.read_trace` loads them back
+  equal to what a ring holds),
 * :class:`NullSink` -- counts and discards (for overhead measurement).
 
 **Zero overhead when disabled** is a hard guarantee: the module-level
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 # ----------------------------------------------------------------------
 # Event kinds (the trace schema; see docs/observability.md)
@@ -102,75 +104,13 @@ EVENT_KINDS = (
 )
 
 
-class TraceEvent:
-    """One typed, simulation-timestamped trace record.
-
-    Attributes
-    ----------
-    t:
-        Simulation time of the event (seconds).
-    kind:
-        One of :data:`EVENT_KINDS`.
-    node:
-        The acting PSN, or ``None`` for network-level events.
-    link:
-        The link concerned, or ``None``.
-    value:
-        The event's scalar payload (a cost, a count, a fraction).
-    data:
-        Optional extra fields (e.g. a drop reason).
-    """
-
-    __slots__ = ("t", "kind", "node", "link", "value", "data")
-
-    def __init__(
-        self,
-        t: float,
-        kind: str,
-        node: Optional[int] = None,
-        link: Optional[int] = None,
-        value: Optional[float] = None,
-        data: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.t = t
-        self.kind = kind
-        self.node = node
-        self.link = link
-        self.value = value
-        self.data = data
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The event as a plain dict (``None`` fields omitted)."""
-        out: Dict[str, Any] = {"t": self.t, "kind": self.kind}
-        if self.node is not None:
-            out["node"] = self.node
-        if self.link is not None:
-            out["link"] = self.link
-        if self.value is not None:
-            out["value"] = self.value
-        if self.data:
-            out.update(self.data)
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"TraceEvent(t={self.t!r}, kind={self.kind!r}, "
-            f"node={self.node!r}, link={self.link!r}, value={self.value!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceEvent):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-
 # ----------------------------------------------------------------------
 # Sinks
 # ----------------------------------------------------------------------
 class NullSink:
     """Discards every event (overhead floor for enabled tracing)."""
 
-    def append(self, event: TraceEvent) -> None:
+    def append(self, event: Dict[str, Any]) -> None:
         pass
 
     def flush(self) -> None:
@@ -189,7 +129,7 @@ class RingSink:
         self.capacity = capacity
         self._ring: deque = deque(maxlen=capacity)
 
-    def append(self, event: TraceEvent) -> None:
+    def append(self, event: Dict[str, Any]) -> None:
         self._ring.append(event)
 
     def flush(self) -> None:
@@ -201,10 +141,10 @@ class RingSink:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def __iter__(self) -> Iterator[TraceEvent]:
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
         return iter(self._ring)
 
-    def events(self) -> List[TraceEvent]:
+    def events(self) -> List[Dict[str, Any]]:
         """The retained events, oldest first."""
         return list(self._ring)
 
@@ -222,8 +162,8 @@ class JsonlSink:
         self._handle = open(self.path, "w")
         self._dumps = json.dumps
 
-    def append(self, event: TraceEvent) -> None:
-        self._handle.write(self._dumps(event.to_dict()))
+    def append(self, event: Dict[str, Any]) -> None:
+        self._handle.write(self._dumps(event))
         self._handle.write("\n")
 
     def flush(self) -> None:
@@ -268,9 +208,23 @@ class Tracer:
         value: Optional[float] = None,
         data: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Record one event at simulation time ``t``."""
+        """Record one event at simulation time ``t``.
+
+        The event is the plain dict the JSONL sink writes: ``t`` and
+        ``kind``, then ``node`` / ``link`` / ``value`` when set, then
+        the ``data`` fields -- one form in memory and on disk.
+        """
+        event: Dict[str, Any] = {"t": t, "kind": kind}
+        if node is not None:
+            event["node"] = node
+        if link is not None:
+            event["link"] = link
+        if value is not None:
+            event["value"] = value
+        if data:
+            event.update(data)
         self.events_emitted += 1
-        self.sink.append(TraceEvent(t, kind, node, link, value, data))
+        self.sink.append(event)
 
     def flush(self) -> None:
         if self.sink is not None:
@@ -280,7 +234,7 @@ class Tracer:
         if self.sink is not None:
             self.sink.close()
 
-    def events(self) -> List[TraceEvent]:
+    def events(self) -> List[Dict[str, Any]]:
         """Retained events, for sinks that keep them (:class:`RingSink`)."""
         if isinstance(self.sink, RingSink):
             return self.sink.events()
@@ -331,16 +285,3 @@ def build_tracer(spec: Union[None, str, Tracer]) -> Tracer:
         f"trace spec must be None, 'memory', 'null', a path or a Tracer: "
         f"{spec!r}"
     )
-
-
-#: Either form a trace comes in: TraceEvent objects or JSONL dicts.
-EventLike = Union[TraceEvent, Dict[str, Any]]
-
-
-def events_to_dicts(events: Iterable[EventLike]) -> List[Dict[str, Any]]:
-    """The plain-dict form the JSONL sink writes; dicts (a JSONL trace
-    read back) pass through, so every post-hoc reader takes either."""
-    return [
-        event.to_dict() if isinstance(event, TraceEvent) else event
-        for event in events
-    ]

@@ -5,8 +5,9 @@ The experiments derive their Figure 1/8-13-style series from a live
 series from a *recorded* trace instead -- any JSONL trace of any run
 can reproduce the reported-cost and utilization time series after the
 fact, the way BBN re-plotted NOC captures.  The adapter is pure: it
-reads event dicts (from :func:`read_trace` or
-:func:`repro.obs.tracer.events_to_dicts`) and never needs a simulator.
+reads trace dicts -- :func:`read_trace` of a JSONL file or a tracer's
+``events()``, which are equal for the same run -- and never needs a
+simulator.
 
 The equivalences the test suite pins down:
 
@@ -23,13 +24,7 @@ import json
 from collections import Counter, defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.tracer import (
-    COST_CHANGE,
-    PACKET_DROP,
-    UTILIZATION,
-    EventLike,
-    events_to_dicts,
-)
+from repro.obs.tracer import COST_CHANGE, PACKET_DROP, UTILIZATION
 
 
 def read_trace(path: str) -> List[Dict[str, Any]]:
@@ -48,8 +43,19 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
     return events
 
 
+def _link_series(
+    events: Iterable[Dict[str, Any]], kind: str, link_id: Optional[int]
+) -> Dict[int, List[Tuple[float, Any]]]:
+    """``{link: [(t, value), ...]}`` of one per-link event kind."""
+    series: Dict[int, List[Tuple[float, Any]]] = defaultdict(list)
+    for event in events:
+        if event["kind"] == kind and link_id in (None, event["link"]):
+            series[event["link"]].append((event["t"], event["value"]))
+    return dict(series)
+
+
 def cost_timeseries(
-    events: Iterable[EventLike],
+    events: Iterable[Dict[str, Any]],
     link_id: Optional[int] = None,
 ) -> Dict[int, List[Tuple[float, int]]]:
     """Per-link reported-cost series from ``cost-change`` events.
@@ -57,50 +63,31 @@ def cost_timeseries(
     Returns ``{link_id: [(t, cost), ...]}`` in trace order (which is
     simulation-time order).  Restrict to one link with ``link_id``.
     """
-    series: Dict[int, List[Tuple[float, int]]] = defaultdict(list)
-    for event in events_to_dicts(events):
-        if event["kind"] != COST_CHANGE:
-            continue
-        link = event["link"]
-        if link_id is not None and link != link_id:
-            continue
-        series[link].append((event["t"], event["value"]))
-    return dict(series)
+    return _link_series(events, COST_CHANGE, link_id)
 
 
 def utilization_timeseries(
-    events: Iterable[EventLike],
+    events: Iterable[Dict[str, Any]],
     link_id: Optional[int] = None,
 ) -> Dict[int, List[Tuple[float, float]]]:
     """Per-link utilization series from ``utilization`` sample events."""
-    series: Dict[int, List[Tuple[float, float]]] = defaultdict(list)
-    for event in events_to_dicts(events):
-        if event["kind"] != UTILIZATION:
-            continue
-        link = event["link"]
-        if link_id is not None and link != link_id:
-            continue
-        series[link].append((event["t"], event["value"]))
-    return dict(series)
+    return _link_series(events, UTILIZATION, link_id)
 
 
 def drop_timeseries(
-    events: Iterable[EventLike],
+    events: Iterable[Dict[str, Any]],
 ) -> List[Tuple[float, str]]:
     """``(t, reason)`` for every packet drop, in trace order (Fig. 13)."""
     return [
         (event["t"], event.get("reason", "unknown"))
-        for event in events_to_dicts(events)
+        for event in events
         if event["kind"] == PACKET_DROP
     ]
 
 
-def event_counts(events: Iterable[EventLike]) -> Dict[str, int]:
+def event_counts(events: Iterable[Dict[str, Any]]) -> Dict[str, int]:
     """How many events of each kind the trace holds."""
-    counts: Counter = Counter()
-    for event in events_to_dicts(events):
-        counts[event["kind"]] += 1
-    return dict(counts)
+    return dict(Counter(event["kind"] for event in events))
 
 
 def bucketed_rate(

@@ -212,25 +212,15 @@ class StatsCollector:
         # Per-pair memo over the trees above (one walk per pair, not per
         # delivered packet).
         self._min_hop_pairs: Dict[Tuple[int, int], int] = {}
-        self._first_event_s: Optional[float] = None
-        self._last_event_s: float = 0.0
 
     # ------------------------------------------------------------------
     # Recording callbacks (invoked by PSNs / sources / transmitters)
     # ------------------------------------------------------------------
-    def _note_time(self, now: float) -> None:
-        if now < self.warmup_s:
-            return
-        if self._first_event_s is None:
-            self._first_event_s = now
-        self._last_event_s = max(self._last_event_s, now)
-
     def packet_offered(self, now: float) -> None:
         if self.timeline is not None:
             self.timeline.record_offered(now)
         if now < self.warmup_s:
             return
-        self._note_time(now)
         self.offered += 1
 
     def packet_delivered(self, packet: Packet, now: float) -> None:
@@ -238,7 +228,6 @@ class StatsCollector:
             self.timeline.record_delivered(now)
         if packet.created_s < self.warmup_s:
             return
-        self._note_time(now)
         self.delivered += 1
         self.delay_sum_s += now - packet.created_s
         self._sample_delay(now - packet.created_s)
@@ -259,7 +248,6 @@ class StatsCollector:
             )
         if now < self.warmup_s:
             return
-        self._note_time(now)
         if reason == "congestion":
             self.congestion_drops += 1
         elif reason == "unreachable":
@@ -274,7 +262,6 @@ class StatsCollector:
     ) -> None:
         """One PSN originated one update; ``reported`` are its
         ``(link_id, cost)`` entries that were reported anew."""
-        self._note_time(now)
         for link_id, cost in reported:
             self.cost_history.append((now, link_id, cost))
             if self._trace is not None:

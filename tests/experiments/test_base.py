@@ -3,29 +3,28 @@
 import pytest
 
 from repro.experiments.base import (
-    AUG_1987_TRAFFIC_BPS,
-    MAY_1987_TRAFFIC_BPS,
     ExperimentResult,
     arpanet_response_map,
     arpanet_traffic,
     equilibrium_reference_link,
     fresh_arpanet,
 )
+from repro.sim.scenarios import AUG_1987_BPS, MAY_1987_BPS
 
 
 def test_paper_traffic_totals():
     """Table 1's internode traffic figures, in b/s."""
-    assert MAY_1987_TRAFFIC_BPS == pytest.approx(366_260.0)
-    assert AUG_1987_TRAFFIC_BPS == pytest.approx(413_990.0)
-    assert AUG_1987_TRAFFIC_BPS / MAY_1987_TRAFFIC_BPS == \
+    assert MAY_1987_BPS == pytest.approx(366_260.0)
+    assert AUG_1987_BPS == pytest.approx(413_990.0)
+    assert AUG_1987_BPS / MAY_1987_BPS == \
         pytest.approx(1.13, abs=0.01)
 
 
 def test_arpanet_traffic_scales():
     traffic = arpanet_traffic()
-    assert traffic.total_bps() == pytest.approx(MAY_1987_TRAFFIC_BPS)
-    heavier = arpanet_traffic(AUG_1987_TRAFFIC_BPS)
-    assert heavier.total_bps() == pytest.approx(AUG_1987_TRAFFIC_BPS)
+    assert traffic.total_bps() == pytest.approx(MAY_1987_BPS)
+    heavier = arpanet_traffic(AUG_1987_BPS)
+    assert heavier.total_bps() == pytest.approx(AUG_1987_BPS)
 
 
 def test_response_map_is_cached():

@@ -63,13 +63,21 @@ def test_adversarial_key_absent_for_failstop_plans():
 
 def test_from_dict_dispatches_on_kind():
     for kind in ADVERSARIAL_KINDS:
-        data = {"kind": kind, "node_id": 0, "link_id": 0}
-        fault = adversarial_from_dict(data)
+        target = "link_id" if kind == "reorder-circuit" else "node_id"
+        fault = adversarial_from_dict({"kind": kind, target: 0})
         assert fault.kind == kind
     with pytest.raises(ValueError, match="kind"):
         adversarial_from_dict({"node_id": 0})
     with pytest.raises(ValueError, match="unknown adversarial kind"):
         adversarial_from_dict({"kind": "gremlin", "node_id": 0})
+
+
+def test_adversarial_entry_rejects_a_misspelt_key():
+    # Once ignored: the babbler never stopped.
+    with pytest.raises(ValueError, match="babbling-node keys.*'untl_s'"):
+        FaultPlan.from_dict({"adversarial": [
+            {"kind": "babbling-node", "node_id": 11, "untl_s": 120.0},
+        ]})
 
 
 def test_validation_rejects_bad_parameters():
@@ -200,9 +208,9 @@ def test_defenses_reject_forgeries_with_trace_events():
     ))
     simulation, report = _simulate(plan, trace="memory", defenses=True)
     rejected = [e for e in simulation.tracer.events()
-                if e.kind == UPDATE_REJECTED]
+                if e["kind"] == UPDATE_REJECTED]
     assert rejected
-    reasons = {e.data["reason"] for e in rejected}
+    reasons = {e["reason"] for e in rejected}
     assert reasons <= {"quarantined", "rate-limit", "cost-range",
                        "seq-implausible"}
     assert report.telemetry.defense_rejected_seq + \

@@ -119,7 +119,7 @@ def test_crash_node_downs_every_circuit_and_restart_recovers():
     assert injector.restores_injected == len(incident)
     failed = {l for t, kind, l in injector.applied if kind == "fail"}
     assert failed == incident
-    kinds = [e.kind for e in simulation.tracer.events()]
+    kinds = [e["kind"] for e in simulation.tracer.events()]
     assert PSN_CRASH in kinds and PSN_RESTART in kinds
     # Everything is back up at the end.
     assert all(link.up for link in network.links)
@@ -140,7 +140,7 @@ def test_partition_cuts_exactly_the_crossing_circuits():
     bridge_ids = {built.bridge_a[0].link_id, built.bridge_b[0].link_id}
     failed = {l for t, kind, l in injector.applied if kind == "fail"}
     assert failed == bridge_ids
-    kinds = [e.kind for e in simulation.tracer.events()]
+    kinds = [e["kind"] for e in simulation.tracer.events()]
     assert PARTITION in kinds and PARTITION_HEAL in kinds
     # While partitioned, cross-region traffic is undeliverable.
     assert report.other_drops > 0

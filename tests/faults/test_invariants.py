@@ -99,11 +99,11 @@ def test_violations_become_trace_events():
     simulation.run()
     events = [
         e for e in simulation.tracer.events()
-        if e.kind == INVARIANT_VIOLATION
+        if e["kind"] == INVARIANT_VIOLATION
     ]
     assert events
-    assert events[0].data["invariant"] == "cost-bounds"
-    assert "outside" in events[0].data["detail"]
+    assert events[0]["invariant"] == "cost-bounds"
+    assert "outside" in events[0]["detail"]
     assert len(events) == len(simulation.invariant_monitor.violations)
 
 

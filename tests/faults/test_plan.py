@@ -1,10 +1,29 @@
 """Tests for the declarative fault schema (:mod:`repro.faults.plan`)."""
 
+import json
+import pathlib
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults import FaultEvent, FaultPlan, LinkFlap, load_fault_plan
+from repro.faults import (
+    ACTIONS,
+    BabblingNode,
+    CorruptUpdate,
+    FaultEvent,
+    FaultPlan,
+    LinkFlap,
+    ReorderCircuit,
+    StuckNode,
+    load_fault_plan,
+)
+
+EXAMPLE_PLANS = sorted(
+    (pathlib.Path(__file__).parents[2] / "examples" / "faultplans")
+    .glob("*.json")
+)
 
 
 def test_event_requires_matching_target():
@@ -141,6 +160,110 @@ def test_json_round_trip(tmp_path):
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown fault plan keys"):
         FaultPlan.from_dict({"events": [], "typo": []})
+
+
+def test_event_rejects_a_misspelt_key():
+    with pytest.raises(ValueError, match="unknown FaultEvent keys.*'lnk_id'"):
+        FaultPlan.from_dict({"events": [
+            {"at_s": 5.0, "action": "fail-circuit", "link_id": 0,
+             "lnk_id": 1},
+        ]})
+
+
+def test_flap_rejects_a_misspelt_key():
+    # Once ignored: the flap silently started at 0.
+    with pytest.raises(ValueError, match="unknown LinkFlap keys.*'strat_s'"):
+        FaultPlan.from_dict({"flaps": [
+            {"link_id": 2, "mtbf_s": 30.0, "mttr_s": 5.0, "strat_s": 20.0},
+        ]})
+
+
+def test_entry_values_are_coerced_to_field_types():
+    plan = FaultPlan.from_dict({
+        "events": [{"at_s": 5, "action": "partition", "nodes": [1, 2]}],
+        "flaps": [{"link_id": 2, "mtbf_s": 30, "mttr_s": 5,
+                   "until_s": 90}],
+    })
+    (event,), (flap,) = plan.events, plan.flaps
+    assert type(event.at_s) is float and event.nodes == (1, 2)
+    assert type(flap.mtbf_s) is float and type(flap.until_s) is float
+
+
+@pytest.mark.parametrize("path", EXAMPLE_PLANS, ids=lambda p: p.name)
+def test_example_plans_reserialise_unchanged(path):
+    """Each example loads and writes back its own entries, key for key,
+    with the empty sections every written plan carries."""
+    raw = json.loads(path.read_text())
+    plan = load_fault_plan(str(path))
+    assert json.dumps(plan.to_dict()) == \
+        json.dumps({"events": [], "flaps": [], **raw})
+
+
+_ids = st.integers(min_value=0, max_value=500)
+_times = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
+_spans = st.floats(min_value=0.5, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def _events(draw):
+    action = draw(st.sampled_from(ACTIONS))
+    return FaultEvent(
+        draw(_times), action,
+        link_id=draw(_ids if "circuit" in action else st.none() | _ids),
+        node_id=draw(_ids if "node" in action else st.none() | _ids),
+        nodes=tuple(draw(st.lists(
+            _ids, min_size=1 if "partition" in action else 0, max_size=4
+        ))),
+    )
+
+
+def _window(draw):
+    start = draw(st.just(0.0) | _times)
+    until = draw(st.none() | _spans.map(lambda span: start + span))
+    return {"start_s": start, "until_s": until}
+
+
+@st.composite
+def _flap(draw, link_id):
+    return LinkFlap(link_id, draw(_spans), draw(_spans), **_window(draw))
+
+
+@st.composite
+def _adversary(draw, kind, target):
+    window = _window(draw) if draw(st.booleans()) else {}
+    if kind is ReorderCircuit:
+        rest = draw(st.just({}) | st.fixed_dictionaries({
+            "probability": st.floats(min_value=0.01, max_value=1.0),
+            "depth": st.integers(min_value=1, max_value=8),
+        }))
+    elif kind is StuckNode:
+        rest = {}
+    else:
+        rest = draw(st.just({}) | st.fixed_dictionaries(
+            {"rate_per_s": _spans}
+        ))
+    return kind(target, **window, **rest)
+
+
+@st.composite
+def _plans(draw):
+    flapped = draw(st.lists(_ids, unique=True, max_size=3))
+    adversarial = [
+        draw(_adversary(kind, target))
+        for kind in (CorruptUpdate, BabblingNode, StuckNode, ReorderCircuit)
+        for target in draw(st.lists(_ids, unique=True, max_size=2))
+    ]
+    return FaultPlan(
+        events=tuple(draw(st.lists(_events(), max_size=6))),
+        flaps=tuple(draw(_flap(link_id)) for link_id in flapped),
+        adversarial=tuple(adversarial),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plans())
+def test_every_plan_round_trips_through_json(plan):
+    assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
 
 def test_plan_pickles_inside_configs():

@@ -1,5 +1,6 @@
 """Tests for causal spans (:mod:`repro.obs.spans`)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -33,7 +34,7 @@ def test_every_generated_update_becomes_a_span(traced_run):
     simulation, report, events = traced_run
     spans = build_update_spans(events)
     generated = sum(
-        1 for e in events if e.kind == "update-generated"
+        1 for e in events if e["kind"] == "update-generated"
     )
     rooted = [s for s in spans if s.generated_t is not None]
     assert len(rooted) == generated
@@ -189,17 +190,26 @@ def test_events_without_lineage_tags_are_ignored():
     assert build_update_spans(events) == []
 
 
-def test_spans_accept_dicts_and_trace_events(traced_run):
-    """JSONL dict form and TraceEvent form build identical spans."""
-    _, _, events = traced_run
-    from repro.obs.tracer import events_to_dicts
+def test_memory_and_jsonl_traces_are_one_form(tmp_path):
+    """A ring's events and the same run's JSONL trace read back are
+    equal dicts, so spans and time series agree on either."""
+    from repro.report import cost_timeseries, read_trace
 
-    from_objects = build_update_spans(events)
-    from_dicts = build_update_spans(events_to_dicts(events))
-    assert [s.lineage for s in from_objects] == \
-        [s.lineage for s in from_dicts]
-    assert [s.accepts for s in from_objects] == \
-        [s.accepts for s in from_dicts]
+    path = str(tmp_path / "run.jsonl")
+    on_disk = build_scenario(
+        "two-region-hnspf", config=dataclasses.replace(_TRACED, trace=path)
+    )
+    on_disk.run()
+    on_disk.tracer.close()
+    in_memory = build_scenario("two-region-hnspf", config=_TRACED)
+    in_memory.run()
+
+    events = in_memory.tracer.events()
+    recorded = read_trace(path)
+    assert recorded == events
+    assert build_update_spans(recorded) == build_update_spans(events)
+    assert cost_timeseries(recorded) == cost_timeseries(events)
+    assert cost_timeseries(events)  # the run reported costs
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,12 @@ from repro.obs.tracer import (
     UPDATE_GENERATED,
     UPDATE_SUPPRESSED,
     UTILIZATION,
-    events_to_dicts,
 )
 from repro.sim import ScenarioConfig, build_scenario
 
 
 def _kinds(simulation):
-    return {event.kind for event in simulation.tracer.events()}
+    return {event["kind"] for event in simulation.tracer.events()}
 
 
 def test_steady_run_emits_the_routing_story():
@@ -37,10 +36,10 @@ def test_circuit_transitions_are_traced():
     simulation.restore_circuit_at(0, 25.0)
     simulation.run()
     events = simulation.tracer.events()
-    fails = [e for e in events if e.kind == CIRCUIT_FAIL]
-    restores = [e for e in events if e.kind == CIRCUIT_RESTORE]
-    assert [(e.t, e.link) for e in fails] == [(10.0, 0)]
-    assert [(e.t, e.link) for e in restores] == [(25.0, 0)]
+    fails = [e for e in events if e["kind"] == CIRCUIT_FAIL]
+    restores = [e for e in events if e["kind"] == CIRCUIT_RESTORE]
+    assert [(e["t"], e["link"]) for e in fails] == [(10.0, 0)]
+    assert [(e["t"], e["link"]) for e in restores] == [(25.0, 0)]
 
 
 def test_batched_spf_runs_emit_batch_repairs():
@@ -58,6 +57,5 @@ def test_events_are_time_ordered():
     config = ScenarioConfig(duration_s=20.0, warmup_s=0.0, trace="memory")
     simulation = build_scenario("two-region-dspf", config=config)
     simulation.run()
-    times = [event["t"]
-             for event in events_to_dicts(simulation.tracer.events())]
+    times = [event["t"] for event in simulation.tracer.events()]
     assert times == sorted(times)

@@ -13,7 +13,7 @@ from repro.obs.spans import (
     convergence_episodes,
     propagation_latencies,
 )
-from repro.obs.tracer import COST_CHANGE, TraceEvent, UTILIZATION
+from repro.obs.tracer import COST_CHANGE, UTILIZATION, RingSink, Tracer
 from repro.report import (
     bucketed_rate,
     cost_timeseries,
@@ -72,10 +72,11 @@ def test_event_counts_totals_match_the_tracer(traced_run):
 
 
 def test_adapters_accept_trace_event_objects():
-    events = [
-        TraceEvent(1.0, COST_CHANGE, link=7, value=10),
-        TraceEvent(2.0, UTILIZATION, link=7, value=0.5),
-    ]
+    """The events a tracer's ring holds feed the adapters as they are."""
+    tracer = Tracer(RingSink())
+    tracer.emit(1.0, COST_CHANGE, link=7, value=10)
+    tracer.emit(2.0, UTILIZATION, link=7, value=0.5)
+    events = tracer.events()
     assert cost_timeseries(events) == {7: [(1.0, 10)]}
     assert utilization_timeseries(events) == {7: [(2.0, 0.5)]}
     assert drop_timeseries(events) == []
