@@ -10,12 +10,11 @@ maintenance.
 
 from repro.psn.packet import Packet, PacketKind
 from repro.psn.interfaces import LinkTransmitter
-from repro.psn.measurement import DelayAverager, SignificanceCriterion
+from repro.psn.measurement import SignificanceCriterion
 from repro.psn.node import DOWN_COST, Psn
 
 __all__ = [
     "DOWN_COST",
-    "DelayAverager",
     "LinkTransmitter",
     "Packet",
     "PacketKind",

@@ -1,7 +1,9 @@
-"""Delay measurement and the update-significance criterion.
+"""The update-significance criterion.
 
 The PSN measures the delay of every packet it forwards and averages per
-outgoing link over a ten-second period.  The average is compared with the
+outgoing link over a ten-second period (the link's transmitter keeps the
+sum and count: :meth:`~repro.psn.interfaces.LinkTransmitter.take_delay`).
+The metric turns the average into a cost, which is compared with the
 last *reported* value; if the difference passes a significance criterion a
 routing update goes out.  *"The significance criterion gets adjusted
 downward each time it is not satisfied ... the maximum time between
@@ -12,46 +14,6 @@ link re-advertises its cost every 50 s for reliability.
 from __future__ import annotations
 
 from repro.units import MAX_UPDATE_INTERVAL_S, MEASUREMENT_INTERVAL_S
-
-
-class DelayAverager:
-    """Accumulates per-packet delay samples for one link's interval."""
-
-    def __init__(self, zero_load_delay_s: float) -> None:
-        if zero_load_delay_s < 0:
-            raise ValueError(
-                f"zero-load delay must be >= 0, got {zero_load_delay_s}"
-            )
-        self.zero_load_delay_s = zero_load_delay_s
-        self._sum_s = 0.0
-        self._count = 0
-
-    def add_sample(self, delay_s: float) -> None:
-        """Record one forwarded packet's total delay."""
-        if delay_s < 0:
-            raise ValueError(f"delay must be >= 0, got {delay_s}")
-        self._sum_s += delay_s
-        self._count += 1
-
-    @property
-    def sample_count(self) -> int:
-        """Packets measured so far this interval."""
-        return self._count
-
-    def take_average(self) -> float:
-        """Close the interval: return its average delay and reset.
-
-        An interval with no forwarded packets reports the zero-load delay
-        (an idle line still has transmission + propagation delay; the
-        D-SPF bias exists precisely so this never quantizes to zero).
-        """
-        if self._count == 0:
-            average = self.zero_load_delay_s
-        else:
-            average = self._sum_s / self._count
-        self._sum_s = 0.0
-        self._count = 0
-        return average
 
 
 class SignificanceCriterion:

@@ -12,6 +12,12 @@ reads and one optional link outage must read the same on
 the delivery order, the drops, the delay samples and every read.  The
 transmitter must also cost exactly one kernel entry per packet that
 went on the wire.
+
+The transmitter is the measurement point for delay as well as for busy
+time: at every utilization read, and at the link-up that starts a
+fresh interval, its delay read must be exactly (``==``) the mean of the
+samples its tap saw since the previous delay read, summed left to
+right, or the line's zero-load delay when there were none.
 """
 
 from collections import deque
@@ -118,13 +124,26 @@ def transmitter(program, capacity, propagation_s, outage):
     link, _ = network.add_circuit(a, b, line_type("56K-T"), propagation_s)
     sim = Simulator()
     deliveries, drops, samples, reads = [], [], [], []
+    delay_reads, since_read = [], []
+    zero_load = 600.0 / RATE_BPS + propagation_s + PROCESSING_DELAY_S
+
+    def read_delay():
+        want = sum(since_read) / len(since_read) if since_read else zero_load
+        delay_reads.append((tx.take_delay(), want))
+        since_read.clear()
+
     tx = LinkTransmitter(
         sim, link,
         lambda packet, _link: deliveries.append((packet.packet_id, sim.now)),
         buffer_packets=capacity,
         on_drop=lambda packet, _link: drops.append(packet.packet_id),
     )
-    tx.on_delay_sample = samples.append
+
+    def tap(delay_s):
+        samples.append(delay_s)
+        since_read.append(delay_s)
+
+    tx.on_delay_sample = tap
     down_at, up_at = outage or (None, None)
     for index, (gap, operation) in enumerate(program):
         sim.run(until=sim.now + gap)
@@ -133,6 +152,7 @@ def transmitter(program, capacity, propagation_s, outage):
             reads.append(tx.flush())
         if down_at is not None and index == down_at + up_at:
             link.up = True
+            read_delay()
         if operation[0] == "send":
             tx.send(Packet(
                 packet_id=index, kind=operation[1], src=a, dst=b,
@@ -140,10 +160,14 @@ def transmitter(program, capacity, propagation_s, outage):
             ))
         elif operation[0] == "util":
             reads.append(tx.take_utilization(operation[1]))
+            read_delay()
         else:
             reads.append(tx.control_backlog())
     sim.run()
-    return deliveries, drops, samples, reads, sim.events_processed
+    read_delay()
+    return (
+        deliveries, drops, samples, reads, delay_reads, sim.events_processed
+    )
 
 
 @settings(max_examples=400, deadline=None)
@@ -157,7 +181,7 @@ def test_transmitter_matches_reference_wire(
     program, capacity, propagation_s, outage
 ):
     expected = reference(program, capacity, propagation_s, outage)
-    deliveries, drops, samples, reads, entries = transmitter(
+    deliveries, drops, samples, reads, delay_reads, entries = transmitter(
         program, capacity, propagation_s, outage
     )
     want_deliveries, want_drops, want_samples, want_reads, sent = expected
@@ -168,5 +192,7 @@ def test_transmitter_matches_reference_wire(
     assert drops == want_drops
     assert samples == pytest.approx(want_samples, rel=1e-12, abs=1e-15)
     assert reads == pytest.approx(want_reads, rel=1e-9, abs=1e-12)
+    for delay_s, want_s in delay_reads:
+        assert delay_s == want_s
     # One kernel entry per packet that went on the wire, and no other.
     assert entries == sent == len(deliveries)

@@ -2,34 +2,57 @@
 
 import pytest
 
-from repro.psn import DelayAverager, SignificanceCriterion
+from repro.des import Simulator
+from repro.psn import LinkTransmitter, Packet, PacketKind, SignificanceCriterion
+from repro.topology import Network, line_type
 
 
-class TestDelayAverager:
+def _transmitter():
+    """A 56 kb/s line with 10 ms propagation, and its delay-sample tap."""
+    net = Network()
+    a, b = net.add_node().node_id, net.add_node().node_id
+    link, _ = net.add_circuit(a, b, line_type("56K-T"), 0.010)
+    sim = Simulator()
+    tx = LinkTransmitter(sim, link, lambda p, l: None)
+    samples = []
+    tx.on_delay_sample = samples.append
+    return sim, tx, samples
+
+
+def _send(sim, tx, size_bits=5600.0):
+    tx.send(Packet(
+        packet_id=0, kind=PacketKind.DATA, src=0, dst=1,
+        size_bits=size_bits, created_s=sim.now,
+    ))
+
+
+class TestTransmitterDelayRead:
+    """The measurement interval's mean delay, read off the transmitter."""
+
     def test_average_of_samples(self):
-        avg = DelayAverager(zero_load_delay_s=0.012)
-        for sample in (0.010, 0.020, 0.030):
-            avg.add_sample(sample)
-        assert avg.sample_count == 3
-        assert avg.take_average() == pytest.approx(0.020)
+        sim, tx, samples = _transmitter()
+        for _ in range(3):
+            _send(sim, tx)  # 100 ms each on the wire: they queue
+        sim.run()
+        assert tx.delay_count == 3
+        # 111, 211 and 311 ms: 1 ms processing, 100 ms transmission,
+        # 10 ms propagation, and 0 / 100 / 200 ms of queueing.
+        assert tx.take_delay() == pytest.approx(0.211)
+        assert samples == pytest.approx([0.111, 0.211, 0.311])
 
     def test_interval_reset(self):
-        avg = DelayAverager(zero_load_delay_s=0.012)
-        avg.add_sample(0.5)
-        avg.take_average()
-        avg.add_sample(0.1)
-        assert avg.take_average() == pytest.approx(0.1)
+        sim, tx, samples = _transmitter()
+        _send(sim, tx, size_bits=56_000.0)
+        sim.run()
+        tx.take_delay()
+        _send(sim, tx)
+        sim.run()
+        assert tx.take_delay() == pytest.approx(0.111) == samples[-1]
 
     def test_empty_interval_reports_zero_load(self):
-        avg = DelayAverager(zero_load_delay_s=0.012)
-        assert avg.take_average() == pytest.approx(0.012)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DelayAverager(zero_load_delay_s=-1.0)
-        avg = DelayAverager(zero_load_delay_s=0.0)
-        with pytest.raises(ValueError):
-            avg.add_sample(-0.1)
+        _sim, tx, _samples = _transmitter()
+        # 600 bits at 56 kb/s, then propagation and processing.
+        assert tx.take_delay() == pytest.approx(600 / 56_000 + 0.011)
 
 
 class TestSignificanceCriterion:
