@@ -171,14 +171,14 @@ def test_flush_discards_queue():
     assert [p.packet_id for p in delivered] == [0]
 
 
-def test_trail_records_link():
+def test_arrival_counts_one_hop():
     sim = Simulator()
     link = make_link()
     delivered = []
     tx = LinkTransmitter(sim, link, lambda p, l: delivered.append(p))
     tx.send(data_packet(1))
     sim.run()
-    assert delivered[0].trail == [link.link_id]
+    assert delivered[0].hop_count == 1
 
 
 def test_queue_length_counts_both_queues():

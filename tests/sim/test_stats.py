@@ -9,13 +9,11 @@ from repro.sim import StatsCollector
 from repro.topology import build_ring_network
 
 
-def packet(src, dst, created=10.0, size=600.0, trail=()):
-    p = Packet(
+def packet(src, dst, created=10.0, size=600.0, hops=0):
+    return Packet(
         packet_id=1, kind=PacketKind.DATA, src=src, dst=dst,
-        size_bits=size, created_s=created,
+        size_bits=size, created_s=created, hop_count=hops,
     )
-    p.trail = list(trail)
-    return p
 
 
 @pytest.fixture
@@ -26,7 +24,7 @@ def net():
 def test_delivery_accounting(net):
     stats = StatsCollector(net)
     stats.packet_offered(10.0)
-    stats.packet_delivered(packet(0, 1, created=10.0, trail=[0]), 10.5)
+    stats.packet_delivered(packet(0, 1, created=10.0, hops=1), 10.5)
     report = stats.report("test", 100.0)
     assert report.delivered_packets == 1
     assert report.offered_packets == 1
@@ -41,7 +39,7 @@ def test_warmup_excludes_early_events(net):
     stats.packet_offered(10.0)
     stats.packet_delivered(packet(0, 1, created=10.0), 11.0)
     stats.packet_offered(60.0)
-    stats.packet_delivered(packet(0, 1, created=60.0, trail=[0]), 61.0)
+    stats.packet_delivered(packet(0, 1, created=60.0, hops=1), 61.0)
     report = stats.report("test", 100.0)
     assert report.delivered_packets == 1
     assert report.offered_packets == 1
@@ -50,7 +48,7 @@ def test_warmup_excludes_early_events(net):
 def test_path_ratio(net):
     stats = StatsCollector(net)
     # 0 -> 1 via the long way: 3 hops actual, 1 minimum.
-    stats.packet_delivered(packet(0, 1, trail=[10, 11, 12]), 11.0)
+    stats.packet_delivered(packet(0, 1, hops=3), 11.0)
     report = stats.report("test", 100.0)
     assert report.actual_path_hops == 3.0
     assert report.minimum_path_hops == 1.0
@@ -71,7 +69,7 @@ def test_drop_reasons(net):
 
 def test_throughput_in_kbps(net):
     stats = StatsCollector(net)
-    stats.packet_delivered(packet(0, 1, size=50_000.0, trail=[0]), 20.0)
+    stats.packet_delivered(packet(0, 1, size=50_000.0, hops=1), 20.0)
     report = stats.report("test", 100.0)
     assert report.internode_traffic_kbps == pytest.approx(0.5)
 
@@ -128,7 +126,7 @@ def test_delay_percentiles_with_zero_delivered_packets(net):
 def test_path_ratio_with_zero_minimum_hops(net):
     # Self-addressed delivery: zero minimum hops must not divide.
     stats = StatsCollector(net)
-    stats.packet_delivered(packet(0, 0, trail=[9]), 11.0)
+    stats.packet_delivered(packet(0, 0, hops=1), 11.0)
     report = stats.report("test", 100.0)
     assert report.minimum_path_hops == 0.0
     assert report.actual_path_hops == 1.0
