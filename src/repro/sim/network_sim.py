@@ -41,7 +41,7 @@ from repro.routing.spf_cache import SpfCache
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
 from repro.topology.graph import Link, Network
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.sources import start_sources
+from repro.traffic.sources import PoissonSource
 from repro.units import AVERAGE_PACKET_BITS, MEASUREMENT_INTERVAL_S
 
 if TYPE_CHECKING:  # pragma: no cover - optional subsystems load where used
@@ -260,13 +260,14 @@ class NetworkSimulation:
         # entry point for transmitters created without this wiring.)
         for transmitter in self.transmitters.values():
             transmitter.deliver = self.psns[transmitter.link.dst].receive
-        self.sources = start_sources(
-            self.sim,
-            self.streams,
-            traffic,
-            emit=self._emit,
-            mean_packet_bits=self.config.mean_packet_bits,
-        )
+        # Likewise each source emits straight into its PSN's inject.
+        self.sources = [
+            PoissonSource(
+                self.sim, self.streams, src, dst, bps, self.psns[src].inject,
+                mean_packet_bits=self.config.mean_packet_bits,
+            )
+            for (src, dst), bps in traffic
+        ]
         #: Update transmissions on the wire at the warmup boundary
         #: (captured only under ``post_warmup_update_rates``; the
         #: snapshot callback reads counters and cannot perturb the run).
@@ -316,9 +317,6 @@ class NetworkSimulation:
     def _on_drop(self, packet: Packet, link: Link) -> None:
         if packet.kind is PacketKind.DATA:
             self.stats.packet_dropped(packet, "congestion", self.sim.now)
-
-    def _emit(self, src: int, dst: int, size_bits: float) -> None:
-        self.psns[src].inject(src, dst, size_bits)
 
     def _snapshot_warmup_updates(self) -> None:
         self._warmup_update_transmissions = sum(
