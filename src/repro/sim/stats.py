@@ -210,8 +210,9 @@ class StatsCollector:
             defaultdict(list)
         self._min_hop_trees: Dict[int, SpfTree] = {}
         # Per-pair memo over the trees above (one walk per pair, not per
-        # delivered packet).
-        self._min_hop_pairs: Dict[Tuple[int, int], int] = {}
+        # delivered packet), flat: ``src * nodes + dst``, filled lazily.
+        self._nodes = len(network)
+        self._min_hops: List[Optional[int]] = [None] * self._nodes ** 2
 
     # ------------------------------------------------------------------
     # Recording callbacks (invoked by PSNs / sources / transmitters)
@@ -229,15 +230,16 @@ class StatsCollector:
         if packet.created_s < self.warmup_s:
             return
         self.delivered += 1
-        self.delay_sum_s += now - packet.created_s
-        self._sample_delay(now - packet.created_s)
+        delay_s = now - packet.created_s
+        self.delay_sum_s += delay_s
+        self._sample_delay(delay_s)
         self.bits_delivered += packet.size_bits
         self.hops_sum += packet.hop_count
-        pair = (packet.src, packet.dst)
-        min_hops = self._min_hop_pairs.get(pair)
+        src, dst = packet.src, packet.dst
+        pair = src * self._nodes + dst
+        min_hops = self._min_hops[pair]
         if min_hops is None:
-            min_hops = self._min_hop_pairs[pair] = \
-                self.min_hop_distance(*pair)
+            min_hops = self._min_hops[pair] = self.min_hop_distance(src, dst)
         self.min_hops_sum += min_hops
 
     def packet_dropped(self, packet: Packet, reason: str, now: float) -> None:
