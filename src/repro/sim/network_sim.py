@@ -202,6 +202,9 @@ class NetworkSimulation:
         #: Shared SPF trees and counted forwarding tables, network-wide.
         self.spf_cache = SpfCache(network)
 
+        # A line-error stream only where errors are drawn: each stream is
+        # seeded from its own name, so skipping one moves no other draw.
+        error_rate = self.config.line_error_rate
         self.transmitters: Dict[int, LinkTransmitter] = {
             link.link_id: LinkTransmitter(
                 self.sim,
@@ -209,8 +212,11 @@ class NetworkSimulation:
                 deliver=self._deliver,
                 buffer_packets=self.config.buffer_packets,
                 on_drop=self._on_drop,
-                error_rate=self.config.line_error_rate,
-                error_rng=self.streams.stream(f"line-errors-{link.link_id}"),
+                error_rate=error_rate,
+                error_rng=(
+                    self.streams.stream(f"line-errors-{link.link_id}")
+                    if error_rate > 0.0 else None
+                ),
             )
             for link in network.links
         }
