@@ -51,8 +51,7 @@ Deliberate differences from the chained service loop this replaced
 Counters and the delay sample (the same value as before) are taken at
 arrival, so a packet committed before an interval closes and arriving
 after it counts in the next interval; a packet sent on a down link is
-dropped at once.  Dead packets (drops, line-error losses, flushes) go
-back to the packet freelist (see :mod:`repro.psn.packet`).
+dropped at once.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from typing import Callable, Optional
 
 from repro.des import Simulator
 from repro.metrics.queueing import service_time_s
-from repro.psn.packet import Packet, PacketKind, release
+from repro.psn.packet import Packet, PacketKind
 from repro.topology.graph import Link
 
 #: Hot-path aliases: one global load instead of two attribute chases.
@@ -197,7 +196,6 @@ class LinkTransmitter:
         now = self.sim.now
         if not self.link.up:
             self._drop(packet)
-            release(packet)
             return False
         packet.enqueued_s = now
         if self._control or self._data:
@@ -208,7 +206,6 @@ class LinkTransmitter:
             self._control.append(packet)
         elif len(self._data) >= self._capacity:
             self._drop(packet)
-            release(packet)
             return False
         else:
             self._data.append(packet)
@@ -294,7 +291,6 @@ class LinkTransmitter:
             self.line_error_losses += 1
             if kind is _DATA:
                 self._drop(packet)
-            release(packet)
             return
         packet.hop_count += 1
         self.deliver(packet, self.link)
@@ -317,10 +313,7 @@ class LinkTransmitter:
         discarded = len(self._data)
         for packet in self._data:
             self._drop(packet)
-            release(packet)
         self._data.clear()
-        for packet in self._control:
-            release(packet)
         self._control.clear()
         return discarded
 

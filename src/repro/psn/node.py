@@ -34,7 +34,7 @@ from repro.obs.tracer import (
 from repro.psn.flow_control import RFNM_BITS, HostInterface
 from repro.psn.interfaces import LinkTransmitter
 from repro.psn.measurement import SignificanceCriterion
-from repro.psn.packet import Packet, PacketKind, acquire, release
+from repro.psn.packet import Packet, PacketKind, next_packet_id
 from repro.routing.defense import DefensePolicy, NodeDefense
 from repro.routing.flooding import FloodingState, RoutingUpdate
 from repro.routing.multipath import MultipathRouter
@@ -275,46 +275,46 @@ class Psn:
         if self.host is not None:
             self.host.submit(dst, size_bits)
             return
-        self.forward(acquire(_DATA, self.node_id, dst, size_bits, now))
+        self.forward(
+            Packet(next_packet_id(), _DATA, self.node_id, dst, size_bits, now)
+        )
 
     def _inject_now(self, dst: int, size_bits: float) -> None:
         """The host interface's send: a message the window admitted."""
-        self.forward(acquire(
-            _DATA, self.node_id, dst, size_bits, self.sim.now,
+        self.forward(Packet(
+            next_packet_id(), _DATA, self.node_id, dst, size_bits,
+            self.sim.now,
         ))
 
     def receive(self, packet: Packet, via: Link) -> None:
         """Handle a packet delivered by a neighbour's transmitter.
 
-        Every terminal fate (an update or ack consumed, a message or
-        RFNM at its destination) releases the packet back to the
-        freelist; transit packets pass to :meth:`forward`, which owns
-        them from then on.  Data, by far the most common arrival, is
-        tested first.
+        Transit packets pass to :meth:`forward`; every other fate (an
+        update or ack consumed, a message or RFNM at its destination)
+        ends here.  Data, by far the most common arrival, is tested
+        first.
         """
         kind = packet.kind
         if kind is _DATA:
             if packet.dst != self.node_id:
                 self.forward(packet)
-                return
-            self.stats.packet_delivered(packet, self.sim.now)
-            if self.host is not None:
-                self._send_rfnm(packet)
+            else:
+                self.stats.packet_delivered(packet, self.sim.now)
+                if self.host is not None:
+                    self._send_rfnm(packet)
         elif kind is _ROUTING_UPDATE:
             self._handle_update(packet, via)
         elif kind is _UPDATE_ACK:
             self._handle_ack(packet, via)
         elif packet.dst != self.node_id:  # an RFNM in transit
             self.forward(packet)
-            return
         elif self.host is not None:
             self.host.on_rfnm(packet.src)
-        release(packet)
 
     def _send_rfnm(self, delivered: Packet) -> None:
         """Acknowledge a delivered message back to its source PSN."""
-        self.forward(acquire(
-            PacketKind.RFNM, self.node_id, delivered.src,
+        self.forward(Packet(
+            next_packet_id(), PacketKind.RFNM, self.node_id, delivered.src,
             RFNM_BITS, self.sim.now,
         ))
 
@@ -324,7 +324,6 @@ class Psn:
             self.flush_pending_updates()
         if packet.hop_count >= MAX_HOPS:
             self.stats.packet_dropped(packet, "hop-limit", self.sim.now)
-            release(packet)
             return
         if self.router is not None:
             link_id = self.router.next_hop_link(packet.dst, src=packet.src)
@@ -336,7 +335,6 @@ class Psn:
             link_id = table[packet.dst]
         if link_id is None:
             self.stats.packet_dropped(packet, "unreachable", self.sim.now)
-            release(packet)
             return
         self.transmitters[link_id].send(packet)
 
@@ -400,9 +398,9 @@ class Psn:
         # duplicate usually means our earlier ACK was lost.
         ack_on = self.flooding.note_received(via.link_id, update)
         if ack_on is not None:
-            self.transmitters[ack_on].send(acquire(
-                PacketKind.UPDATE_ACK, self.node_id, via.src,
-                ACK_PACKET_BITS, self.sim.now, update=update,
+            self.transmitters[ack_on].send(Packet(
+                next_packet_id(), PacketKind.UPDATE_ACK, self.node_id,
+                via.src, ACK_PACKET_BITS, self.sim.now, update,
             ))
         if self.defense is not None:
             # Screen *before* accept, so a rejected update never touches
@@ -540,9 +538,9 @@ class Psn:
 
     def _transmit_update(self, update: RoutingUpdate, link_id: int) -> None:
         """Send one update on one link, arming its retransmission."""
-        packet = acquire(
-            PacketKind.ROUTING_UPDATE, self.node_id, None,
-            UPDATE_PACKET_BITS, self.sim.now, update=update,
+        packet = Packet(
+            next_packet_id(), PacketKind.ROUTING_UPDATE, self.node_id, None,
+            UPDATE_PACKET_BITS, self.sim.now, update,
         )
         self.flooding.note_sent(link_id, update, self.sim.now)
         self.transmitters[link_id].send(packet)

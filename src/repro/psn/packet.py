@@ -1,4 +1,4 @@
-"""Packets, and the packet freelist.
+"""Packets.
 
 Two kinds travel the network: user data and routing updates.  The header
 carries only the destination PSN -- the paper points out that destination-
@@ -7,14 +7,10 @@ all PSNs share a consistent view of link costs.
 
 Packets are the simulator's dominant allocation: one slotted object per
 packet, created at injection and discarded at delivery (or at a drop),
-with every hop touching it in between.  :func:`acquire` / :func:`release`
-turn that allocate-and-discard cycle into a bounded freelist -- a
-released packet keeps its slots and is re-issued with a fresh packet
-id, so the hot path stops exercising the allocator entirely once the
-pool warms up.  Pooling is pure mechanics: ids still
-come from one monotonic counter, field values are fully reset on
-acquire, and nothing downstream retains packets past their release
-points (the stats collector copies what it needs).
+with every hop touching it in between.  Callers construct them
+positionally with :func:`next_packet_id` -- the keyword form costs twice
+as much -- and drop the last reference when the packet dies; there is
+no freelist (docs/performance.md, "Compact per-flow state").
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import count
-from typing import List, Optional
+from typing import Optional
 
 from repro.routing.flooding import RoutingUpdate
 
@@ -73,22 +69,12 @@ class Packet:
 
 
 # ----------------------------------------------------------------------
-# Freelist
+# Packet ids
 # ----------------------------------------------------------------------
 
-#: Network-wide packet id counter (shared by pooled and direct
-#: construction, so ids stay unique and monotonic either way).
-_packet_ids = count()
-
-#: Released packets awaiting reuse.  Bounded: a transient burst (a boot
-#: flood's control backlog) cannot pin an unbounded object graph.
-_POOL: List[Packet] = []
-_POOL_LIMIT = 8192
-
-#: Packets currently sitting in the pool, by id(); guards against the
-#: one bug class freelists introduce -- a double release would otherwise
-#: hand the same object to two owners.
-_pooled_ids: set = set()
+#: The next network-wide packet id: one monotonic counter, so ids are
+#: unique and increase in creation order.
+next_packet_id = count().__next__
 
 
 def acquire(
@@ -99,44 +85,17 @@ def acquire(
     created_s: float,
     update: Optional[RoutingUpdate] = None,
 ) -> Packet:
-    """A fresh packet, recycled from the pool when one is available."""
-    if _POOL:
-        packet = _POOL.pop()
-        _pooled_ids.discard(id(packet))
-        packet.packet_id = next(_packet_ids)
-        packet.kind = kind
-        packet.src = src
-        packet.dst = dst
-        packet.size_bits = size_bits
-        packet.created_s = created_s
-        packet.update = update
-        packet.vector = None
-        packet.hop_count = 0
-        packet.enqueued_s = 0.0
-        return packet
+    """A new packet with the next id.
+
+    The package constructs its packets inline; this helper and
+    :func:`release` stay for the benchmark's link drive
+    (``perfbench/drives.py``), which was written against the retired
+    freelist.
+    """
     return Packet(
-        packet_id=next(_packet_ids),
-        kind=kind,
-        src=src,
-        dst=dst,
-        size_bits=size_bits,
-        created_s=created_s,
-        update=update,
+        next_packet_id(), kind, src, dst, size_bits, created_s, update
     )
 
 
 def release(packet: Packet) -> None:
-    """Return a dead packet to the pool.
-
-    Callers own the packet at exactly one point (delivery, drop,
-    suppression, flush); releasing twice is a bug and raises.
-    """
-    key = id(packet)
-    if key in _pooled_ids:
-        raise RuntimeError(f"double release of {packet!r}")
-    if len(_POOL) >= _POOL_LIMIT:
-        return
-    packet.update = None
-    packet.vector = None
-    _pooled_ids.add(key)
-    _POOL.append(packet)
+    """Nothing to do: a dead packet is freed with its last reference."""
