@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from repro.metrics import HopNormalizedMetric
 from repro.psn import Packet, PacketKind
-from repro.sim import StatsCollector
+from repro.sim import NetworkSimulation, ScenarioConfig, StatsCollector
 from repro.topology import build_ring_network
+from repro.traffic import TrafficMatrix
 
 
 def packet(src, dst, created=10.0, size=600.0, hops=0):
@@ -153,3 +155,15 @@ def test_update_trunk_rate_post_warmup_cut(net):
         "test", 150.0, update_transmissions=100 * trunks
     )
     assert report.updates_per_trunk_s == pytest.approx(1.0)
+
+
+def test_run_to_time_zero_reports_zero_update_rate(net):
+    # The whole-run divisor is clamped like the post-warmup window: a
+    # run that has not advanced past t = 0 must not divide by zero.
+    sim = NetworkSimulation(
+        net, HopNormalizedMetric(), TrafficMatrix.uniform(net, 30_000.0),
+        ScenarioConfig(duration_s=120.0, warmup_s=20.0),
+    )
+    report = sim.run(until_s=0.0)
+    assert report.updates_per_trunk_s == 0.0
+    assert report.delivered_packets == 0
