@@ -1,9 +1,12 @@
 """Unit tests for Poisson packet sources."""
 
+import tracemalloc
+
 import pytest
 
 from repro.des import RandomStreams, Simulator
 from repro.traffic import PoissonSource, TrafficMatrix, start_sources
+from repro.traffic.sources import MIN_PACKET_BITS, TRAIN_LENGTH
 
 
 def collect(emissions):
@@ -35,8 +38,6 @@ def test_packet_rate_matches_mean_size():
 
 
 def test_packets_have_minimum_size():
-    from repro.traffic.sources import MIN_PACKET_BITS
-
     sim = Simulator()
     streams = RandomStreams(3)
     emissions = []
@@ -94,3 +95,60 @@ def test_start_sources_covers_matrix():
     matrix = TrafficMatrix({(0, 1): 5_000.0, (2, 0): 7_000.0})
     sources = start_sources(sim, streams, matrix, emit=lambda *a: None)
     assert {(s.src, s.dst) for s in sources} == {(0, 1), (2, 0)}
+
+
+def reference_arrivals(seed, src, dst, rate_bps, mean_packet_bits, count):
+    """The per-packet formulation the trains must replay: from the flow's
+    own stream, one gap then one size per packet, arrival times by
+    running addition from t = 0."""
+    rng = RandomStreams(seed).stream(f"flow-{src}-{dst}")
+    gap_lambd = 1.0 / (1.0 / (rate_bps / mean_packet_bits))
+    size_lambd = 1.0 / mean_packet_bits
+    arrivals = []
+    when = 0.0
+    for _ in range(count):
+        when = when + rng.expovariate(gap_lambd)
+        size = max(rng.expovariate(size_lambd), MIN_PACKET_BITS)
+        arrivals.append((when, size))
+    return arrivals
+
+
+def test_trains_replay_the_per_packet_draws_exactly():
+    sim = Simulator()
+    emitted = []
+    PoissonSource(
+        sim, RandomStreams(11), 4, 9, rate_bps=60_000.0,
+        emit=lambda s, d, b: emitted.append((sim.now, b)),
+        mean_packet_bits=600.0,
+    )
+    sim.run(until=3.0)
+    assert len(emitted) >= max(200, 3 * TRAIN_LENGTH)
+    reference = reference_arrivals(
+        11, 4, 9, 60_000.0, 600.0, len(emitted) + 1
+    )
+    # Bit-for-bit: times and sizes, and nothing due before the horizon
+    # was left out.
+    assert emitted == reference[:-1]
+    assert reference[-1][0] > 3.0
+
+
+def test_started_sources_stay_small():
+    """Per-flow state scales with the square of the node count: 1 000
+    started sources (their streams included) stay under 6 000 bytes
+    each; a train of boxed (when, size) tuples alone costs ~6 KB more."""
+    sim = Simulator()
+    streams = RandomStreams(3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sources = [
+            PoissonSource(sim, streams, i, i + 1, rate_bps=1_000.0,
+                          emit=lambda *a: None)
+            for i in range(1_000)
+        ]
+        sim.run(until=0.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sources) == 1_000
+    assert grown / 1_000 < 6_000
