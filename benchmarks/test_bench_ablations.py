@@ -1,8 +1,9 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-Each ablation switches off one ingredient of the revised metric and
-checks the failure mode the paper predicts for its absence, using the
-same equilibrium-model machinery as Figures 9-12.
+Each ablation switches off one ingredient of the revised metric -- a
+stage removed from its chain, or a parameter changed -- and checks the
+failure mode the paper predicts for its absence, using the same
+equilibrium-model machinery as Figures 9-12.
 """
 
 from dataclasses import replace
@@ -15,9 +16,17 @@ from repro.experiments.base import (
     equilibrium_reference_link,
 )
 from repro.experiments.fig12 import run as fig12_run
-from repro.metrics import HopNormalizedMetric
+from repro.metrics import HNSPF_STAGES, HopNormalizedMetric
+from repro.metrics.base import average, ease_in, limit
 from repro.metrics.params import DEFAULT_HNSPF_PARAMS
 from repro.report import ascii_table
+
+
+def without(*removed):
+    """HN-SPF with ``removed`` taken out of its chain."""
+    return HopNormalizedMetric(
+        stages=[stage for stage in HNSPF_STAGES if stage not in removed]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +48,7 @@ def test_bench_ablation_movement_limits(benchmark, rmap, link):
             HopNormalizedMetric(), link, rmap, 3.0, periods=80
         )
         unbounded = cobweb_trace(
-            HopNormalizedMetric(limit_movement=False), link, rmap, 3.0,
-            periods=80,
+            without(limit), link, rmap, 3.0, periods=80
         )
         return bounded, unbounded
 
@@ -65,12 +73,10 @@ def test_bench_ablation_averaging_filter(benchmark, rmap, link):
 
     def compare():
         smoothed = cobweb_trace(
-            HopNormalizedMetric(limit_movement=False), link, rmap, 3.0,
-            periods=80,
+            without(limit), link, rmap, 3.0, periods=80
         )
         raw = cobweb_trace(
-            HopNormalizedMetric(limit_movement=False, smoothing=1.0),
-            link, rmap, 3.0, periods=80,
+            without(limit, average), link, rmap, 3.0, periods=80
         )
         return smoothed, raw
 
@@ -174,7 +180,7 @@ def test_bench_ablation_ease_in(benchmark, rmap, link):
             HopNormalizedMetric(), link, rmap, 1.5, periods=40
         )
         abrupt = cobweb_trace(
-            HopNormalizedMetric(ease_in=False), link, rmap, 1.5, periods=40
+            without(ease_in), link, rmap, 1.5, periods=40
         )
         return eased, abrupt
 

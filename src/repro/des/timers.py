@@ -83,10 +83,5 @@ class TimerWheel:
         self.timers.append(timer)
         return timer
 
-    def cancel_all(self) -> None:
-        for timer in self.timers:
-            timer.cancel()
-        self.timers.clear()
-
     def __len__(self) -> int:
         return len(self.timers)

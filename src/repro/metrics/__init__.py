@@ -3,10 +3,11 @@
 The metric is the only thing the July 1987 revision changed -- route
 computation stayed SPF.  All three metrics implement
 :class:`~repro.metrics.base.LinkMetric`, so the simulator and the analysis
-package are metric-agnostic.  Each writes its transform once over a state
-class (:class:`HnspfLinkState`, :class:`DspfLinkState`, or the bare
+package are metric-agnostic.  Each is a chain of stages (PAPER.md
+section 1's pipeline, :mod:`repro.metrics.base`) over a state class
+(:class:`HnspfLinkState`, :class:`DspfLinkState`, or the bare
 :class:`MetricState` for min-hop) that holds one link as plain floats or
-many as numpy arrays.
+many as numpy arrays; an ablation is a chain with one stage removed.
 
 >>> from repro.metrics import HopNormalizedMetric
 >>> from repro.topology import build_arpanet_1987
@@ -23,7 +24,7 @@ True
 
 from repro.metrics.base import LinkMetric, MetricState
 from repro.metrics.dspf import DelayMetric, DspfLinkState
-from repro.metrics.hnspf import HnspfLinkState, HopNormalizedMetric
+from repro.metrics.hnspf import HNSPF_STAGES, HnspfLinkState, HopNormalizedMetric
 from repro.metrics.minhop import MinHopMetric
 from repro.metrics.params import (
     DEFAULT_DSPF_PARAMS,
@@ -44,6 +45,7 @@ __all__ = [
     "DelayMetric",
     "DspfLinkState",
     "DspfParams",
+    "HNSPF_STAGES",
     "HOP_UNITS",
     "HnspfLinkState",
     "HnspfParams",

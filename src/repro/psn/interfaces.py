@@ -125,6 +125,8 @@ class LinkTransmitter:
         error_rate: float = 0.0,
         error_rng=None,
     ) -> None:
+        if buffer_packets < 0:
+            raise ValueError(f"buffer_packets must be >= 0: {buffer_packets}")
         if not 0.0 <= error_rate < 1.0:
             raise ValueError(f"error_rate must be in [0, 1): {error_rate}")
         if error_rate > 0.0 and error_rng is None:

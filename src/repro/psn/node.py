@@ -196,8 +196,9 @@ class Psn:
             link = network.link(link_id)
             self._init_link_state(link)
             # Everyone assumes idle costs at boot; advertise our real
-            # initial (ease-in) costs so the network learns them.
-            initial = metric.initial_cost(link)
+            # initial (ease-in) costs, the fresh states' last reports,
+            # so the network learns them.
+            initial = self._metric_state[link_id].last_reported
             self.costs[link_id] = float(initial)
             self._advertised[link_id] = initial if link.up else DOWN_COST
 
@@ -634,4 +635,4 @@ class Psn:
         """
         link = self.network.link(link_id)
         self._init_link_state(link)
-        self.advertise({link_id: self.metric.initial_cost(link)})
+        self.advertise({link_id: self._metric_state[link_id].last_reported})

@@ -8,7 +8,8 @@ from repro.analysis import (
     equilibrium_point,
     reference_link,
 )
-from repro.metrics import DelayMetric, HopNormalizedMetric
+from repro.metrics import HNSPF_STAGES, DelayMetric, HopNormalizedMetric
+from repro.metrics.base import limit
 from repro.metrics.params import DEFAULT_HNSPF_PARAMS
 from repro.topology import build_arpanet_1987
 from repro.topology.arpanet import site_weights
@@ -92,9 +93,9 @@ class TestFigure12Hnspf:
         bounded = cobweb_trace(
             HopNormalizedMetric(), link, rmap, 3.0, periods=80
         )
+        no_limit = [stage for stage in HNSPF_STAGES if stage is not limit]
         unbounded = cobweb_trace(
-            HopNormalizedMetric(limit_movement=False), link, rmap, 3.0,
-            periods=80,
+            HopNormalizedMetric(stages=no_limit), link, rmap, 3.0, periods=80
         )
         assert unbounded.amplitude() >= bounded.amplitude()
         # ...but still bounded by the 3-hop cap, unlike D-SPF.

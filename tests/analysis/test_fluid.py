@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis import FluidNetworkModel
-from repro.metrics import DelayMetric, HopNormalizedMetric, MinHopMetric
+from repro.metrics import HNSPF_STAGES, DelayMetric, HopNormalizedMetric, MinHopMetric
+from repro.metrics.base import ease_in
 from repro.topology import build_arpanet_1987, build_ring_network
 from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
@@ -60,8 +61,10 @@ def test_bad_rounds_rejected():
 def test_link_utilization_query():
     net = build_ring_network(4)
     traffic = TrafficMatrix.hot_pairs({(0, 1): 28_000.0})
-    model = FluidNetworkModel(net, HopNormalizedMetric(ease_in=False),
-                              traffic)
+    no_ease_in = [stage for stage in HNSPF_STAGES if stage is not ease_in]
+    model = FluidNetworkModel(
+        net, HopNormalizedMetric(stages=no_ease_in), traffic
+    )
     direct = net.links_between(0, 1)[0].link_id
     assert model.link_utilization(direct) == pytest.approx(0.5)
 

@@ -10,7 +10,8 @@ from repro.analysis import (
     reference_link,
     validate_configuration,
 )
-from repro.metrics import DEFAULT_HNSPF_PARAMS, HopNormalizedMetric
+from repro.metrics import DEFAULT_HNSPF_PARAMS, HNSPF_STAGES, HopNormalizedMetric
+from repro.metrics.base import ease_in
 from repro.topology import build_arpanet_1987, build_string_network
 from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
@@ -52,7 +53,9 @@ def test_oversized_cap_fails_shedding_check(arpanet_setting):
 
 
 def test_no_ease_in_fails_check(arpanet_setting):
-    metric = HopNormalizedMetric(ease_in=False)
+    metric = HopNormalizedMetric(
+        stages=[stage for stage in HNSPF_STAGES if stage is not ease_in]
+    )
     checks = {c.name: c for c in run_checks(arpanet_setting, metric)}
     assert not checks["ease-in-starts-expensive"].passed
 

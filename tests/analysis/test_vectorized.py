@@ -3,8 +3,9 @@
 Each metric writes its transform once and runs it on plain floats for
 one link (the PSN) or on numpy arrays for many (the fluid model, the
 metric maps).  These tests pin the two runs bit-identical -- for every
-metric and each HN-SPF ablation knob, on the inputs where rounding and
-clipping disagree most easily -- and the scalar and vectorized
+metric, each HN-SPF chain with one stage removed and a foreign metric,
+on the inputs where rounding and clipping disagree most easily -- and
+the scalar and vectorized
 equilibrium solvers equal within bisection tolerance.
 """
 
@@ -21,7 +22,7 @@ from repro.analysis import (
     equilibrium_points,
     reference_link,
 )
-from repro.metrics import DelayMetric, HopNormalizedMetric, MinHopMetric
+from repro.metrics import HNSPF_STAGES, DelayMetric, HopNormalizedMetric, MinHopMetric
 from repro.metrics.queueing import (
     delay_to_utilization,
     delay_to_utilization_array,
@@ -32,20 +33,31 @@ from repro.metrics.queueing import (
 from repro.topology import build_arpanet_1987
 from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
+from tests.metrics.rtt_metric import RttMetric
 
 ALL_METRICS = [HopNormalizedMetric, DelayMetric, MinHopMetric]
 
-#: Every metric, and HN-SPF once per ablation knob.
+#: The name each HN-SPF ablation goes by: the averaging stage is the
+#: paper's smoothing filter.
+_ABLATION_NAMES = {"average": "smoothing"}
+
+#: Every metric, HN-SPF once per chain with one stage removed, and a
+#: metric from outside the package.
 METRIC_VARIANTS = [
     pytest.param(HopNormalizedMetric, id="HopNormalizedMetric"),
-    pytest.param(lambda: HopNormalizedMetric(limit_movement=False),
-                 id="HopNormalizedMetric-limit_movement=False"),
-    pytest.param(lambda: HopNormalizedMetric(smoothing=1.0),
-                 id="HopNormalizedMetric-smoothing=1.0"),
-    pytest.param(lambda: HopNormalizedMetric(ease_in=False),
-                 id="HopNormalizedMetric-ease_in=False"),
+    *(
+        pytest.param(
+            lambda removed=removed: HopNormalizedMetric(stages=tuple(
+                stage for stage in HNSPF_STAGES if stage is not removed
+            )),
+            id="HopNormalizedMetric-"
+               f"{_ABLATION_NAMES.get(removed.__name__, removed.__name__)}_removed",
+        )
+        for removed in HNSPF_STAGES
+    ),
     pytest.param(DelayMetric, id="DelayMetric"),
     pytest.param(MinHopMetric, id="MinHopMetric"),
+    pytest.param(RttMetric, id="RttMetric"),
 ]
 
 AUG87_LINKS = list(build_arpanet_1987().links)
@@ -107,7 +119,7 @@ def _tie_delay(metric, link, k):
 
     HN-SPF's raw cost is the linear map of the *sample* utilization
     (a tie in the reported cost whenever the average is the sample:
-    smoothing 1.0, or a settled link); D-SPF's is the delay in units.
+    no averaging stage, or a settled link); D-SPF's is the delay in units.
     """
     state = metric.create_state(link)
     if isinstance(metric, HopNormalizedMetric):
@@ -117,12 +129,10 @@ def _tie_delay(metric, link, k):
         def raw(d):
             return state.slope * delay_to_utilization(
                 d, link.bandwidth_bps, propagation_s=link.propagation_s,
-                packet_bits=metric.packet_bits,
             ) + state.offset
 
         start = utilization_to_delay_s(
             u, link.bandwidth_bps, propagation_s=link.propagation_s,
-            packet_bits=metric.packet_bits,
         )
         return _nudged(start, lambda d: raw(d) == tie)
     if isinstance(metric, DelayMetric):

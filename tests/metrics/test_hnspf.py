@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import HopNormalizedMetric, utilization_to_delay_s
+from repro.metrics import HNSPF_STAGES, HopNormalizedMetric, utilization_to_delay_s
+from repro.metrics.base import average, ease_in, limit
 from repro.metrics.params import DEFAULT_HNSPF_PARAMS
 from repro.topology import Network, line_type
+
+
+def without(*removed):
+    """HN-SPF's chain with ``removed`` taken out: an ablation."""
+    return tuple(stage for stage in HNSPF_STAGES if stage not in removed)
 
 
 def make_link(type_name="56K-T", propagation_s=-1.0):
@@ -53,7 +59,7 @@ class TestEaseIn:
         assert costs[-1] == 30
 
     def test_ease_in_can_be_disabled(self):
-        metric = HopNormalizedMetric(ease_in=False)
+        metric = HopNormalizedMetric(stages=without(ease_in))
         link = make_link()
         assert metric.initial_cost(link) == 30
 
@@ -101,7 +107,7 @@ class TestSteadyState:
 
 class TestMovementLimits:
     def test_upward_jump_is_rate_limited(self):
-        metric = HopNormalizedMetric(ease_in=False)
+        metric = HopNormalizedMetric(stages=without(ease_in))
         link = make_link()
         state = metric.create_state(link)
         settle(metric, link, state, 0.0)
@@ -129,7 +135,7 @@ class TestMovementLimits:
         so the raw cost swings past both movement limits; the reported
         cost then climbs one unit per full cycle (max_up - max_down),
         spreading the values of identically-loaded lines over time."""
-        metric = HopNormalizedMetric(ease_in=False)
+        metric = HopNormalizedMetric(stages=without(ease_in))
         link = make_link()
         state = metric.create_state(link)
         settle(metric, link, state, 0.0)
@@ -158,7 +164,7 @@ class TestMovementLimits:
 
         params = {"56K-T": replace(DEFAULT_HNSPF_PARAMS["56K-T"],
                                    max_down=17)}
-        metric = HopNormalizedMetric(ease_in=False, params=params)
+        metric = HopNormalizedMetric(params=params, stages=without(ease_in))
         link = make_link()
         state = metric.create_state(link)
         settle(metric, link, state, 0.0)
@@ -179,7 +185,7 @@ class TestMovementLimits:
         results = {}
         for limited in (True, False):
             metric = HopNormalizedMetric(
-                ease_in=False, limit_movement=limited
+                stages=without(ease_in) if limited else without(ease_in, limit)
             )
             link = make_link()
             state = metric.create_state(link)
@@ -195,7 +201,7 @@ class TestMovementLimits:
 
 class TestAveragingFilter:
     def test_single_spike_is_halved(self):
-        metric = HopNormalizedMetric(ease_in=False)
+        metric = HopNormalizedMetric(stages=without(ease_in))
         link = make_link()
         state = metric.create_state(link)
         settle(metric, link, state, 0.0)
@@ -204,17 +210,14 @@ class TestAveragingFilter:
         assert state.last_average == pytest.approx(0.5, abs=0.01)
 
     def test_custom_smoothing(self):
-        metric = HopNormalizedMetric(ease_in=False, smoothing=1.0)
+        """Smoothing is the ``average`` stage: the chain without it (and
+        without the movement limit) reports the map of the sample itself."""
+        metric = HopNormalizedMetric(stages=without(ease_in, average, limit))
         link = make_link()
         state = metric.create_state(link)
-        metric.measured_cost(link, state, delay_at(link, 0.8))
-        assert state.last_average == pytest.approx(0.8, abs=0.01)
-
-    def test_bad_smoothing_rejected(self):
-        with pytest.raises(ValueError):
-            HopNormalizedMetric(smoothing=0.0)
-        with pytest.raises(ValueError):
-            HopNormalizedMetric(smoothing=1.5)
+        cost = metric.measured_cost(link, state, delay_at(link, 0.8))
+        assert cost == round(metric.cost_at_utilization(link, 0.8))
+        assert state.last_average == 0.0
 
 
 class TestBoundsAndThresholds:
@@ -250,7 +253,7 @@ class TestBoundsAndThresholds:
         assert metric.movement_limits(long_haul) == (
             params.max_up, params.max_down
         )
-        unlimited = HopNormalizedMetric(limit_movement=False)
+        unlimited = HopNormalizedMetric(stages=without(limit))
         assert unlimited.movement_limits(long_haul) is None
 
     def test_equilibrium_map_matches_params(self):

@@ -83,6 +83,16 @@ def test_buffer_overflow_drops():
     assert tx.drops == 2
 
 
+def test_negative_buffer_rejected_and_zero_buffer_legal():
+    sim = Simulator()
+    link = make_link()
+    with pytest.raises(ValueError, match="buffer_packets"):
+        LinkTransmitter(sim, link, lambda p, l: None, buffer_packets=-1)
+    tx = LinkTransmitter(sim, link, lambda p, l: None, buffer_packets=0)
+    # Only a packet reaching a free wire goes; nothing waits.
+    assert [tx.send(data_packet(pid)) for pid in range(2)] == [True, False]
+
+
 def test_control_queue_never_drops():
     sim = Simulator()
     link = make_link()
