@@ -31,6 +31,7 @@ from repro.obs.tracer import (
     PSN_CRASH,
     PSN_RESTART,
 )
+from repro.units import DOWN_COST
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a faults <-> sim import cycle
     from repro.sim.network_sim import NetworkSimulation
@@ -278,7 +279,7 @@ class FaultInjector:
             return
         psn = self.simulation.psns[fault.node_id]
         if fault.kind == "babbling-node":
-            psn.emit_forged_update()
+            psn.flooding.forge()
             self.babble_updates_injected += 1
         else:
             link_id = links[rng.randrange(len(links))]
@@ -286,13 +287,13 @@ class FaultInjector:
             sequence = forged = None
             if mode < 0.6 or mode >= 0.85:
                 sequence = (
-                    psn.flooding._own_sequence + 1
+                    psn.flooding.sequence + 1
                 ) | (1 << rng.randint(8, 17))
             if mode >= 0.6:
                 # Below the line-dead threshold, so undefended
                 # receivers route on it.
                 forged = {link_id: rng.randrange(100_000, 2 ** 20)}
-            psn.emit_forged_update(forged, sequence=sequence)
+            psn.flooding.forge(forged, sequence=sequence)
             self.corrupt_updates_injected += 1
         self.adversarial_applied.append((now, fault.kind, fault.node_id))
         self.simulation.sim.call_in(
@@ -312,7 +313,7 @@ class FaultInjector:
             )
 
     def _stuck_set(self, fault: StuckNode, stuck: bool) -> None:
-        self.simulation.psns[fault.node_id].set_control_stuck(stuck)
+        self.simulation.psns[fault.node_id].flooding.stuck = stuck
         self.stuck_transitions += 1
         self.adversarial_applied.append(
             (self.simulation.sim.now, "stuck-node", fault.node_id)
@@ -376,19 +377,17 @@ class FaultInjector:
         origin actually advertises (a forged cost got in).  A lagging
         sequence is just propagation in flight, not poisoning.
         """
-        from repro.psn.node import DOWN_COST
         from repro.routing.spf import UNREACHABLE
 
-        seen = psn.flooding._highest_seen
         for origin, owner in self.simulation.psns.items():
             if origin == psn.node_id:
                 continue
-            own_seq = owner.flooding._own_sequence
-            recorded = seen.get(origin, 0)
+            own_seq = owner.flooding.sequence
+            recorded = psn.flooding.highest_seen(origin)
             if recorded > own_seq:
                 return True
             if recorded == own_seq and own_seq > 0:
-                for link_id, advertised in owner._advertised.items():
+                for link_id, advertised in owner.flooding.advertised.items():
                     applied = (
                         UNREACHABLE if advertised >= DOWN_COST
                         else float(advertised)

@@ -179,9 +179,9 @@ class RunTelemetry:
             telemetry.stuck_transitions = injector.stuck_transitions
             telemetry.reorder_swaps = injector.reorder_swaps
         for psn in simulation.psns.values():
-            if psn.defense is None:
+            if psn.flooding.defense is None:
                 continue
-            stats = psn.defense.stats
+            stats = psn.flooding.defense.stats
             telemetry.defense_rejected_quarantine += stats.rejected_quarantine
             telemetry.defense_rejected_rate += stats.rejected_rate
             telemetry.defense_rejected_cost += stats.rejected_cost

@@ -1,8 +1,10 @@
 """The PSN: forwarding, measurement, update generation, route maintenance.
 
 Each :class:`Psn` owns the transmitters of its outgoing links, a private
-cost table with an incrementally-maintained SPF tree, flooding state, and
-per-link metric state.  A measurement process closes a ten-second
+cost table with an incrementally-maintained SPF tree, per-link metric
+state, and the update protocol it runs
+(:class:`~repro.routing.flooding.FloodingState`: acks, screening,
+re-flooding, retransmission).  A measurement process closes a ten-second
 averaging interval per link and runs the metric; when any link's change
 is significant (or its 50-second cap expires) the node floods one update
 carrying the costs of all its links.
@@ -19,29 +21,20 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.des import RandomStreams, Simulator
 from repro.metrics.base import LinkMetric
-from repro.obs.tracer import (
-    DB_PURGED,
-    NEIGHBOR_QUARANTINED,
-    SPF_BATCH_REPAIR,
-    UPDATE_ACCEPTED,
-    UPDATE_ACKED,
-    UPDATE_FLOODED,
-    UPDATE_GENERATED,
-    UPDATE_REJECTED,
-    UPDATE_SUPPRESSED,
-    Tracer,
-)
+from repro.obs.tracer import SPF_BATCH_REPAIR, UPDATE_GENERATED, Tracer
 from repro.psn.flow_control import RFNM_BITS, HostInterface
 from repro.psn.interfaces import LinkTransmitter
 from repro.psn.measurement import SignificanceCriterion
 from repro.psn.packet import Packet, PacketKind, next_packet_id
-from repro.routing.defense import DefensePolicy, NodeDefense
-from repro.routing.flooding import FloodingState, RoutingUpdate
+from repro.routing.defense import DefensePolicy
+from repro.routing.flooding import (
+    UPDATE_RETRANSMIT_S, FloodingState, RoutingUpdate, lineage,
+)
 from repro.routing.multipath import MultipathRouter
 from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
 from repro.routing.spf_cache import ForwardingTable, SpfCache
 from repro.topology.graph import Link, Network
-from repro.units import MEASUREMENT_INTERVAL_S
+from repro.units import DOWN_COST, MEASUREMENT_INTERVAL_S
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a psn <-> sim import cycle
     from repro.sim.stats import StatsCollector
@@ -51,30 +44,8 @@ _DATA = PacketKind.DATA
 _ROUTING_UPDATE = PacketKind.ROUTING_UPDATE
 _UPDATE_ACK = PacketKind.UPDATE_ACK
 
-#: Update cost advertising a dead link (anything >= this maps to inf).
-DOWN_COST = 2 ** 20
-
 #: Forwarding hop limit; transient inconsistency can loop packets.
 MAX_HOPS = 32
-
-#: Size of a routing-update packet on the wire (bits).
-UPDATE_PACKET_BITS = 1000.0
-
-#: Size of a per-link update acknowledgement (bits).
-ACK_PACKET_BITS = 200.0
-
-#: How often unacknowledged updates are retransmitted (seconds).  Rosen's
-#: protocol retransmits until the neighbour acknowledges or the line is
-#: declared dead.
-UPDATE_RETRANSMIT_S = 1.0
-
-
-def _lineage(update: RoutingUpdate, **extra) -> dict:
-    """Trace tags naming one update: origin, sequence, entry count."""
-    return {
-        "origin": update.origin, "seq": update.sequence,
-        "entries": len(update.costs), **extra,
-    }
 
 
 class Psn:
@@ -116,19 +87,16 @@ class Psn:
     measurement_interval_s:
         The averaging period (paper: 10 s).
     defense_policy:
-        Optional shared :class:`~repro.routing.defense.DefensePolicy`;
-        when given, every received update is screened (cost bounds,
-        sequence plausibility, per-neighbour rate limiting with
-        quarantine) before it can touch the flooding database, and a
-        periodic purge pass evicts entries not refreshed within the
-        policy's age bound (the post-1980 self-stabilization).  ``None``
-        (the default) allocates nothing and adds no checks.
+        Optional shared :class:`~repro.routing.defense.DefensePolicy`
+        for the update protocol's screen, with a periodic purge pass
+        (the post-1980 self-stabilization).  ``None`` (the default)
+        allocates nothing and adds no checks.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` recording this node's
-        control-plane events (update generation, flood forwarding,
-        duplicate suppression, SPF repairs).  A disabled or absent
-        tracer costs nothing: the emission sites hold ``None`` and the
-        per-packet forwarding path is never traced at all.
+        control-plane events (update generation, SPF repairs, and the
+        protocol's flood, ack and screening events).  A disabled or
+        absent tracer costs nothing: the emission sites hold ``None``
+        and the per-packet forwarding path is never traced at all.
     """
 
     def __init__(
@@ -170,27 +138,22 @@ class Psn:
             )
 
         self.costs = costs
-        self.flooding = FloodingState(network, node_id)
-        #: Byzantine-fault defense state (None = defenses off: no
-        #: screening, no purge timer, nothing allocated).
-        self.defense: Optional[NodeDefense] = None
-        #: Adversarial stuck-node flag: while True the control plane is
-        #: frozen -- incoming updates and acks are dropped on the floor
-        #: (no ack, no application, no re-flood) and nothing originates.
-        #: The data plane keeps forwarding on the frozen tables.
-        self.control_stuck = False
+        #: The update protocol.  While it is stuck nothing originates;
+        #: the data plane keeps forwarding on the frozen tables.
+        self.flooding = FloodingState(
+            network, node_id, sim, transmitters, self._apply_update,
+            defense_policy, tracer,
+        )
         if defense_policy is not None:
-            self.defense = NodeDefense(defense_policy, node_id, self.flooding)
-            self.defense.on_quarantine = self._on_quarantine
             purge_interval = defense_policy.config.purge_interval_s
             if purge_interval > 0:
                 sim.timers.every(
-                    purge_interval, self._purge_tick,
+                    purge_interval, self.flooding.purge_tick,
                     first_fire_s=purge_interval,
                 )
         self._metric_state: Dict[int, object] = {}
         self._criterion: Dict[int, SignificanceCriterion] = {}
-        self._advertised: Dict[int, int] = {}
+        advertised = self.flooding.advertised
 
         for link_id in transmitters:
             link = network.link(link_id)
@@ -200,7 +163,7 @@ class Psn:
             # so the network learns them.
             initial = self._metric_state[link_id].last_reported
             self.costs[link_id] = float(initial)
-            self._advertised[link_id] = initial if link.up else DOWN_COST
+            advertised[link_id] = initial if link.up else DOWN_COST
 
         self.tree = SpfTree(network, node_id, self.costs)
         # Hot-path forwarding: a next-hop table for the tree, taken on
@@ -239,7 +202,7 @@ class Psn:
         # Reliable update delivery (Rosen's protocol): every update sent
         # on a link is retransmitted until the neighbour acknowledges it
         # (the ledger is ``self.flooding.unacked``).
-        sim.timers.every(UPDATE_RETRANSMIT_S, self._retransmit_tick)
+        sim.timers.every(UPDATE_RETRANSMIT_S, self.flooding.retransmit_tick)
         # A booting PSN floods its links' initial (ease-in) costs in one
         # update -- otherwise the rest of the network would assume idle
         # costs and the ease-in would only exist in the owner's
@@ -249,7 +212,7 @@ class Psn:
 
     def _boot_advertise(self) -> None:
         self.advertise({
-            link_id: cost for link_id, cost in self._advertised.items()
+            link_id: cost for link_id, cost in self.flooding.advertised.items()
             if self.network.link(link_id).up
         })
 
@@ -304,9 +267,9 @@ class Psn:
                 if self.host is not None:
                     self._send_rfnm(packet)
         elif kind is _ROUTING_UPDATE:
-            self._handle_update(packet, via)
+            self.flooding.receive_update(packet, via)
         elif kind is _UPDATE_ACK:
-            self._handle_ack(packet, via)
+            self.flooding.receive_ack(packet, via)
         elif packet.dst != self.node_id:  # an RFNM in transit
             self.forward(packet)
         elif self.host is not None:
@@ -350,13 +313,13 @@ class Psn:
                 self.measurement_interval_s
             )
             self.stats.utilization_sample(link_id, utilization, self.sim.now)
-            if not link.up or self.control_stuck:
+            if not link.up or self.flooding.stuck:
                 continue  # stuck: measurement closes, but nothing reports
             average_delay = transmitter.take_delay()
             cost = self.metric.measured_cost(
                 link, self._metric_state[link_id], average_delay
             )
-            change = cost - self._advertised[link_id]
+            change = cost - self.flooding.advertised[link_id]
             if self._criterion[link_id].should_report(change):
                 reported[link_id] = cost
         if reported:
@@ -371,113 +334,25 @@ class Psn:
         untouched: the update's packaging is per node, each link's
         reporting rule stays per link.
         """
-        if self.control_stuck:
+        flooding = self.flooding
+        if flooding.stuck:
             return  # a frozen control plane reports nothing
-        advertised = self._advertised
+        advertised = flooding.advertised
         advertised.update(reported)
-        update = self.flooding.originate(advertised.items())
+        update = flooding.originate(advertised.items())
         self.stats.update_originated(reported.items(), self.sim.now)
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, UPDATE_GENERATED,
                 node=self.node_id, value=len(reported),
-                data=_lineage(update),
+                data=lineage(update),
             )
         self._apply_update(update)
-        self._flood(update, arrived_on=None)
+        flooding.flood(update, arrived_on=None)
 
     # ------------------------------------------------------------------
-    # Update plane
+    # Route state
     # ------------------------------------------------------------------
-    def _handle_update(self, packet: Packet, via: Link) -> None:
-        update = packet.update
-        if update is None:
-            raise ValueError(f"routing-update packet without payload: {packet}")
-        if self.control_stuck:
-            return  # frozen control plane: no ack, no apply, no forward
-        # Acknowledge on the reverse link -- duplicates too, since the
-        # duplicate usually means our earlier ACK was lost.
-        ack_on = self.flooding.note_received(via.link_id, update)
-        if ack_on is not None:
-            self.transmitters[ack_on].send(Packet(
-                next_packet_id(), PacketKind.UPDATE_ACK, self.node_id,
-                via.src, ACK_PACKET_BITS, self.sim.now, update,
-            ))
-        if self.defense is not None:
-            # Screen *before* accept, so a rejected update never touches
-            # the flooding database.  It was still ACKed above: the ack
-            # only says "stop retransmitting", not "I believed you" --
-            # and without it a quarantined neighbour's retransmissions
-            # would themselves become an update storm.
-            reason = self.defense.screen(update, via.src, self.sim.now)
-            if reason is not None:
-                if self._trace is not None:
-                    self._trace.emit(
-                        self.sim.now, UPDATE_REJECTED,
-                        node=self.node_id,
-                        data={**_lineage(update), "reason": reason,
-                              "from": via.src},
-                    )
-                return
-        if not self.flooding.accept(update):
-            if self._trace is not None:
-                self._trace.emit(
-                    self.sim.now, UPDATE_SUPPRESSED,
-                    node=self.node_id, data=_lineage(update),
-                )
-            return
-        if self._trace is not None:
-            self._trace.emit(
-                self.sim.now, UPDATE_ACCEPTED,
-                node=self.node_id, data=_lineage(update),
-            )
-        if self.defense is not None:
-            self.defense.note_accepted(update, self.sim.now)
-        self._apply_update(update)
-        self._flood(update, arrived_on=via.link_id)
-
-    def _handle_ack(self, packet: Packet, via: Link) -> None:
-        update = packet.update
-        if update is None:
-            raise ValueError(f"update-ack packet without payload: {packet}")
-        if self.control_stuck:
-            return
-        # The ACK arrived on the reverse of the link we sent the update on.
-        sent_on = via.reverse_id
-        self.flooding.note_acked(sent_on, update)
-        if self._trace is not None:
-            self._trace.emit(
-                self.sim.now, UPDATE_ACKED,
-                node=self.node_id, data=_lineage(update, on=sent_on),
-            )
-
-    def _retransmit_tick(self) -> None:
-        unacked = self.flooding.unacked
-        if not unacked or self.control_stuck:
-            return
-        now = self.sim.now
-        overdue: Dict[int, list] = {}
-        for (link_id, _origin), (update, sent_at) in unacked.items():
-            if now - sent_at >= UPDATE_RETRANSMIT_S:
-                overdue.setdefault(link_id, []).append(update)
-        for link_id, updates in overdue.items():
-            if not self.network.link(link_id).up:
-                continue
-            if self.transmitters[link_id].control_backlog() > 0:
-                # The originals (or a burst of other updates) have
-                # not even left our own queue yet; retransmitting
-                # now would only feed a control-channel congestion
-                # collapse on slow lines.  Wait for the queue to
-                # drain -- the ACK clock only matters once the
-                # packets have actually been on the wire.
-                continue
-            # The queue is drained: retransmit this link's whole
-            # overdue batch, one update per origin, each carrying all
-            # of that node's link costs in one packet.
-            for update in updates:
-                self._transmit_update(update, link_id)
-                self.flooding.stats.retransmitted += 1
-
     def flush_pending_updates(self) -> None:
         """Apply any buffered routing updates in one batched SPF pass."""
         pending = self._pending_updates
@@ -527,87 +402,6 @@ class Psn:
             costs[link_id] = cost
             self._pending_updates.append((link_id, cost))
 
-    def _flood(self, update: RoutingUpdate, arrived_on: Optional[int]) -> None:
-        links = self.flooding.forward_links(arrived_on)
-        for link_id in links:
-            self._transmit_update(update, link_id)
-        if self._trace is not None:
-            self._trace.emit(
-                self.sim.now, UPDATE_FLOODED,
-                node=self.node_id, value=len(links), data=_lineage(update),
-            )
-
-    def _transmit_update(self, update: RoutingUpdate, link_id: int) -> None:
-        """Send one update on one link, arming its retransmission."""
-        packet = Packet(
-            next_packet_id(), PacketKind.ROUTING_UPDATE, self.node_id, None,
-            UPDATE_PACKET_BITS, self.sim.now, update,
-        )
-        self.flooding.note_sent(link_id, update, self.sim.now)
-        self.transmitters[link_id].send(packet)
-
-    # ------------------------------------------------------------------
-    # Defenses / adversarial hooks
-    # ------------------------------------------------------------------
-    def _on_quarantine(self, neighbor: int, until_s: float) -> None:
-        if self._trace is not None:
-            self._trace.emit(
-                self.sim.now, NEIGHBOR_QUARANTINED,
-                node=self.node_id, value=until_s,
-                data={"neighbor": neighbor},
-            )
-
-    def _purge_tick(self) -> None:
-        """Periodic purge-and-reflood self-stabilization pass.
-
-        Evicts flooding-database entries not refreshed within the
-        policy's age bound; the 50-second re-advertisement cap refloods
-        honest entries within one cap interval (see
-        :mod:`repro.routing.defense`).
-        """
-        purged = self.defense.purge(self.sim.now)
-        if purged and self._trace is not None:
-            self._trace.emit(
-                self.sim.now, DB_PURGED,
-                node=self.node_id, value=float(purged),
-            )
-
-    def set_control_stuck(self, stuck: bool) -> None:
-        """Freeze or thaw the control plane (the stuck-node fault)."""
-        self.control_stuck = stuck
-
-    def emit_forged_update(
-        self,
-        forged: Optional[Dict[int, int]] = None,
-        sequence: Optional[int] = None,
-    ) -> RoutingUpdate:
-        """Adversarial harness: flood a forged update from this node.
-
-        The update carries this node's current advertisements with the
-        ``forged`` entries (link -> cost) written over them; with no
-        ``forged`` entries it re-announces the current update verbatim.
-        With ``sequence=None`` it is protocol-legal -- it spends a real
-        sequence number from the origination counter (the babbling-node
-        fault: well-formed, just far too frequent).  With an explicit
-        ``sequence`` the forgery bypasses the counter entirely (the
-        corrupt-update fault: the counter keeps its honest value, so
-        legitimate later updates carry *smaller* sequence numbers than
-        the forgery -- exactly the 1980 poisoning).  Neither path
-        touches ``_advertised`` or the origination stats: forged traffic
-        is the fault, not a report.
-        """
-        costs = dict(self._advertised)
-        if forged:
-            costs.update(forged)
-        if sequence is None:
-            update = self.flooding.originate(costs.items())
-        else:
-            update = RoutingUpdate(
-                self.node_id, sequence, tuple(costs.items())
-            )
-        self._flood(update, arrived_on=None)
-        return update
-
     # ------------------------------------------------------------------
     # Link failure / recovery
     # ------------------------------------------------------------------
@@ -619,11 +413,7 @@ class Psn:
         each endpoint node reports its own direction.)
         """
         self.transmitters[link_id].flush()
-        # Updates awaiting ACKs on the dead link will never be ACKed;
-        # the neighbour will re-learn everything when the link returns.
-        unacked = self.flooding.unacked
-        for key in [k for k in unacked if k[0] == link_id]:
-            del unacked[key]
+        self.flooding.link_down(link_id)
         self.advertise({link_id: DOWN_COST})
 
     def local_link_up(self, link_id: int) -> None:

@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import count
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.routing.flooding import RoutingUpdate
+if TYPE_CHECKING:  # pragma: no cover - routing.flooding builds packets
+    from repro.routing.flooding import RoutingUpdate
 
 
 class PacketKind(enum.Enum):

@@ -4,8 +4,9 @@
   incremental repair (a batch of cost changes per pass), the route
   computation both D-SPF and HN-SPF share,
 * :class:`~repro.routing.spf.CostTable` -- a node's view of link costs,
-* :class:`~repro.routing.flooding.FloodingState` -- sequence-numbered
-  routing-update flooding (Rosen's updating protocol, simplified),
+* :class:`~repro.routing.flooding.FloodingState` -- one PSN's
+  sequence-numbered update protocol (Rosen's, simplified): acks,
+  screening, re-flooding and retransmission,
 * :class:`~repro.routing.bellman_ford.BellmanFordNode` -- the original
   1969 distributed Bellman-Ford algorithm with the instantaneous
   queue-length metric, kept as a historical baseline,

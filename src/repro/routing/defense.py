@@ -45,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.units import DOWN_COST
+
 #: Reasons :meth:`NodeDefense.screen` can reject an update with.
 REJECT_REASONS = (
     "quarantined",
@@ -52,12 +54,6 @@ REJECT_REASONS = (
     "cost-range",
     "seq-implausible",
 )
-
-#: Costs at or above this advertise "line dead" and are always legal.
-#: (Mirrors ``repro.psn.node.DOWN_COST``, which cannot be imported here
-#: without a routing <-> psn cycle.)
-_DOWN_COST = 2 ** 20
-
 
 @dataclass(frozen=True)
 class DefenseConfig:
@@ -192,8 +188,8 @@ class NodeDefense:
         the sequence-plausibility screen reads its database and the
         purge pass evicts from it.
 
-    The owning PSN sets :attr:`on_quarantine` to emit trace events;
-    the callback receives ``(neighbor_id, until_s)``.
+    The owning update protocol sets :attr:`on_quarantine` to emit trace
+    events; the callback receives ``(neighbor_id, until_s)``.
     """
 
     def __init__(self, policy: DefensePolicy, node_id: int, flooding) -> None:
@@ -247,7 +243,7 @@ class NodeDefense:
             state.tokens -= 1.0
         bounds = self.policy.bounds
         for link_id, cost in update.costs:
-            if cost >= _DOWN_COST:
+            if cost >= DOWN_COST:  # "line dead" is always legal
                 continue
             lo, hi = bounds[link_id]
             if not lo <= cost <= hi:

@@ -1,4 +1,4 @@
-"""Routing-update flooding.
+"""Rosen's updating protocol: one PSN's half of routing-update flooding.
 
 Routing updates carry *"only link cost information; no other routing
 information is disseminated through the network"*.  Each update is one
@@ -9,10 +9,11 @@ Updates are flooded -- forwarded on every link except the one they
 arrived on -- with duplicate suppression by sequence number, the essence
 of Rosen's updating protocol [Rosen 1980].
 
-:class:`FloodingState` is the pure protocol logic (what to accept, where
-to forward); the DES-side transmission and per-hop delay live in
-:mod:`repro.psn`.  Keeping the protocol pure makes it unit-testable
-without a simulator.
+:class:`FloodingState` is the whole per-node protocol: sequence numbers,
+acks, the defense screen, accept / apply / re-flood, the retransmit and
+purge ticks, the stuck-node freeze and the forged-update hook.  It needs
+no simulator: the owning :class:`~repro.psn.node.Psn` hands it a clock,
+its transmitters and the function that writes an update into its routes.
 
 Delivery is reliable, per link: every update sent on a link stays in
 the node's retransmission ledger (:attr:`FloodingState.unacked`) until
@@ -25,9 +26,35 @@ per (link, origin): a node's newer report supersedes its older one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.topology.graph import Network
+from repro.obs.tracer import (
+    DB_PURGED,
+    NEIGHBOR_QUARANTINED,
+    UPDATE_ACCEPTED,
+    UPDATE_ACKED,
+    UPDATE_FLOODED,
+    UPDATE_REJECTED,
+    UPDATE_SUPPRESSED,
+    Tracer,
+)
+from repro.psn.packet import Packet, PacketKind, next_packet_id
+from repro.routing.defense import DefensePolicy, NodeDefense
+from repro.topology.graph import Link, Network
+
+_ROUTING_UPDATE = PacketKind.ROUTING_UPDATE
+_UPDATE_ACK = PacketKind.UPDATE_ACK
+
+#: Size of a routing-update packet on the wire (bits).
+UPDATE_PACKET_BITS = 1000.0
+
+#: Size of a per-link update acknowledgement (bits).
+ACK_PACKET_BITS = 200.0
+
+#: How often unacknowledged updates are retransmitted (seconds).  Rosen's
+#: protocol retransmits until the neighbour acknowledges or the line is
+#: declared dead.
+UPDATE_RETRANSMIT_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +73,14 @@ class RoutingUpdate:
     costs: Tuple[Tuple[int, int], ...]
 
 
+def lineage(update: RoutingUpdate, **extra) -> dict:
+    """Trace tags naming one update: origin, sequence, entry count."""
+    return {
+        "origin": update.origin, "seq": update.sequence,
+        "entries": len(update.costs), **extra,
+    }
+
+
 @dataclass
 class FloodingStats:
     """Counters for update traffic seen by one node."""
@@ -60,19 +95,35 @@ class FloodingStats:
 
 
 class FloodingState:
-    """Per-node flooding protocol state.
+    """One PSN's update protocol.
 
-    Parameters
-    ----------
-    network:
-        Shared topology (used to enumerate forwarding links).
-    node_id:
-        The owning PSN.
+    ``clock`` is anything with ``now`` (the simulator); ``transmitters``
+    is the wire, link id -> an object with ``send(packet)`` and
+    ``control_backlog()``; ``apply(update)`` writes an accepted update
+    into the owner's routes before it is re-flooded.  A shared
+    :class:`~repro.routing.defense.DefensePolicy` screens every received
+    update before it can touch the database and arms :meth:`purge_tick`;
+    a disabled or absent ``tracer`` leaves the emission sites ``None``.
+    The pure decisions (:meth:`originate`, :meth:`accept`,
+    :meth:`forward_links`, the ``note_*`` ledger calls) need only the
+    first two arguments.  The owner registers the ticks.
     """
 
-    def __init__(self, network: Network, node_id: int) -> None:
+    def __init__(
+        self, network: Network, node_id: int, clock=None,
+        transmitters: Optional[Dict[int, object]] = None,
+        apply: Optional[Callable[[RoutingUpdate], None]] = None,
+        defense_policy: Optional[DefensePolicy] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
         self.network = network
         self.node_id = node_id
+        self.clock = clock
+        self.transmitters = transmitters
+        self.apply = apply
+        self._trace: Optional[Tracer] = (
+            tracer if tracer is not None and tracer.enabled else None
+        )
         #: origin node -> highest sequence number accepted from it.
         self._highest_seen: Dict[int, int] = {}
         #: Sequence number of this node's latest origination.
@@ -84,6 +135,25 @@ class FloodingState:
         #: link.
         self.unacked: Dict[Tuple[int, int], Tuple[RoutingUpdate, float]] = {}
         self.stats = FloodingStats()
+        #: Own link -> the cost this node last advertised for it.
+        self.advertised: Dict[int, int] = {}
+        #: Stuck-node fault: while True incoming updates and acks are
+        #: dropped (no ack, apply or re-flood) and nothing originates.
+        self.stuck = False
+        #: Byzantine-fault defense state (None = defenses off).
+        self.defense: Optional[NodeDefense] = None
+        if defense_policy is not None:
+            self.defense = NodeDefense(defense_policy, node_id, self)
+            self.defense.on_quarantine = self._on_quarantine
+
+    @property
+    def sequence(self) -> int:
+        """Sequence number of this node's latest origination."""
+        return self._own_sequence
+
+    def highest_seen(self, origin: int) -> int:
+        """Highest sequence on record from ``origin`` (0: none)."""
+        return self._highest_seen.get(origin, 0)
 
     # ------------------------------------------------------------------
     # Origination
@@ -102,6 +172,34 @@ class FloodingState:
         # The originator has, by definition, seen its own update.
         self._highest_seen[self.node_id] = self._own_sequence
         self.stats.generated += 1
+        return update
+
+    def forge(
+        self, forged: Optional[Dict[int, int]] = None,
+        sequence: Optional[int] = None,
+    ) -> RoutingUpdate:
+        """Adversarial harness: flood a forged update from this node.
+
+        The update carries :attr:`advertised` with the ``forged``
+        entries (link -> cost) written over them.  With ``sequence=None``
+        it spends a real sequence number (the babbling-node fault:
+        well-formed, just far too frequent); an explicit ``sequence``
+        bypasses the counter (the corrupt-update fault: honest later
+        updates then carry *smaller* sequences -- the 1980 poisoning).
+        Forged traffic is the fault, not a report: it ignores
+        :attr:`stuck` and touches neither :attr:`advertised` nor the
+        owner's routes.
+        """
+        costs = dict(self.advertised)
+        if forged:
+            costs.update(forged)
+        if sequence is None:
+            update = self.originate(costs.items())
+        else:
+            update = RoutingUpdate(
+                self.node_id, sequence, tuple(costs.items())
+            )
+        self.flood(update, arrived_on=None)
         return update
 
     # ------------------------------------------------------------------
@@ -137,9 +235,80 @@ class FloodingState:
         self.stats.forwarded += len(links)
         return links
 
+    def receive_update(self, packet: Packet, via: Link) -> None:
+        """Ack, screen, accept, apply and re-flood one delivered update."""
+        update = packet.update
+        if update is None:
+            raise ValueError(f"routing-update packet without payload: {packet}")
+        if self.stuck:
+            return  # frozen control plane: no ack, no apply, no forward
+        now = self.clock.now
+        # Acknowledge on the reverse link -- duplicates too, since the
+        # duplicate usually means our earlier ACK was lost.
+        ack_on = self.note_received(via.link_id, update)
+        if ack_on is not None:
+            self.transmitters[ack_on].send(Packet(
+                next_packet_id(), _UPDATE_ACK, self.node_id,
+                via.src, ACK_PACKET_BITS, now, update,
+            ))
+        defense = self.defense
+        if defense is not None:
+            # Screen *before* accept, so a rejected update never touches
+            # the database.  It was still ACKed above: the ack only says
+            # "stop retransmitting", not "I believed you" -- and without
+            # it a quarantined neighbour's retransmissions would
+            # themselves become an update storm.
+            reason = defense.screen(update, via.src, now)
+            if reason is not None:
+                if self._trace is not None:
+                    self._emit(UPDATE_REJECTED, update,
+                               **{"reason": reason, "from": via.src})
+                return
+        if not self.accept(update):
+            if self._trace is not None:
+                self._emit(UPDATE_SUPPRESSED, update)
+            return
+        if self._trace is not None:
+            self._emit(UPDATE_ACCEPTED, update)
+        if defense is not None:
+            defense.note_accepted(update, now)
+        self.apply(update)
+        self.flood(update, arrived_on=via.link_id)
+
+    def receive_ack(self, packet: Packet, via: Link) -> None:
+        """Retire the ledger entry a delivered acknowledgement names."""
+        update = packet.update
+        if update is None:
+            raise ValueError(f"update-ack packet without payload: {packet}")
+        if self.stuck:
+            return
+        # The ACK arrived on the reverse of the link we sent the update on.
+        sent_on = via.reverse_id
+        self.note_acked(sent_on, update)
+        if self._trace is not None:
+            self._emit(UPDATE_ACKED, update, on=sent_on)
+
     # ------------------------------------------------------------------
-    # Reliable delivery
+    # Transmission and reliable delivery
     # ------------------------------------------------------------------
+    def flood(self, update: RoutingUpdate, arrived_on: Optional[int]) -> None:
+        """Send ``update`` on every link :meth:`forward_links` names."""
+        links = self.forward_links(arrived_on)
+        for link_id in links:
+            self.send(update, link_id)
+        if self._trace is not None:
+            self._emit(UPDATE_FLOODED, update, value=len(links))
+
+    def send(self, update: RoutingUpdate, link_id: int) -> None:
+        """Send one update on one link, arming its retransmission."""
+        now = self.clock.now
+        packet = Packet(
+            next_packet_id(), _ROUTING_UPDATE, self.node_id, None,
+            UPDATE_PACKET_BITS, now, update,
+        )
+        self.note_sent(link_id, update, now)
+        self.transmitters[link_id].send(packet)
+
     def note_received(
         self, link_id: int, update: RoutingUpdate
     ) -> Optional[int]:
@@ -176,3 +345,63 @@ class FloodingState:
         pending = self.unacked.get(entry)
         if pending is not None and pending[0].sequence <= update.sequence:
             del self.unacked[entry]
+
+    def retransmit_tick(self) -> None:
+        """Resend every update unacknowledged for a retransmit period."""
+        unacked = self.unacked
+        if not unacked or self.stuck:
+            return
+        now = self.clock.now
+        overdue: Dict[int, list] = {}
+        for (link_id, _origin), (update, sent_at) in unacked.items():
+            if now - sent_at >= UPDATE_RETRANSMIT_S:
+                overdue.setdefault(link_id, []).append(update)
+        for link_id, updates in overdue.items():
+            if not self.network.link(link_id).up:
+                continue
+            if self.transmitters[link_id].control_backlog() > 0:
+                # The originals (or a burst of other updates) have
+                # not even left our own queue yet; retransmitting
+                # now would only feed a control-channel congestion
+                # collapse on slow lines.  Wait for the queue to
+                # drain -- the ACK clock only matters once the
+                # packets have actually been on the wire.
+                continue
+            # The queue is drained: retransmit this link's whole
+            # overdue batch, one update per origin, each carrying all
+            # of that node's link costs in one packet.
+            for update in updates:
+                self.send(update, link_id)
+                self.stats.retransmitted += 1
+
+    def link_down(self, link_id: int) -> None:
+        """Drop a dead link's ledger entries: they would never be acked,
+        and the neighbour re-learns everything when the link returns."""
+        for key in [k for k in self.unacked if k[0] == link_id]:
+            del self.unacked[key]
+
+    # ------------------------------------------------------------------
+    # Defenses
+    # ------------------------------------------------------------------
+    def purge_tick(self) -> None:
+        """One purge-and-reflood pass (see :mod:`repro.routing.defense`)."""
+        purged = self.defense.purge(self.clock.now)
+        if purged and self._trace is not None:
+            self._trace.emit(
+                self.clock.now, DB_PURGED,
+                node=self.node_id, value=float(purged),
+            )
+
+    def _on_quarantine(self, neighbor: int, until_s: float) -> None:
+        if self._trace is not None:
+            self._trace.emit(
+                self.clock.now, NEIGHBOR_QUARANTINED,
+                node=self.node_id, value=until_s,
+                data={"neighbor": neighbor},
+            )
+
+    def _emit(self, kind: str, update: RoutingUpdate, value=None, **extra):
+        self._trace.emit(
+            self.clock.now, kind, node=self.node_id, value=value,
+            data=lineage(update, **extra),
+        )

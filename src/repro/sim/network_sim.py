@@ -388,7 +388,11 @@ class NetworkSimulation:
             t.update_packets_sent for t in self.transmitters.values()
         )
         if self.config.post_warmup_update_rates:
-            update_transmissions -= self._warmup_update_transmissions
+            # Nothing sent before the warm-up snapshot fires counts.
+            if horizon <= self.config.warmup_s:
+                update_transmissions = 0
+            else:
+                update_transmissions -= self._warmup_update_transmissions
         report = self.stats.report(
             self.metric.name, horizon,
             update_transmissions=update_transmissions,

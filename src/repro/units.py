@@ -27,6 +27,9 @@ MAX_ROUTING_UNITS = 255
 #: Delay-measurement averaging interval in both D-SPF and HN-SPF (seconds).
 MEASUREMENT_INTERVAL_S = 10.0
 
+#: Update cost advertising a dead link (anything >= this maps to inf).
+DOWN_COST = 2 ** 20
+
 #: Maximum time between routing updates for a link even with no change
 #: (the significance criterion decays so an update goes out by then).
 MAX_UPDATE_INTERVAL_S = 50.0

@@ -177,14 +177,14 @@ def test_stuck_node_freezes_and_thaws_the_control_plane():
     times = [t for t, kind, _ in injector.adversarial_applied
              if kind == "stuck-node"]
     assert times == [30.0, 60.0]
-    assert not simulation.psns[0].control_stuck  # thawed by run end
+    assert not simulation.psns[0].flooding.stuck  # thawed by run end
     assert report.telemetry.stuck_transitions == 2
     # A permanently stuck node never thaws.
     forever, _ = _simulate(FaultPlan(adversarial=(
         StuckNode(node_id=0, start_s=30.0),
     )))
     assert forever.fault_injector.stuck_transitions == 1
-    assert forever.psns[0].control_stuck
+    assert forever.psns[0].flooding.stuck
 
 
 def test_reorder_circuit_swaps_queued_control_packets():

@@ -30,6 +30,7 @@ def test_disabled_run_stores_none_at_emission_sites():
     assert simulation.stats._trace is None
     for psn in simulation.psns.values():
         assert psn._trace is None
+        assert psn.flooding._trace is None
 
 
 def test_disabled_run_leaves_methods_unwrapped():
@@ -51,6 +52,7 @@ def test_enabled_run_wires_the_same_tracer_everywhere():
     assert simulation.stats._trace is simulation.tracer
     for psn in simulation.psns.values():
         assert psn._trace is simulation.tracer
+        assert psn.flooding._trace is simulation.tracer
 
 
 def test_disabled_run_still_attaches_telemetry():

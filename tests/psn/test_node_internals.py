@@ -3,8 +3,9 @@
 import pytest
 
 from repro.metrics import HopNormalizedMetric, MinHopMetric
-from repro.psn.node import DOWN_COST, UPDATE_PACKET_BITS
+from repro.psn.node import DOWN_COST
 from repro.psn.packet import Packet, PacketKind
+from repro.routing.flooding import UPDATE_PACKET_BITS
 from repro.routing.spf import UNREACHABLE
 from repro.sim import NetworkSimulation, ScenarioConfig, build_scenario
 from repro.topology import build_ring_network, build_string_network
@@ -69,7 +70,7 @@ def test_bundle_carries_every_own_link():
     sim.run(until_s=1.0)
     psn = sim.psns[0]
     quiet, moved = (link.link_id for link in net.out_links(0))
-    booted = psn._advertised[quiet]
+    booted = psn.flooding.advertised[quiet]
     rows = len(sim.stats.cost_history)
 
     def pending_on(link_id):

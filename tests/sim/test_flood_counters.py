@@ -24,7 +24,7 @@ def test_boot_flood_is_acked_copy_for_copy_and_drains():
     psns = simulation.psns
 
     for origin in psns.values():
-        for link_id, cost in origin._advertised.items():
+        for link_id, cost in origin.flooding.advertised.items():
             for psn in psns.values():
                 assert psn.costs[link_id] == float(cost), \
                     (psn.node_id, link_id)

@@ -167,3 +167,16 @@ def test_run_to_time_zero_reports_zero_update_rate(net):
     report = sim.run(until_s=0.0)
     assert report.updates_per_trunk_s == 0.0
     assert report.delivered_packets == 0
+
+
+def test_report_before_warmup_ends_counts_no_post_warmup_updates(net):
+    # The boot flood is sent before the warm-up snapshot fires; a report
+    # taken then must not divide it by the clamped post-warm-up window.
+    sim = NetworkSimulation(
+        net, HopNormalizedMetric(), TrafficMatrix.uniform(net, 30_000.0),
+        ScenarioConfig(
+            duration_s=30.0, warmup_s=5.0, post_warmup_update_rates=True,
+        ),
+    )
+    assert sim.run(until_s=3.0).updates_per_trunk_s == 0.0
+    assert 0.0 < sim.run().updates_per_trunk_s < 1.0
