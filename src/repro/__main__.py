@@ -22,11 +22,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from typing import Optional
 
-from repro.experiments import EXPERIMENT_IDS
 from repro.metrics import DelayMetric, HopNormalizedMetric, MinHopMetric
 from repro.report import ascii_table
 
@@ -181,13 +179,6 @@ def _telemetry_table(telemetry) -> str:
     )
 
 
-def cmd_experiment(args) -> int:
-    module = importlib.import_module(f"repro.experiments.{args.id}")
-    result = module.run(fast=args.fast)
-    print(result.rendered)
-    return 0
-
-
 def cmd_validate(args) -> int:
     from repro.analysis import all_passed, validate_configuration
     from repro.analysis.metric_maps import reference_link
@@ -307,12 +298,14 @@ def main(argv: Optional[list] = None) -> int:
                                  "Prometheus text exposition to PATH")
     p_simulate.set_defaults(handler=cmd_simulate)
 
+    # One runner: the same arguments and loop as python -m repro.experiments.
+    from repro.experiments.__main__ import add_arguments, run
+
     p_experiment = commands.add_parser(
-        "experiment", help="regenerate one of the paper's tables/figures"
+        "experiment", help="regenerate the paper's tables/figures"
     )
-    p_experiment.add_argument("id", choices=EXPERIMENT_IDS)
-    p_experiment.add_argument("--fast", action="store_true")
-    p_experiment.set_defaults(handler=cmd_experiment)
+    add_arguments(p_experiment)
+    p_experiment.set_defaults(handler=run)
 
     p_validate = commands.add_parser(
         "validate",

@@ -25,11 +25,8 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.telemetry import merge_telemetry
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the paper's tables and figures.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The runner's arguments (shared with ``python -m repro experiment``)."""
     parser.add_argument(
         "experiment",
         choices=(*EXPERIMENT_IDS, "all", "all-ext"),
@@ -51,8 +48,19 @@ def main(argv=None) -> int:
         action="store_true",
         help="print merged hot-path counters after each experiment",
     )
-    args = parser.parse_args(argv)
 
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate the paper's tables and figures.",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Regenerate ``args.experiment`` and print each rendered result."""
     if args.trace:
         obs_runtime.enable_trace_dir(args.trace)
     if args.telemetry:

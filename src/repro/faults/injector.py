@@ -362,10 +362,9 @@ class FaultInjector:
             if self._node_poisoned(psn)
         )
         self.poison_samples.append((now, count))
-        self.update_tx_samples.append((now, sum(
-            t.update_packets_sent
-            for t in self.simulation.transmitters.values()
-        )))
+        self.update_tx_samples.append(
+            (now, self.simulation.stats.update_packets_sent())
+        )
 
     def _node_poisoned(self, psn) -> bool:
         """Whether a node's database disagrees with ground truth.

@@ -30,7 +30,7 @@ from repro.routing.defense import DefensePolicy
 from repro.routing.flooding import (
     UPDATE_RETRANSMIT_S, FloodingState, RoutingUpdate, lineage,
 )
-from repro.routing.multipath import MultipathRouter
+from repro.routing.multipath import EQUAL_COST_SLACK, MultipathRouter
 from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
 from repro.routing.spf_cache import ForwardingTable, SpfCache
 from repro.topology.graph import Link, Network
@@ -112,7 +112,6 @@ class Psn:
         spf_cache: SpfCache,
         measurement_interval_s: float = MEASUREMENT_INTERVAL_S,
         multipath_mode: Optional[str] = None,
-        multipath_slack: float = 0.0,
         flow_control_window: Optional[int] = None,
         defense_policy: Optional[DefensePolicy] = None,
         tracer: Optional[Tracer] = None,
@@ -188,7 +187,7 @@ class Psn:
         if multipath_mode is not None:
             self.router = MultipathRouter(
                 network, node_id, self.costs, mode=multipath_mode,
-                slack=multipath_slack, cache=spf_cache,
+                slack=EQUAL_COST_SLACK, cache=spf_cache,
             )
         offset = streams.uniform(
             f"psn-{node_id}-phase", 0.0, measurement_interval_s

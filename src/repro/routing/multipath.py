@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Relative slack when comparing float path costs for equality.
 _COST_TOLERANCE = 1e-9
 
+#: The slack every PSN's router uses: half a hop, below the minimum
+#: link cost of the standard line types, so forwarding stays loop-free.
+EQUAL_COST_SLACK = 15.0
+
 
 class MultipathRouter:
     """ECMP next-hop selection for one PSN.
@@ -54,8 +58,8 @@ class MultipathRouter:
         the minimum link cost in the network (then every hop still
         strictly decreases the remaining distance); the constructor
         cannot know all future costs, so callers must respect this.
-        Half a hop (15 units) is safe for the standard line types,
-        whose costs never fall below 22.
+        Half a hop (:data:`EQUAL_COST_SLACK`, 15 units) is safe for the
+        standard line types, whose costs never fall below 22.
     cache:
         Optional shared :class:`~repro.routing.spf_cache.SpfCache`.
         Recomputes need a Dijkstra tree per neighbour; with a shared

@@ -20,12 +20,11 @@ generations of ARPANET routing.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Dict, Optional
 
 from repro.des import RandomStreams, Simulator
 from repro.psn.interfaces import LinkTransmitter
-from repro.psn.packet import Packet, PacketKind
+from repro.psn.packet import Packet, PacketKind, next_packet_id
 from repro.psn.node import MAX_HOPS
 from repro.routing.bellman_ford import (
     QUEUE_METRIC_CONSTANT,
@@ -42,8 +41,6 @@ from repro.units import BELLMAN_FORD_EXCHANGE_S
 #: Distance-vector packet overhead: header plus 16 bits per destination.
 _VECTOR_HEADER_BITS = 64.0
 _VECTOR_BITS_PER_DEST = 16.0
-
-_packet_ids = count()
 
 
 class _LegacyNode:
@@ -111,13 +108,9 @@ class _LegacyNode:
             if transmitter is None:
                 continue
             packet = Packet(
-                packet_id=next(_packet_ids),
-                kind=PacketKind.DISTANCE_VECTOR,
-                src=self.node_id,
-                dst=neighbour,
-                size_bits=self._vector_bits,
-                created_s=self.sim.now,
-                vector=dict(snapshot),
+                next_packet_id(), PacketKind.DISTANCE_VECTOR, self.node_id,
+                neighbour, self._vector_bits, self.sim.now, None,
+                dict(snapshot),
             )
             transmitter.send(packet)
             self.vectors_sent += 1
@@ -125,12 +118,8 @@ class _LegacyNode:
     # ------------------------------------------------------------------
     def inject(self, src: int, dst: int, size_bits: float) -> None:
         packet = Packet(
-            packet_id=next(_packet_ids),
-            kind=PacketKind.DATA,
-            src=src,
-            dst=dst,
-            size_bits=size_bits,
-            created_s=self.sim.now,
+            next_packet_id(), PacketKind.DATA, src, dst, size_bits,
+            self.sim.now,
         )
         self.stats.packet_offered(self.sim.now)
         self.forward(packet)
@@ -209,6 +198,7 @@ class BellmanFordSimulation:
             emit=self._emit,
             mean_packet_bits=self.config.mean_packet_bits,
         )
+        self.stats.attach_wire(self.sim, self.transmitters)
 
     def _deliver(self, packet: Packet, link: Link) -> None:
         self.nodes[link.dst].receive(packet, link)
@@ -241,10 +231,4 @@ class BellmanFordSimulation:
         """Run the simulation and summarize it."""
         horizon = until_s if until_s is not None else self.config.duration_s
         self.sim.run(until=horizon)
-        update_transmissions = sum(
-            t.update_packets_sent for t in self.transmitters.values()
-        )
-        return self.stats.report(
-            "BF-1969", horizon,
-            update_transmissions=update_transmissions,
-        )
+        return self.stats.report("BF-1969", horizon)

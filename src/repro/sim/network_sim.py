@@ -70,10 +70,6 @@ class ScenarioConfig:
     #: Equal-cost multipath forwarding: None (single path, the paper's
     #: ARPANET), "flow" (hash by flow), or "packet" (round-robin).
     multipath: Optional[str] = None
-    #: Cost slack (units) for "equal"-cost paths; must stay below the
-    #: minimum link cost for loop freedom (half a hop = 15 is safe for
-    #: the standard line types).
-    multipath_slack: float = 15.0
     #: Per-packet probability of destruction by line errors.
     line_error_rate: float = 0.0
     #: End-to-end (RFNM) flow control window per src-dst pair; None
@@ -89,12 +85,6 @@ class ScenarioConfig:
     #: :class:`~repro.sim.parallel.RunSpec`).  Tracing never alters
     #: behaviour: traced runs stay bit-identical to untraced ones.
     trace: Optional[object] = None
-    #: Compute the report's ``updates_per_trunk_s`` over the post-warmup
-    #: window only, excluding the boot flood.  Default off (the
-    #: historical whole-run average).  Enabling schedules one extra
-    #: bookkeeping event at ``warmup_s``; it observes counters without
-    #: touching simulation state, so the trajectory is unchanged.
-    post_warmup_update_rates: bool = False
     #: Declarative fault workload (a :class:`~repro.faults.FaultPlan`):
     #: scripted circuit/node/partition events plus stochastic link
     #: flapping, compiled onto the run by a
@@ -196,7 +186,6 @@ class NetworkSimulation:
             network,
             warmup_s=self.config.warmup_s,
             tracer=self.tracer,
-            post_warmup_update_rates=self.config.post_warmup_update_rates,
             timeline=self.timeline,
         )
         #: Shared SPF trees and counted forwarding tables, network-wide.
@@ -253,7 +242,6 @@ class NetworkSimulation:
                 self.spf_cache,
                 measurement_interval_s=self.config.measurement_interval_s,
                 multipath_mode=self.config.multipath,
-                multipath_slack=self.config.multipath_slack,
                 flow_control_window=self.config.flow_control_window,
                 tracer=self.tracer,
                 defense_policy=self.defense_policy,
@@ -274,14 +262,11 @@ class NetworkSimulation:
             )
             for (src, dst), bps in traffic
         ]
-        #: Update transmissions on the wire at the warmup boundary
-        #: (captured only under ``post_warmup_update_rates``; the
-        #: snapshot callback reads counters and cannot perturb the run).
-        self._warmup_update_transmissions = 0
-        if self.config.post_warmup_update_rates and self.config.warmup_s > 0:
-            self.sim.call_in(
-                self.config.warmup_s, self._snapshot_warmup_updates
-            )
+        # The report's update rate counts the wire from ``warmup_s`` on.
+        # Its one read-only event is registered after the sources and
+        # before the fault injector; moving it would change which
+        # transmissions at exactly ``warmup_s`` the report counts.
+        self.stats.attach_wire(self.sim, self.transmitters)
         #: Compiled fault workload (None without a plan).  Constructed
         #: after the PSNs so same-timestamp fault events fire after
         #: measurement closes -- a fixed, deterministic order.
@@ -323,11 +308,6 @@ class NetworkSimulation:
     def _on_drop(self, packet: Packet, link: Link) -> None:
         if packet.kind is PacketKind.DATA:
             self.stats.packet_dropped(packet, "congestion", self.sim.now)
-
-    def _snapshot_warmup_updates(self) -> None:
-        self._warmup_update_transmissions = sum(
-            t.update_packets_sent for t in self.transmitters.values()
-        )
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -384,19 +364,7 @@ class NetworkSimulation:
         # before telemetry harvest so the report counts it.
         if self.meters is not None:
             self.meters.finish()
-        update_transmissions = sum(
-            t.update_packets_sent for t in self.transmitters.values()
-        )
-        if self.config.post_warmup_update_rates:
-            # Nothing sent before the warm-up snapshot fires counts.
-            if horizon <= self.config.warmup_s:
-                update_transmissions = 0
-            else:
-                update_transmissions -= self._warmup_update_transmissions
-        report = self.stats.report(
-            self.metric.name, horizon,
-            update_transmissions=update_transmissions,
-        )
+        report = self.stats.report(self.metric.name, horizon)
         report.telemetry = self.telemetry()
         if self.invariant_monitor is not None:
             report.invariant_violations = list(

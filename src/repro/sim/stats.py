@@ -12,12 +12,16 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import COST_CHANGE, PACKET_DROP, UTILIZATION, Tracer
 from repro.psn.packet import Packet
 from repro.routing.spf import CostTable, SpfTree
 from repro.topology.graph import Network
+
+if TYPE_CHECKING:  # pragma: no cover - the simulations own these
+    from repro.des import Simulator
+    from repro.psn.interfaces import LinkTransmitter
 
 
 class DeliveryTimeline:
@@ -90,10 +94,12 @@ class SimulationReport:
     #: Routing updates (one per originating PSN report) generated
     #: network-wide per second.
     updates_per_s: float
-    #: Routing-update transmissions per trunk per second (flooding puts
-    #: each update on every link; Table 1's "Rtg. Updates per Trunk/sec").
-    #: Averaged over the whole run, warmup included, unless the run used
-    #: ``post_warmup_update_rates=True`` (then post-warmup only).
+    #: Routing-update transmissions per trunk per second after the
+    #: warm-up (flooding puts each update on every link; Table 1's "Rtg.
+    #: Updates per Trunk/sec").  The boot flood falls in the warm-up and
+    #: is not counted.  A trunk is one simplex link: each transmission
+    #: occupies one direction of one circuit, and a per-circuit
+    #: denominator would double every row.
     updates_per_trunk_s: float
     #: Mean seconds between updates per node.
     update_period_per_node_s: float
@@ -155,12 +161,6 @@ class StatsCollector:
         collector also emits drop, cost-change and utilization trace
         events as they are recorded.  Disabled or absent tracers cost
         nothing (the emission sites hold ``None``).
-    post_warmup_update_rates:
-        Compute ``updates_per_trunk_s`` over the post-warmup window
-        only, from the post-warmup transmission count the simulation
-        supplies.  Default off: the historical indicator averages the
-        whole run, warmup (and its boot flood) included, which skews
-        Table-1 comparisons -- see ``docs/observability.md``.
     timeline:
         Optional :class:`DeliveryTimeline`; when present, every offered
         and delivered packet is also bucketed by time (warmup included)
@@ -173,12 +173,10 @@ class StatsCollector:
         network: Network,
         warmup_s: float = 0.0,
         tracer: Optional[Tracer] = None,
-        post_warmup_update_rates: bool = False,
         timeline: Optional[DeliveryTimeline] = None,
     ) -> None:
         self.network = network
         self.warmup_s = warmup_s
-        self.post_warmup_update_rates = post_warmup_update_rates
         self.timeline = timeline
         #: None when tracing is disabled, so emission sites pay one
         #: ``is not None`` test and nothing else.
@@ -202,6 +200,11 @@ class StatsCollector:
         #: Post-warmup originated updates: one per PSN report, Table 1's
         #: per-node update.
         self.updates_originated = 0
+        #: The links whose routing-update transmissions the report
+        #: counts (see :meth:`attach_wire`), and their count at the
+        #: warm-up instant.
+        self._transmitters: Iterable[LinkTransmitter] = ()
+        self._warmup_update_packets = 0
         #: (time, link_id, cost) for every link an update reported: the
         #: links whose significance criterion fired or whose line went
         #: down or up.  Quiet links riding along in the same update at
@@ -219,6 +222,26 @@ class StatsCollector:
     # ------------------------------------------------------------------
     # Recording callbacks (invoked by PSNs / sources / transmitters)
     # ------------------------------------------------------------------
+    def attach_wire(
+        self, sim: Simulator, transmitters: Dict[int, LinkTransmitter]
+    ) -> None:
+        """Count the routing updates ``transmitters`` put on the wire.
+
+        With a warm-up, schedules one read-only snapshot of the count at
+        ``warmup_s``; the report's update rate counts only what was sent
+        after it.
+        """
+        self._transmitters = transmitters.values()
+        if self.warmup_s > 0:
+            sim.call_in(self.warmup_s, self._snapshot_warmup_updates)
+
+    def _snapshot_warmup_updates(self) -> None:
+        self._warmup_update_packets = self.update_packets_sent()
+
+    def update_packets_sent(self) -> int:
+        """Routing-update transmissions on the attached wire so far."""
+        return sum(t.update_packets_sent for t in self._transmitters)
+
     def packet_offered(self, now: float) -> None:
         if self.timeline is not None:
             self.timeline.record_offered(now)
@@ -321,21 +344,8 @@ class StatsCollector:
             (t, cost) for t, lid, cost in self.cost_history if lid == link_id
         ]
 
-    def report(
-        self,
-        metric_name: str,
-        duration_s: float,
-        update_transmissions: int = 0,
-    ) -> SimulationReport:
-        """Summarize the run over its post-warmup window.
-
-        ``update_transmissions`` is the count of routing-update packets
-        put on the wire (supplied by the simulation, which owns the
-        transmitters): the whole-run total normally, or the post-warmup
-        count when the collector was built with
-        ``post_warmup_update_rates=True`` (the rate then divides by the
-        post-warmup window instead of the full duration).
-        """
+    def report(self, metric_name: str, duration_s: float) -> SimulationReport:
+        """Summarize the run over its post-warmup window."""
         window_s = max(duration_s - self.warmup_s, 1e-9)
         mean_delay_s = (
             self.delay_sum_s / self.delivered if self.delivered else 0.0
@@ -345,9 +355,10 @@ class StatsCollector:
         per_node_rate = updates_per_s / node_count
         update_period = (1.0 / per_node_rate) if per_node_rate > 0 else 0.0
         trunk_count = max(len(self.network.links), 1)
-        update_rate_window_s = (
-            window_s if self.post_warmup_update_rates
-            else max(duration_s, 1e-9)
+        # Nothing sent before the warm-up snapshot fires counts.
+        update_transmissions = (
+            self.update_packets_sent() - self._warmup_update_packets
+            if duration_s > self.warmup_s else 0
         )
         return SimulationReport(
             metric_name=metric_name,
@@ -355,9 +366,7 @@ class StatsCollector:
             internode_traffic_kbps=self.bits_delivered / window_s / 1000.0,
             round_trip_delay_ms=2.0 * mean_delay_s * 1000.0,
             updates_per_s=updates_per_s,
-            updates_per_trunk_s=(
-                update_transmissions / trunk_count / update_rate_window_s
-            ),
+            updates_per_trunk_s=update_transmissions / trunk_count / window_s,
             update_period_per_node_s=update_period,
             actual_path_hops=(
                 self.hops_sum / self.delivered if self.delivered else 0.0

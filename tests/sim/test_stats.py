@@ -1,12 +1,19 @@
 """Unit tests for statistics collection and reporting."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro.des import Simulator
 from repro.metrics import HopNormalizedMetric
 from repro.psn import Packet, PacketKind
-from repro.sim import NetworkSimulation, ScenarioConfig, StatsCollector
+from repro.sim import (
+    BellmanFordSimulation,
+    NetworkSimulation,
+    ScenarioConfig,
+    StatsCollector,
+)
 from repro.topology import build_ring_network
 from repro.traffic import TrafficMatrix
 
@@ -135,31 +142,55 @@ def test_path_ratio_with_zero_minimum_hops(net):
     assert math.isnan(report.path_ratio)
 
 
-def test_update_trunk_rate_averages_whole_run_by_default(net):
+def test_update_trunk_rate_post_warmup_cut(net):
     stats = StatsCollector(net, warmup_s=50.0)
     trunks = len(net.links)
-    report = stats.report(
-        "test", 150.0, update_transmissions=150 * trunks
-    )
-    # transmissions / trunks / the full 150 s, warmup included.
+    wire = SimpleNamespace(update_packets_sent=0)
+    clock = Simulator()
+    stats.attach_wire(clock, {0: wire})
+    wire.update_packets_sent = 50 * trunks
+    clock.run(until=60.0)  # the warm-up snapshot fires at 50 s
+    wire.update_packets_sent = 150 * trunks
+    # The boot flood before the snapshot is cut; the rest divides by
+    # the post-warmup window (100 s), not the duration.
+    report = stats.report("test", 150.0)
     assert report.updates_per_trunk_s == pytest.approx(1.0)
 
 
-def test_update_trunk_rate_post_warmup_cut(net):
-    stats = StatsCollector(net, warmup_s=50.0,
-                           post_warmup_update_rates=True)
-    trunks = len(net.links)
-    # The caller supplies the post-warmup transmission count; the rate
-    # divides by the post-warmup window (100 s), not the duration.
-    report = stats.report(
-        "test", 150.0, update_transmissions=100 * trunks
+@pytest.mark.parametrize("build", [
+    lambda net, traffic, config: NetworkSimulation(
+        net, HopNormalizedMetric(), traffic, config
+    ),
+    BellmanFordSimulation,
+], ids=["spf", "bellman-ford"])
+def test_update_trunk_rate_counts_only_post_warmup_transmissions(build):
+    # Both simulators count the wire through the collector: the rate
+    # times trunks times the window is exactly what was sent after the
+    # warm-up instant, boot flood excluded.
+    net = build_ring_network(4)
+    simulation = build(
+        net, TrafficMatrix.uniform(net, 30_000.0),
+        ScenarioConfig(duration_s=40.0, warmup_s=12.5, seed=3),
     )
-    assert report.updates_per_trunk_s == pytest.approx(1.0)
+
+    def sent():
+        return sum(
+            t.update_packets_sent for t in simulation.transmitters.values()
+        )
+
+    simulation.sim.run(until=simulation.config.warmup_s)
+    at_warmup = sent()
+    report = simulation.run()
+    after_warmup = sent() - at_warmup
+    assert at_warmup > 0 and after_warmup > 0
+    window_s = simulation.config.duration_s - simulation.config.warmup_s
+    assert report.updates_per_trunk_s * len(net.links) * window_s == \
+        pytest.approx(after_warmup, rel=1e-12)
 
 
 def test_run_to_time_zero_reports_zero_update_rate(net):
-    # The whole-run divisor is clamped like the post-warmup window: a
-    # run that has not advanced past t = 0 must not divide by zero.
+    # A run that has not advanced past t = 0 sent nothing after the
+    # warm-up and must not divide by a zero window.
     sim = NetworkSimulation(
         net, HopNormalizedMetric(), TrafficMatrix.uniform(net, 30_000.0),
         ScenarioConfig(duration_s=120.0, warmup_s=20.0),
@@ -174,9 +205,7 @@ def test_report_before_warmup_ends_counts_no_post_warmup_updates(net):
     # taken then must not divide it by the clamped post-warm-up window.
     sim = NetworkSimulation(
         net, HopNormalizedMetric(), TrafficMatrix.uniform(net, 30_000.0),
-        ScenarioConfig(
-            duration_s=30.0, warmup_s=5.0, post_warmup_update_rates=True,
-        ),
+        ScenarioConfig(duration_s=30.0, warmup_s=5.0),
     )
     assert sim.run(until_s=3.0).updates_per_trunk_s == 0.0
     assert 0.0 < sim.run().updates_per_trunk_s < 1.0

@@ -54,6 +54,15 @@ def test_experiment_command(capsys):
     assert "Figure 5" in out
 
 
+def test_experiment_command_takes_the_runners_flags(capsys):
+    # One runner: python -m repro experiment accepts every argument of
+    # python -m repro.experiments.
+    assert main(["experiment", "fig5", "--fast", "--telemetry"]) == 0
+    out = capsys.readouterr().out
+    assert "Figure 5" in out
+    assert "[fig5 completed in" in out
+
+
 def test_fluid_command(capsys):
     assert main([
         "fluid", "--topology", "milnet", "--metric", "hnspf",
