@@ -157,7 +157,11 @@ class Simulator:
         entry = heapq.heappop(lane)
         self.now = entry[0]
         self._events_processed += 1
-        entry[2](*entry[3])
+        args = entry[3]
+        if args:
+            entry[2](*args)
+        else:
+            entry[2]()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until ``until`` (inclusive of events at exactly ``until``),
@@ -193,7 +197,13 @@ class Simulator:
                     break
                 self.now = entry[0]
                 processed += 1
-                entry[2](*entry[3])
+                # Link arrivals, source fires and timer ticks carry no
+                # arguments: a plain call skips building the star-call.
+                args = entry[3]
+                if args:
+                    entry[2](*args)
+                else:
+                    entry[2]()
         finally:
             self._events_processed += processed
         if until is not None:

@@ -19,8 +19,12 @@ transmitter at every hop -- so the wire is an **analytic priority
 server**: a packet's departure and arrival times are computed when it
 *starts* transmitting (``depart = start + bits / rate``, ``arrive =
 depart + propagation``), and its arrival is the only kernel entry it
-costs per hop.  Committed packets wait in a FIFO ``_flight``; only its
-head holds a ``call_in`` entry, and each arrival schedules the next.
+costs per hop.  Committed packets wait in a FIFO ``_flight`` of
+``(arrive_s, packet, delay_s)`` entries; only its head holds a
+``call_in`` entry, and each arrival schedules the next.  ``delay_s`` is
+the hop's measured delay, fixed at commit -- queueing + processing +
+transmission + propagation, summed left to right -- and only a data
+packet's is ever read.
 
 **The commit rule.**  ``_wire_free`` is when the last committed packet's
 last bit leaves the wire.  Waiting packets are committed lazily: whenever
@@ -52,6 +56,13 @@ Counters and the delay sample (the same value as before) are taken at
 arrival, so a packet committed before an interval closes and arriving
 after it counts in the next interval; a packet sent on a down link is
 dropped at once.
+
+**Two exits.**  An arriving data packet not addressed to the far node
+is in transit: it goes straight to ``forward(packet)``, the far PSN's
+forwarding decision.  Everything else -- updates, acks, RFNMs, distance
+vectors and data at its destination -- goes to ``deliver(packet,
+link)``, the far PSN's ``receive``.  The simulation sets ``forward``
+once its PSNs exist; until then transit data goes to ``deliver`` too.
 """
 
 from __future__ import annotations
@@ -105,10 +116,10 @@ class LinkTransmitter:
     """
 
     __slots__ = (
-        "sim", "link", "deliver", "on_drop", "error_rate", "error_rng",
-        "line_error_losses", "_data", "_capacity", "_control",
-        "_bandwidth_bps", "_propagation_s", "busy_s", "_wire_free",
-        "_flight", "data_bits_sent", "data_packets_sent",
+        "sim", "link", "deliver", "forward", "on_drop", "error_rate",
+        "error_rng", "line_error_losses", "_data", "_capacity",
+        "_control", "_bandwidth_bps", "_propagation_s", "_far", "busy_s",
+        "_wire_free", "_flight", "data_bits_sent", "_data_closed",
         "control_packets_sent", "update_packets_sent",
         "ack_packets_sent", "drops", "zero_load_delay_s", "delay_sum_s",
         "delay_count", "on_delay_sample", "reorder_control", "_arrive_b",
@@ -134,6 +145,8 @@ class LinkTransmitter:
         self.sim = sim
         self.link = link
         self.deliver = deliver
+        #: ``forward(packet)`` for transit data (module docstring).
+        self.forward: Callable[[Packet], None] = self._deliver
         self.on_drop = on_drop
         self.error_rate = error_rate
         self.error_rng = error_rng
@@ -146,16 +159,19 @@ class LinkTransmitter:
         # per-packet path never chases link -> line_type attributes.
         self._bandwidth_bps = link.bandwidth_bps
         self._propagation_s = link.propagation_s
+        self._far = link.dst
         #: When the last committed packet's last bit leaves the wire.
         self._wire_free = float("-inf")
         #: Committed packets in arrival order:
-        #: ``(arrive_s, packet, queueing_s, transmission_s)``.  The head,
-        #: and only the head, holds a kernel entry.
+        #: ``(arrive_s, packet, delay_s)``.  The head, and only the head,
+        #: holds a kernel entry.
         self._flight: deque = deque()
         #: Wire time committed and not yet handed to a utilization read.
         self.busy_s = 0.0
         self.data_bits_sent = 0.0
-        self.data_packets_sent = 0
+        #: Data arrivals in closed measurement intervals (see
+        #: :attr:`data_packets_sent`).
+        self._data_closed = 0
         self.control_packets_sent = 0
         self.update_packets_sent = 0
         self.ack_packets_sent = 0
@@ -252,14 +268,18 @@ class LinkTransmitter:
         flight = self._flight
         if not flight:
             self._call_in(arrive - self.sim.now, self._arrive_b)
-        flight.append(
-            (arrive, packet, start - packet.enqueued_s, transmission_s)
-        )
+        flight.append((
+            arrive, packet,
+            (start - packet.enqueued_s)
+            + PROCESSING_DELAY_S
+            + transmission_s
+            + self._propagation_s,
+        ))
 
     def _arrive(self) -> None:
-        """The head of the flight finished propagating; deliver it."""
+        """The head of the flight finished propagating; hand it on."""
         flight = self._flight
-        _, packet, queueing_s, transmission_s = flight.popleft()
+        _, packet, delay_s = flight.popleft()
         now = self.sim.now
         if flight:
             self._call_in(flight[0][0] - now, self._arrive_b)
@@ -267,14 +287,7 @@ class LinkTransmitter:
             self._advance(now)
         kind = packet.kind
         if kind is _DATA:
-            self.data_packets_sent += 1
             self.data_bits_sent += packet.size_bits
-            delay_s = (
-                queueing_s
-                + PROCESSING_DELAY_S
-                + transmission_s
-                + self._propagation_s
-            )
             if delay_s < 0:
                 raise ValueError(f"delay must be >= 0, got {delay_s}")
             self.delay_sum_s += delay_s
@@ -295,6 +308,13 @@ class LinkTransmitter:
                 self._drop(packet)
             return
         packet.hop_count += 1
+        if kind is _DATA and packet.dst != self._far:
+            self.forward(packet)
+        else:
+            self.deliver(packet, self.link)
+
+    def _deliver(self, packet: Packet) -> None:
+        """The default ``forward``: transit data goes to ``deliver``."""
         self.deliver(packet, self.link)
 
     def _drop(self, packet: Packet) -> None:
@@ -342,6 +362,13 @@ class LinkTransmitter:
             self.zero_load_delay_s if count == 0
             else self.delay_sum_s / count
         )
+        self._data_closed += count
         self.delay_sum_s = 0.0
         self.delay_count = 0
         return delay_s
+
+    @property
+    def data_packets_sent(self) -> int:
+        """Data packets that arrived over this link, lost ones included:
+        the closed intervals' counts plus the open one's."""
+        return self._data_closed + self.delay_count

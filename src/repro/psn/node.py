@@ -169,6 +169,11 @@ class Psn:
         # first use and dropped whenever a flushed burst of routing
         # updates moves the tree.  Its entries resolve on first lookup.
         self.spf_cache = spf_cache
+        self._table: Optional[ForwardingTable] = None
+        # What ``forward`` tests, and all it tests: ``_table`` while no
+        # update is buffered and no router is attached, else ``None``
+        # (the slow path, :meth:`_forward_slow`, then flushes, takes a
+        # table or asks the router).
         self._forwarding: Optional[ForwardingTable] = None
         # Batched SPF repair: updates land in this buffer and are applied
         # in one update_costs pass when the tree is next consulted.  The
@@ -252,10 +257,11 @@ class Psn:
     def receive(self, packet: Packet, via: Link) -> None:
         """Handle a packet delivered by a neighbour's transmitter.
 
-        Transit packets pass to :meth:`forward`; every other fate (an
-        update or ack consumed, a message or RFNM at its destination)
-        ends here.  Data, by far the most common arrival, is tested
-        first.
+        Transit data does not come here: the transmitter hands it
+        straight to :meth:`forward`.  A transit RFNM (or transit data
+        handed in directly) passes on to :meth:`forward`; every other
+        fate (an update or ack consumed, a message or RFNM at its
+        destination) ends here.  Data is tested first.
         """
         kind = packet.kind
         if kind is _DATA:
@@ -282,7 +288,30 @@ class Psn:
         ))
 
     def forward(self, packet: Packet) -> None:
-        """Single-path, destination-based forwarding."""
+        """Destination-based forwarding on the current table.
+
+        The one test is whether that table is usable; a buffered update,
+        a tree the table no longer matches, or the multipath router
+        takes the slow path.  Transit data arrives here straight from
+        the transmitter, without :meth:`receive`.
+        """
+        table = self._forwarding
+        if table is None:
+            self._forward_slow(packet)
+            return
+        if packet.hop_count >= MAX_HOPS:
+            self.stats.packet_dropped(packet, "hop-limit", self.sim.now)
+            return
+        link_id = table[packet.dst]
+        if link_id is None:
+            self.stats.packet_dropped(packet, "unreachable", self.sim.now)
+            return
+        self.transmitters[link_id].send(packet)
+
+    def _forward_slow(self, packet: Packet) -> None:
+        """:meth:`forward` without a usable table: flush any buffered
+        updates, apply the hop limit, then take a table (a no-op batch
+        keeps the old one) or ask the router."""
         if self._pending_updates:
             self.flush_pending_updates()
         if packet.hop_count >= MAX_HOPS:
@@ -291,10 +320,11 @@ class Psn:
         if self.router is not None:
             link_id = self.router.next_hop_link(packet.dst, src=packet.src)
         else:
-            table = self._forwarding
+            table = self._table
             if table is None:
-                table = self._forwarding = \
+                table = self._table = \
                     self.spf_cache.forwarding_table(self.tree)
+            self._forwarding = table
             link_id = table[packet.dst]
         if link_id is None:
             self.stats.packet_dropped(packet, "unreachable", self.sim.now)
@@ -376,7 +406,7 @@ class Psn:
             # The next-hop table reflects the old tree; drop it and take
             # a new one on the next packet.  No-op batches leave the
             # tree -- and therefore the table -- untouched.
-            self._forwarding = None
+            self._table = None
         if self.router is not None:
             # The router shares our cost table (updated by the tree);
             # rebuild its equal-cost candidate sets.
@@ -400,6 +430,7 @@ class Psn:
                 pending_old[link_id] = old
             costs[link_id] = cost
             self._pending_updates.append((link_id, cost))
+            self._forwarding = None
 
     # ------------------------------------------------------------------
     # Link failure / recovery

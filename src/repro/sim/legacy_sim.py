@@ -191,6 +191,10 @@ class BellmanFordSimulation:
             )
             for node in network
         }
+        # Transit data goes straight to the far node's forward, as in
+        # NetworkSimulation.
+        for transmitter in self.transmitters.values():
+            transmitter.forward = self.nodes[transmitter.link.dst].forward
         self.sources = start_sources(
             self.sim,
             self.streams,

@@ -248,12 +248,15 @@ class NetworkSimulation:
             )
             for node in network
         }
-        # Short-circuit delivery: hand each transmitter the destination
-        # PSN's receive method directly, skipping the _deliver dispatch
-        # for every packet at every hop.  (_deliver stays as the generic
-        # entry point for transmitters created without this wiring.)
+        # Short-circuit delivery: hand each transmitter the far PSN's
+        # receive and forward directly, skipping the _deliver dispatch
+        # for every packet at every hop; transit data skips receive too.
+        # (_deliver stays as the generic entry point for transmitters
+        # created without this wiring.)
         for transmitter in self.transmitters.values():
-            transmitter.deliver = self.psns[transmitter.link.dst].receive
+            far = self.psns[transmitter.link.dst]
+            transmitter.deliver = far.receive
+            transmitter.forward = far.forward
         # Likewise each source emits straight into its PSN's inject.
         self.sources = [
             PoissonSource(

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import COST_CHANGE, PACKET_DROP, UTILIZATION, Tracer
 from repro.psn.packet import Packet
-from repro.routing.spf import CostTable, SpfTree
+from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
 from repro.topology.graph import Network
 
 if TYPE_CHECKING:  # pragma: no cover - the simulations own these
@@ -315,28 +315,40 @@ class StatsCollector:
         if slot < self._reservoir_limit:
             self._delay_reservoir[slot] = delay_s
 
+    def delay_percentiles_ms(
+        self, fractions: Tuple[float, ...] = (0.50, 0.90, 0.99)
+    ) -> Tuple[float, ...]:
+        """Estimated one-way delay percentiles in milliseconds, one per
+        fraction, from one sort of the reservoir (all 0.0 when empty)."""
+        for fraction in fractions:
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError(f"fraction must be in [0, 1]: {fraction}")
+        if not self._delay_reservoir:
+            return tuple(0.0 for _ in fractions)
+        ordered = sorted(self._delay_reservoir)
+        last = len(ordered) - 1
+        return tuple(
+            ordered[min(int(fraction * len(ordered)), last)] * 1000.0
+            for fraction in fractions
+        )
+
     def delay_percentile_ms(self, fraction: float) -> float:
         """Estimated one-way delay percentile in milliseconds."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1]: {fraction}")
-        if not self._delay_reservoir:
-            return 0.0
-        ordered = sorted(self._delay_reservoir)
-        index = min(
-            int(fraction * len(ordered)), len(ordered) - 1
-        )
-        return ordered[index] * 1000.0
+        return self.delay_percentiles_ms((fraction,))[0]
 
     # ------------------------------------------------------------------
     # Derived data
     # ------------------------------------------------------------------
     def min_hop_distance(self, src: int, dst: int) -> int:
-        """Minimum-hop distance on the full topology (cached trees)."""
-        if src not in self._min_hop_trees:
-            self._min_hop_trees[src] = SpfTree(
+        """Minimum-hop distance on the full topology (cached trees):
+        the unit-cost tree's distance, 0 when ``dst`` is unreachable."""
+        tree = self._min_hop_trees.get(src)
+        if tree is None:
+            tree = self._min_hop_trees[src] = SpfTree(
                 self.network, src, CostTable.uniform(self.network, 1.0)
             )
-        return self._min_hop_trees[src].hop_count(dst)
+        distance = tree.dist[dst]
+        return 0 if distance == UNREACHABLE else int(distance)
 
     def cost_series(self, link_id: int) -> List[Tuple[float, int]]:
         """Reported-cost time series for one link."""
@@ -360,6 +372,7 @@ class StatsCollector:
             self.update_packets_sent() - self._warmup_update_packets
             if duration_s > self.warmup_s else 0
         )
+        p50_ms, p90_ms, p99_ms = self.delay_percentiles_ms()
         return SimulationReport(
             metric_name=metric_name,
             duration_s=window_s,
@@ -378,7 +391,7 @@ class StatsCollector:
             other_drops=self.unreachable_drops + self.hop_limit_drops,
             delivered_packets=self.delivered,
             offered_packets=self.offered,
-            delay_p50_ms=self.delay_percentile_ms(0.50),
-            delay_p90_ms=self.delay_percentile_ms(0.90),
-            delay_p99_ms=self.delay_percentile_ms(0.99),
+            delay_p50_ms=p50_ms,
+            delay_p90_ms=p90_ms,
+            delay_p99_ms=p99_ms,
         )

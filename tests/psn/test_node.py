@@ -108,7 +108,7 @@ def test_hop_limit_drops_looping_packets():
         return table
 
     sim.spf_cache.forwarding_table = evil_table
-    sim.psns[1]._forwarding = None
+    sim.psns[1]._table = sim.psns[1]._forwarding = None
     sim.run(until_s=40.0)
     assert sim.stats.hop_limit_drops > 0
 

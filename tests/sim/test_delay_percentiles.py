@@ -26,15 +26,45 @@ def test_percentiles_of_known_distribution():
     assert stats.delay_percentile_ms(0.99) == pytest.approx(100.0, abs=1.5)
 
 
+def _reference_percentile_ms(delays_s, fraction):
+    ordered = sorted(delays_s)
+    return ordered[min(int(fraction * len(ordered)), len(ordered) - 1)] \
+        * 1000.0
+
+
+def test_one_sort_gives_every_fraction():
+    """The helper sorts once; each of its values must equal the
+    per-fraction view and a from-scratch sort of the same samples."""
+    stats = StatsCollector(build_ring_network(4))
+    delays_s = [((i * 7919) % 1000 + 1) / 1e5 for i in range(997)]
+    for delay_s in delays_s:
+        delivered(stats, delay_s=delay_s)
+    fractions = (0.0, 0.25, 0.50, 0.90, 0.99, 1.0)
+    together = stats.delay_percentiles_ms(fractions)
+    assert together == tuple(
+        stats.delay_percentile_ms(f) for f in fractions
+    )
+    assert together == tuple(
+        _reference_percentile_ms(stats._delay_reservoir, f)
+        for f in fractions
+    )
+    assert stats.delay_percentiles_ms() == tuple(
+        stats.delay_percentile_ms(f) for f in (0.50, 0.90, 0.99)
+    )
+
+
 def test_percentiles_empty():
     stats = StatsCollector(build_ring_network(4))
     assert stats.delay_percentile_ms(0.5) == 0.0
+    assert stats.delay_percentiles_ms() == (0.0, 0.0, 0.0)
 
 
 def test_percentile_bounds_checked():
     stats = StatsCollector(build_ring_network(4))
     with pytest.raises(ValueError):
         stats.delay_percentile_ms(1.5)
+    with pytest.raises(ValueError):
+        stats.delay_percentiles_ms((0.5, -0.1))
 
 
 def test_report_carries_percentiles():
@@ -46,6 +76,11 @@ def test_report_carries_percentiles():
     report = sim.run()
     assert 0 < report.delay_p50_ms <= report.delay_p90_ms \
         <= report.delay_p99_ms
+    assert (report.delay_p50_ms, report.delay_p90_ms,
+            report.delay_p99_ms) == tuple(
+        _reference_percentile_ms(sim.stats._delay_reservoir, f)
+        for f in (0.50, 0.90, 0.99)
+    )
     # Mean one-way delay (RTT/2) sits between the median and the p99.
     assert report.delay_p50_ms <= report.round_trip_delay_ms / 2.0 \
         <= report.delay_p99_ms

@@ -14,7 +14,12 @@ from repro.sim import (
     ScenarioConfig,
     StatsCollector,
 )
-from repro.topology import build_ring_network
+from repro.topology import (
+    build_arpanet_1987,
+    build_random_network,
+    build_ring_network,
+    build_string_network,
+)
 from repro.traffic import TrafficMatrix
 
 
@@ -109,6 +114,38 @@ def test_min_hop_distance_cached(net):
     assert stats.min_hop_distance(0, 2) == 2
     assert stats.min_hop_distance(0, 2) == 2
     assert len(stats._min_hop_trees) == 1
+
+
+def _one_circuit_down():
+    network = build_random_network(24, extra_circuits=6, seed=5)
+    network.set_circuit_state(0, up=False)
+    return network
+
+
+@pytest.mark.parametrize("build", [build_arpanet_1987, _one_circuit_down],
+                         ids=["aug87", "random-one-circuit-down"])
+def test_min_hop_distance_matches_networkx(build):
+    """Every pair against networkx's BFS over the up links; a pair with
+    no path reads 0."""
+    import networkx as nx
+
+    network = build()
+    stats = StatsCollector(network)
+    lengths = dict(nx.all_pairs_shortest_path_length(network.to_networkx()))
+    for src in network.nodes:
+        for dst in network.nodes:
+            expected = lengths[src].get(dst, 0)
+            assert stats.min_hop_distance(src, dst) == expected, (src, dst)
+
+
+def test_min_hop_distance_is_zero_when_unreachable():
+    network = build_string_network(4)
+    network.set_circuit_state(network.links_between(1, 2)[0].link_id,
+                              up=False)
+    stats = StatsCollector(network)
+    assert stats.min_hop_distance(0, 1) == 1
+    assert stats.min_hop_distance(0, 3) == 0
+    assert stats.min_hop_distance(3, 3) == 0
 
 
 def test_empty_report_has_no_nans_where_counts_exist(net):
