@@ -17,6 +17,7 @@ simultaneously and fuels D-SPF's oscillation.
 
 from __future__ import annotations
 
+from random import Random
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.des import RandomStreams, Simulator
@@ -194,8 +195,10 @@ class Psn:
                 network, node_id, self.costs, mode=multipath_mode,
                 slack=EQUAL_COST_SLACK, cache=spf_cache,
             )
-        offset = streams.uniform(
-            f"psn-{node_id}-phase", 0.0, measurement_interval_s
+        # Each of this PSN's names is drawn from once: a throwaway
+        # generator, not one cached in ``streams`` for the whole run.
+        offset = Random(streams.seed(f"psn-{node_id}-phase")).uniform(
+            0.0, measurement_interval_s
         )
         # Periodic work rides the timer wheel: one heap entry per timer.
         self._measurement = sim.timers.every(
@@ -211,7 +214,9 @@ class Psn:
         # update -- otherwise the rest of the network would assume idle
         # costs and the ease-in would only exist in the owner's
         # imagination.
-        boot_jitter = streams.uniform(f"psn-{node_id}-boot", 0.0, 0.1)
+        boot_jitter = Random(streams.seed(f"psn-{node_id}-boot")).uniform(
+            0.0, 0.1
+        )
         sim.call_in(boot_jitter, self._boot_advertise)
 
     def _boot_advertise(self) -> None:

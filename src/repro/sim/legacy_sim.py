@@ -20,6 +20,7 @@ generations of ARPANET routing.
 
 from __future__ import annotations
 
+from random import Random
 from typing import Dict, Optional
 
 from repro.des import RandomStreams, Simulator
@@ -68,8 +69,9 @@ class _LegacyNode:
         self._vector_bits = (
             _VECTOR_HEADER_BITS + _VECTOR_BITS_PER_DEST * len(network.nodes)
         )
-        offset = streams.uniform(
-            f"bf-{node_id}-phase", 0.0, exchange_interval_s
+        # Drawn from once: a throwaway generator, not a cached stream.
+        offset = Random(streams.seed(f"bf-{node_id}-phase")).uniform(
+            0.0, exchange_interval_s
         )
         sim.timers.every(
             exchange_interval_s, self._exchange,

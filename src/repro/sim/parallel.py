@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import random
 import time
 import traceback
 from collections import deque
@@ -264,7 +265,7 @@ def replication_seeds(master_seed: int, count: int) -> List[int]:
         raise ValueError(f"count must be >= 0, got {count}")
     streams = RandomStreams(master_seed)
     return [
-        streams.stream(f"replication-{k}").getrandbits(48)
+        random.Random(streams.seed(f"replication-{k}")).getrandbits(48)
         for k in range(count)
     ]
 

@@ -24,12 +24,35 @@ numbers, not a list of tuples: a source exists per node pair, so on the
 57-node ARPANET 3 192 trains are alive at once, and a boxed pair (a
 tuple, two float objects and a list slot) costs about seven times the
 16 bytes of its two binary64 values, which round-trip bit-exactly.
+
+A source owns no generator until it has used one twice.  A Mersenne
+Twister is about 2.6 KB, and most flows of a large matrix are slow
+enough that one train lasts them minutes, so the generator's lifecycle
+is:
+
+1. **Constructed:** the source holds the :class:`RandomStreams`, nothing
+   drawn.  The seed is not derived here: thousands of SHA-256 digests
+   would move into set-up.
+2. **First train** (``_start``, inside the simulation): the source
+   derives its int seed with :meth:`RandomStreams.seed`, keeps it, drops
+   the streams, and draws the train from a throwaway
+   ``random.Random(seed)``.  Nothing is cached in the streams either.
+3. **Second train:** the source rebuilds ``random.Random(seed)``,
+   advances it past the first train's draws with one ``getrandbits``
+   call, and keeps it for every later refill.  Rebuilding at every
+   refill would redo O(trains drawn) work each time; a flow fast enough
+   to need a second train is fast enough to earn its generator.
+
+Because a flow's stream is a pure function of ``(master_seed,
+"flow-src-dst")``, every draw -- and so every arrival -- is the one a
+resident generator would have made.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, List
+from random import Random
+from typing import Callable, List, Optional
 
 from repro.des import RandomStreams, Simulator
 from repro.traffic.matrix import TrafficMatrix
@@ -42,6 +65,10 @@ MIN_PACKET_BITS = 96.0
 #: refill, small enough that an idle flow does not hold a big block.
 TRAIN_LENGTH = 64
 
+#: Generator bits one train consumes: ``2 * TRAIN_LENGTH`` exponential
+#: variates, each one ``random()`` call built from two 32-bit words.
+_TRAIN_BITS = TRAIN_LENGTH * 4 * 32
+
 
 class PoissonSource:
     """One node-to-node packet flow.
@@ -53,7 +80,8 @@ class PoissonSource:
     sim:
         The simulator to run in.
     streams:
-        Named random streams (one per flow, derived from src/dst).
+        Named random streams; the flow's stream is ``flow-<src>-<dst>``.
+        Held only until the first train is drawn.
     src, dst:
         Endpoint node ids.
     rate_bps:
@@ -67,7 +95,7 @@ class PoissonSource:
 
     __slots__ = (
         "sim", "src", "dst", "rate_bps", "emit", "mean_packet_bits",
-        "packets_per_s", "_mean_gap", "_stream_name", "_streams",
+        "packets_per_s", "_mean_gap", "_streams", "_seed", "_rng",
         "_train", "_fire_b",
     )
 
@@ -95,28 +123,30 @@ class PoissonSource:
         self.mean_packet_bits = mean_packet_bits
         self.packets_per_s = rate_bps / mean_packet_bits
         self._mean_gap = 1.0 / self.packets_per_s
-        self._stream_name = f"flow-{src}-{dst}"
-        self._streams = streams
+        self._streams: Optional[RandomStreams] = streams
+        #: The flow's stream seed, from the first train on.
+        self._seed = 0
+        #: The flow's generator, from the second train on.
+        self._rng: Optional[Random] = None
         #: Pending arrivals as interleaved ``when, size`` numbers,
         #: reversed so ``pop()`` yields the next arrival's time and then
         #: its size, and ``_train[-1]`` is the next arrival time.
         self._train = array("d")
         self._fire_b = self._fire
-        # The first draw happens inside the simulation (not at
-        # construction), so stream creation order matches the original
-        # per-packet formulation exactly.
+        # The seed is derived inside the simulation (not at
+        # construction), so it costs set-up nothing.
         sim.call_soon(self._start)
 
-    def _refill(self, base_s: float) -> None:
+    def _refill(self, base_s: float, expovariate) -> None:
         """Draw the next train into the (empty) ``_train`` array.
 
         The draws replay the per-packet sequence verbatim: one gap with
         mean ``1/packets_per_s`` then one size with mean
         ``mean_packet_bits``, per packet, from this flow's stream --
         including the exact ``1.0 / mean`` lambda arithmetic
-        ``RandomStreams.exponential`` performs.
+        ``RandomStreams.exponential`` performs.  ``expovariate`` is the
+        bound method of the generator at the stream's current position.
         """
-        expovariate = self._streams.stream(self._stream_name).expovariate
         gap_lambd = 1.0 / self._mean_gap
         size_lambd = 1.0 / self.mean_packet_bits
         train = self._train
@@ -129,7 +159,9 @@ class PoissonSource:
         train.reverse()
 
     def _start(self) -> None:
-        self._refill(self.sim.now)
+        seed = self._seed = self._streams.seed(f"flow-{self.src}-{self.dst}")
+        self._streams = None
+        self._refill(self.sim.now, Random(seed).expovariate)
         self.sim._schedule_call_at(self._train[-1], self._fire_b, ())
 
     def _fire(self) -> None:
@@ -137,7 +169,12 @@ class PoissonSource:
         when = train.pop()
         self.emit(self.src, self.dst, train.pop())
         if not train:
-            self._refill(when)
+            rng = self._rng
+            if rng is None:
+                # Second train: rebuild the stream past the first one.
+                rng = self._rng = Random(self._seed)
+                rng.getrandbits(_TRAIN_BITS)
+            self._refill(when, rng.expovariate)
         self.sim._schedule_call_at(train[-1], self._fire_b, ())
 
 

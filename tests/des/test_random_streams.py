@@ -1,5 +1,7 @@
 """Unit tests for named random streams."""
 
+import random
+
 import pytest
 
 from repro.des import RandomStreams
@@ -34,6 +36,16 @@ def test_stream_independent_of_creation_order():
     second = RandomStreams(3)
     value_alone = second.stream("zzz").random()
     assert value_after_other == value_alone
+
+
+def test_seed_seeds_the_stream_sequence_without_caching():
+    streams = RandomStreams(5)
+    rebuilt = random.Random(streams.seed("flow-3-4"))
+    assert streams._streams == {}
+    cached = RandomStreams(5).stream("flow-3-4")
+    assert [rebuilt.random() for _ in range(10)] == [
+        cached.random() for _ in range(10)
+    ]
 
 
 def test_exponential_mean_roughly_correct():

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from repro.des import RandomStreams, Simulator
+from repro.sim import build_scenario
 from repro.traffic import PoissonSource, TrafficMatrix, start_sources
 from repro.traffic.sources import MIN_PACKET_BITS, TRAIN_LENGTH
 
@@ -132,10 +133,46 @@ def test_trains_replay_the_per_packet_draws_exactly():
     assert reference[-1][0] > 3.0
 
 
+def test_slow_flow_rebuilds_its_generator_once_and_replays_exactly():
+    """A flow owns no generator during its first train, rebuilds one
+    from its seed for the second (advanced past the first train's
+    draws), and keeps that one: every arrival is still the per-packet
+    draw, bit for bit."""
+    sim = Simulator()
+    streams = RandomStreams(13)
+    emitted = []
+    held = []
+
+    def emit(s, d, b):
+        emitted.append((sim.now, b))
+        held.append(source._rng)
+
+    # 0.1 packets/s: each train of 64 lasts about ten minutes.
+    source = PoissonSource(sim, streams, 2, 5, rate_bps=60.0, emit=emit,
+                           mean_packet_bits=600.0)
+    sim.run(until=4_000.0)
+    assert len(emitted) >= 4 * TRAIN_LENGTH
+    # The second train starts long after the first.
+    assert emitted[TRAIN_LENGTH][0] - emitted[0][0] > 300.0
+    reference = reference_arrivals(
+        13, 2, 5, 60.0, 600.0, len(emitted) + 1
+    )
+    assert emitted == reference[:-1]
+    assert reference[-1][0] > 4_000.0
+    # Nothing resident during train 1 (each emit runs before that
+    # train's refill), one generator from train 2 on, never rebuilt.
+    assert held[:TRAIN_LENGTH] == [None] * TRAIN_LENGTH
+    assert held[TRAIN_LENGTH] is not None
+    assert all(rng is held[TRAIN_LENGTH] for rng in held[TRAIN_LENGTH:])
+    assert source._streams is None
+    assert streams._streams == {}
+
+
 def test_started_sources_stay_small():
     """Per-flow state scales with the square of the node count: 1 000
-    started sources (their streams included) stay under 6 000 bytes
-    each; a train of boxed (when, size) tuples alone costs ~6 KB more."""
+    started sources stay under 2 000 bytes each.  A started source holds
+    its first train (64 pairs of doubles), its int seed and no
+    generator; a resident Mersenne Twister alone costs ~2.6 KB more."""
     sim = Simulator()
     streams = RandomStreams(3)
     tracemalloc.start()
@@ -151,4 +188,14 @@ def test_started_sources_stay_small():
     finally:
         tracemalloc.stop()
     assert len(sources) == 1_000
-    assert grown / 1_000 < 6_000
+    assert grown / 1_000 < 2_000
+
+
+def test_aug87_caches_no_flow_or_psn_stream():
+    """Flows and PSNs draw from throwaway generators: after the first
+    second of ``aug87`` (every source started) the run's streams hold
+    none of their names."""
+    simulation = build_scenario("aug87", duration_s=1.0, warmup_s=0.0)
+    simulation.run()
+    cached = list(simulation.streams._streams)
+    assert not [n for n in cached if n.startswith(("flow-", "psn-"))]
