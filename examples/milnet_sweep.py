@@ -3,9 +3,9 @@
 
 Drives the three MILNET-and-beyond scale rungs (``grid64``,
 ``rand256``, ``rand512``) through ``run_many`` and folds the per-run
-telemetry into one fleet summary with ``combined_telemetry``.
-``on_error="collect"`` is the resilience story: a crashed rung becomes
-a recorded failure with a replay recipe, never a dead sweep.
+telemetry into one fleet summary with ``combined_telemetry``.  A failed
+rung stops the sweep with a ``RunFailedError`` that names it and ends
+with a replay recipe.
 
 Run:  python examples/milnet_sweep.py
 """
@@ -30,8 +30,7 @@ def main() -> None:
         RunSpec(name, rung_config(duration_s, warmup_s))
         for name, duration_s, warmup_s in RUNGS
     ]
-    # A failed rung is reported, not fatal.
-    batch = run_many(specs, on_error="collect")
+    reports = run_many(specs)
 
     print("MILNET-scale sweep (batched SPF, classic reliable flooding)\n")
     header = (f"{'scenario':<10} {'delivered':>10} {'ratio':>6} "
@@ -39,30 +38,21 @@ def main() -> None:
               f"{'retrans':>7}")
     print(header)
     print("-" * len(header))
-    for spec, report in zip(specs, batch.results):
-        if report is None:
-            print(f"{spec.scenario:<10} FAILED")
-            continue
+    for spec, report in zip(specs, reports):
         t = report.telemetry
         print(f"{spec.scenario:<10} {report.delivered_packets:>10} "
               f"{report.delivery_ratio:>6.3f} {t.events_processed:>10} "
               f"{t.update_packets_sent:>8} {t.ack_packets_sent:>8} "
               f"{t.updates_retransmitted:>7}")
 
-    total = combined_telemetry(batch.reports)
-    status = f"runs {len(specs)}/{len(specs)} done"
-    if batch.failures:
-        status += f", {len(batch.failures)} failed"
-    print(f"\nfleet: {status}; "
+    total = combined_telemetry(reports)
+    print(f"\nfleet: runs {len(reports)}/{len(specs)} done; "
           f"{total.events_processed} events across {total.runs} runs, "
           f"{total.control_packets_sent} control packets "
           f"({total.ack_packets_sent} acks, "
           f"{total.update_packets_sent} updates)")
-    for failure in batch.failures:
-        print(f"failure: {failure}")
-    if batch.ok:
-        print("all rungs completed; "
-              f"{total.updates_retransmitted} updates retransmitted")
+    print("all rungs completed; "
+          f"{total.updates_retransmitted} updates retransmitted")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ comparable.  :class:`RandomStreams` derives one seed per name from a master
 seed, so streams are reproducible and independent of creation order.
 
 A generator is about 2.6 KB of Mersenne Twister state.  :meth:`stream`
-keeps one per name for the whole run; a caller that draws from a name
-once, or rarely, takes :meth:`seed` instead and builds a throwaway
-``random.Random(seed)``, which yields the same sequence and is not cached.
+keeps one per name for the whole run, so it is for names drawn from
+repeatedly: the fault injector's flap, adversary and circuit streams, and
+line errors.  A caller that draws from a name once, or rarely, takes
+:meth:`seed` instead and builds a throwaway ``random.Random(seed)``, which
+yields the same sequence and is not cached.
 """
 
 from __future__ import annotations
@@ -48,17 +50,3 @@ class RandomStreams:
         if rng is None:
             rng = self._streams[name] = random.Random(self.seed(name))
         return rng
-
-    def exponential(self, name: str, mean: float) -> float:
-        """Draw an exponential variate with the given mean from ``name``."""
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        return self.stream(name).expovariate(1.0 / mean)
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """Draw a uniform variate on ``[low, high)`` from ``name``."""
-        return self.stream(name).uniform(low, high)
-
-    def choice(self, name: str, sequence):
-        """Pick a uniformly random element of ``sequence`` from ``name``."""
-        return self.stream(name).choice(sequence)

@@ -156,7 +156,7 @@ class FaultPlan:
 
     Attach to a run with ``ScenarioConfig(faults=plan)``; the plan is
     picklable (it rides :class:`~repro.sim.parallel.RunSpec` configs
-    into worker processes) and JSON-serializable (:meth:`to_json` /
+    into spawned :func:`~repro.sim.parallel.run_many` workers) and JSON-serializable (:meth:`to_json` /
     :meth:`from_json`, ``--faults PLAN.json`` on the CLI).
 
     Scripted events are canonicalized at construction: they are stably

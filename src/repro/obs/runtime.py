@@ -12,8 +12,9 @@ Defaults are off (``None`` / disabled) unless a caller opts in, so the
 zero-overhead guarantee holds: the only ambient cost is one module
 attribute read per *simulation construction* -- never per event.  The
 defaults are process-local by design; worker processes spawned by
-:func:`~repro.sim.parallel.run_many` do not inherit them (put a trace
-spec in the :class:`~repro.sim.network_sim.ScenarioConfig` instead).
+:func:`~repro.sim.parallel.run_many` do not inherit them (give each
+:class:`~repro.sim.parallel.RunSpec` its own trace file in its
+:class:`~repro.sim.network_sim.ScenarioConfig` instead).
 """
 
 from __future__ import annotations

@@ -269,7 +269,7 @@ def build_tracer(spec: Union[None, str, Tracer]) -> Tracer:
       tracer writing there (conventionally ``*.jsonl``).
     * a :class:`Tracer` -- returned as-is (programmatic use; not
       picklable, so :class:`~repro.sim.parallel.RunSpec` configs should
-      use string specs).
+      use string specs, each traced spec with a file path of its own).
     """
     if spec is None:
         return NULL_TRACER

@@ -7,7 +7,7 @@
   :class:`~repro.sim.stats.SimulationReport` -- measurement and the
   Table-1-style summary,
 * :func:`~repro.sim.parallel.run_many` / :class:`~repro.sim.parallel.RunSpec`
-  -- deterministic fan-out of independent runs across processes.
+  -- an ordered, fail-fast map of independent runs over worker processes.
 """
 
 from repro._lazy import lazy_exports
@@ -21,9 +21,7 @@ from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
 # multiprocessing) loads when first asked for.
 __getattr__ = lazy_exports(__name__, {
     "repro.sim.parallel": (
-        "BatchResult",
         "RunFailedError",
-        "RunFailure",
         "RunSpec",
         "combined_telemetry",
         "replicate",
@@ -34,12 +32,10 @@ __getattr__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BatchResult",
     "BellmanFordSimulation",
     "DeliveryTimeline",
     "NetworkSimulation",
     "RunFailedError",
-    "RunFailure",
     "RunSpec",
     "RunTelemetry",
     "ScenarioConfig",

@@ -82,7 +82,8 @@ class ScenarioConfig:
     #: (in-memory ring), ``"null"`` (enabled, events discarded), a file
     #: path (JSONL), or a pre-built :class:`~repro.obs.tracer.Tracer`
     #: (not picklable -- use string specs inside a
-    #: :class:`~repro.sim.parallel.RunSpec`).  Tracing never alters
+    #: :class:`~repro.sim.parallel.RunSpec`, a file path per spec: a
+    #: sweep names no files for its runs).  Tracing never alters
     #: behaviour: traced runs stay bit-identical to untraced ones.
     trace: Optional[object] = None
     #: Declarative fault workload (a :class:`~repro.faults.FaultPlan`):

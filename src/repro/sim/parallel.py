@@ -2,61 +2,41 @@
 
 The paper's performance study -- and any Monte-Carlo use of this repo --
 needs many *independent* replications: the same scenario under different
-seeds, or different scenarios side by side.  Each run is a separate
-process-sized unit of work (one :class:`~repro.des.engine.Simulator`,
-one network), so the natural speedup is process-level fan-out.
+seeds, or different scenarios side by side.  Each run is one process-sized
+unit of work, so the natural speedup is process-level fan-out.
 
-:func:`run_many` executes a list of :class:`RunSpec` across a process
-pool and returns their :class:`~repro.sim.stats.SimulationReport` in
-input order.  Determinism is preserved in both senses:
+:func:`run_many` is an ordered, fail-fast map of :func:`run_spec` over a
+list of :class:`RunSpec`: reports come back in input order, at most
+``processes`` runs are in flight on spawned workers, and the first
+:class:`RunFailedError` is raised.  Determinism holds in both senses:
 
 * each run's result depends only on its spec (scenario + config), never
-  on scheduling, pool size, or which worker picked it up;
+  on scheduling, pool size, or which worker picked it up -- which is
+  also why a run in flight when a worker died can simply run again;
 * :func:`replication_seeds` derives per-replication master seeds from a
   single experiment seed through the same SHA-256 construction
   :class:`~repro.des.random_streams.RandomStreams` uses for named
   streams, so replication *k* of an experiment is the same run no matter
   how many replications surround it.
-
-**Graceful degradation.**  A thousand-replication sweep should not be
-discarded because one worker died.  ``run_many`` is one
-submit-and-collect loop with at most ``processes`` runs in flight; it
-can collect failures as :class:`RunFailure` records instead of raising,
-abandon a run past its wall-clock budget, and retry *transient* losses
-(a timeout, a crashed worker) with exponential backoff.  Because runs
-are deterministic, re-executing one is safe: a completed retry returns
-exactly the report the first attempt would have produced.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import random
-import time
 import traceback
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.des.random_streams import RandomStreams
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
 from repro.sim.network_sim import ScenarioConfig
 from repro.sim.scenarios import build_scenario
 from repro.sim.stats import SimulationReport
-
-#: Backoff sleep hook.  Indirection point only: tests monkeypatch this
-#: to observe the (fully deterministic) retry schedule without waiting
-#: it out in wall-clock time.
-_sleep = time.sleep
 
 
 @dataclass(frozen=True)
@@ -65,7 +45,9 @@ class RunSpec:
 
     Specs are plain picklable data -- the scenario is rebuilt inside the
     worker process -- so a spec is also a complete, storable description
-    of how to reproduce the run.
+    of how to reproduce the run.  That includes its trace: a traced spec
+    names its own trace file in ``config.trace``, so specs of one sweep
+    that trace to disk each need a path of their own.
     """
 
     scenario: str
@@ -128,109 +110,6 @@ class RunFailedError(RuntimeError):
                 (self.scenario, self.seed, self.cause, self.replay))
 
 
-@dataclass(frozen=True)
-class RunFailure:
-    """Structured record of one run that could not complete.
-
-    Collected by ``run_many(..., on_error="collect")`` instead of
-    raising.  ``traceback`` preserves the worker's full traceback text
-    (or a one-line description for timeouts and pool crashes, where no
-    Python traceback exists); ``attempts`` counts executions including
-    retries; ``replay`` is the spec's reproduction expression (see
-    :class:`RunFailedError`).
-    """
-
-    index: int
-    scenario: str
-    seed: int
-    error: str
-    traceback: str
-    attempts: int
-    replay: str
-
-    def to_error(self) -> RunFailedError:
-        """The failure as the exception ``on_error="raise"`` would raise."""
-        return RunFailedError(
-            self.scenario, self.seed, self.traceback, self.replay
-        )
-
-    def to_dict(self) -> Dict:
-        return {
-            "index": self.index,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "error": self.error,
-            "traceback": self.traceback,
-            "attempts": self.attempts,
-            "replay": self.replay,
-        }
-
-
-@dataclass
-class BatchResult:
-    """Everything a partial-results ``run_many`` sweep produced.
-
-    ``results`` is slot-aligned with the input specs (``None`` where the
-    run failed); ``failures`` holds one :class:`RunFailure` per failed
-    slot.  ``reports`` flattens the completed runs in input order --
-    with no failures it equals what ``on_error="raise"`` returns.
-    """
-
-    results: List[Optional[SimulationReport]]
-    failures: List[RunFailure]
-
-    @property
-    def reports(self) -> List[SimulationReport]:
-        return [report for report in self.results if report is not None]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def raise_first(self) -> None:
-        """Re-raise the first failure (no-op when everything completed)."""
-        if self.failures:
-            raise self.failures[0].to_error()
-
-
-def _resolve_trace_dir(
-    config: ScenarioConfig, scenario: str
-) -> ScenarioConfig:
-    """Apply the worker-side trace naming convention.
-
-    When a spec's ``trace`` names a *directory* (an existing one, or a
-    path spelled with a trailing separator), the run writes
-    ``trace-<scenario>-<seed>.jsonl`` under it.  Fleet runs can then
-    point every replication at one directory and get per-run trace
-    files without hand-assigned names.  The scenario rides in the name
-    because mixed-scenario sweeps legitimately share seeds -- naming by
-    seed alone silently overwrote one scenario's trace with another's.
-    Exact spec duplicates (same scenario *and* seed) get a dedup
-    counter (``...-2.jsonl``, ``...-3.jsonl``): each worker claims its
-    file with an atomic exclusive create, so concurrent duplicates
-    never collide either.  File paths and the ``"memory"`` /
-    ``"null"`` specs pass through untouched.
-    """
-    trace = config.trace
-    if not isinstance(trace, str) or trace in ("memory", "null"):
-        return config
-    if trace.endswith(os.sep) or trace.endswith("/") or os.path.isdir(trace):
-        os.makedirs(trace, exist_ok=True)
-        base = f"trace-{scenario}-{config.seed}"
-        copy = 1
-        while True:
-            name = base if copy == 1 else f"{base}-{copy}"
-            path = os.path.join(trace, f"{name}.jsonl")
-            try:
-                handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                copy += 1
-                continue
-            os.close(handle)
-            return replace(config, trace=path)
-    return config
-
-
 def run_spec(spec: RunSpec) -> SimulationReport:
     """Build and run one spec to completion (the worker-side function).
 
@@ -240,9 +119,7 @@ def run_spec(spec: RunSpec) -> SimulationReport:
     round-trip, so the full traceback text also rides in ``cause``).
     """
     try:
-        config = _resolve_trace_dir(spec.config, spec.scenario)
-        simulation = build_scenario(spec.scenario, config=config)
-        return simulation.run()
+        return build_scenario(spec.scenario, config=spec.config).run()
     except Exception as exc:
         raise RunFailedError(
             spec.scenario,
@@ -279,209 +156,81 @@ def replicate(spec: RunSpec, master_seed: int, count: int) -> List[RunSpec]:
 
 
 def run_many(
-    specs: Sequence[RunSpec],
-    processes: Optional[int] = None,
-    on_error: str = "raise",
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff_s: float = 0.5,
-) -> Union[List[SimulationReport], BatchResult]:
-    """Run every spec, fanning out across worker processes.
+    specs: Sequence[RunSpec], processes: Optional[int] = None
+) -> List[SimulationReport]:
+    """Run every spec and return the reports in input order.
 
-    Parameters
-    ----------
-    specs:
-        The runs to execute.  Results come back in input order.
-    processes:
-        Most runs in flight at once, which is also the pool size;
-        ``None`` uses one per CPU (``os.cpu_count()``).  Never more than
-        there are specs.  ``processes == 1`` (or fewer than two specs)
-        runs each spec in this process, through the same loop -- same
-        results, no pool -- so callers can always use :func:`run_many`
-        and tune ``processes`` freely.
-    on_error:
-        ``"raise"`` (default): raise the first final
-        :class:`RunFailedError`, returning a plain report list on
-        success -- the historical fail-fast contract.  ``"collect"``:
-        never raise for a failed run; return a :class:`BatchResult` with
-        every completed report plus structured :class:`RunFailure`
-        records.
-    timeout_s:
-        Per-run wall-clock budget, counted from submission.  A run is
-        submitted only when a worker is free for it, so the budget is
-        the run's own.  A run past it is a transient loss: the pool is
-        recycled (a hung worker cannot be cancelled, only abandoned),
-        the other runs in flight are resubmitted without charge, and
-        the late run is retried or recorded.  Not enforced with
-        ``processes == 1``: nothing can preempt a run in this process.
-    retries:
-        Extra executions granted to transiently lost runs (a timeout, or
-        a worker crash attributed to the run).  In-run exceptions are
-        never retried -- the same spec fails the same way.
-    retry_backoff_s:
-        Sleep before a run's *k*-th retry is
-        ``retry_backoff_s * 2**(k-1)`` (exponential backoff, first
-        retry waits one unit).
+    At most ``processes`` runs are in flight (``None``: one per CPU).
+    With ``processes == 1``, or fewer than two specs, every spec runs in
+    this process.  Otherwise workers are *spawned*, so a calling script
+    needs an ``if __name__ == "__main__":`` guard.
 
-    A crashed worker breaks the whole pool, and the pool cannot say
-    which run killed it.  Every run in flight then becomes a *suspect*:
-    it is resubmitted without charging an attempt, suspects run one at a
-    time, and parallelism resumes once each has run alone.  A crash is
-    therefore only ever charged to a run that was alone on the pool.
+    The first failed run raises its :class:`RunFailedError`.  A dead
+    worker breaks the pool, which cannot say which run killed it, so
+    each run then in flight runs again alone on a one-worker pool: the
+    one that kills its worker alone is raised, the others keep their
+    reports, and the sweep goes on on a fresh pool.
     """
     specs = list(specs)
     if processes is not None and processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
-    if on_error not in ("raise", "collect"):
-        raise ValueError(
-            f"on_error must be 'raise' or 'collect': {on_error!r}"
-        )
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError(f"timeout must be positive: {timeout_s}")
-    if processes is None:
-        processes = os.cpu_count() or 1
-    processes = max(1, min(processes, len(specs)))
-    budget_s = math.inf if timeout_s is None else timeout_s
-
-    results: List[Optional[SimulationReport]] = [None] * len(specs)
-    failures: Dict[int, RunFailure] = {}
-    attempts = [0] * len(specs)
+    processes = min(processes or os.cpu_count() or 1, len(specs))
+    if processes <= 1:
+        return [run_spec(spec) for spec in specs]
+    reports: List[Optional[SimulationReport]] = [None] * len(specs)
     waiting: Deque[int] = deque(range(len(specs)))
-    suspects: Deque[int] = deque()
-    #: future -> (spec index, wall-clock deadline)
-    running: Dict[Future, Tuple[int, float]] = {}
-    pool: Optional[Executor] = None
+    while waiting:
+        for index in _run_until_a_worker_dies(specs, waiting, reports,
+                                              processes):
+            reports[index] = _run_alone(specs[index])
+    return reports
 
-    def record(index: int, error: RunFailedError) -> None:
-        failures[index] = RunFailure(
-            index=index,
-            scenario=error.scenario,
-            seed=error.seed,
-            error=error.summary,
-            traceback=error.cause,
-            attempts=attempts[index],
-            replay=error.replay,
-        )
-        if on_error == "raise":
-            raise error
 
-    def lose(index: int, description: str, lane: Deque[int]) -> None:
-        """Charge a transient loss: back to ``lane`` after backoff, or
-        recorded once the retries are spent."""
-        attempts[index] += 1
-        if attempts[index] > retries:
-            spec = specs[index]
-            record(index, RunFailedError(
-                spec.scenario, spec.config.seed, description, repr(spec)
-            ))
-            return
-        delay = retry_backoff_s * 2 ** (attempts[index] - 1)
-        if delay > 0:
-            _sleep(delay)
-        lane.appendleft(index)
+def _spawn_pool(processes: int) -> ProcessPoolExecutor:
+    context = multiprocessing.get_context("spawn")
+    return ProcessPoolExecutor(processes, mp_context=context)
 
-    try:
-        while waiting or suspects or running:
-            if pool is None:
-                # Spawned, not forked: a forked worker inherits locks
-                # an abandoned pool's threads may hold mid-cleanup.
-                pool = (ProcessPoolExecutor(
-                    max_workers=processes,
-                    mp_context=multiprocessing.get_context("spawn"),
-                ) if processes > 1 else _InlineExecutor())
-            solo = bool(suspects)
-            lane = suspects if solo else waiting
-            while lane and len(running) < (1 if solo else processes):
-                index = lane.popleft()
-                running[pool.submit(run_spec, specs[index])] = (
-                    index, time.monotonic() + budget_s,
-                )
-            deadline = min(due for _, due in running.values())
-            done, _ = wait(
-                running, return_when=FIRST_COMPLETED,
-                timeout=(None if deadline == math.inf
-                         else max(0.0, deadline - time.monotonic())),
-            )
-            crashed: List[Tuple[int, BaseException]] = []
+
+def _run_until_a_worker_dies(
+    specs: List[RunSpec], waiting: Deque[int],
+    reports: List[Optional[SimulationReport]], processes: int,
+) -> List[int]:
+    """Run ``waiting`` on one pool, filling ``reports``, until it is
+    empty or a worker dies; return the indices then in flight."""
+    with _spawn_pool(processes) as pool:
+        running: Dict[Future, int] = {}
+        while waiting or running:
+            while waiting and len(running) < processes:
+                index = waiting.popleft()
+                running[pool.submit(run_spec, specs[index])] = index
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            if any(isinstance(future.exception(), BrokenProcessPool)
+                   for future in done):
+                # A broken pool fails every future it still holds.
+                done, _ = wait(running)
+            in_flight = []
             for future in done:
-                index, _ = running.pop(future)
+                index = running.pop(future)
                 try:
-                    results[index] = future.result()
-                except RunFailedError as error:
-                    attempts[index] += 1
-                    record(index, error)
-                except Exception as exc:
-                    crashed.append((index, exc))
-            now = time.monotonic()
-            late = [] if crashed else [
-                index for index, due in running.values() if due <= now
-            ]
-            if not (crashed or late):
-                continue
-            # The pool is lost either way: a crash broke it, and a late
-            # run's worker can only be abandoned with it.
-            others = sorted(
-                index for index, _ in running.values() if index not in late
-            )
-            running.clear()
-            _shutdown(pool)
-            pool = None
-            if len(crashed) == 1 and not others:
-                index, exc = crashed[0]
-                lose(index, (
-                    f"{type(exc).__name__}: worker process died while "
-                    f"running this spec alone ({exc or 'no detail'})"
-                ), suspects)
-            elif crashed:
-                suspects.extend(sorted(
-                    [index for index, _ in crashed] + others
-                ))
-            else:
-                waiting.extendleft(reversed(others))
-                for index in late:
-                    lose(index, (
-                        f"TimeoutError: run exceeded its {timeout_s}s "
-                        f"wall-clock budget"
-                    ), waiting)
-    finally:
-        if pool is not None:
-            _shutdown(pool)
-    batch = BatchResult(
-        results=results,
-        failures=[failures[index] for index in sorted(failures)],
-    )
-    return batch.reports if on_error == "raise" else batch
+                    reports[index] = future.result()
+                except BrokenProcessPool:
+                    in_flight.append(index)
+            if in_flight:
+                return sorted(in_flight)
+    return []
 
 
-class _InlineExecutor(Executor):
-    """``run_many``'s pool for ``processes == 1``: runs each submission
-    in this process and hands back a future that is already done."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
+def _run_alone(spec: RunSpec) -> SimulationReport:
+    """Run one spec on a one-worker pool; a dead worker is its fault."""
+    with _spawn_pool(1) as pool:
         try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-def _shutdown(pool: Executor) -> None:
-    """Tear a pool down without waiting on abandoned (hung) work."""
-    # Snapshot the workers first: shutdown() drops the executor's
-    # ``_processes`` reference, and a timed-out run may still be
-    # executing in one of them.  (ProcessPoolExecutor keeps no public
-    # handle on its workers.)
-    workers = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    # Forcibly end still-running workers so abandoned work cannot
-    # outlive the sweep or deadlock interpreter exit (the pool's atexit
-    # hook joins its management thread, which waits on its workers).
-    for process in workers:
-        if process.is_alive():
-            process.terminate()
+            return pool.submit(run_spec, spec).result()
+        except BrokenProcessPool as exc:
+            raise RunFailedError(
+                spec.scenario, spec.config.seed,
+                f"BrokenProcessPool: worker process died while running "
+                f"this spec alone ({exc})", repr(spec),
+            ) from exc
 
 
 def combined_telemetry(

@@ -146,29 +146,16 @@ def _two_region_hnspf(config: ScenarioConfig):
     )
 
 
-def _poison_fail(config: ScenarioConfig):
-    """Test-only: building this scenario always raises."""
-    raise RuntimeError("poison scenario: deliberate build failure")
-
-
 def _poison_exit(config: ScenarioConfig):
     """Test-only: kills the hosting process outright (a worker crash).
 
     ``os._exit`` skips every handler, so the parent sees a dead pool
-    process -- exactly the failure mode ``run_many``'s graceful
-    degradation exists for.
+    process -- the failure ``run_many`` must charge to this one spec
+    although the pool cannot say which run killed it.
     """
     import os as _os
 
     _os._exit(13)
-
-
-def _poison_hang(config: ScenarioConfig):
-    """Test-only: never returns (a hung worker, for timeout tests)."""
-    import time as _time
-
-    while True:  # pragma: no cover - killed from outside
-        _time.sleep(0.05)
 
 
 _BUILDERS: Dict[str, Callable] = {
@@ -182,13 +169,12 @@ _BUILDERS: Dict[str, Callable] = {
     "grid64": _grid64,
     "rand256": _rand256,
     "rand512": _rand512,
-    # Underscore-prefixed entries are test-only fault injectors for the
-    # parallel harness.  They must live in this module-level registry --
+    # The underscore-prefixed entry is a test-only worker crash for the
+    # parallel harness.  It must live in this module-level registry --
     # pool workers rebuild scenarios by name from a fresh import -- but
-    # scenario_names() hides them from users and the CLI.
-    "_poison-fail": _poison_fail,
+    # scenario_names() hides it from users and the CLI.  A run that
+    # raises needs no hook: an unknown name fails inside run_spec.
     "_poison-exit": _poison_exit,
-    "_poison-hang": _poison_hang,
 }
 
 

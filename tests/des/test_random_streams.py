@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.des import RandomStreams
 
 
@@ -46,31 +44,3 @@ def test_seed_seeds_the_stream_sequence_without_caching():
     assert [rebuilt.random() for _ in range(10)] == [
         cached.random() for _ in range(10)
     ]
-
-
-def test_exponential_mean_roughly_correct():
-    streams = RandomStreams(11)
-    n = 20000
-    mean = sum(streams.exponential("arrivals", 4.0) for _ in range(n)) / n
-    assert mean == pytest.approx(4.0, rel=0.05)
-
-
-def test_exponential_rejects_bad_mean():
-    streams = RandomStreams(0)
-    with pytest.raises(ValueError):
-        streams.exponential("x", 0.0)
-
-
-def test_uniform_within_bounds():
-    streams = RandomStreams(5)
-    for _ in range(100):
-        value = streams.uniform("u", 2.0, 3.0)
-        assert 2.0 <= value < 3.0
-
-
-def test_choice_picks_members():
-    streams = RandomStreams(9)
-    options = ["red", "green", "blue"]
-    picks = {streams.choice("c", options) for _ in range(50)}
-    assert picks <= set(options)
-    assert len(picks) > 1

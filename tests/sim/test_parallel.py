@@ -2,7 +2,10 @@
 
 The contract under test: results depend only on the spec, never on the
 pool -- serial and parallel execution of the same specs are identical
--- and replication seeds are a pure function of ``(master_seed, k)``.
+-- replication seeds are a pure function of ``(master_seed, k)``, and a
+failed run, even one that kills its worker, raises a
+:class:`RunFailedError` naming its spec.  ``_poison-exit`` is a
+test-only scenario that kills the process building it.
 """
 
 import dataclasses
@@ -85,6 +88,43 @@ def test_run_failed_error_survives_pickling():
     assert str(clone) == str(error)
 
 
+def test_replay_recipe_rebuilds_the_failing_spec():
+    """The recipe carries the whole spec, not just its seed: replaying
+    ``ScenarioConfig(seed=4)`` would run a different (120 s) scenario."""
+    spec = RunSpec("no-such-scenario", ScenarioConfig(
+        duration_s=30.0, warmup_s=5.0, seed=4,
+    ))
+    with pytest.raises(RunFailedError) as excinfo:
+        run_many([spec], processes=1)
+    error = excinfo.value
+    assert "duration_s=30.0" in str(error)
+    assert eval(error.replay, {"RunSpec": RunSpec,
+                               "ScenarioConfig": ScenarioConfig}) == spec
+    assert str(pickle.loads(pickle.dumps(error))) == str(error)
+
+
+def test_multiline_cause_survives_pickling_with_traceback():
+    """Worker tracebacks reach the parent verbatim through the pool's
+    exception pickling (exception *chaining* does not pickle)."""
+    cause = (
+        "Traceback (most recent call last):\n"
+        '  File "x.py", line 1, in f\n'
+        "ValueError: boom"
+    )
+    error = RunFailedError("aug87", 7, cause)
+    clone = pickle.loads(pickle.dumps(error))
+    assert clone.cause == cause
+    assert clone.summary == "ValueError: boom"
+    assert "worker traceback" in str(clone)
+    assert str(clone) == str(error)
+
+
+def test_poison_scenarios_are_hidden_from_users():
+    from repro.sim.scenarios import scenario_names
+
+    assert all(not name.startswith("_") for name in scenario_names())
+
+
 def test_run_many_serial_surfaces_the_failing_spec():
     specs = [
         RunSpec("two-region-hnspf", _QUICK),
@@ -141,3 +181,47 @@ def test_run_many_parallel_matches_serial():
     assert _asdicts(serial) == _asdicts([run_spec(s) for s in specs])
     # Different seeds really produced different runs.
     assert _asdicts(serial)[0] != _asdicts(serial)[1]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("position", ["last", "first"])
+def test_pool_crash_is_charged_to_the_crashing_spec(position):
+    """``os._exit`` kills the worker and breaks the pool; the error
+    still names the spec that killed it.  Placed first, the crash has
+    good runs in flight beside it, which must not take the blame."""
+    good = replicate(RunSpec("two-region-hnspf", _QUICK),
+                     master_seed=5, count=3)
+    crash = RunSpec("_poison-exit", ScenarioConfig(seed=13))
+    specs = good + [crash] if position == "last" else [crash] + good
+    with pytest.raises(RunFailedError) as excinfo:
+        run_many(specs, processes=2)
+    assert excinfo.value.scenario == "_poison-exit"
+    assert excinfo.value.seed == 13
+    assert "died while running this spec alone" in str(excinfo.value)
+
+
+@pytest.mark.slow
+def test_sweep_goes_on_after_a_crash_that_does_not_recur_alone(monkeypatch):
+    """A worker can die for a reason outside its run (say, memory
+    pressure from its neighbours).  Stand in for one: the crashing spec
+    runs a good scenario when re-run alone.  Every run in flight at the
+    crash runs again alone, and the sweep finishes on a fresh pool with
+    every report in input order."""
+    from repro.sim import parallel
+
+    stand_in = RunSpec("two-region-dspf", _QUICK)
+    crash = RunSpec("_poison-exit", ScenarioConfig(seed=13))
+    run_alone, alone = parallel._run_alone, []
+
+    def run_alone_recovering(spec):
+        alone.append(spec.scenario)
+        return run_alone(stand_in if spec == crash else spec)
+
+    monkeypatch.setattr(parallel, "_run_alone", run_alone_recovering)
+    good = replicate(RunSpec("two-region-hnspf", _QUICK),
+                     master_seed=5, count=4)
+    reports = run_many(good[:2] + [crash] + good[2:], processes=2)
+    assert "_poison-exit" in alone
+    assert _asdicts(reports) == _asdicts(
+        [run_spec(s) for s in good[:2] + [stand_in] + good[2:]]
+    )
