@@ -424,17 +424,21 @@ class Psn:
         flush; a quiet link riding along at its last advertised cost
         leaves the table, and so the tree, as it was.
         """
-        costs = self.costs
+        costs = self.costs.costs
+        pending = self._pending_updates
         pending_old = self._pending_old
         for link_id, reported in update.costs:
             cost = UNREACHABLE if reported >= DOWN_COST else float(reported)
-            old = costs.costs[link_id]
+            old = costs[link_id]
             if cost == old:
                 continue
             if link_id not in pending_old:
                 pending_old[link_id] = old
+            # CostTable.__setitem__'s check, inline.
+            if not cost >= 0:
+                raise ValueError(f"link cost must be >= 0, got {cost}")
             costs[link_id] = cost
-            self._pending_updates.append((link_id, cost))
+            pending.append((link_id, cost))
             self._forwarding = None
 
     # ------------------------------------------------------------------

@@ -73,6 +73,11 @@ class RoutingUpdate:
     costs: Tuple[Tuple[int, int], ...]
 
 
+#: A flood plan: the transmitter to acknowledge on (``None``: no ack)
+#: and the ``(link id, transmitter)`` pairs that get a copy.
+_Plan = Tuple[Optional[object], Tuple[Tuple[int, object], ...]]
+
+
 def lineage(update: RoutingUpdate, **extra) -> dict:
     """Trace tags naming one update: origin, sequence, entry count."""
     return {
@@ -107,6 +112,14 @@ class FloodingState:
     The pure decisions (:meth:`originate`, :meth:`accept`,
     :meth:`forward_links`, the ``note_*`` ledger calls) need only the
     first two arguments.  The owner registers the ticks.
+
+    An update hop runs on a *flood plan*, one per arrival link (``None``
+    for origination): the transmitter to acknowledge on (or ``None``)
+    and the ``(link id, transmitter)`` pairs to send copies on.  A plan
+    is built from :meth:`note_received` and :meth:`forward_links` -- the
+    one definition of who is acked and where copies go -- and kept until
+    the network's ``topology_version`` moves, so a received update costs
+    one dictionary lookup instead of re-deriving both per copy.
     """
 
     def __init__(
@@ -140,6 +153,10 @@ class FloodingState:
         #: Stuck-node fault: while True incoming updates and acks are
         #: dropped (no ack, apply or re-flood) and nothing originates.
         self.stuck = False
+        #: Arrival link (None: origination) -> flood plan, valid for
+        #: the network's topology version ``_plans_version``.
+        self._plans: Dict[Optional[int], _Plan] = {}
+        self._plans_version = -1
         #: Byzantine-fault defense state (None = defenses off).
         self.defense: Optional[NodeDefense] = None
         if defense_policy is not None:
@@ -228,12 +245,31 @@ class FloodingState:
         excluded = None
         if arrived_on is not None:
             excluded = self.network.link(arrived_on).reverse_id
-        links = [
+        return [
             link.link_id for link in self.network.out_links(self.node_id)
             if link.link_id != excluded
         ]
-        self.stats.forwarded += len(links)
-        return links
+
+    def _plan(self, arrived_on: Optional[int]) -> _Plan:
+        """The flood plan for an update arriving on ``arrived_on``."""
+        version = self.network.topology_version
+        if self._plans_version != version:
+            self._plans = {}
+            self._plans_version = version
+        plan = self._plans.get(arrived_on)
+        if plan is None:
+            transmitters = self.transmitters
+            ack_on = None
+            if arrived_on is not None:
+                ack_on = self.note_received(arrived_on, None)
+            plan = self._plans[arrived_on] = (
+                None if ack_on is None else transmitters[ack_on],
+                tuple(
+                    (link_id, transmitters[link_id])
+                    for link_id in self.forward_links(arrived_on)
+                ),
+            )
+        return plan
 
     def receive_update(self, packet: Packet, via: Link) -> None:
         """Ack, screen, accept, apply and re-flood one delivered update."""
@@ -243,11 +279,11 @@ class FloodingState:
         if self.stuck:
             return  # frozen control plane: no ack, no apply, no forward
         now = self.clock.now
+        ack, copies = self._plan(via.link_id)
         # Acknowledge on the reverse link -- duplicates too, since the
         # duplicate usually means our earlier ACK was lost.
-        ack_on = self.note_received(via.link_id, update)
-        if ack_on is not None:
-            self.transmitters[ack_on].send(Packet(
+        if ack is not None:
+            ack.send(Packet(
                 next_packet_id(), _UPDATE_ACK, self.node_id,
                 via.src, ACK_PACKET_BITS, now, update,
             ))
@@ -273,7 +309,7 @@ class FloodingState:
         if defense is not None:
             defense.note_accepted(update, now)
         self.apply(update)
-        self.flood(update, arrived_on=via.link_id)
+        self._send_copies(update, copies, now)
 
     def receive_ack(self, packet: Packet, via: Link) -> None:
         """Retire the ledger entry a delivered acknowledgement names."""
@@ -293,30 +329,41 @@ class FloodingState:
     # ------------------------------------------------------------------
     def flood(self, update: RoutingUpdate, arrived_on: Optional[int]) -> None:
         """Send ``update`` on every link :meth:`forward_links` names."""
-        links = self.forward_links(arrived_on)
-        for link_id in links:
-            self.send(update, link_id)
-        if self._trace is not None:
-            self._emit(UPDATE_FLOODED, update, value=len(links))
+        self._send_copies(update, self._plan(arrived_on)[1], self.clock.now)
 
-    def send(self, update: RoutingUpdate, link_id: int) -> None:
-        """Send one update on one link, arming its retransmission."""
-        now = self.clock.now
+    def _send_copies(
+        self, update: RoutingUpdate, copies: Tuple[Tuple[int, object], ...],
+        now: float,
+    ) -> None:
+        """Send one copy of ``update`` per plan entry; count them."""
+        packet = self._armed_packet
+        for link_id, transmitter in copies:
+            transmitter.send(packet(update, link_id, now))
+        self.stats.forwarded += len(copies)
+        if self._trace is not None:
+            self._emit(UPDATE_FLOODED, update, value=len(copies))
+
+    def _armed_packet(
+        self, update: RoutingUpdate, link_id: int, now: float
+    ) -> Packet:
+        """An update packet for ``link_id``, its ledger entry armed
+        (:meth:`note_sent`, inline)."""
         packet = Packet(
             next_packet_id(), _ROUTING_UPDATE, self.node_id, None,
             UPDATE_PACKET_BITS, now, update,
         )
-        self.note_sent(link_id, update, now)
-        self.transmitters[link_id].send(packet)
+        self.unacked[(link_id, update.origin)] = (update, now)
+        return packet
 
     def note_received(
-        self, link_id: int, update: RoutingUpdate
+        self, link_id: int, update: Optional[RoutingUpdate]
     ) -> Optional[int]:
         """``update`` arrived on ``link_id``: the link to acknowledge on.
 
         Every copy is acknowledged, fresh or duplicate, so the answer
-        depends only on the circuit: the reverse link, or ``None`` when
-        the link is simplex or its reverse is down.
+        depends only on the circuit (a flood plan asks with ``update``
+        ``None``): the reverse link, or ``None`` when the link is
+        simplex or its reverse is down.
         """
         reverse_id = self.network.link(link_id).reverse_id
         if reverse_id is None or not self.network.link(reverse_id).up:
@@ -359,7 +406,8 @@ class FloodingState:
         for link_id, updates in overdue.items():
             if not self.network.link(link_id).up:
                 continue
-            if self.transmitters[link_id].control_backlog() > 0:
+            transmitter = self.transmitters[link_id]
+            if transmitter.control_backlog() > 0:
                 # The originals (or a burst of other updates) have
                 # not even left our own queue yet; retransmitting
                 # now would only feed a control-channel congestion
@@ -371,7 +419,7 @@ class FloodingState:
             # overdue batch, one update per origin, each carrying all
             # of that node's link costs in one packet.
             for update in updates:
-                self.send(update, link_id)
+                transmitter.send(self._armed_packet(update, link_id, now))
                 self.stats.retransmitted += 1
 
     def link_down(self, link_id: int) -> None:

@@ -26,12 +26,20 @@ trees.
 
 **Flat, shared state.**  A tree is two lists indexed by node id --
 ``dist`` and ``parent_link`` -- since :meth:`Network.add_node
-<repro.topology.graph.Network.add_node>` hands out dense ids.  The
-repair walks subtrees and their boundaries over the network's own
-``out_adjacency`` / ``in_adjacency`` lists, which every tree of the
-network reads; a tree keeps no adjacency of its own.  Next hops are not
-part of the tree: :mod:`repro.routing.spf_cache` resolves them from
-``parent_link`` when a destination is first looked up.
+<repro.topology.graph.Network.add_node>` hands out dense ids.  Every
+scan, and the repair's boundary re-seeding, reads the network's flat
+rows (:meth:`Network.up_rows <repro.topology.graph.Network.up_rows>`:
+per node, ``(link_id, dst)`` for each up out-link and ``(link_id,
+src)`` for each up in-link, rebuilt when the topology version moves);
+only the repair's subtree walk reads ``out_adjacency``, whose down links
+it must see.  Every tree of the network shares them; a tree keeps no
+adjacency of its own.  A heap entry is ``(dist, node)``, and a
+repair's heap starts as one entry per re-seeded node: the order in
+which equal distances pop moves neither a parent (the canonical
+tie-break above does not depend on it) nor the scan count (each node
+settles once).  Next hops are not part of the tree:
+:mod:`repro.routing.spf_cache` resolves them from ``parent_link`` when
+a destination is first looked up.
 
 Costs are floats so the analysis package can sweep costs in fractional
 hops; the operational simulator feeds integer routing units.  Down links
@@ -44,7 +52,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Dict, List, Optional, Set
 
 from repro.topology.graph import Network
@@ -135,37 +142,35 @@ class SpfTree:
         dist = self.dist = [UNREACHABLE] * size
         parent = self.parent_link = [None] * size
         costs = self.costs.costs
-        out_links = self.network.out_links
+        out_rows = self.network.up_rows()[0]
         heappush, heappop = heapq.heappush, heapq.heappop
-        next_seq = count(1).__next__
         root = self.root
         dist[root] = 0.0
-        heap: List = [(0.0, 0, root)]
+        heap: List = [(0.0, root)]
         scanned = 0
         while heap:
             # Every push strictly lowers its node's distance, so only a
             # node's last entry passes this test: each node settles once.
-            d, _seq, node = heappop(heap)
+            d, node = heappop(heap)
             if d > dist[node]:
                 continue
             scanned += 1
-            for link in out_links(node):
-                cost = costs[link.link_id]
-                if cost == UNREACHABLE:
-                    continue
-                candidate = d + cost
-                dst = link.dst
+            for link_id, dst in out_rows[node]:
+                # An UNREACHABLE cost needs no test of its own: its
+                # candidate lowers nothing, and a node still at
+                # UNREACHABLE has no parent to re-tie.
+                candidate = d + costs[link_id]
                 if candidate < dist[dst]:
                     dist[dst] = candidate
-                    parent[dst] = link.link_id
-                    heappush(heap, (candidate, next_seq(), dst))
+                    parent[dst] = link_id
+                    heappush(heap, (candidate, dst))
                 elif candidate == dist[dst]:
                     # Canonical tie-break: smallest tight link id.  Every
                     # settled node relaxes its out-links, so every tight
                     # in-link of every node gets compared here.
                     current = parent[dst]
-                    if current is not None and link.link_id < current:
-                        parent[dst] = link.link_id
+                    if current is not None and link_id < current:
+                        parent[dst] = link_id
         self.stats.nodes_scanned += scanned
 
     # ------------------------------------------------------------------
@@ -279,27 +284,27 @@ class SpfTree:
             dist[node] = UNREACHABLE
             parent[node] = None
 
-        heappush, heappop = heapq.heappush, heapq.heappop
-        next_seq = count().__next__
-        heap: List = []
         moved = bool(detached)
+        out_rows, in_rows = network.up_rows()
 
-        # Re-seed detached nodes from every link crossing the boundary.
-        in_adjacency = network.in_adjacency
+        # Re-seed detached nodes from every up link crossing the boundary;
+        # the heap starts as one entry per seeded node.  Seeds are
+        # written only after the walk, so a detached source still reads
+        # UNREACHABLE here, and an UNREACHABLE sum lowers nothing.
+        heap: List = []
         for node in detached:
-            for link in in_adjacency[node]:
-                src = link.src
-                if not link.up or src in detached:
-                    continue
-                cost = costs[link.link_id]
-                base = dist[src]
-                if cost == UNREACHABLE or base == UNREACHABLE:
-                    continue
-                candidate = base + cost
-                if candidate < dist[node]:
-                    dist[node] = candidate
-                    parent[node] = link.link_id
-                    heappush(heap, (candidate, next_seq(), node))
+            best = UNREACHABLE
+            for link_id, src in in_rows[node]:
+                candidate = dist[src] + costs[link_id]
+                if candidate < best:
+                    best = candidate
+                    parent[node] = link_id
+            if best != UNREACHABLE:
+                heap.append((best, node))
+        for best, node in heap:
+            dist[node] = best
+        heapq.heapify(heap)
+        heappush, heappop = heapq.heappush, heapq.heappop
 
         # Relax every decreased link directly.
         for link_id in decreased:
@@ -313,7 +318,7 @@ class SpfTree:
             if candidate < dist[dst]:
                 dist[dst] = candidate
                 parent[dst] = link_id
-                heappush(heap, (candidate, next_seq(), dst))
+                heappush(heap, (candidate, dst))
                 moved = True
             elif candidate == dist[dst]:
                 # The decrease made this link exactly tight: the
@@ -329,27 +334,22 @@ class SpfTree:
         self.stats.batched_passes += 1
 
         # One settle pass over the whole affected region.
-        out_links = network.out_links
         scanned = 0
         while heap:
-            d, _seq, node = heappop(heap)
+            d, node = heappop(heap)
             if d > dist[node]:
                 continue
             scanned += 1
-            for out in out_links(node):
-                cost = costs[out.link_id]
-                if cost == UNREACHABLE:
-                    continue
-                candidate = d + cost
-                dst = out.dst
+            for link_id, dst in out_rows[node]:
+                candidate = d + costs[link_id]
                 if candidate < dist[dst]:
                     dist[dst] = candidate
-                    parent[dst] = out.link_id
-                    heappush(heap, (candidate, next_seq(), dst))
+                    parent[dst] = link_id
+                    heappush(heap, (candidate, dst))
                 elif candidate == dist[dst]:
                     current = parent[dst]
-                    if current is not None and out.link_id < current:
-                        parent[dst] = out.link_id
+                    if current is not None and link_id < current:
+                        parent[dst] = link_id
         self.stats.nodes_scanned += scanned
         return True
 

@@ -21,6 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover - only to_networkx() loads networkx
     import networkx as nx
 
 
+#: One node's up links as an SPF scan reads them: ``(link_id, far end)``
+#: pairs (see :meth:`Network.up_rows`).
+Row = Tuple[Tuple[int, int], ...]
+
+
 class TopologyError(ValueError):
     """Raised for malformed topology construction."""
 
@@ -93,8 +98,10 @@ class Network:
         #: (ids are dense).  Down links are *included* -- readers check
         #: ``link.up`` where it matters -- because the link set only
         #: grows while up/down flags toggle freely; only
-        #: :meth:`add_link` changes these lists.  Every SPF tree of the
-        #: network reads them; treat them as read-only.
+        #: :meth:`add_link` changes these lists.  Treat them as
+        #: read-only; SPF walks ``out_adjacency`` to detach subtrees
+        #: (a tree may hang off a link that has just failed) and scans
+        #: :meth:`up_rows` for everything else.
         self.out_adjacency: List[List[Link]] = []
         self.in_adjacency: List[List[Link]] = []
         self._by_name: Dict[str, int] = {}
@@ -102,11 +109,15 @@ class Network:
         #: trees (see repro.routing.spf_cache) key on it, so a link failure
         #: or recovery implicitly invalidates every tree computed before it.
         self.topology_version = 0
-        # Up-links-only view of ``out_adjacency``, rebuilt lazily after
-        # each topology change.  out_links() is called for every SPF
-        # scan and every flooded update, so the filtered lists are worth
-        # keeping.
+        # Up-links-only view of ``out_adjacency`` behind out_links(),
+        # rebuilt lazily after each topology change: the 1969
+        # simulator's neighbour exchange, the multipath router and the
+        # flood plans ask for the same lists again and again.  SPF
+        # scans up_rows() instead.
         self._up_out_cache: Dict[int, List[Link]] = {}
+        # up_rows() and the topology version it was built for.
+        self._up_rows: Tuple[List[Row], List[Row]] = ([], [])
+        self._up_rows_version = -1
 
     # ------------------------------------------------------------------
     # Construction
@@ -189,6 +200,26 @@ class Network:
                 link for link in self.out_adjacency[node_id] if link.up
             ]
         return cached
+
+    def up_rows(self) -> Tuple[List[Row], List[Row]]:
+        """``(out_rows, in_rows)``: each node's up links as flat pairs.
+
+        ``out_rows[n]`` holds ``(link_id, dst)`` for every up link out
+        of ``n``, ``in_rows[n]`` ``(link_id, src)`` for every up link
+        into it, both in ascending link id order.  Every SPF tree of the
+        network scans these rows; they are rebuilt, for all nodes at
+        once, the first time they are asked for after the topology
+        version moves.  Treat them as read-only.
+        """
+        if self._up_rows_version != self.topology_version:
+            self._up_rows = (
+                [tuple((link.link_id, link.dst) for link in out if link.up)
+                 for out in self.out_adjacency],
+                [tuple((link.link_id, link.src) for link in into if link.up)
+                 for into in self.in_adjacency],
+            )
+            self._up_rows_version = self.topology_version
+        return self._up_rows
 
     def in_links(self, node_id: int, include_down: bool = False) -> List[Link]:
         """Links entering ``node_id`` (up links only, by default)."""

@@ -65,18 +65,43 @@ class _CountingAdjacency(list):
         return super().__getitem__(node)
 
 
+def _count_row_reads(network):
+    """Wrap ``network.up_rows`` so that every row read is counted.
+
+    Returns the wrappers handed out (out rows, in rows per call) and the
+    ``(topology version, out rows id, in rows id)`` of each call.
+    """
+    handed, built = [], set()
+    up_rows = network.up_rows
+
+    def counted():
+        out_rows, in_rows = up_rows()
+        built.add((network.topology_version, id(out_rows), id(in_rows)))
+        rows = (_CountingAdjacency(out_rows), _CountingAdjacency(in_rows))
+        handed.append(rows)
+        return rows
+
+    network.up_rows = counted
+    return handed, built
+
+
 def test_every_tree_reads_the_one_network_adjacency():
-    """Repairs walk the network's own link lists: no tree holds a copy,
-    and a failure's detach-and-reseed reads the shared lists."""
+    """Repairs read the network's own rows and link lists: no tree holds
+    a copy.  A failure's detach walks the shared ``out_adjacency``; its
+    re-seed and settle scan the shared up rows, one set per topology
+    version."""
     simulation, bridge = _two_region_simulation()
     network = simulation.network
     network.out_adjacency = _CountingAdjacency(network.out_adjacency)
-    network.in_adjacency = _CountingAdjacency(network.in_adjacency)
+    handed, built = _count_row_reads(network)
     simulation.fail_circuit_at(bridge, 30.0)
     simulation.run(until_s=50.0)
 
     assert network.out_adjacency.reads > 0
-    assert network.in_adjacency.reads > 0
+    assert sum(out_rows.reads for out_rows, _ in handed) > 0
+    assert sum(in_rows.reads for _, in_rows in handed) > 0
+    versions = [version for version, _, _ in built]
+    assert len(versions) == len(set(versions)) >= 2
     for node_id, psn in simulation.psns.items():
         tree = psn.tree
         assert tree.network is network, node_id

@@ -147,3 +147,73 @@ def test_update_costs_equals_recompute(data):
         assert tree.parent_link == fresh.parent_link
         assert list(tree.costs.costs) == final
         _assert_valid_tree(tree, network, final)
+
+
+# ----------------------------------------------------------------------
+# Property: repair across circuit flips, several trees on one network
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_repair_across_circuit_flips_equals_recompute(data):
+    """Trees sharing one network read its up rows; a circuit flip
+    bumps the topology version and each tree then repairs in the PSN's
+    order (flags first, then the batch the flip's updates carry).  Every
+    tree must match a fresh recompute after every step."""
+    nodes = data.draw(st.integers(min_value=3, max_value=10), label="nodes")
+    extra = data.draw(st.integers(min_value=0, max_value=5), label="extra")
+    topo_seed = data.draw(st.integers(min_value=0, max_value=999),
+                          label="topo_seed")
+    network = build_random_network(nodes, extra_circuits=extra,
+                                   seed=topo_seed)
+    links = network.links
+    finite = st.integers(min_value=1, max_value=20).map(float)
+    costs = data.draw(
+        st.lists(finite, min_size=len(links), max_size=len(links)),
+        label="costs",
+    )
+    # Circuits already down when the trees are built: the first rows
+    # any tree reads lack them.
+    for link_id in data.draw(
+        st.sets(st.integers(min_value=0, max_value=len(links) - 1),
+                max_size=2),
+        label="down",
+    ):
+        for link in network.set_circuit_state(link_id, up=False):
+            costs[link.link_id] = UNREACHABLE
+    roots = sorted(data.draw(
+        st.sets(st.sampled_from(sorted(network.nodes)), min_size=2,
+                max_size=4),
+        label="roots",
+    ))
+    trees = [_tree(network, costs, root) for root in roots]
+
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6),
+                             label="steps")):
+        if data.draw(st.booleans(), label="flip"):
+            link_id = data.draw(
+                st.integers(min_value=0, max_value=len(links) - 1),
+                label="circuit",
+            )
+            up = not links[link_id].up
+            batch = [
+                (link.link_id, data.draw(finite) if up else UNREACHABLE)
+                for link in network.set_circuit_state(link_id, up)
+            ]
+            targets = trees  # every PSN hears of a flip
+        else:
+            up_links = [link.link_id for link in links if link.up]
+            batch = data.draw(st.lists(
+                st.tuples(st.sampled_from(up_links), finite),
+                max_size=len(up_links),
+            ), label="batch") if up_links else []
+            targets = data.draw(
+                st.lists(st.sampled_from(trees), min_size=1, unique=True),
+                label="targets",
+            )
+        for tree in targets:
+            tree.update_costs(batch)
+        for tree in trees:
+            fresh = _tree(network, tree.costs.costs, tree.root)
+            assert tree.dist == fresh.dist, tree.root
+            assert tree.parent_link == fresh.parent_link, tree.root
+            _assert_valid_tree(tree, network, tree.costs.costs)

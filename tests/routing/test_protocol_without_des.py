@@ -3,9 +3,11 @@ namespace for the clock."""
 
 from types import SimpleNamespace
 
-from repro.psn.packet import PacketKind
-from repro.routing.flooding import UPDATE_RETRANSMIT_S, FloodingState
-from repro.topology import build_ring_network
+from repro.psn.packet import Packet, PacketKind, next_packet_id
+from repro.routing.flooding import (
+    UPDATE_PACKET_BITS, UPDATE_RETRANSMIT_S, FloodingState, RoutingUpdate,
+)
+from repro.topology import build_grid_network, build_ring_network
 
 
 class Wire:
@@ -52,3 +54,59 @@ def test_only_the_lost_copy_is_retransmitted():
     assert [p.update for p in a_wires[lost.link_id].sent] == [update] * 2
     assert a.stats.retransmitted == 1
     assert applied == [update]
+
+
+def test_the_flood_plan_follows_the_topology():
+    """A copy arriving on a link is acked on ``note_received`` of it and
+    re-flooded on exactly ``forward_links`` of it, through a failure of
+    an out-link, of the arrival's own circuit, and both restores."""
+    network = build_grid_network(3, 3)
+    hub = 4  # the centre: four circuits
+    clock = SimpleNamespace(now=0.0)
+    state, wires = _protocol(network, hub, clock, [])
+    arrival, spare = network.in_links(hub)[:2]
+    sent = {link_id: 0 for link_id in wires}
+    sequence = 0
+
+    def hop():
+        """Deliver a fresh update on ``arrival``: (acked on, copied on)."""
+        nonlocal sequence
+        sequence += 1
+        update = RoutingUpdate(arrival.src, sequence, ())
+        expected = (
+            state.note_received(arrival.link_id, update),
+            sorted(state.forward_links(arrival.link_id)),
+        )
+        state.receive_update(Packet(
+            next_packet_id(), PacketKind.ROUTING_UPDATE, arrival.src, None,
+            UPDATE_PACKET_BITS, clock.now, update,
+        ), via=arrival)
+        acked, copied = None, []
+        for link_id, wire in wires.items():
+            for packet in wire.sent[sent[link_id]:]:
+                if packet.kind is PacketKind.UPDATE_ACK:
+                    assert acked is None
+                    acked = link_id
+                else:
+                    assert packet.update is update
+                    copied.append(link_id)
+            sent[link_id] = len(wire.sent)
+        assert (acked, sorted(copied)) == expected
+        return acked, sorted(copied)
+
+    everywhere = sorted(set(wires) - {arrival.reverse_id})
+    assert hop() == (arrival.reverse_id, everywhere)
+    network.set_circuit_state(spare.link_id, up=False)
+    assert hop() == (
+        arrival.reverse_id, sorted(set(everywhere) - {spare.reverse_id}),
+    )
+    network.set_circuit_state(arrival.link_id, up=False)  # a copy in flight
+    assert hop() == (None, sorted(set(everywhere) - {spare.reverse_id}))
+    network.set_circuit_state(spare.link_id, up=True)
+    network.set_circuit_state(arrival.link_id, up=True)
+    assert hop() == (arrival.reverse_id, everywhere)
+    updates = sum(
+        packet.kind is PacketKind.ROUTING_UPDATE
+        for wire in wires.values() for packet in wire.sent
+    )
+    assert state.stats.forwarded == updates == 3 + 2 + 2 + 3
