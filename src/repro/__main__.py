@@ -274,10 +274,11 @@ def main(argv: Optional[list] = None) -> int:
                                  "violation")
     p_simulate.add_argument("--defenses", action="store_true",
                             help="screen routing updates (cost bounds, "
-                                 "sequence plausibility), quarantine "
-                                 "misbehaving neighbours and purge aged "
-                                 "database entries -- the post-1980 "
-                                 "ARPANET hardening")
+                                 "sequence plausibility, origination rate), "
+                                 "quarantine a neighbour for 30 s after "
+                                 "three rejections and purge entries "
+                                 "unheard for 120 s -- the post-1980 "
+                                 "ARPANET hardening, with fixed settings")
     p_simulate.add_argument("--resilience-out", default=None, metavar="PATH",
                             help="write the resilience/containment summary "
                                  "as JSON to PATH (needs --faults)")

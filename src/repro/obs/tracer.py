@@ -75,9 +75,9 @@ INVARIANT_VIOLATION = "invariant-violation"
 #: ``data["reason"]`` says why (see :mod:`repro.routing.defense`).
 UPDATE_REJECTED = "update-rejected"
 #: A misbehaving neighbour was quarantined; ``data["neighbor"]`` names
-#: it and ``data["until_s"]`` says when rehabilitation is due.
+#: it and ``value`` says when rehabilitation is due.
 NEIGHBOR_QUARANTINED = "neighbor-quarantined"
-#: A self-stabilization pass evicted aged flooding-database entries;
+#: A purge pass evicted aged flooding-database entries;
 #: ``value`` is the number of entries purged.
 DB_PURGED = "db-purged"
 

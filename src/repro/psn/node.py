@@ -27,7 +27,7 @@ from repro.psn.flow_control import RFNM_BITS, HostInterface
 from repro.psn.interfaces import LinkTransmitter
 from repro.psn.measurement import SignificanceCriterion
 from repro.psn.packet import Packet, PacketKind, next_packet_id
-from repro.routing.defense import DefensePolicy
+from repro.routing.defense import PURGE_INTERVAL_S, DefensePolicy
 from repro.routing.flooding import (
     UPDATE_RETRANSMIT_S, FloodingState, RoutingUpdate, lineage,
 )
@@ -90,7 +90,7 @@ class Psn:
     defense_policy:
         Optional shared :class:`~repro.routing.defense.DefensePolicy`
         for the update protocol's screen, with a periodic purge pass
-        (the post-1980 self-stabilization).  ``None`` (the default)
+        (the post-1980 hardening).  ``None`` (the default)
         allocates nothing and adds no checks.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` recording this node's
@@ -145,12 +145,10 @@ class Psn:
             defense_policy, tracer,
         )
         if defense_policy is not None:
-            purge_interval = defense_policy.config.purge_interval_s
-            if purge_interval > 0:
-                sim.timers.every(
-                    purge_interval, self.flooding.purge_tick,
-                    first_fire_s=purge_interval,
-                )
+            sim.timers.every(
+                PURGE_INTERVAL_S, self.flooding.purge_tick,
+                first_fire_s=PURGE_INTERVAL_S,
+            )
         self._metric_state: Dict[int, object] = {}
         self._criterion: Dict[int, SignificanceCriterion] = {}
         advertised = self.flooding.advertised

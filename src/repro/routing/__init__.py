@@ -14,8 +14,8 @@
   Dijkstra trees, plus counted next-hop forwarding tables whose entries
   resolve from the tree on first lookup,
 * :class:`~repro.routing.defense.NodeDefense` -- Byzantine-update
-  screening, neighbour quarantine and purge-and-reflood
-  self-stabilization (the post-1980 ARPANET hardening).
+  screening, strike-count neighbour quarantine and an aged purge (the
+  post-1980 ARPANET hardening).
 """
 
 from repro.routing.bellman_ford import (
@@ -25,7 +25,6 @@ from repro.routing.bellman_ford import (
 )
 from repro.routing.defense import (
     REJECT_REASONS,
-    DefenseConfig,
     DefensePolicy,
     DefenseStats,
     NodeDefense,
@@ -42,7 +41,6 @@ from repro.routing.spf_cache import (
 __all__ = [
     "BellmanFordNode",
     "CostTable",
-    "DefenseConfig",
     "DefensePolicy",
     "DefenseStats",
     "FloodingState",

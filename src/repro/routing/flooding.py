@@ -306,8 +306,6 @@ class FloodingState:
             return
         if self._trace is not None:
             self._emit(UPDATE_ACCEPTED, update)
-        if defense is not None:
-            defense.note_accepted(update, now)
         self.apply(update)
         self._send_copies(update, copies, now)
 

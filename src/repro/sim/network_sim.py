@@ -35,7 +35,7 @@ from repro.obs.tracer import CIRCUIT_FAIL, CIRCUIT_RESTORE, Tracer, build_tracer
 from repro.psn.interfaces import DEFAULT_BUFFER_PACKETS, LinkTransmitter
 from repro.psn.node import Psn
 from repro.psn.packet import Packet, PacketKind
-from repro.routing.defense import DefenseConfig, DefensePolicy
+from repro.routing.defense import DefensePolicy
 from repro.routing.spf import CostTable
 from repro.routing.spf_cache import SpfCache
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
@@ -104,15 +104,15 @@ class ScenarioConfig:
     check_invariants: object = False
     #: Update-screening defenses (see :mod:`repro.routing.defense`):
     #: ``False`` (off -- the default; no policy is allocated and the
-    #: per-update path is untouched), ``True`` (screen with the default
-    #: :class:`~repro.routing.defense.DefenseConfig`), or a
-    #: ``DefenseConfig`` instance.  Every PSN then validates incoming
-    #: routing updates (cost bounds, sequence plausibility), scores and
-    #: quarantines misbehaving neighbours, and periodically purges aged
-    #: database entries so forged state cannot persist -- the post-1980
-    #: ARPANET hardening.  On a fault-free run the screens accept all
-    #: honest traffic, so defended runs stay bit-identical to bare ones.
-    defenses: object = False
+    #: per-update path is untouched) or ``True``.  Every PSN then
+    #: validates incoming routing updates (cost bounds, sequence
+    #: plausibility, an origination rate limit), quarantines a
+    #: neighbour for 30 s after three rejections, and purges database
+    #: entries for origins unheard for 120 s -- the post-1980 ARPANET
+    #: hardening, with fixed settings.  On a fault-free run the screens
+    #: accept all honest traffic, so defended runs stay bit-identical
+    #: to bare ones.
+    defenses: bool = False
     #: Live metrics pipeline (see :mod:`repro.obs.meters`): ``None``
     #: (off -- the zero-overhead default, nothing is allocated and no
     #: sampler timer is scheduled), ``"memory"`` (snapshots kept on
@@ -139,11 +139,9 @@ class ScenarioConfig:
                 f"check_invariants must be False, True, 'record' or "
                 f"'strict': {self.check_invariants!r}"
             )
-        if self.defenses not in (False, True) and \
-                not isinstance(self.defenses, DefenseConfig):
+        if not isinstance(self.defenses, bool):
             raise ValueError(
-                f"defenses must be False, True or a DefenseConfig: "
-                f"{self.defenses!r}"
+                f"defenses must be False or True: {self.defenses!r}"
             )
         if self.metrics is not None and not isinstance(self.metrics, str):
             raise ValueError(
@@ -214,14 +212,7 @@ class NetworkSimulation:
         #: per-update fast path then costs one ``is not None`` check).
         self.defense_policy: Optional[DefensePolicy] = None
         if self.config.defenses:
-            defense_config = (
-                self.config.defenses
-                if isinstance(self.config.defenses, DefenseConfig)
-                else DefenseConfig()
-            )
-            self.defense_policy = DefensePolicy(
-                network, metric, defense_config
-            )
+            self.defense_policy = DefensePolicy(network, metric)
         # Every PSN boots assuming idle costs everywhere: evaluate the
         # metric once, copy per node.
         idle_costs = CostTable.from_metric(network, metric)

@@ -38,7 +38,7 @@ def _run(**config):
     )
     simulation = NetworkSimulation(
         built.network, HopNormalizedMetric(), traffic,
-        ScenarioConfig(**_RUN, **config),
+        ScenarioConfig(**{**_RUN, **config}),
     )
     return simulation, simulation.run()
 
@@ -85,6 +85,18 @@ def test_defenses_contain_the_same_attack():
         + telemetry.defense_rejected_quarantine > 100
     assert telemetry.defense_quarantines > 0
     assert telemetry.defense_purge_passes > 0
+
+
+def test_defenses_stay_contained_past_the_purge_age():
+    """The attack outlasts the purge age.  The forger's neighbours have
+    quarantined it, so nothing from it is *accepted* for minutes; the
+    purge must still not forget its origin, or the next forged high
+    sequence walks in through the absent-origin door once the
+    quarantine ends."""
+    _, defended = _run(faults=_PLAN, defenses=True, duration_s=300.0)
+    containment = defended.resilience["containment"]
+    assert containment["poisoned_final"] == 0
+    assert containment["containment_s"] is not None
 
 
 def test_defended_no_fault_run_is_bit_identical_to_bare():

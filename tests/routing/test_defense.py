@@ -5,17 +5,22 @@ screens, the quarantine state machine and the purge pass are exercised
 here without a simulator, exactly like the flooding tests.
 """
 
-import pytest
-
 from repro.metrics import DelayMetric, HopNormalizedMetric, MinHopMetric
 from repro.psn.node import DOWN_COST
 from repro.routing import (
     REJECT_REASONS,
-    DefenseConfig,
     DefensePolicy,
     FloodingState,
     NodeDefense,
     RoutingUpdate,
+)
+from repro.routing.defense import (
+    PURGE_AGE_S,
+    QUARANTINE_S,
+    QUARANTINE_SCORE,
+    RATE_BURST,
+    RATE_LIMIT_PER_S,
+    SEQ_WINDOW,
 )
 from repro.topology import build_ring_network
 
@@ -24,8 +29,8 @@ NET = build_ring_network(4)
 METRIC = HopNormalizedMetric()
 
 
-def _defense(config=None, node_id=0):
-    policy = DefensePolicy(NET, METRIC, config or DefenseConfig())
+def _defense(node_id=0):
+    policy = DefensePolicy(NET, METRIC)
     flooding = FloodingState(NET, node_id)
     return NodeDefense(policy, node_id, flooding)
 
@@ -43,23 +48,8 @@ def _update(origin, link_id, cost, sequence):
     return RoutingUpdate(origin, sequence, ((link_id, cost),))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DefenseConfig(seq_window=0)
-    with pytest.raises(ValueError):
-        DefenseConfig(rate_limit_per_s=0.0)
-    with pytest.raises(ValueError):
-        DefenseConfig(rate_burst=0.5)
-    with pytest.raises(ValueError):
-        DefenseConfig(quarantine_s=60.0, max_quarantine_s=30.0)
-    with pytest.raises(ValueError):
-        DefenseConfig(purge_age_s=10.0, purge_interval_s=30.0)
-    # Disabled purging lifts the age/interval coupling.
-    DefenseConfig(purge_age_s=10.0, purge_interval_s=0.0)
-
-
 def test_policy_snapshots_cost_bounds_per_link():
-    policy = DefensePolicy(NET, METRIC, DefenseConfig())
+    policy = DefensePolicy(NET, METRIC)
     assert set(policy.bounds) == {link.link_id for link in NET.links}
     for link in NET.links:
         lo, hi = policy.bounds[link.link_id]
@@ -70,12 +60,12 @@ def test_policy_snapshots_cost_bounds_per_link():
 
 def test_policy_takes_each_metrics_own_band():
     """D-SPF's band starts at the idle cost; min-hop's is the hop cost."""
-    dspf = DefensePolicy(NET, DelayMetric(), DefenseConfig())
+    dspf = DefensePolicy(NET, DelayMetric())
     for link in NET.links:
         assert dspf.bounds[link.link_id] == (
             DelayMetric().initial_cost(link), 255
         )
-    minhop = DefensePolicy(NET, MinHopMetric(), DefenseConfig())
+    minhop = DefensePolicy(NET, MinHopMetric())
     assert set(minhop.bounds.values()) == {(30, 30)}
     defense = NodeDefense(minhop, 0, FloodingState(NET, 0))
     link = _own_link(1)
@@ -111,10 +101,9 @@ def test_sequence_jump_beyond_window_rejected():
     first = _update(1, link, cost, 1)
     assert defense.screen(first, 1, 0.0) is None
     assert defense.flooding.accept(first)
-    window = defense.policy.config.seq_window
-    plausible = _update(1, link, cost, 1 + window)
+    plausible = _update(1, link, cost, 1 + SEQ_WINDOW)
     assert defense.screen(plausible, 1, 1.0) is None
-    forged = _update(1, link, cost, 1 + window + 1)
+    forged = _update(1, link, cost, 1 + SEQ_WINDOW + 1)
     assert defense.screen(forged, 1, 1.0) == "seq-implausible"
     assert defense.stats.rejected_seq == 1
 
@@ -129,106 +118,124 @@ def test_absent_key_accepts_any_sequence():
 
 
 def test_rejections_accumulate_into_quarantine_and_rehabilitation():
-    config = DefenseConfig(quarantine_score=3.0, quarantine_s=30.0)
-    defense = _defense(config)
-    link = _own_link(1)
-    _, hi = defense.policy.bounds[link]
-    for seq in range(1, 4):  # three strikes in one burst
-        bad = _update(1, link, hi + 1, seq)
-        assert defense.screen(bad, 1, 3.0) == "cost-range"
-    assert defense.stats.quarantines == 1
-    assert defense.quarantined(1, 4.0)
-    # Everything from the quarantined neighbour bounces, even honest.
-    honest = _update(1, link, _legal_cost(link), 4)
-    assert defense.screen(honest, 1, 4.0) == "quarantined"
-    # ... but only until the sentence is served.
-    after = 3.0 + 30.0 + 1.0
-    assert defense.screen(honest, 1, after) is None
-    assert defense.stats.rehabilitations == 1
-    assert not defense.quarantined(1, after)
-
-
-def test_quarantine_doubles_on_relapse_up_to_the_cap():
-    config = DefenseConfig(
-        quarantine_score=1.0, quarantine_s=10.0, max_quarantine_s=15.0
-    )
-    defense = _defense(config)
+    defense = _defense()
     link = _own_link(1)
     _, hi = defense.policy.bounds[link]
     sentences = []
     defense.on_quarantine = lambda node, until: sentences.append(until)
-    now = 0.0
-    for relapse in range(3):
-        assert defense.screen(
-            _update(1, link, hi + 1, relapse + 1), 1, now
-        ) == "cost-range"
-        now = sentences[-1] + 1.0  # serve it out, then re-offend
-        defense.screen(_update(1, link, _legal_cost(link),
-                                     relapse + 2), 1, now)
-    lengths = [
-        until - start for until, start in
-        zip(sentences, [0.0] + [s + 1.0 for s in sentences])
-    ]
-    assert lengths == [10.0, 15.0, 15.0]  # 10, then 20 capped to 15
+    for seq in range(1, QUARANTINE_SCORE + 1):  # the strikes, one burst
+        bad = _update(1, link, hi + 1, seq)
+        assert defense.screen(bad, 1, 3.0) == "cost-range"
+    assert defense.stats.quarantines == 1
+    assert sentences == [3.0 + QUARANTINE_S]
+    # Everything from the quarantined neighbour bounces, even honest.
+    honest = _update(1, link, _legal_cost(link), 4)
+    assert defense.screen(honest, 1, 4.0) == "quarantined"
+    # ... but only until the sentence is served.
+    after = 3.0 + QUARANTINE_S
+    assert defense.screen(honest, 1, after) is None
+    assert defense.stats.rehabilitations == 1
 
 
-def test_score_decay_forgives_isolated_rejections():
-    config = DefenseConfig(quarantine_score=2.0, score_decay_per_s=1.0)
-    defense = _defense(config)
+def test_a_relapse_earns_the_same_sentence():
+    """Strikes restart from zero after a quarantine, and nothing
+    doubles: every sentence is QUARANTINE_S."""
+    defense = _defense()
     link = _own_link(1)
     _, hi = defense.policy.bounds[link]
-    defense.screen(_update(1, link, hi + 1, 1), 1, 0.0)
-    # 5 s later the first point has fully decayed; this second strike
-    # leaves the score at 1 < 2, so no quarantine.
-    defense.screen(_update(1, link, hi + 1, 2), 1, 5.0)
-    assert defense.stats.quarantines == 0
+    sentences = []
+    defense.on_quarantine = lambda node, until: sentences.append(until)
+    seq = 0
+    for start in (0.0, 100.0, 200.0):
+        for _ in range(QUARANTINE_SCORE):
+            seq += 1
+            defense.screen(_update(1, link, hi + 1, seq), 1, start)
+    assert sentences == [start + QUARANTINE_S for start in (0.0, 100.0, 200.0)]
+
+
+def test_strikes_do_not_decay():
+    """Rejections far apart still add up: the count is a strike count,
+    not a decaying score."""
+    defense = _defense()
+    link = _own_link(1)
+    _, hi = defense.policy.bounds[link]
+    for strike in range(QUARANTINE_SCORE):
+        defense.screen(_update(1, link, hi + 1, strike + 1), 1,
+                       1000.0 * strike)
+    assert defense.stats.quarantines == 1
 
 
 def test_token_bucket_charges_originations_only():
-    config = DefenseConfig(rate_limit_per_s=1.0, rate_burst=2.0)
-    defense = _defense(config)
+    defense = _defense()
     link = _own_link(1)
     far_link = _own_link(2)
     cost = _legal_cost(link)
-    # Two originations drain the burst; the third bounces.
-    for seq in (1, 2):
+    # The burst's originations pass; the next one bounces.
+    burst = int(RATE_BURST)
+    for seq in range(1, burst + 1):
         assert defense.screen(_update(1, link, cost, seq), 1, 0.0) \
             is None
-    third = _update(1, link, cost, 3)
-    assert defense.screen(third, 1, 0.0) == "rate-limit"
+    extra = _update(1, link, cost, burst + 1)
+    assert defense.screen(extra, 1, 0.0) == "rate-limit"
     assert defense.stats.rejected_rate == 1
     # A *forwarded* third-party update is free: fan-in is the
     # protocol's doing, not the neighbour's.
     forwarded = _update(2, far_link, _legal_cost(far_link), 1)
     assert defense.screen(forwarded, 1, 0.0) is None
-    # Tokens refill with time.
-    assert defense.screen(_update(1, link, cost, 3), 1, 2.0) is None
+    # Tokens refill with time: one token per 1 / RATE_LIMIT_PER_S.
+    assert defense.screen(extra, 1, 1.0 / RATE_LIMIT_PER_S) is None
+    assert defense.screen(extra, 1, 1.0 / RATE_LIMIT_PER_S) == \
+        "rate-limit"
 
 
 def test_purge_evicts_stale_foreign_keys_only():
-    config = DefenseConfig(purge_age_s=100.0, purge_interval_s=25.0)
-    defense = _defense(config, node_id=0)
+    defense = _defense(node_id=0)
     flooding = defense.flooding
     link = _own_link(1)
     stale = _update(1, link, _legal_cost(link), 1)
+    assert defense.screen(stale, 1, 10.0) is None
     assert flooding.accept(stale)
-    defense.note_accepted(stale, 10.0)
+    # The own origin, heard back from a neighbour, never purges.
     own = flooding.originate([(_own_link(0), _legal_cost(_own_link(0)))])
-    defense.note_accepted(own, 10.0)
+    defense.screen(own, 1, 10.0)
     fresh_link = _own_link(2)
     fresh = _update(2, fresh_link, _legal_cost(fresh_link), 1)
+    assert defense.screen(fresh, 1, 150.0) is None
     assert flooding.accept(fresh)
-    defense.note_accepted(fresh, 150.0)
-    purged = defense.purge(200.0)
+    purged = defense.purge(10.0 + PURGE_AGE_S)
     assert purged == 1  # only the stale foreign entry
     assert 1 not in flooding._highest_seen
-    assert 0 in flooding._highest_seen  # the own origin never purges
-    assert 2 in flooding._highest_seen  # refreshed in time
+    assert 0 in flooding._highest_seen
+    assert 2 in flooding._highest_seen  # heard in time
     assert defense.stats.purge_passes == 1
     assert defense.stats.purged_entries == 1
     # The purged origin now accepts any sequence: the re-learn door.
-    relearn = _update(1, link, _legal_cost(link), 1)
+    relearn = _update(1, link, _legal_cost(link), 1 << 20)
     assert defense.screen(relearn, 1, 201.0) is None
+
+
+def test_rejected_updates_keep_their_origin_on_record():
+    """An entry ages from the last update *heard* for its origin: a
+    forger whose updates are all rejected keeps its entry, so the
+    sequence screen stays armed instead of reopening the absent-origin
+    door."""
+    defense = _defense(node_id=0)
+    flooding = defense.flooding
+    link = _own_link(1)
+    cost = _legal_cost(link)
+    first = _update(1, link, cost, 1)
+    assert defense.screen(first, 1, 0.0) is None
+    assert flooding.accept(first)
+    forged = _update(1, link, cost, 1 + SEQ_WINDOW + 1)
+    now = 0.0
+    while now < 2 * PURGE_AGE_S:
+        now += 10.0
+        assert defense.screen(forged, 3, now) in (
+            "seq-implausible", "quarantined"
+        )
+        defense.purge(now)
+    assert defense.stats.purged_entries == 0
+    assert flooding.highest_seen(1) == 1
 
 
 def test_every_entry_of_an_update_is_screened():
@@ -251,13 +258,12 @@ def test_sequence_window_is_per_origin():
     """Each origin numbers its updates in its own space: a high sequence
     on record for one origin says nothing about another's."""
     defense = _defense()
-    window = defense.policy.config.seq_window
     link1, link2 = _own_link(1), _own_link(2)
     assert defense.flooding.accept(_update(1, link1, _legal_cost(link1), 500))
     fresh = _update(2, link2, _legal_cost(link2), 1)
     assert defense.screen(fresh, 1, 0.0) is None
     assert defense.flooding.accept(fresh)
-    jump = _update(2, link2, _legal_cost(link2), 2 + window)
+    jump = _update(2, link2, _legal_cost(link2), 2 + SEQ_WINDOW)
     assert defense.screen(jump, 1, 0.0) == "seq-implausible"
 
 

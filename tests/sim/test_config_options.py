@@ -54,6 +54,12 @@ def test_multipath_validation():
         ScenarioConfig(multipath="broadcast")
 
 
+@pytest.mark.parametrize("value", [1, "yes", None, 0.0])
+def test_defenses_accepts_only_a_bool(value):
+    with pytest.raises(ValueError):
+        ScenarioConfig(defenses=value)
+
+
 def test_seed_changes_realization_not_shape():
     _, a = run_sim(seed=1)
     _, b = run_sim(seed=2)
