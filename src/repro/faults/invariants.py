@@ -181,7 +181,7 @@ class InvariantMonitor:
         if entries:
             return  # still converging: transient loops are legitimate
         if any(
-            psn._pending_updates for psn in self.simulation.psns.values()
+            psn._pending_old for psn in self.simulation.psns.values()
         ):
             return
         key = (self.simulation.network.topology_version, self._index)

@@ -49,7 +49,7 @@ UPDATE_SUPPRESSED = "update-suppressed"
 UPDATE_ACKED = "update-acked"
 #: An update was forwarded onward; ``value`` is the number of links.
 UPDATE_FLOODED = "update-flooded"
-#: A batched SPF repair pass ran; ``value`` is the changes absorbed.
+#: A batched SPF repair pass ran; ``value`` is the links it changed.
 SPF_BATCH_REPAIR = "spf-batch-repair"
 #: A full-duplex circuit failed.
 CIRCUIT_FAIL = "circuit-fail"

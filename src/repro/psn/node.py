@@ -32,7 +32,7 @@ from repro.routing.flooding import (
     UPDATE_RETRANSMIT_S, FloodingState, RoutingUpdate, lineage,
 )
 from repro.routing.multipath import EQUAL_COST_SLACK, MultipathRouter
-from repro.routing.spf import UNREACHABLE, CostTable, SpfTree
+from repro.routing.spf import CostTable, SpfTree
 from repro.routing.spf_cache import ForwardingTable, SpfCache
 from repro.topology.graph import Link, Network
 from repro.units import DOWN_COST, MEASUREMENT_INTERVAL_S
@@ -174,14 +174,14 @@ class Psn:
         # (the slow path, :meth:`_forward_slow`, then flushes, takes a
         # table or asks the router).
         self._forwarding: Optional[ForwardingTable] = None
-        # Batched SPF repair: updates land in this buffer and are applied
-        # in one update_costs pass when the tree is next consulted.  The
-        # *cost table* is written eagerly -- only the tree repair lags --
-        # so reading ``psn.costs`` never depends on when this node last
-        # forwarded a packet; ``_pending_old`` remembers each buffered
-        # link's pre-batch cost so the flush can hand ``update_costs``
-        # the true before/after diff.
-        self._pending_updates: list = []
+        # Batched SPF repair: the *cost table* is written eagerly as
+        # updates arrive -- only the tree repair lags -- so reading
+        # ``psn.costs`` never depends on when this node last forwarded a
+        # packet.  ``_pending_old`` is the whole buffer: each changed
+        # link's pre-batch cost, in first-change order.  The flush reads
+        # the final costs from the table and hands ``update_costs`` the
+        # true before/after diff in one pass when the tree is next
+        # consulted.
         self._pending_old: Dict[int, float] = {}
         # Optional extension: equal-cost multipath forwarding (the
         # remedy the paper's section 4.5 cites for few-large-flows
@@ -315,7 +315,7 @@ class Psn:
         """:meth:`forward` without a usable table: flush any buffered
         updates, apply the hop limit, then take a table (a no-op batch
         keeps the old one) or ask the router."""
-        if self._pending_updates:
+        if self._pending_old:
             self.flush_pending_updates()
         if packet.hop_count >= MAX_HOPS:
             self.stats.packet_dropped(packet, "hop-limit", self.sim.now)
@@ -387,25 +387,26 @@ class Psn:
     # ------------------------------------------------------------------
     def flush_pending_updates(self) -> None:
         """Apply any buffered routing updates in one batched SPF pass."""
-        pending = self._pending_updates
-        if not pending:
+        pending_old = self._pending_old
+        if not pending_old:
             return
-        self._pending_updates = []
+        self._pending_old = {}
         # The table already holds the batch's final costs (written
-        # eagerly as updates arrived); rewind it to the pre-batch values
-        # so the repair pass computes the same old -> new diff it would
-        # have seen unbatched, then let it write the finals back.  The
-        # old values were validated when they entered the table.
+        # eagerly as updates arrived); take them as the batch, then
+        # rewind the table to the pre-batch values so the repair pass
+        # computes the same old -> new diff it would have seen
+        # unbatched, and let it write the finals back.  Both were
+        # validated when they entered the table.
         costs = self.costs.costs
-        for link_id, old_cost in self._pending_old.items():
+        batch = [(link_id, costs[link_id]) for link_id in pending_old]
+        for link_id, old_cost in pending_old.items():
             costs[link_id] = old_cost
-        self._pending_old.clear()
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, SPF_BATCH_REPAIR,
-                node=self.node_id, value=len(pending),
+                node=self.node_id, value=len(batch),
             )
-        if self.tree.update_costs(pending):
+        if self.tree.update_costs(batch):
             # The next-hop table reflects the old tree; drop it and take
             # a new one on the next packet.  No-op batches leave the
             # tree -- and therefore the table -- untouched.
@@ -418,15 +419,17 @@ class Psn:
     def _apply_update(self, update: RoutingUpdate) -> None:
         """Write an update's entries into the cost table.
 
-        Only entries that move a cost are buffered for the next SPF
-        flush; a quiet link riding along at its last advertised cost
-        leaves the table, and so the tree, as it was.
+        The table takes the update's own :attr:`~repro.routing.flooding.
+        RoutingUpdate.table_costs` floats, shared with every other
+        receiver.  Only entries that move a cost are buffered for the
+        next SPF flush; a quiet link riding along at its last advertised
+        cost leaves the table, and so the tree, as it was.
         """
         costs = self.costs.costs
-        pending = self._pending_updates
         pending_old = self._pending_old
-        for link_id, reported in update.costs:
-            cost = UNREACHABLE if reported >= DOWN_COST else float(reported)
+        for (link_id, _reported), cost in zip(
+            update.costs, update.table_costs
+        ):
             old = costs[link_id]
             if cost == old:
                 continue
@@ -436,7 +439,6 @@ class Psn:
             if not cost >= 0:
                 raise ValueError(f"link cost must be >= 0, got {cost}")
             costs[link_id] = cost
-            pending.append((link_id, cost))
             self._forwarding = None
 
     # ------------------------------------------------------------------

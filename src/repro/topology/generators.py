@@ -9,6 +9,7 @@ built from full-duplex circuits.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from typing import Optional
 
 from repro.topology.graph import Network
@@ -88,23 +89,26 @@ def build_random_network(
 
     shuffled = ids[:]
     rng.shuffle(shuffled)
-    connected = {shuffled[0]}
-    circuit_pairs = set()
+    # Each anchor is drawn from the connected nodes in ascending order,
+    # kept sorted as nodes join rather than re-sorted per draw.
+    connected = [shuffled[0]]
+    tree_pairs = set()
     for node in shuffled[1:]:
-        anchor = rng.choice(sorted(connected))
+        anchor = rng.choice(connected)
         network.add_circuit(anchor, node, line)
-        circuit_pairs.add(frozenset((anchor, node)))
-        connected.add(node)
+        tree_pairs.add((anchor, node) if anchor < node else (node, anchor))
+        insort(connected, node)
 
+    # Every non-tree pair (a < b, in id order), shuffled; the first
+    # ``extra_circuits`` become circuits.
     candidates = [
-        frozenset((a, b))
+        (a, b)
         for i, a in enumerate(ids)
         for b in ids[i + 1:]
-        if frozenset((a, b)) not in circuit_pairs
+        if (a, b) not in tree_pairs
     ]
     rng.shuffle(candidates)
-    for pair in candidates[:extra_circuits]:
-        a, b = sorted(pair)
+    for a, b in candidates[:extra_circuits]:
         network.add_circuit(a, b, line)
 
     network.validate()

@@ -48,6 +48,20 @@ def test_advertise_applies_locally_and_floods():
         assert other.costs[own_link] == 77.0, node_id
 
 
+def test_flooded_cost_is_one_float_in_every_table():
+    """An update's costs are converted once: the originator and every
+    receiver hold the update's own float, not a copy each."""
+    net = build_ring_network(4)
+    sim = build_sim(net)
+    sim.run(until_s=1.0)
+    own_link = net.out_links(0)[0].link_id
+    sim.psns[0].advertise({own_link: 77})
+    sim.sim.run(until=2.0)
+    entries = [psn.costs[own_link] for psn in sim.psns.values()]
+    assert entries[0] == 77.0
+    assert all(entry is entries[0] for entry in entries)
+
+
 def test_boot_flood_originates_once_per_node():
     """A booting PSN sends all of its link costs in one update."""
     sim = build_scenario(

@@ -202,7 +202,7 @@ def test_no_op_update_batch_keeps_the_forwarding_table():
     passes = psn.tree.stats.batched_passes
 
     psn.forward(_data_packet(simulation))
-    assert psn._pending_updates == []
+    assert psn._pending_old == {}
     assert psn.costs[off_tree.link_id] == raised
     assert psn._forwarding is table
     assert simulation.spf_cache.stats.table_misses == misses
@@ -223,7 +223,7 @@ def test_hop_limited_packet_flushes_buffered_updates_first():
     assert simulation.stats.hop_limit_drops == drops + 1
     # Flushed before the hop-limit check: the tree no longer uses the
     # dead link ...
-    assert psn._pending_updates == []
+    assert psn._pending_old == {}
     assert psn.costs[tree_link] == UNREACHABLE
     assert psn.tree.next_hop_link(2) not in (None, tree_link)
     # ... and no table is taken for a packet that was dropped.

@@ -152,7 +152,8 @@ def test_lossy_flood_converges_and_drains(
 
     def sequences_only_advance():
         for psn in sim.psns.values():
-            for origin, sequence in psn.flooding._highest_seen.items():
+            for origin in sim.psns:
+                sequence = psn.flooding.highest_seen(origin)
                 key = (psn.node_id, origin)
                 assert sequence >= highest.get(key, 0), key
                 highest[key] = sequence
@@ -167,7 +168,7 @@ def test_lossy_flood_converges_and_drains(
     for origin in sim.psns.values():
         sequence = origin.flooding._own_sequence
         for psn in sim.psns.values():
-            assert psn.flooding._highest_seen[origin.node_id] == sequence, \
+            assert psn.flooding.highest_seen(origin.node_id) == sequence, \
                 (psn.node_id, origin.node_id)
     for psn in sim.psns.values():
         assert psn.flooding.unacked == {}, psn.node_id

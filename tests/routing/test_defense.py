@@ -204,14 +204,36 @@ def test_purge_evicts_stale_foreign_keys_only():
     assert flooding.accept(fresh)
     purged = defense.purge(10.0 + PURGE_AGE_S)
     assert purged == 1  # only the stale foreign entry
-    assert 1 not in flooding._highest_seen
-    assert 0 in flooding._highest_seen
-    assert 2 in flooding._highest_seen  # heard in time
+    assert flooding.highest_seen(1) == 0  # nothing on record
+    assert flooding.highest_seen(0) == 1
+    assert flooding.highest_seen(2) == 1  # heard in time
     assert defense.stats.purge_passes == 1
     assert defense.stats.purged_entries == 1
     # The purged origin now accepts any sequence: the re-learn door.
     relearn = _update(1, link, _legal_cost(link), 1 << 20)
     assert defense.screen(relearn, 1, 201.0) is None
+
+
+def test_purged_origin_is_admitted_at_any_sequence():
+    """A purge writes the origin back to "nothing on record": its next
+    update passes the sequence screen whatever its sequence, and the
+    screen is armed again from there."""
+    defense = _defense(node_id=0)
+    flooding = defense.flooding
+    link = _own_link(1)
+    cost = _legal_cost(link)
+    first = _update(1, link, cost, 5)
+    assert defense.screen(first, 1, 0.0) is None
+    assert flooding.accept(first)
+    assert defense.purge(PURGE_AGE_S) == 1
+    assert flooding.highest_seen(1) == 0
+    for sequence in (1, 5, 1 << 20):
+        relearn = _update(1, link, cost, sequence)
+        assert defense.screen(relearn, 2, PURGE_AGE_S + 1.0) is None
+    assert flooding.accept(relearn)
+    assert flooding.highest_seen(1) == 1 << 20
+    jump = _update(1, link, cost, (1 << 20) + SEQ_WINDOW + 1)
+    assert defense.screen(jump, 2, PURGE_AGE_S + 2.0) == "seq-implausible"
 
 
 def test_rejected_updates_keep_their_origin_on_record():

@@ -78,7 +78,8 @@ def test_one_sequence_space_per_origin(ring):
     assert receiver.accept(second)
     assert receiver.accept(other)  # origin 1's space is untouched by 0's
     assert not receiver.accept(first)
-    assert receiver._highest_seen == {0: 2, 1: 1}
+    assert [receiver.highest_seen(node) for node in ring.nodes] == \
+        [2, 1] + [0] * (len(ring.nodes) - 2)
 
 
 def test_forward_links_exclude_arrival_reverse(ring):

@@ -10,8 +10,9 @@ from repro.topology import build_random_network
 def synchronous_flood(network, origin_node, update):
     """Flood an update to completion; return per-node accept counts."""
     states = {n: FloodingState(network, n) for n in network.nodes}
-    # Re-key the origin's state so sequence numbers line up.
-    states[origin_node]._highest_seen[update.origin] = update.sequence
+    # The origin's own record holds the update, so a reflected copy is
+    # a duplicate there.
+    assert states[origin_node].accept(update)
     frontier = [
         (update, link_id)
         for link_id in states[origin_node].forward_links(None)

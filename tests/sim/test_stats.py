@@ -113,7 +113,30 @@ def test_min_hop_distance_cached(net):
     stats = StatsCollector(net)
     assert stats.min_hop_distance(0, 2) == 2
     assert stats.min_hop_distance(0, 2) == 2
-    assert len(stats._min_hop_trees) == 1
+    assert stats._hops[0] is not None
+    assert stats._hops[1:] == [None] * (len(net) - 1)
+
+
+def test_collector_holds_no_spf_tree(net):
+    """Minimum-hop distances are per-source hop-count rows: the
+    collector keeps no unit-cost SPF tree or cost table of its own."""
+    from repro.routing.spf import CostTable, SpfTree
+
+    sim = NetworkSimulation(
+        net, HopNormalizedMetric(), TrafficMatrix.uniform(net, 20_000.0),
+        ScenarioConfig(duration_s=30.0, warmup_s=5.0),
+    )
+    sim.run()
+    stats = sim.stats
+    assert stats.min_hops_sum > 0
+    held = list(vars(stats).values())
+    for value in list(held):
+        if isinstance(value, dict):
+            held.extend(value.values())
+        elif isinstance(value, list):
+            held.extend(value)
+    assert not any(isinstance(value, (SpfTree, CostTable)) for value in held)
+    assert all(row is None or len(row) == len(net) for row in stats._hops)
 
 
 def _one_circuit_down():

@@ -61,6 +61,29 @@ def test_random_network_is_connected_and_seeded():
     ] == [(l.src, l.dst) for l in net_b.links]
 
 
+@pytest.mark.parametrize("nodes, extra, seed, links, digest", [
+    # perfbench's rand128_steady network.
+    (128, 32, 3, 318,
+     "b7f5a938407652e692f0c658f6805f7429b6fb64709989cc0e0fcb0f3db859f9"),
+    # The rand256 and rand512 scenarios.
+    (256, 64, 11, 638,
+     "30240dd27688b1885f3188bcd0d2702adbb531272501cf086cbc92ea72bf5084"),
+    (512, 128, 17, 1278,
+     "712c330a4dd2b81ec5d381d1cf8fc6bf593bab951415651b0e7c4cf82560c8a6"),
+], ids=["rand128", "rand256", "rand512"])
+def test_random_network_link_lists_are_pinned(nodes, extra, seed, links,
+                                              digest):
+    """The generated (src, dst) link lists never move: a faster
+    generator must make the same draws in the same order."""
+    import hashlib
+
+    net = build_random_network(nodes, extra_circuits=extra, seed=seed,
+                               line=line_type("T1-T"))
+    pairs = [(link.src, link.dst) for link in net.links]
+    assert len(pairs) == links
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+
 def test_random_network_different_seeds_differ():
     net_a = build_random_network(12, extra_circuits=5, seed=1)
     net_b = build_random_network(12, extra_circuits=5, seed=2)
