@@ -92,3 +92,42 @@ def test_reservoir_bounds_memory():
     for i in range(1000):
         delivered(stats, delay_s=0.01)
     assert len(stats._delay_reservoir) == 100
+
+
+def test_reservoir_keeps_late_deliveries():
+    """Once the reservoir is full, a late delay is as likely to be kept
+    as an early one: 1 000 delays of 10 ms then 9 000 of 100 ms read a
+    100-ms median, with about a tenth of the samples at 10 ms."""
+    stats = StatsCollector(build_ring_network(4))
+    stats._reservoir_limit = 100
+    for _ in range(1_000):
+        delivered(stats, delay_s=0.010)
+    for _ in range(9_000):
+        delivered(stats, delay_s=0.100)
+    assert len(stats._delay_reservoir) == 100
+    assert stats.delay_percentile_ms(0.50) == pytest.approx(100.0)
+    assert stats.delay_percentile_ms(0.90) == pytest.approx(100.0)
+    early = sum(1 for delay_s in stats._delay_reservoir if delay_s < 0.05)
+    assert 2 <= early <= 25  # binomial: mean 10, sd 3
+
+
+def test_reservoir_is_uniform_over_deliveries():
+    """Delivery i of n carries delay i / n: a uniform sample of 1 000
+    has about 100 in each tenth of the run, and the same seed keeps
+    the same sample."""
+    def sample():
+        stats = StatsCollector(build_ring_network(4))
+        stats._reservoir_limit = 1_000
+        n = 100_000
+        for i in range(n):
+            delivered(stats, delay_s=i / n)
+        return list(stats._delay_reservoir)
+
+    kept = sample()
+    assert len(kept) == 1_000
+    tenths = [0] * 10
+    for delay_s in kept:
+        tenths[min(int(delay_s * 10), 9)] += 1
+    assert all(60 <= count <= 140 for count in tenths), tenths
+    assert sum(kept) / len(kept) == pytest.approx(0.5, abs=0.05)
+    assert kept == sample()
