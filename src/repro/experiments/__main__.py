@@ -4,13 +4,10 @@
 of the paper (slow: the DES experiments simulate many minutes of network
 time); ``all-ext`` additionally runs the extension experiments.
 
-Observability (``docs/observability.md``): ``--trace DIR`` makes every
-simulation the experiments build write a JSONL event trace under
-``DIR``; ``--telemetry`` prints a merged hot-path counter block for all
-runs after each experiment.  Both work through process-global defaults
-(:mod:`repro.obs.runtime`), so the experiment modules stay untouched --
-note the in-process serial path only; runs fanned out to worker
-processes by ``run_many`` do not inherit the defaults.
+The runner takes no observability flags: a run is configured through
+its :class:`~repro.sim.network_sim.ScenarioConfig` alone, so a trace is
+one run's ``ScenarioConfig.trace`` (``python -m repro simulate
+--trace``), and every report carries its own telemetry block.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ import sys
 import time
 
 from repro.experiments import EXPERIMENT_IDS, PAPER_IDS
-from repro.obs import runtime as obs_runtime
-from repro.obs.telemetry import merge_telemetry
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -37,17 +32,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="reduced durations/grids (same shapes, less waiting)",
     )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="DIR",
-        help="write one JSONL event trace per simulation into DIR",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="print merged hot-path counters after each experiment",
-    )
 
 
 def main(argv=None) -> int:
@@ -61,47 +45,21 @@ def main(argv=None) -> int:
 
 def run(args: argparse.Namespace) -> int:
     """Regenerate ``args.experiment`` and print each rendered result."""
-    if args.trace:
-        obs_runtime.enable_trace_dir(args.trace)
-    if args.telemetry:
-        obs_runtime.enable_telemetry_registry()
-
     if args.experiment == "all":
         ids = PAPER_IDS
     elif args.experiment == "all-ext":
         ids = EXPERIMENT_IDS
     else:
         ids = (args.experiment,)
-    try:
-        for experiment_id in ids:
-            module = importlib.import_module(
-                f"repro.experiments.{experiment_id}"
-            )
-            started = time.time()
-            result = module.run(fast=args.fast)
-            elapsed = time.time() - started
-            print(result.rendered)
-            print(f"[{experiment_id} completed in {elapsed:.1f}s]")
-            if args.telemetry:
-                _print_telemetry(experiment_id)
-            print()
-    finally:
-        if args.trace or args.telemetry:
-            obs_runtime.reset()
+    for experiment_id in ids:
+        module = importlib.import_module(f"repro.experiments.{experiment_id}")
+        started = time.time()
+        result = module.run(fast=args.fast)
+        elapsed = time.time() - started
+        print(result.rendered)
+        print(f"[{experiment_id} completed in {elapsed:.1f}s]")
+        print()
     return 0
-
-
-def _print_telemetry(experiment_id: str) -> None:
-    merged = merge_telemetry(obs_runtime.drain_telemetry())
-    if merged is None:
-        print(f"[{experiment_id}: no in-process runs recorded telemetry]")
-        return
-    from repro.report import ascii_table
-
-    print(ascii_table(
-        ["counter", "value"], list(merged.to_dict().items()),
-        title=f"{experiment_id}: merged telemetry ({merged.runs} runs)",
-    ))
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from repro.obs.tracer import (
     PSN_CRASH,
     PSN_RESTART,
 )
-from repro.units import DOWN_COST
+from repro.units import DOWN_COST, MEASUREMENT_INTERVAL_S
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a faults <-> sim import cycle
     from repro.sim.network_sim import NetworkSimulation
@@ -85,9 +85,9 @@ class FaultInjector:
             # The containment sampler is read-only (it only compares
             # databases against owners' counters), so sampling never
             # perturbs the run -- same argument as the metrics sampler.
-            interval = simulation.config.measurement_interval_s
             sim.timers.every(
-                interval, self._sample_containment, first_fire_s=interval
+                MEASUREMENT_INTERVAL_S, self._sample_containment,
+                first_fire_s=MEASUREMENT_INTERVAL_S,
             )
 
     def _validate(self, plan: FaultPlan) -> None:

@@ -23,6 +23,7 @@ from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.telemetry import RunTelemetry
+from repro.units import MEASUREMENT_INTERVAL_S
 
 #: Default histogram buckets for link-utilization samples (fractions).
 UTILIZATION_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
@@ -155,9 +156,7 @@ class SimulationMeters:
         self._util_cursor: Dict[int, int] = {}
         # Periodic sampling rides the same timer wheel as measurement;
         # the callback is read-only, so it can never perturb the run.
-        simulation.sim.timers.every(
-            simulation.config.measurement_interval_s, self.sample
-        )
+        simulation.sim.timers.every(MEASUREMENT_INTERVAL_S, self.sample)
 
     # ------------------------------------------------------------------
     def sample(self) -> Dict[str, Any]:

@@ -50,6 +50,7 @@ from repro.obs.tracer import (
     UPDATE_GENERATED,
     UPDATE_SUPPRESSED,
 )
+from repro.units import CONVERGENCE_QUIET_S
 
 #: A flood lineage: the ``(origin, sequence)`` pair that uniquely
 #: identifies one generated routing update.
@@ -219,7 +220,7 @@ def convergence_times(spans: Iterable[UpdateSpan]) -> List[float]:
 
 
 def convergence_episodes(
-    events: Iterable, quiet_s: float = 5.0
+    events: Iterable, quiet_s: float = CONVERGENCE_QUIET_S
 ) -> List[Tuple[float, float]]:
     """Burst-level convergence: first cost change to last SPF settle.
 

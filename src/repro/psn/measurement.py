@@ -16,36 +16,28 @@ from __future__ import annotations
 from repro.units import MAX_UPDATE_INTERVAL_S, MEASUREMENT_INTERVAL_S
 
 
+#: Unsatisfied measurement intervals before an update is forced (5).
+_STEPS = MAX_UPDATE_INTERVAL_S / MEASUREMENT_INTERVAL_S
+
+
 class SignificanceCriterion:
     """The decaying update-generation threshold for one link.
 
     Starts at the metric's change threshold and steps down linearly each
-    unsatisfied measurement interval, reaching zero after
+    unsatisfied ``MEASUREMENT_INTERVAL_S``, reaching zero after
     ``MAX_UPDATE_INTERVAL_S`` so an update is forced at least that often.
     """
 
-    def __init__(
-        self,
-        initial_threshold: float,
-        measurement_interval_s: float = MEASUREMENT_INTERVAL_S,
-        max_update_interval_s: float = MAX_UPDATE_INTERVAL_S,
-    ) -> None:
+    def __init__(self, initial_threshold: float) -> None:
         if initial_threshold < 0:
             raise ValueError(
                 f"threshold must be >= 0, got {initial_threshold}"
-            )
-        if measurement_interval_s <= 0 or max_update_interval_s <= 0:
-            raise ValueError("intervals must be positive")
-        steps = max_update_interval_s / measurement_interval_s
-        if steps < 1:
-            raise ValueError(
-                "max update interval shorter than a measurement interval"
             )
         self.initial_threshold = float(initial_threshold)
         #: Decay applied after each unsatisfied interval.  After
         #: (steps - 1) failures the threshold is exactly zero, so the
         #: check on the steps-th interval always passes.
-        self._decay = self.initial_threshold / max(steps - 1.0, 1.0)
+        self._decay = self.initial_threshold / (_STEPS - 1.0)
         self.threshold = self.initial_threshold
 
     def should_report(self, change: float) -> bool:

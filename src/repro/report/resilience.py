@@ -9,8 +9,7 @@ module condenses a fault-injected run (a
 
 * **time to reconverge** per fault -- the span of the routing-update
   burst the fault triggered (updates chained with gaps below
-  ``quiet_s``, which defaults to half the 10-second measurement
-  cadence);
+  ``CONVERGENCE_QUIET_S``, half the 10-second measurement cadence);
 * **update-storm size** -- how many updates that burst contained;
 * **delivery fraction during degradation** -- delivered / offered
   packets over the burst window, from the run's
@@ -28,30 +27,25 @@ import math
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.units import CONVERGENCE_QUIET_S
+
 if TYPE_CHECKING:  # pragma: no cover - keeps repro.report sim-free
     from repro.sim.network_sim import NetworkSimulation
 
-#: Default burst gap: updates closer than this chain into one storm.
-#: Half the paper's 10-second measurement cadence, so two ordinary
-#: periodic reports never merge into a single "storm".
-DEFAULT_QUIET_S = 5.0
 
-
-def _burst(
-    times: List[float], t0: float, quiet_s: float
-) -> Tuple[float, int]:
+def _burst(times: List[float], t0: float) -> Tuple[float, int]:
     """(last update time, update count) of the burst starting at ``t0``.
 
     Walks the sorted update timestamps from the first at or after
     ``t0``, chaining successive updates while the gap stays below
-    ``quiet_s`` (a gap of exactly ``quiet_s`` ends the burst, as in
+    ``CONVERGENCE_QUIET_S`` (a gap of exactly that ends the burst, as in
     :func:`repro.obs.spans.convergence_episodes`).  An empty burst
     returns ``(t0, 0)``.
     """
     index = bisect_left(times, t0)
     last = t0
     count = 0
-    while index < len(times) and times[index] - last < quiet_s:
+    while index < len(times) and times[index] - last < CONVERGENCE_QUIET_S:
         last = times[index]
         count += 1
         index += 1
@@ -135,9 +129,7 @@ def containment_summary(simulation: "NetworkSimulation") -> Optional[Dict]:
     }
 
 
-def resilience_summary(
-    simulation: "NetworkSimulation", quiet_s: float = DEFAULT_QUIET_S
-) -> Dict:
+def resilience_summary(simulation: "NetworkSimulation") -> Dict:
     """Summarize recovery from every fault the run's injector applied.
 
     Returns a JSON-serializable dict: a ``faults`` list (one record per
@@ -151,7 +143,7 @@ def resilience_summary(
     timeline = simulation.timeline
     faults: List[Dict] = []
     for t0, kind, link_id in applied:
-        last, storm = _burst(times, t0, quiet_s)
+        last, storm = _burst(times, t0)
         reconverge_s = max(last - t0, 0.0)
         fraction: Optional[float] = None
         if timeline is not None:
@@ -176,7 +168,7 @@ def resilience_summary(
     ]
     monitor = getattr(simulation, "invariant_monitor", None)
     return {
-        "quiet_s": quiet_s,
+        "quiet_s": CONVERGENCE_QUIET_S,
         "faults": faults,
         "fault_count": len(faults),
         "flap_transitions": (

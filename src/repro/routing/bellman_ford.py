@@ -31,12 +31,11 @@ QUEUE_METRIC_CONSTANT = 4.0
 INFINITY_THRESHOLD = 1000.0
 
 
-def queue_length_metric(queue_length: int,
-                        constant: float = QUEUE_METRIC_CONSTANT) -> float:
+def queue_length_metric(queue_length: int) -> float:
     """The 1969 link metric: instantaneous queue length + constant."""
     if queue_length < 0:
         raise ValueError(f"queue length must be >= 0, got {queue_length}")
-    return float(queue_length) + constant
+    return float(queue_length) + QUEUE_METRIC_CONSTANT
 
 
 @dataclass

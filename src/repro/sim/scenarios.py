@@ -1,12 +1,15 @@
 """Canned scenarios: the paper's study configurations, ready to run.
 
-Each scenario bundles a topology, metric, traffic matrix and run
-configuration.  They are the single source of truth shared by the
-experiment harness, the CLI (``python -m repro simulate --scenario``)
-and downstream users who want "the paper's setup" in one call:
+Each scenario bundles a topology, metric and traffic matrix; the run
+itself is shaped by a :class:`~repro.sim.network_sim.ScenarioConfig`
+alone.  They are the single source of truth shared by the experiment
+harness, the CLI (``python -m repro simulate --scenario``) and
+downstream users who want "the paper's setup" in one call:
 
+>>> from repro.sim import ScenarioConfig
 >>> from repro.sim.scenarios import build_scenario
->>> sim = build_scenario("aug87", duration_s=60.0, warmup_s=10.0)
+>>> config = ScenarioConfig(duration_s=60.0, warmup_s=10.0)
+>>> sim = build_scenario("aug87", config)
 >>> report = sim.run()
 >>> report.metric_name
 'HN-SPF'
@@ -183,31 +186,15 @@ def scenario_names() -> list:
     return sorted(name for name in _BUILDERS if not name.startswith("_"))
 
 
-def build_scenario(
-    name: str,
-    duration_s: float = 300.0,
-    warmup_s: float = 60.0,
-    seed: int = 3,
-    config: Optional[ScenarioConfig] = None,
-):
+def build_scenario(name: str, config: Optional[ScenarioConfig] = None):
     """Build a ready-to-run simulation for a named scenario.
 
-    Parameters
-    ----------
-    name:
-        One of :func:`scenario_names`.
-    duration_s, warmup_s, seed:
-        Run shape (ignored if an explicit ``config`` is given).
-    config:
-        Full configuration override.
+    ``name`` is one of :func:`scenario_names`; ``config`` shapes the run
+    (``None`` is ``ScenarioConfig()``).
     """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         known = ", ".join(scenario_names())
         raise KeyError(f"unknown scenario {name!r}; known: {known}") from None
-    if config is None:
-        config = ScenarioConfig(
-            duration_s=duration_s, warmup_s=warmup_s, seed=seed
-        )
     return builder(config)

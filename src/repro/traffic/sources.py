@@ -89,13 +89,12 @@ class PoissonSource:
     emit:
         Callback invoked with ``(src, dst, size_bits)`` for each packet;
         the network simulation injects the packet at the source PSN.
-    mean_packet_bits:
-        Average packet size (exponential distribution).
+
+    Sizes are exponential with mean ``AVERAGE_PACKET_BITS``.
     """
 
     __slots__ = (
-        "sim", "src", "dst", "rate_bps", "emit", "mean_packet_bits",
-        "packets_per_s", "_mean_gap", "_streams", "_seed", "_rng",
+        "sim", "src", "dst", "rate_bps", "emit", "packets_per_s", "_mean_gap", "_streams", "_seed", "_rng",
         "_train", "_fire_b",
     )
 
@@ -107,21 +106,15 @@ class PoissonSource:
         dst: int,
         rate_bps: float,
         emit: Callable[[int, int, float], None],
-        mean_packet_bits: float = AVERAGE_PACKET_BITS,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive, got {rate_bps}")
-        if mean_packet_bits <= 0:
-            raise ValueError(
-                f"packet size must be positive, got {mean_packet_bits}"
-            )
         self.sim = sim
         self.src = src
         self.dst = dst
         self.rate_bps = rate_bps
         self.emit = emit
-        self.mean_packet_bits = mean_packet_bits
-        self.packets_per_s = rate_bps / mean_packet_bits
+        self.packets_per_s = rate_bps / AVERAGE_PACKET_BITS
         self._mean_gap = 1.0 / self.packets_per_s
         self._streams: Optional[RandomStreams] = streams
         #: The flow's stream seed, from the first train on.
@@ -142,13 +135,13 @@ class PoissonSource:
 
         The draws replay the per-packet sequence verbatim: one gap with
         mean ``1/packets_per_s`` then one size with mean
-        ``mean_packet_bits``, per packet, from this flow's stream --
+        ``AVERAGE_PACKET_BITS``, per packet, from this flow's stream --
         including the exact ``1.0 / mean`` lambda arithmetic
         ``RandomStreams.exponential`` performs.  ``expovariate`` is the
         bound method of the generator at the stream's current position.
         """
         gap_lambd = 1.0 / self._mean_gap
-        size_lambd = 1.0 / self.mean_packet_bits
+        size_lambd = 1.0 / AVERAGE_PACKET_BITS
         train = self._train
         append = train.append
         when = base_s
@@ -183,13 +176,9 @@ def start_sources(
     streams: RandomStreams,
     matrix: TrafficMatrix,
     emit: Callable[[int, int, float], None],
-    mean_packet_bits: float = AVERAGE_PACKET_BITS,
 ) -> List[PoissonSource]:
     """Start one :class:`PoissonSource` per demand in ``matrix``."""
     return [
-        PoissonSource(
-            sim, streams, src, dst, bps, emit,
-            mean_packet_bits=mean_packet_bits,
-        )
+        PoissonSource(sim, streams, src, dst, bps, emit)
         for (src, dst), bps in matrix
     ]

@@ -27,6 +27,11 @@ MAX_ROUTING_UNITS = 255
 #: Delay-measurement averaging interval in both D-SPF and HN-SPF (seconds).
 MEASUREMENT_INTERVAL_S = 10.0
 
+#: Burst gap: routing activity closer than this chains into one storm
+#: (resilience summary) or convergence episode (trace spans).  Half the
+#: measurement interval, so two ordinary periodic reports never merge.
+CONVERGENCE_QUIET_S = MEASUREMENT_INTERVAL_S / 2.0
+
 #: Update cost advertising a dead link (anything >= this maps to inf).
 DOWN_COST = 2 ** 20
 

@@ -90,9 +90,3 @@ class TestSignificanceCriterion:
     def test_validation(self):
         with pytest.raises(ValueError):
             SignificanceCriterion(-1)
-        with pytest.raises(ValueError):
-            SignificanceCriterion(10, measurement_interval_s=0.0)
-        with pytest.raises(ValueError):
-            SignificanceCriterion(
-                10, measurement_interval_s=60.0, max_update_interval_s=50.0
-            )

@@ -14,16 +14,16 @@ from repro.traffic import TrafficMatrix
 def test_burst_chains_updates_within_the_quiet_gap():
     times = [10.0, 11.0, 13.0, 30.0, 31.0]
     # From t0=9: 10, 11, 13 chain (gaps < 5); 30 is past the gap.
-    assert _burst(times, 9.0, 5.0) == (13.0, 3)
+    assert _burst(times, 9.0) == (13.0, 3)
     # From t0=29 only the trailing pair chains.
-    assert _burst(times, 29.0, 5.0) == (31.0, 2)
-    # No update within quiet_s of t0: an empty burst.
-    assert _burst(times, 20.0, 5.0) == (20.0, 0)
-    assert _burst([], 5.0, 5.0) == (5.0, 0)
-    # A gap of exactly quiet_s splits the burst (13 -> 18 is 5.0 s),
+    assert _burst(times, 29.0) == (31.0, 2)
+    # No update within the 5-s quiet gap of t0: an empty burst.
+    assert _burst(times, 20.0) == (20.0, 0)
+    assert _burst([], 5.0) == (5.0, 0)
+    # A gap of exactly 5 s splits the burst (13 -> 18),
     # the same strict rule convergence_episodes applies.
-    assert _burst([10.0, 13.0, 18.0], 9.0, 5.0) == (13.0, 2)
-    assert _burst([14.0], 9.0, 5.0) == (9.0, 0)
+    assert _burst([10.0, 13.0, 18.0], 9.0) == (13.0, 2)
+    assert _burst([14.0], 9.0) == (9.0, 0)
 
 
 def test_delivery_timeline_fraction():

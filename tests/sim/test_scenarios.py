@@ -24,8 +24,12 @@ def test_unknown_scenario_lists_known():
         build_scenario("nsfnet")
 
 
+#: The short run shape these tests build their scenarios with.
+SHORT = ScenarioConfig(duration_s=30.0, warmup_s=5.0, seed=3)
+
+
 def test_may87_is_dspf_on_arpanet():
-    sim = build_scenario("may87", duration_s=30.0, warmup_s=5.0)
+    sim = build_scenario("may87", SHORT)
     assert isinstance(sim, NetworkSimulation)
     assert sim.metric.name == "D-SPF"
     assert len(sim.network) == 57
@@ -33,29 +37,30 @@ def test_may87_is_dspf_on_arpanet():
 
 
 def test_aug87_offers_13_percent_more():
-    may = build_scenario("may87", duration_s=30.0, warmup_s=5.0)
-    aug = build_scenario("aug87", duration_s=30.0, warmup_s=5.0)
+    may = build_scenario("may87", SHORT)
+    aug = build_scenario("aug87", SHORT)
     assert aug.metric.name == "HN-SPF"
     assert aug.traffic.total_bps() / may.traffic.total_bps() == \
         pytest.approx(1.13, abs=0.01)
 
 
 def test_1969_scenario_is_bellman_ford():
-    sim = build_scenario("arpanet-1969", duration_s=30.0, warmup_s=5.0)
+    sim = build_scenario("arpanet-1969", SHORT)
     assert isinstance(sim, BellmanFordSimulation)
 
 
 def test_explicit_config_wins():
+    """The run takes the config it is given, else ScenarioConfig()."""
     config = ScenarioConfig(duration_s=42.0, warmup_s=1.0, seed=9)
-    sim = build_scenario("two-region-hnspf", duration_s=999.0,
-                         config=config)
-    assert sim.config.duration_s == 42.0
-    assert sim.config.seed == 9
+    assert build_scenario("two-region-hnspf", config).config is config
+    assert build_scenario("two-region-hnspf").config == ScenarioConfig()
 
 
 @pytest.mark.slow
 def test_scenarios_actually_run():
     for name in scenario_names():
-        sim = build_scenario(name, duration_s=40.0, warmup_s=10.0)
+        sim = build_scenario(
+            name, ScenarioConfig(duration_s=40.0, warmup_s=10.0, seed=3)
+        )
         report = sim.run()
         assert report.delivered_packets > 0, name

@@ -19,7 +19,7 @@ import functools
 
 import pytest
 
-from repro.sim import build_scenario
+from repro.sim import ScenarioConfig, build_scenario
 
 DURATION_S = 180.0
 WARMUP_S = 60.0
@@ -28,7 +28,9 @@ WARMUP_S = 60.0
 @functools.lru_cache(maxsize=None)
 def _run(name):
     """``(N, L, report, retransmissions after the warm-up)`` of one run."""
-    simulation = build_scenario(name, duration_s=DURATION_S, warmup_s=WARMUP_S)
+    simulation = build_scenario(name, ScenarioConfig(
+        duration_s=DURATION_S, warmup_s=WARMUP_S, seed=3
+    ))
     psns = simulation.psns.values()
     at_warmup = []
     simulation.sim.call_in(WARMUP_S, lambda: at_warmup.append(

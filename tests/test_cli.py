@@ -57,7 +57,7 @@ def test_experiment_command(capsys):
 def test_experiment_command_takes_the_runners_flags(capsys):
     # One runner: python -m repro experiment accepts every argument of
     # python -m repro.experiments.
-    assert main(["experiment", "fig5", "--fast", "--telemetry"]) == 0
+    assert main(["experiment", "fig5", "--fast"]) == 0
     out = capsys.readouterr().out
     assert "Figure 5" in out
     assert "[fig5 completed in" in out
@@ -120,17 +120,6 @@ def test_simulate_writes_chrome_trace_and_metrics(tmp_path):
     assert snapshots
     assert all(isinstance(json.loads(line), dict) for line in snapshots)
     assert "# TYPE " in prom_path.read_text()
-
-
-def test_experiments_runner_observability_flags(capsys, tmp_path):
-    from repro.experiments.__main__ import main as experiments_main
-
-    trace_dir = tmp_path / "traces"
-    assert experiments_main([
-        "fig1", "--fast", "--trace", str(trace_dir), "--telemetry",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "merged telemetry" in out or "no in-process runs" in out
 
 
 def test_simulate_with_fault_plan_and_invariants(capsys, tmp_path):

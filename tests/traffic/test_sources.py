@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from repro.des import RandomStreams, Simulator
-from repro.sim import build_scenario
+from repro.sim import ScenarioConfig, build_scenario
 from repro.traffic import PoissonSource, TrafficMatrix, start_sources
 from repro.traffic.sources import MIN_PACKET_BITS, TRAIN_LENGTH
 
@@ -32,7 +32,7 @@ def test_packet_rate_matches_mean_size():
     streams = RandomStreams(2)
     emissions = []
     PoissonSource(sim, streams, 0, 1, rate_bps=6_000.0,
-                  emit=collect(emissions), mean_packet_bits=600.0)
+                  emit=collect(emissions))
     sim.run(until=300.0)
     # 6000 bps / 600 bits = 10 packets/s.
     assert len(emissions) / 300.0 == pytest.approx(10.0, rel=0.1)
@@ -53,9 +53,6 @@ def test_rejects_bad_parameters():
     streams = RandomStreams(0)
     with pytest.raises(ValueError):
         PoissonSource(sim, streams, 0, 1, rate_bps=0.0, emit=lambda *a: None)
-    with pytest.raises(ValueError):
-        PoissonSource(sim, streams, 0, 1, rate_bps=10.0,
-                      emit=lambda *a: None, mean_packet_bits=0.0)
 
 
 def test_reproducible_across_runs():
@@ -120,7 +117,6 @@ def test_trains_replay_the_per_packet_draws_exactly():
     PoissonSource(
         sim, RandomStreams(11), 4, 9, rate_bps=60_000.0,
         emit=lambda s, d, b: emitted.append((sim.now, b)),
-        mean_packet_bits=600.0,
     )
     sim.run(until=3.0)
     assert len(emitted) >= max(200, 3 * TRAIN_LENGTH)
@@ -148,8 +144,7 @@ def test_slow_flow_rebuilds_its_generator_once_and_replays_exactly():
         held.append(source._rng)
 
     # 0.1 packets/s: each train of 64 lasts about ten minutes.
-    source = PoissonSource(sim, streams, 2, 5, rate_bps=60.0, emit=emit,
-                           mean_packet_bits=600.0)
+    source = PoissonSource(sim, streams, 2, 5, rate_bps=60.0, emit=emit)
     sim.run(until=4_000.0)
     assert len(emitted) >= 4 * TRAIN_LENGTH
     # The second train starts long after the first.
@@ -195,7 +190,9 @@ def test_aug87_caches_no_flow_or_psn_stream():
     """Flows and PSNs draw from throwaway generators: after the first
     second of ``aug87`` (every source started) the run's streams hold
     none of their names."""
-    simulation = build_scenario("aug87", duration_s=1.0, warmup_s=0.0)
+    simulation = build_scenario(
+        "aug87", ScenarioConfig(duration_s=1.0, warmup_s=0.0, seed=3)
+    )
     simulation.run()
     cached = list(simulation.streams._streams)
     assert not [n for n in cached if n.startswith(("flow-", "psn-"))]
