@@ -171,6 +171,43 @@ def test_min_hop_distance_is_zero_when_unreachable():
     assert stats.min_hop_distance(3, 3) == 0
 
 
+def _string_with_middle(simulation_class, *metric):
+    network = build_string_network(4)
+    simulation = simulation_class(
+        network, *metric, TrafficMatrix.uniform(network, 4_000.0),
+        ScenarioConfig(duration_s=30.0, warmup_s=1.0, seed=3),
+    )
+    return simulation, network.links_between(1, 2)[0].link_id
+
+
+def test_min_hops_follow_circuit_failure_and_restore():
+    """Rows computed before a circuit fails go with it: on a 4-node
+    string whose middle circuit is down, neither end reaches the other,
+    whichever asked first, and both read 3 again after the restore."""
+    simulation, middle = _string_with_middle(
+        NetworkSimulation, HopNormalizedMetric()
+    )
+    stats = simulation.stats
+    assert stats.min_hop_distance(0, 3) == 3
+    simulation.fail_circuit_at(middle, at_s=5.0)
+    simulation.restore_circuit_at(middle, at_s=15.0)
+    simulation.run(until_s=10.0)
+    assert stats.min_hop_distance(0, 3) == 0
+    assert stats.min_hop_distance(3, 0) == 0
+    simulation.run(until_s=20.0)
+    assert stats.min_hop_distance(0, 3) == 3
+    assert stats.min_hop_distance(3, 0) == 3
+
+
+def test_bellman_ford_min_hops_follow_circuit_failure():
+    simulation, middle = _string_with_middle(BellmanFordSimulation)
+    stats = simulation.stats
+    assert stats.min_hop_distance(0, 3) == 3
+    simulation.fail_circuit_at(middle, at_s=5.0)
+    simulation.run(until_s=10.0)
+    assert stats.min_hop_distance(0, 3) == 0
+
+
 def test_empty_report_has_no_nans_where_counts_exist(net):
     stats = StatsCollector(net)
     report = stats.report("empty", 100.0)
