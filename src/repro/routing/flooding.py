@@ -167,7 +167,8 @@ class FloodingState:
         #: time) for every update sent and not yet acknowledged.  A newer
         #: update from the same origin replaces the older one in place,
         #: so the scan order is the order origins were first sent on a
-        #: link.
+        #: link.  :meth:`retransmit_tick` replaces a drained ledger with
+        #: a fresh dict, so hold ``unacked`` by this attribute only.
         self.unacked: Dict[Tuple[int, int], Tuple[RoutingUpdate, float]] = {}
         self.stats = FloodingStats()
         #: Own link -> the cost this node last advertised for it.
@@ -417,7 +418,12 @@ class FloodingState:
     def retransmit_tick(self) -> None:
         """Resend every update unacknowledged for a retransmit period."""
         unacked = self.unacked
-        if not unacked or self.stuck:
+        if not unacked:
+            # Dicts do not shrink on ``del``: a ledger drained after the
+            # boot flood would keep its peak capacity for the whole run.
+            self.unacked = {}
+            return
+        if self.stuck:
             return
         now = self.clock.now
         overdue: Dict[int, list] = {}

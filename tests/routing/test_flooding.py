@@ -1,5 +1,7 @@
 """Unit tests for the flooding protocol logic."""
 
+import sys
+
 import pytest
 
 from repro.routing import FloodingState, RoutingUpdate
@@ -152,3 +154,24 @@ def test_ledger_keeps_the_newest_copy_until_its_ack(ring):
     assert state.unacked == {(out, 0): (new, 2.0)}
     state.note_acked(out, new)
     assert state.unacked == {}
+
+
+def test_drained_ledger_is_back_to_empty_dict_size():
+    """Dicts keep their capacity on ``del``: once every entry is acked,
+    the next retransmit tick hands the ledger a fresh, empty-sized dict."""
+    network = build_ring_network(64)
+    state = FloodingState(network, 0)
+    out = network.out_links(0)[0].link_id
+    updates = [
+        FloodingState(network, node).originate(_report(network, node, 40))
+        for node in network.nodes
+    ]
+    for update in updates:
+        state.note_sent(out, update, 1.0)
+    for update in updates:
+        state.note_acked(out, update)
+    assert state.unacked == {}
+    assert sys.getsizeof(state.unacked) > sys.getsizeof({})
+    state.retransmit_tick()
+    assert state.unacked == {}
+    assert sys.getsizeof(state.unacked) == sys.getsizeof({})
