@@ -19,12 +19,15 @@ transmitter at every hop -- so the wire is an **analytic priority
 server**: a packet's departure and arrival times are computed when it
 *starts* transmitting (``depart = start + bits / rate``, ``arrive =
 depart + propagation``), and its arrival is the only kernel entry it
-costs per hop.  Committed packets wait in a FIFO ``_flight`` of
-``(arrive_s, packet, delay_s)`` entries; only its head holds a
-``call_in`` entry, and each arrival schedules the next.  ``delay_s`` is
-the hop's measured delay, fixed at commit -- queueing + processing +
-transmission + propagation, summed left to right -- and only a data
-packet's is ever read.
+costs per hop.  Committed packets wait in a FIFO ``_flight`` deque, each
+packet its own entry: the commit writes its ``arrive_s`` and its
+``hop_delay_s`` onto it.  Only the head holds a ``call_in`` entry, and
+each arrival schedules the next.  ``hop_delay_s`` is the hop's measured
+delay -- queueing + processing + transmission + propagation, summed left
+to right -- and only a data packet's is ever read.  The two waiting
+queues are plain lists (an empty one is 56 bytes, an empty deque 760):
+they stay short -- at most 86 control packets in the 256-node boot
+flood's peak -- so taking the head is a short move.
 
 **The commit rule.**  ``_wire_free`` is when the last committed packet's
 last bit leaves the wire.  Waiting packets are committed lazily: whenever
@@ -68,7 +71,7 @@ once its PSNs exist; until then transit data goes to ``deliver`` too.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.des import Simulator
 from repro.metrics.queueing import service_time_s
@@ -152,9 +155,9 @@ class LinkTransmitter:
         self.error_rng = error_rng
         self.line_error_losses = 0
         #: Packets that have not started transmitting yet.
-        self._data: deque = deque()
+        self._data: List[Packet] = []
         self._capacity = buffer_packets
-        self._control: deque = deque()
+        self._control: List[Packet] = []
         # Immutable line characteristics, copied out of the Link so the
         # per-packet path never chases link -> line_type attributes.
         self._bandwidth_bps = link.bandwidth_bps
@@ -162,9 +165,8 @@ class LinkTransmitter:
         self._far = link.dst
         #: When the last committed packet's last bit leaves the wire.
         self._wire_free = float("-inf")
-        #: Committed packets in arrival order:
-        #: ``(arrive_s, packet, delay_s)``.  The head, and only the head,
-        #: holds a kernel entry.
+        #: Committed packets in arrival order (``packet.arrive_s``).  The
+        #: head, and only the head, holds a kernel entry.
         self._flight: deque = deque()
         #: Wire time committed and not yet handed to a utilization read.
         self.busy_s = 0.0
@@ -247,16 +249,13 @@ class LinkTransmitter:
         control, data = self._control, self._data
         while self._wire_free <= now and (control or data):
             if not control:
-                packet = data.popleft()
+                packet = data.pop(0)
             elif self.reorder_control is not None and len(control) > 1:
-                # Pull a non-head packet (bounded reordering): O(k)
-                # rotates on a fault-injected circuit only.
-                index = self.reorder_control(len(control))
-                control.rotate(-index)
-                packet = control.popleft()
-                control.rotate(index)
+                # Pull a non-head packet (bounded reordering, on a
+                # fault-injected circuit only).
+                packet = control.pop(self.reorder_control(len(control)))
             else:
-                packet = control.popleft()
+                packet = control.pop(0)
             self._commit(packet, self._wire_free)
 
     def _commit(self, packet: Packet, start: float) -> None:
@@ -264,30 +263,31 @@ class LinkTransmitter:
         transmission_s = packet.size_bits / self._bandwidth_bps
         depart = self._wire_free = start + transmission_s
         self.busy_s += transmission_s
-        arrive = depart + self._propagation_s
-        flight = self._flight
-        if not flight:
-            self._call_in(arrive - self.sim.now, self._arrive_b)
-        flight.append((
-            arrive, packet,
+        arrive = packet.arrive_s = depart + self._propagation_s
+        packet.hop_delay_s = (
             (start - packet.enqueued_s)
             + PROCESSING_DELAY_S
             + transmission_s
-            + self._propagation_s,
-        ))
+            + self._propagation_s
+        )
+        flight = self._flight
+        if not flight:
+            self._call_in(arrive - self.sim.now, self._arrive_b)
+        flight.append(packet)
 
     def _arrive(self) -> None:
         """The head of the flight finished propagating; hand it on."""
         flight = self._flight
-        _, packet, delay_s = flight.popleft()
+        packet = flight.popleft()
         now = self.sim.now
         if flight:
-            self._call_in(flight[0][0] - now, self._arrive_b)
+            self._call_in(flight[0].arrive_s - now, self._arrive_b)
         if self._control or self._data:
             self._advance(now)
         kind = packet.kind
         if kind is _DATA:
             self.data_bits_sent += packet.size_bits
+            delay_s = packet.hop_delay_s
             if delay_s < 0:
                 raise ValueError(f"delay must be >= 0, got {delay_s}")
             self.delay_sum_s += delay_s

@@ -26,7 +26,7 @@ from repro.obs.tracer import SPF_BATCH_REPAIR, UPDATE_GENERATED, Tracer
 from repro.psn.flow_control import RFNM_BITS, HostInterface
 from repro.psn.interfaces import LinkTransmitter
 from repro.psn.measurement import SignificanceCriterion
-from repro.psn.packet import Packet, PacketKind, next_packet_id
+from repro.psn.packet import Packet, PacketKind
 from repro.routing.defense import PURGE_INTERVAL_S, DefensePolicy
 from repro.routing.flooding import (
     UPDATE_RETRANSMIT_S, FloodingState, RoutingUpdate, lineage,
@@ -242,15 +242,12 @@ class Psn:
             self.host.submit(dst, size_bits)
             return
         self.forward(
-            Packet(next_packet_id(), _DATA, self.node_id, dst, size_bits, now)
+            Packet(_DATA, self.node_id, dst, size_bits, now)
         )
 
     def _inject_now(self, dst: int, size_bits: float) -> None:
         """The host interface's send: a message the window admitted."""
-        self.forward(Packet(
-            next_packet_id(), _DATA, self.node_id, dst, size_bits,
-            self.sim.now,
-        ))
+        self.forward(Packet(_DATA, self.node_id, dst, size_bits, self.sim.now))
 
     def receive(self, packet: Packet, via: Link) -> None:
         """Handle a packet delivered by a neighbour's transmitter.
@@ -281,8 +278,8 @@ class Psn:
     def _send_rfnm(self, delivered: Packet) -> None:
         """Acknowledge a delivered message back to its source PSN."""
         self.forward(Packet(
-            next_packet_id(), PacketKind.RFNM, self.node_id, delivered.src,
-            RFNM_BITS, self.sim.now,
+            PacketKind.RFNM, self.node_id, delivered.src, RFNM_BITS,
+            self.sim.now,
         ))
 
     def forward(self, packet: Packet) -> None:

@@ -21,6 +21,8 @@ the neighbour acknowledges it, and every received copy -- fresh or
 duplicate -- is acknowledged, since a duplicate usually means our
 earlier acknowledgement was lost.  The ledger holds at most one update
 per (link, origin): a node's newer report supersedes its older one.
+It is keyed by one int per pair (:meth:`FloodingState.ledger_key`), and
+every copy of one flood shares one ``(update, send time)`` value.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.obs.tracer import (
     UPDATE_SUPPRESSED,
     Tracer,
 )
-from repro.psn.packet import Packet, PacketKind, next_packet_id
+from repro.psn.packet import Packet, PacketKind
 from repro.routing.defense import DefensePolicy, NodeDefense
 from repro.routing.spf import UNREACHABLE
 from repro.topology.graph import Link, Network
@@ -163,13 +165,17 @@ class FloodingState:
         self._highest_seen: List[int] = [0] * len(network.nodes)
         #: Sequence number of this node's latest origination.
         self._own_sequence = 0
-        #: Retransmission ledger: (link id, origin) -> (update, send
-        #: time) for every update sent and not yet acknowledged.  A newer
-        #: update from the same origin replaces the older one in place,
-        #: so the scan order is the order origins were first sent on a
-        #: link.  :meth:`retransmit_tick` replaces a drained ledger with
-        #: a fresh dict, so hold ``unacked`` by this attribute only.
-        self.unacked: Dict[Tuple[int, int], Tuple[RoutingUpdate, float]] = {}
+        #: Retransmission ledger: :meth:`ledger_key` ``(link id,
+        #: origin)`` -> ``(update, send time)`` for every update sent and
+        #: not yet acknowledged.  The copies of one flood share one value
+        #: tuple.  A newer update from the same origin replaces the older
+        #: one in place, so the scan order is the order origins were
+        #: first sent on a link.  :meth:`retransmit_tick` replaces a
+        #: drained ledger with a fresh dict, so hold ``unacked`` by this
+        #: attribute only.
+        self.unacked: Dict[int, Tuple[RoutingUpdate, float]] = {}
+        #: The ledger key's link stride: one slot per origin node id.
+        self._origins = len(network.nodes)
         self.stats = FloodingStats()
         #: Own link -> the cost this node last advertised for it.
         self.advertised: Dict[int, int] = {}
@@ -194,6 +200,10 @@ class FloodingState:
     def highest_seen(self, origin: int) -> int:
         """Highest sequence on record from ``origin`` (0: none)."""
         return self._highest_seen[origin]
+
+    def ledger_key(self, link_id: int, origin: int) -> int:
+        """The :attr:`unacked` key of ``origin``'s update on ``link_id``."""
+        return link_id * self._origins + origin
 
     # ------------------------------------------------------------------
     # Origination
@@ -308,8 +318,8 @@ class FloodingState:
         # duplicate usually means our earlier ACK was lost.
         if ack is not None:
             ack.send(Packet(
-                next_packet_id(), _UPDATE_ACK, self.node_id,
-                via.src, ACK_PACKET_BITS, now, update,
+                _UPDATE_ACK, self.node_id, via.src, ACK_PACKET_BITS, now,
+                update,
             ))
         defense = self.defense
         if defense is not None:
@@ -357,25 +367,26 @@ class FloodingState:
         self, update: RoutingUpdate, copies: Tuple[Tuple[int, object], ...],
         now: float,
     ) -> None:
-        """Send one copy of ``update`` per plan entry; count them."""
-        packet = self._armed_packet
+        """Send one copy of ``update`` per plan entry; count them.
+
+        Every copy's ledger entry (the write :meth:`note_sent` defines)
+        holds the same ``(update, now)`` value.
+        """
+        entry = (update, now)
+        unacked = self.unacked
+        stride = self._origins
+        origin = update.origin
+        node_id = self.node_id
         for link_id, transmitter in copies:
-            transmitter.send(packet(update, link_id, now))
+            packet = Packet(
+                _ROUTING_UPDATE, node_id, None, UPDATE_PACKET_BITS, now,
+                update,
+            )
+            unacked[link_id * stride + origin] = entry
+            transmitter.send(packet)
         self.stats.forwarded += len(copies)
         if self._trace is not None:
             self._emit(UPDATE_FLOODED, update, value=len(copies))
-
-    def _armed_packet(
-        self, update: RoutingUpdate, link_id: int, now: float
-    ) -> Packet:
-        """An update packet for ``link_id``, its ledger entry armed
-        (:meth:`note_sent`, inline)."""
-        packet = Packet(
-            next_packet_id(), _ROUTING_UPDATE, self.node_id, None,
-            UPDATE_PACKET_BITS, now, update,
-        )
-        self.unacked[(link_id, update.origin)] = (update, now)
-        return packet
 
     def note_received(
         self, link_id: int, update: Optional[RoutingUpdate]
@@ -400,20 +411,18 @@ class FloodingState:
         A newer update from the same origin supersedes any older one
         still awaiting its acknowledgement on this link.
         """
-        self.unacked[(link_id, update.origin)] = (update, now)
+        self.unacked[self.ledger_key(link_id, update.origin)] = (update, now)
 
-    def note_acked(
-        self, link_id: Optional[int], update: RoutingUpdate
-    ) -> None:
+    def note_acked(self, link_id: int, update: RoutingUpdate) -> None:
         """The neighbour behind ``link_id`` acknowledged ``update``.
 
         Retires the ledger entry unless it holds a newer sequence (the
         acknowledgement is for a copy that entry has since replaced).
         """
-        entry = (link_id, update.origin)
-        pending = self.unacked.get(entry)
+        key = link_id * self._origins + update.origin
+        pending = self.unacked.get(key)
         if pending is not None and pending[0].sequence <= update.sequence:
-            del self.unacked[entry]
+            del self.unacked[key]
 
     def retransmit_tick(self) -> None:
         """Resend every update unacknowledged for a retransmit period."""
@@ -426,10 +435,11 @@ class FloodingState:
         if self.stuck:
             return
         now = self.clock.now
+        stride = self._origins
         overdue: Dict[int, list] = {}
-        for (link_id, _origin), (update, sent_at) in unacked.items():
+        for key, (update, sent_at) in unacked.items():
             if now - sent_at >= UPDATE_RETRANSMIT_S:
-                overdue.setdefault(link_id, []).append(update)
+                overdue.setdefault(key // stride, []).append(update)
         for link_id, updates in overdue.items():
             if not self.network.link(link_id).up:
                 continue
@@ -446,13 +456,19 @@ class FloodingState:
             # overdue batch, one update per origin, each carrying all
             # of that node's link costs in one packet.
             for update in updates:
-                transmitter.send(self._armed_packet(update, link_id, now))
+                packet = Packet(
+                    _ROUTING_UPDATE, self.node_id, None, UPDATE_PACKET_BITS,
+                    now, update,
+                )
+                self.note_sent(link_id, update, now)
+                transmitter.send(packet)
                 self.stats.retransmitted += 1
 
     def link_down(self, link_id: int) -> None:
         """Drop a dead link's ledger entries: they would never be acked,
         and the neighbour re-learns everything when the link returns."""
-        for key in [k for k in self.unacked if k[0] == link_id]:
+        stride = self._origins
+        for key in [k for k in self.unacked if k // stride == link_id]:
             del self.unacked[key]
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 from repro.des import RandomStreams, Simulator
 from repro.psn.interfaces import LinkTransmitter
-from repro.psn.packet import Packet, PacketKind, next_packet_id
+from repro.psn.packet import Packet, PacketKind
 from repro.psn.node import MAX_HOPS
 from repro.routing.bellman_ford import BellmanFordNode, queue_length_metric
 from repro.sim.network_sim import ScenarioConfig
@@ -103,19 +103,15 @@ class _LegacyNode:
             if transmitter is None:
                 continue
             packet = Packet(
-                next_packet_id(), PacketKind.DISTANCE_VECTOR, self.node_id,
-                neighbour, self._vector_bits, self.sim.now, None,
-                dict(snapshot),
+                PacketKind.DISTANCE_VECTOR, self.node_id, neighbour,
+                self._vector_bits, self.sim.now, None, dict(snapshot),
             )
             transmitter.send(packet)
             self.vectors_sent += 1
 
     # ------------------------------------------------------------------
     def inject(self, src: int, dst: int, size_bits: float) -> None:
-        packet = Packet(
-            next_packet_id(), PacketKind.DATA, src, dst, size_bits,
-            self.sim.now,
-        )
+        packet = Packet(PacketKind.DATA, src, dst, size_bits, self.sim.now)
         self.stats.packet_offered(self.sim.now)
         self.forward(packet)
 

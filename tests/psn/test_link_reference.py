@@ -125,6 +125,9 @@ def transmitter(program, capacity, propagation_s, outage):
     sim = Simulator()
     deliveries, drops, samples, reads = [], [], [], []
     delay_reads, since_read = [], []
+    # Packets have no id: each is named by its program index, looked up
+    # by identity (``sent`` keeps every packet alive, so ids stay unique).
+    sent, index_of = [], {}
     zero_load = 600.0 / RATE_BPS + propagation_s + PROCESSING_DELAY_S
 
     def read_delay():
@@ -134,9 +137,11 @@ def transmitter(program, capacity, propagation_s, outage):
 
     tx = LinkTransmitter(
         sim, link,
-        lambda packet, _link: deliveries.append((packet.packet_id, sim.now)),
+        lambda packet, _link: deliveries.append(
+            (index_of[id(packet)], sim.now)
+        ),
         buffer_packets=capacity,
-        on_drop=lambda packet, _link: drops.append(packet.packet_id),
+        on_drop=lambda packet, _link: drops.append(index_of[id(packet)]),
     )
 
     def tap(delay_s):
@@ -154,10 +159,13 @@ def transmitter(program, capacity, propagation_s, outage):
             link.up = True
             read_delay()
         if operation[0] == "send":
-            tx.send(Packet(
-                packet_id=index, kind=operation[1], src=a, dst=b,
+            packet = Packet(
+                kind=operation[1], src=a, dst=b,
                 size_bits=operation[2], created_s=sim.now,
-            ))
+            )
+            sent.append(packet)
+            index_of[id(packet)] = index
+            tx.send(packet)
         elif operation[0] == "util":
             reads.append(tx.take_utilization(operation[1]))
             read_delay()

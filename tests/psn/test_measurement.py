@@ -21,7 +21,7 @@ def _transmitter():
 
 def _send(sim, tx, size_bits=5600.0):
     tx.send(Packet(
-        packet_id=0, kind=PacketKind.DATA, src=0, dst=1,
+        kind=PacketKind.DATA, src=0, dst=1,
         size_bits=size_bits, created_s=sim.now,
     ))
 

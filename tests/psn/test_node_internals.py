@@ -88,10 +88,7 @@ def test_bundle_carries_every_own_link():
     rows = len(sim.stats.cost_history)
 
     def pending_on(link_id):
-        [(update, _t)] = [
-            entry for (link, _origin), entry in psn.flooding.unacked.items()
-            if link == link_id
-        ]
+        update, _t = psn.flooding.unacked[psn.flooding.ledger_key(link_id, 0)]
         return dict(update.costs)
 
     psn.advertise({moved: 77})
@@ -113,7 +110,7 @@ def test_update_packet_without_payload_raises():
     sim = build_sim(net)
     sim.run(until_s=1.0)
     bogus = Packet(
-        packet_id=10 ** 9, kind=PacketKind.ROUTING_UPDATE,
+        kind=PacketKind.ROUTING_UPDATE,
         src=1, dst=None, size_bits=UPDATE_PACKET_BITS, created_s=1.0,
     )
     via = net.links_between(1, 0)[0]

@@ -81,7 +81,7 @@ def simulate(rho, buffer_packets, seed=1):
     def arrive():
         lost.append(0)
         tx.send(Packet(
-            packet_id=len(lost), kind=PacketKind.DATA, src=a, dst=b,
+            kind=PacketKind.DATA, src=a, dst=b,
             size_bits=rng.expovariate(1.0 / MEAN_BITS), created_s=sim.now,
         ))
         gap = rng.expovariate(lam)

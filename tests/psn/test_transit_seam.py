@@ -17,7 +17,6 @@ from repro.des import RandomStreams, Simulator
 from repro.metrics import HopNormalizedMetric
 from repro.psn import LinkTransmitter, Packet, PacketKind
 from repro.psn.node import DOWN_COST, MAX_HOPS, Psn
-from repro.psn.packet import next_packet_id
 from repro.routing.flooding import RoutingUpdate
 from repro.routing.spf import UNREACHABLE
 from repro.sim import NetworkSimulation, ScenarioConfig
@@ -120,8 +119,8 @@ def test_data_count_survives_interval_closes_and_line_losses():
     tx.on_delay_sample = arrivals.append
     for batch in range(4):
         for _ in range(50):
-            tx.send(Packet(next_packet_id(), DATA, 0, 1, 600.0, sim.now))
-            tx.send(Packet(next_packet_id(), UPDATE, 0, 1, 600.0, sim.now))
+            tx.send(Packet(DATA, 0, 1, 600.0, sim.now))
+            tx.send(Packet(UPDATE, 0, 1, 600.0, sim.now))
             sim.run(until=sim.now + 0.005)
         sim.run()
         assert tx.data_packets_sent == len(arrivals) == 50 * (batch + 1)
@@ -174,9 +173,7 @@ def _warm_ring():
 
 
 def _data_packet(simulation, hop_count=0):
-    packet = Packet(
-        next_packet_id(), DATA, 0, 2, 600.0, simulation.sim.now,
-    )
+    packet = Packet(DATA, 0, 2, 600.0, simulation.sim.now)
     packet.hop_count = hop_count
     return packet
 

@@ -75,8 +75,7 @@ def test_newer_update_supersedes_pending():
     # Only the newest is pending per (link, origin).
     pending = [
         dict(update.costs)[own_link]
-        for (link_id, _origin), (update, _t)
-        in psn.flooding.unacked.items()
+        for update, _t in psn.flooding.unacked.values()
     ]
     assert 40 not in pending
     assert pending.count(50) >= 1
@@ -93,9 +92,13 @@ def test_link_down_purges_pending():
     dead = net.out_links(0)[0].link_id
     psn = sim.psns[0]
     psn.advertise({dead: 60})
+    assert psn.flooding.ledger_key(dead, 0) in psn.flooding.unacked
     net.set_circuit_state(dead, up=False)
     psn.local_link_down(dead)
-    assert not any(l == dead for (l, _origin) in psn.flooding.unacked)
+    assert not any(
+        psn.flooding.ledger_key(dead, origin) in psn.flooding.unacked
+        for origin in net.nodes
+    )
 
 
 def test_no_retransmit_livelock_under_link_flaps():
@@ -121,11 +124,13 @@ def test_no_retransmit_livelock_under_link_flaps():
         0.05 * telemetry.update_packets_sent
     now = sim.sim.now
     for node_id, psn in sim.psns.items():
-        for (link_id, origin), (_update, sent_at) in \
-                psn.flooding.unacked.items():
-            if net.link(link_id).up:
-                assert now - sent_at < 5 * UPDATE_RETRANSMIT_S, \
-                    (node_id, link_id, origin)
+        ledger = psn.flooding.unacked
+        for link in net.out_links(node_id):
+            for origin in net.nodes:
+                entry = ledger.get(psn.flooding.ledger_key(link.link_id, origin))
+                if entry is not None:
+                    assert now - entry[1] < 5 * UPDATE_RETRANSMIT_S, \
+                        (node_id, link.link_id, origin)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,11 +1,12 @@
 """Unit tests for the flooding protocol logic."""
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.routing import FloodingState, RoutingUpdate
-from repro.topology import build_ring_network
+from repro.topology import build_grid_network, build_ring_network
 
 
 @pytest.fixture
@@ -149,11 +150,55 @@ def test_ledger_keeps_the_newest_copy_until_its_ack(ring):
     state.note_sent(out, old, 1.0)
     new = state.originate(_report(ring, 0, 50))
     state.note_sent(out, new, 2.0)
-    assert state.unacked == {(out, 0): (new, 2.0)}
+    assert state.unacked == {state.ledger_key(out, 0): (new, 2.0)}
     state.note_acked(out, old)  # a late ack for the superseded copy
-    assert state.unacked == {(out, 0): (new, 2.0)}
+    assert state.unacked == {state.ledger_key(out, 0): (new, 2.0)}
     state.note_acked(out, new)
     assert state.unacked == {}
+
+
+def test_ledger_keys_are_one_int_per_link_and_origin():
+    network = build_grid_network(3, 3)
+    state = FloodingState(network, 4)
+    keys = {
+        state.ledger_key(link.link_id, origin)
+        for link in network.links for origin in network.nodes
+    }
+    assert all(type(key) is int for key in keys)
+    assert len(keys) == len(network.links) * len(network.nodes)
+
+
+class _Wire:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, packet):
+        self.sent.append(packet)
+
+
+def test_one_flood_shares_one_ledger_value():
+    """Every copy of one flood arms its ledger entry with the same
+    ``(update, send time)`` object; the next flood gets its own."""
+    network = build_grid_network(3, 3)
+    hub = 4  # the centre: four circuits
+    clock = SimpleNamespace(now=1.5)
+    wires = {link.link_id: _Wire() for link in network.out_links(hub)}
+    state = FloodingState(network, hub, clock, wires)
+    first = state.originate(_report(network, hub, 40))
+    state.flood(first, arrived_on=None)
+    values = list(state.unacked.values())
+    assert len(values) == len(wires) == 4
+    assert values[0] == (first, 1.5)
+    assert all(value is values[0] for value in values)
+    assert all(len(wire.sent) == 1 for wire in wires.values())
+
+    clock.now = 2.5
+    second = state.originate(_report(network, hub, 50))
+    state.flood(second, arrived_on=None)
+    renewed = list(state.unacked.values())
+    assert len(renewed) == 4 and renewed[0] == (second, 2.5)
+    assert all(value is renewed[0] for value in renewed)
+    assert renewed[0] is not values[0]
 
 
 def test_drained_ledger_is_back_to_empty_dict_size():

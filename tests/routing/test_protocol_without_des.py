@@ -3,7 +3,7 @@ namespace for the clock."""
 
 from types import SimpleNamespace
 
-from repro.psn.packet import Packet, PacketKind, next_packet_id
+from repro.psn.packet import Packet, PacketKind
 from repro.routing.flooding import (
     UPDATE_PACKET_BITS, UPDATE_RETRANSMIT_S, FloodingState, RoutingUpdate,
 )
@@ -38,7 +38,9 @@ def test_only_the_lost_copy_is_retransmitted():
 
     update = a.originate([(l.link_id, 30) for l in network.out_links(0)])
     a.flood(update, arrived_on=None)
-    assert set(a.unacked) == {(delivered.link_id, 0), (lost.link_id, 0)}
+    assert set(a.unacked) == {
+        a.ledger_key(delivered.link_id, 0), a.ledger_key(lost.link_id, 0),
+    }
 
     [copy] = a_wires[delivered.link_id].sent  # the other copy is lost
     b.receive_update(copy, via=delivered)
@@ -46,7 +48,7 @@ def test_only_the_lost_copy_is_retransmitted():
     assert ack.kind is PacketKind.UPDATE_ACK
     clock.now = 0.5
     a.receive_ack(ack, via=network.link(delivered.reverse_id))
-    assert set(a.unacked) == {(lost.link_id, 0)}
+    assert set(a.unacked) == {a.ledger_key(lost.link_id, 0)}
 
     clock.now = UPDATE_RETRANSMIT_S
     a.retransmit_tick()
@@ -78,8 +80,8 @@ def test_the_flood_plan_follows_the_topology():
             sorted(state.forward_links(arrival.link_id)),
         )
         state.receive_update(Packet(
-            next_packet_id(), PacketKind.ROUTING_UPDATE, arrival.src, None,
-            UPDATE_PACKET_BITS, clock.now, update,
+            PacketKind.ROUTING_UPDATE, arrival.src, None, UPDATE_PACKET_BITS,
+            clock.now, update,
         ), via=arrival)
         acked, copied = None, []
         for link_id, wire in wires.items():

@@ -11,7 +11,7 @@ from repro.traffic import TrafficMatrix
 
 def delivered(stats, delay_s, when=100.0):
     packet = Packet(
-        packet_id=1, kind=PacketKind.DATA, src=0, dst=1,
+        kind=PacketKind.DATA, src=0, dst=1,
         size_bits=600.0, created_s=when - delay_s, hop_count=1,
     )
     stats.packet_delivered(packet, when)

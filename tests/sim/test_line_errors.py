@@ -36,9 +36,9 @@ def test_transmitter_loses_fraction_of_packets():
         sim, link, lambda p, l: delivered.append(p),
         buffer_packets=10_000, error_rate=0.3, error_rng=rng,
     )
-    for pid in range(2000):
+    for _ in range(2000):
         tx.send(Packet(
-            packet_id=pid, kind=PacketKind.DATA, src=0, dst=1,
+            kind=PacketKind.DATA, src=0, dst=1,
             size_bits=100.0, created_s=sim.now,
         ))
         sim.run(until=sim.now + 0.01)

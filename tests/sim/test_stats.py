@@ -25,7 +25,7 @@ from repro.traffic import TrafficMatrix
 
 def packet(src, dst, created=10.0, size=600.0, hops=0):
     return Packet(
-        packet_id=1, kind=PacketKind.DATA, src=src, dst=dst,
+        kind=PacketKind.DATA, src=src, dst=dst,
         size_bits=size, created_s=created, hop_count=hops,
     )
 

@@ -49,12 +49,6 @@ def test_unknown_topology_rejected():
 
 
 def test_experiment_command(capsys):
-    assert main(["experiment", "fig5", "--fast"]) == 0
-    out = capsys.readouterr().out
-    assert "Figure 5" in out
-
-
-def test_experiment_command_takes_the_runners_flags(capsys):
     # One runner: python -m repro experiment accepts every argument of
     # python -m repro.experiments.
     assert main(["experiment", "fig5", "--fast"]) == 0
