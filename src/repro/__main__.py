@@ -73,28 +73,32 @@ def cmd_simulate(args) -> int:
     metrics = args.metrics_out
     if metrics is None and args.metrics_prom:
         metrics = "memory"
-    config = ScenarioConfig(
-        duration_s=args.duration,
-        warmup_s=min(args.duration / 4.0, 60.0),
-        seed=args.seed,
-        multipath=args.multipath,
-        trace=trace,
-        faults=faults,
-        check_invariants=args.check_invariants,
-        defenses=args.defenses,
-        metrics=metrics,
-    )
-    if args.scenario:
-        simulation = build_scenario(args.scenario, config=config)
-        label = args.scenario
-    else:
-        network, weights = _build_topology(args.topology)
-        metric = METRICS[args.metric]()
-        traffic = TrafficMatrix.gravity(
-            network, args.traffic_kbps * 1000.0, weights=weights
+    try:
+        config = ScenarioConfig(
+            duration_s=args.duration,
+            warmup_s=min(args.duration / 4.0, 60.0),
+            seed=args.seed,
+            multipath=args.multipath,
+            trace=trace,
+            faults=faults,
+            check_invariants=args.check_invariants,
+            defenses=args.defenses,
+            metrics=metrics,
         )
-        simulation = NetworkSimulation(network, metric, traffic, config)
-        label = args.topology
+        if args.scenario:
+            simulation = build_scenario(args.scenario, config=config)
+            label = args.scenario
+        else:
+            network, weights = _build_topology(args.topology)
+            metric = METRICS[args.metric]()
+            traffic = TrafficMatrix.gravity(
+                network, args.traffic_kbps * 1000.0, weights=weights
+            )
+            simulation = NetworkSimulation(network, metric, traffic, config)
+            label = args.topology
+    except ValueError as refused:  # out of range, or not honoured
+        print(f"python -m repro simulate: {refused}", file=sys.stderr)
+        return 2
     report = simulation.run()
     print(ascii_table(
         ["indicator", "value"],

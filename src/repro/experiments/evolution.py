@@ -12,7 +12,8 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult, fresh_arpanet
 from repro.metrics import DelayMetric, HopNormalizedMetric
 from repro.report import ascii_table
-from repro.sim import BellmanFordSimulation, NetworkSimulation, ScenarioConfig
+from repro.routing import QueueLengthMetric
+from repro.sim import NetworkSimulation, ScenarioConfig
 from repro.sim.scenarios import MAY_1987_BPS
 from repro.topology.arpanet import site_weights
 from repro.traffic import TrafficMatrix
@@ -26,7 +27,7 @@ def run(fast: bool = False) -> ExperimentResult:
     fail_at = duration * 0.55
 
     results = {}
-    for label in ("BF-1969", "D-SPF", "HN-SPF"):
+    for metric in (QueueLengthMetric(), DelayMetric(), HopNormalizedMetric()):
         network = fresh_arpanet()
         traffic = TrafficMatrix.gravity(
             network, MAY_1987_BPS, weights=site_weights()
@@ -37,15 +38,10 @@ def run(fast: bool = False) -> ExperimentResult:
             network.node_by_name("UTAH").node_id,
             network.node_by_name("GWC").node_id,
         )[0].link_id
-        if label == "BF-1969":
-            sim = BellmanFordSimulation(network, traffic, config)
-        else:
-            metric = DelayMetric() if label == "D-SPF" else \
-                HopNormalizedMetric()
-            sim = NetworkSimulation(network, metric, traffic, config)
+        sim = NetworkSimulation(network, metric, traffic, config)
         sim.fail_circuit_at(failing, at_s=fail_at)
         report = sim.run()
-        results[label] = {
+        results[metric.name] = {
             "report": report,
             "hop_limit_drops": sim.stats.hop_limit_drops,
             "unreachable_drops": sim.stats.unreachable_drops,

@@ -249,6 +249,13 @@ class LinkMetric(abc.ABC):
         an update always goes out within 50 seconds.
         """
 
+    # Routing generation: link-state SPF honours every run setting.
+    def check_config(self, config) -> None:
+        """Refuse a ScenarioConfig setting this routing cannot honour."""
+
+    def start_routing(self, psn, streams, *spf_settings) -> None:
+        psn.start_link_state(streams, *spf_settings)
+
     # ------------------------------------------------------------------
     # Equilibrium view (used by the analysis/ package)
     # ------------------------------------------------------------------

@@ -143,12 +143,13 @@ class RunTelemetry:
             wall_s=wall_s,
         )
         for psn in simulation.psns.values():
-            spf = psn.tree.stats
-            telemetry.spf_full_computations += spf.full_computations
-            telemetry.spf_no_op_updates += spf.no_op_updates
-            telemetry.spf_nodes_scanned += spf.nodes_scanned
-            telemetry.spf_batched_passes += spf.batched_passes
-            telemetry.spf_batched_changes += spf.batched_changes
+            if psn.tree is not None:  # the 1969 protocol keeps no tree
+                spf = psn.tree.stats
+                telemetry.spf_full_computations += spf.full_computations
+                telemetry.spf_no_op_updates += spf.no_op_updates
+                telemetry.spf_nodes_scanned += spf.nodes_scanned
+                telemetry.spf_batched_passes += spf.batched_passes
+                telemetry.spf_batched_changes += spf.batched_changes
             flood = psn.flooding.stats
             telemetry.flood_generated += flood.generated
             telemetry.flood_accepted += flood.accepted

@@ -18,7 +18,7 @@ simultaneously and fuels D-SPF's oscillation.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.des import RandomStreams, Simulator
 from repro.metrics.base import LinkMetric
@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a psn <-> sim import cycle
 _DATA = PacketKind.DATA
 _ROUTING_UPDATE = PacketKind.ROUTING_UPDATE
 _UPDATE_ACK = PacketKind.UPDATE_ACK
+_DISTANCE_VECTOR = PacketKind.DISTANCE_VECTOR
 
 #: Forwarding hop limit; transient inconsistency can loop packets.
 MAX_HOPS = 32
@@ -67,7 +68,7 @@ class Psn:
     sim, network, node_id:
         Where and who.
     metric:
-        The link metric in force (shared by all nodes).
+        The metric in force (shared by all nodes); it starts the routing.
     transmitters:
         This node's outgoing-link transmitters, keyed by link id.
     stats:
@@ -134,36 +135,11 @@ class Psn:
             )
 
         self.costs = costs
-        #: The update protocol.  While it is stuck nothing originates;
-        #: the data plane keeps forwarding on the frozen tables.
-        self.flooding = FloodingState(
-            network, node_id, sim, transmitters, self._apply_update,
-            defense_policy, tracer,
-        )
-        if defense_policy is not None:
-            sim.timers.every(
-                PURGE_INTERVAL_S, self.flooding.purge_tick,
-                first_fire_s=PURGE_INTERVAL_S,
-            )
-        self._metric_state: Dict[int, object] = {}
-        self._criterion: Dict[int, SignificanceCriterion] = {}
-        advertised = self.flooding.advertised
-
-        for link_id in transmitters:
-            link = network.link(link_id)
-            self._init_link_state(link)
-            # Everyone assumes idle costs at boot; advertise our real
-            # initial (ease-in) costs, the fresh states' last reports,
-            # so the network learns them.
-            initial = self._metric_state[link_id].last_reported
-            self.costs[link_id] = float(initial)
-            advertised[link_id] = initial if link.up else DOWN_COST
-
-        self.tree = SpfTree(network, node_id, self.costs)
+        self.spf_cache = spf_cache
+        self.tree: Optional[SpfTree] = None  # none under the 1969 protocol
         # Hot-path forwarding: a next-hop table for the tree, taken on
         # first use and dropped whenever a flushed burst of routing
         # updates moves the tree.  Its entries resolve on first lookup.
-        self.spf_cache = spf_cache
         self._table: Optional[ForwardingTable] = None
         # What ``forward`` tests, and all it tests: ``_table`` while no
         # update is buffered and no router is attached, else ``None``
@@ -179,15 +155,54 @@ class Psn:
         # true before/after diff in one pass when the tree is next
         # consulted.
         self._pending_old: Dict[int, float] = {}
+        # The metric installs the generation once, here: the protocol,
+        # its reaction to a local link going down or up, and the router
+        # (:meth:`start_link_state`, or the 1969 protocol in all three).
+        self.flooding = self.router = None
+        self.on_link_change: Callable[[int, bool], None]
+        metric.start_routing(self, streams, multipath_mode, defense_policy, tracer)
+
+    def start_link_state(
+        self, streams: RandomStreams, multipath_mode: Optional[str],
+        defense_policy: Optional[DefensePolicy], tracer: Optional[Tracer],
+    ) -> None:
+        """Start link-state SPF: flooding, measurement, tree, router."""
+        sim, network, node_id = self.sim, self.network, self.node_id
+        # While the update protocol is stuck nothing originates; the
+        # data plane keeps forwarding on the frozen tables.
+        self.flooding = FloodingState(
+            network, node_id, sim, self.transmitters, self._apply_update,
+            defense_policy, tracer,
+        )
+        self.on_link_change = self._report_link_change
+        if defense_policy is not None:
+            sim.timers.every(
+                PURGE_INTERVAL_S, self.flooding.purge_tick,
+                first_fire_s=PURGE_INTERVAL_S,
+            )
+        self._metric_state: Dict[int, object] = {}
+        self._criterion: Dict[int, SignificanceCriterion] = {}
+        advertised = self.flooding.advertised
+
+        for link_id in self.transmitters:
+            link = network.link(link_id)
+            self._init_link_state(link)
+            # Everyone assumes idle costs at boot; advertise our real
+            # initial (ease-in) costs, the fresh states' last reports,
+            # so the network learns them.
+            initial = self._metric_state[link_id].last_reported
+            self.costs[link_id] = float(initial)
+            advertised[link_id] = initial if link.up else DOWN_COST
+
+        self.tree = SpfTree(network, node_id, self.costs)
         # Optional extension: equal-cost multipath forwarding (the
         # remedy the paper's section 4.5 cites for few-large-flows
         # traffic).  The router shares our cost table and is rebuilt
         # with the tree when a burst of updates is flushed.
-        self.router: Optional[MultipathRouter] = None
         if multipath_mode is not None:
             self.router = MultipathRouter(
                 network, node_id, self.costs, mode=multipath_mode,
-                slack=EQUAL_COST_SLACK, cache=spf_cache,
+                slack=EQUAL_COST_SLACK, cache=self.spf_cache,
             )
         # Each of this PSN's names is drawn from once: a throwaway
         # generator, not one cached in ``streams`` for the whole run.
@@ -270,6 +285,8 @@ class Psn:
             self.flooding.receive_update(packet, via)
         elif kind is _UPDATE_ACK:
             self.flooding.receive_ack(packet, via)
+        elif kind is _DISTANCE_VECTOR:
+            self.flooding.receive(packet, via)
         elif packet.dst != self.node_id:  # an RFNM in transit
             self.forward(packet)
         elif self.host is not None:
@@ -435,23 +452,24 @@ class Psn:
     # Link failure / recovery
     # ------------------------------------------------------------------
     def local_link_down(self, link_id: int) -> None:
-        """React to one of our own links dying.
-
-        Flush its queue and flood an unreachable-cost update.  (The
-        caller flips the topology's ``up`` flag for both directions;
-        each endpoint node reports its own direction.)
-        """
+        """React to one of our own links dying: flush its queue, then the
+        routing reacts.  (The caller flips the topology's ``up`` flag for
+        both directions; each endpoint node reacts for its own.)"""
         self.transmitters[link_id].flush()
-        self.flooding.link_down(link_id)
-        self.advertise({link_id: DOWN_COST})
+        self.on_link_change(link_id, False)
 
     def local_link_up(self, link_id: int) -> None:
-        """React to one of our own links recovering.
+        """React to one of our own links recovering."""
+        self.on_link_change(link_id, True)
 
-        Metric state is re-created, so HN-SPF's ease-in applies: the
-        link re-enters service at its maximum cost and pulls traffic in
-        gradually.
-        """
-        link = self.network.link(link_id)
-        self._init_link_state(link)
+    def _report_link_change(self, link_id: int, up: bool) -> None:
+        """SPF floods a dead link's unreachable cost.  A recovered link's
+        metric state is re-created, so HN-SPF's ease-in applies: it
+        re-enters service at its maximum cost and pulls traffic in
+        gradually."""
+        if not up:
+            self.flooding.link_down(link_id)
+            self.advertise({link_id: DOWN_COST})
+            return
+        self._init_link_state(self.network.link(link_id))
         self.advertise({link_id: self._metric_state[link_id].last_reported})

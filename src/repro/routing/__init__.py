@@ -9,7 +9,8 @@
   screening, re-flooding and retransmission,
 * :class:`~repro.routing.bellman_ford.BellmanFordNode` -- the original
   1969 distributed Bellman-Ford algorithm with the instantaneous
-  queue-length metric, kept as a historical baseline,
+  queue-length metric; under ``QueueLengthMetric`` a simulation runs it
+  live in every PSN (``DistanceVectorProtocol``),
 * :class:`~repro.routing.spf_cache.SpfCache` -- network-wide sharing of
   Dijkstra trees, plus counted next-hop forwarding tables whose entries
   resolve from the tree on first lookup,
@@ -20,6 +21,7 @@
 
 from repro.routing.bellman_ford import (
     BellmanFordNode,
+    QueueLengthMetric,
     has_routing_loop,
     queue_length_metric,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "FloodingStats",
     "MultipathRouter",
     "NodeDefense",
+    "QueueLengthMetric",
     "REJECT_REASONS",
     "RoutingUpdate",
     "SpfCache",

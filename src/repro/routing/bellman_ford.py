@@ -10,17 +10,25 @@ constant"*.
 
 The paper lists its failure modes -- a volatile instantaneous metric,
 persistent loops while the computation converges, and routing oscillation
--- which our simulation and tests reproduce.  This module holds the pure
-distance-vector logic; the periodic exchange runs in the DES.
+-- which our simulation and tests reproduce.  :class:`BellmanFordNode` is
+the pure logic; a simulation under :class:`QueueLengthMetric` runs it
+live, one :class:`DistanceVectorProtocol` per PSN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from random import Random
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.topology.graph import Network
+from repro.psn.packet import Packet, PacketKind
+from repro.routing.flooding import FloodingStats
+from repro.topology.graph import Link, Network
+from repro.units import BELLMAN_FORD_EXCHANGE_S
+
+if TYPE_CHECKING:  # pragma: no cover - avoids a routing <-> psn cycle
+    from repro.psn.node import Psn
 
 #: The "fixed constant" added to the instantaneous queue length.  Helps
 #: damp (but does not eliminate) oscillation; see the paper's section 2.1.
@@ -87,22 +95,19 @@ class BellmanFordNode:
             Whether any distance or next hop changed.
         """
         changed = False
+        # Neighbours with both a vector and a link metric, in id order.
+        candidates = [(n, link_metrics[n], vector) for n, vector in
+                      sorted(self._neighbour_tables.items()) if n in link_metrics]
         for dest in self.network.nodes:
             if dest == self.node_id:
                 continue
-            best = math.inf
-            best_neighbour: Optional[int] = None
-            for neighbour, vector in sorted(self._neighbour_tables.items()):
-                metric = link_metrics.get(neighbour)
-                if metric is None:
-                    continue
+            best, best_neighbour = math.inf, None
+            for neighbour, metric, vector in candidates:
                 via = metric + vector.get(dest, math.inf)
                 if via < best:
-                    best = via
-                    best_neighbour = neighbour
+                    best, best_neighbour = via, neighbour
             if best > INFINITY_THRESHOLD:
-                best = math.inf
-                best_neighbour = None
+                best, best_neighbour = math.inf, None
             if (best != self.table.distance[dest]
                     or best_neighbour != self.table.next_hop[dest]):
                 changed = True
@@ -112,9 +117,100 @@ class BellmanFordNode:
 
     def next_hop(self, dest: int) -> Optional[int]:
         """Forwarding decision: neighbour node id toward ``dest``."""
-        if dest == self.node_id:
-            return None
         return self.table.next_hop.get(dest)
+
+
+class DistanceVectorProtocol(BellmanFordNode):
+    """One PSN's 1969 routing: the control protocol a ``Psn`` holds in
+    place of ``FloodingState``, and its router.  Every 2/3 s (phase seed
+    ``bf-<node>-phase``) it re-minimizes over the *instantaneous* queue
+    lengths and sends its vector to every neighbour; bad news spreads
+    one exchange per hop.  Packets leave on the least-queued circuit to
+    the next hop.  ``stats`` counts exchanges (``generated``) and
+    vectors sent (``forwarded``) and heard (``accepted``)."""
+
+    defense = None  # the 1969 protocol screens nothing
+
+    def __init__(self, psn: "Psn", streams) -> None:
+        super().__init__(psn.network, psn.node_id)
+        self.clock, self.transmitters = psn.sim, psn.transmitters
+        self.stats = FloodingStats()
+        # A vector is a header plus 16 bits per destination.
+        self._vector_bits = 64.0 + 16.0 * len(self.network.nodes)
+        # Drawn from once: a throwaway generator, not a cached stream.
+        period = BELLMAN_FORD_EXCHANGE_S
+        offset = Random(streams.seed(f"bf-{self.node_id}-phase")).uniform(0.0, period)
+        psn.sim.timers.every(period, self.exchange, first_fire_s=offset + period)
+
+    @property
+    def vectors_sent(self) -> int:
+        return self.stats.forwarded
+
+    def _least_queued(self, neighbour: int) -> Optional[int]:
+        links = self.network.links_between(self.node_id, neighbour)
+        queue = [self.transmitters[link.link_id].queue_length() for link in links]
+        return links[queue.index(min(queue))].link_id if links else None
+
+    def exchange(self) -> None:
+        """Re-minimize on the queues as they stand; send the vector."""
+        routes, metrics = {}, {}
+        for neighbour in self.network.neighbors(self.node_id):
+            link_id = self._least_queued(neighbour)
+            if link_id is not None:
+                routes[neighbour] = link_id
+                queue = self.transmitters[link_id].queue_length()
+                metrics[neighbour] = queue_length_metric(queue)
+        self.recompute(metrics)
+        vector = self.snapshot()  # one copy for all: receivers copy it
+        for neighbour, link_id in routes.items():
+            self.transmitters[link_id].send(Packet(
+                PacketKind.DISTANCE_VECTOR, self.node_id, neighbour,
+                self._vector_bits, self.clock.now, None, vector,
+            ))
+        self.stats.generated += 1
+        self.stats.forwarded += len(routes)
+
+    def receive(self, packet: Packet, via: Link) -> None:
+        self.receive_vector(via.src, packet.vector)
+        self.stats.accepted += 1
+
+    def next_hop_link(self, dst: int, src: Optional[int] = None):
+        neighbour = self.next_hop(dst)
+        return None if neighbour is None else self._least_queued(neighbour)
+
+    def link_changed(self, link_id: int, up: bool) -> None:
+        """Forget a neighbour no circuit reaches: a restored circuit
+        carries traffic once the neighbour's next vector has crossed it."""
+        neighbour = self.network.link(link_id).dst
+        if not self.network.links_between(self.node_id, neighbour):
+            self._neighbour_tables.pop(neighbour, None)
+
+
+class QueueLengthMetric:
+    """The 1969 metric as a simulation's ``metric``: every PSN runs a
+    :class:`DistanceVectorProtocol` where a ``LinkMetric`` starts SPF."""
+
+    name = "BF-1969"
+
+    def idle_cost(self, link: Link) -> float:
+        return queue_length_metric(0)
+
+    def check_config(self, config) -> None:
+        """Refuse by field name what acts on SPF routing: multipath trees,
+        the update screen, the SPF metrics' invariants, adversarial faults."""
+        adversarial = getattr(config.faults, "adversarial", ())
+        for name, value in (
+            ("multipath", config.multipath), ("defenses", config.defenses),
+            ("check_invariants", config.check_invariants),
+            ("faults", tuple(fault.kind for fault in adversarial)),
+        ):
+            if value:
+                raise ValueError(f"{name}: {self.name} routing cannot honour "
+                                 f"{value!r}; it acts on SPF routing")
+
+    def start_routing(self, psn: "Psn", streams, *_spf_settings) -> None:
+        psn.flooding = psn.router = DistanceVectorProtocol(psn, streams)
+        psn.on_link_change = psn.flooding.link_changed
 
 
 def has_routing_loop(

@@ -12,7 +12,6 @@
 
 from repro._lazy import lazy_exports
 from repro.obs.telemetry import RunTelemetry, merge_telemetry
-from repro.sim.legacy_sim import BellmanFordSimulation
 from repro.sim.network_sim import NetworkSimulation, ScenarioConfig
 from repro.sim.scenarios import build_scenario, scenario_names
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
@@ -32,7 +31,6 @@ __getattr__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BellmanFordSimulation",
     "DeliveryTimeline",
     "NetworkSimulation",
     "RunFailedError",

@@ -4,7 +4,9 @@
 matrix into a running network of PSNs, then reports the indicators the
 paper's performance study uses.  It is the engine behind the Table-1 and
 Figure-13 reproductions, the Figure-1 oscillation demonstration, and the
-example applications.
+example applications.  The metric names the generation: a
+:class:`~repro.metrics.base.LinkMetric` runs SPF (1979, 1987), the
+:class:`~repro.routing.bellman_ford.QueueLengthMetric` Bellman-Ford (1969).
 
 >>> from repro.sim import NetworkSimulation, ScenarioConfig
 >>> from repro.metrics import HopNormalizedMetric
@@ -149,7 +151,8 @@ class ScenarioConfig:
 
 
 class NetworkSimulation:
-    """A network of PSNs under one metric and one traffic matrix."""
+    """A network of PSNs under one metric and one traffic matrix (the
+    build refuses, by field name, a setting its routing cannot honour)."""
 
     def __init__(
         self,
@@ -162,6 +165,7 @@ class NetworkSimulation:
         self.metric = metric
         self.traffic = traffic
         self.config = config or ScenarioConfig()
+        metric.check_config(self.config)
 
         self.sim = Simulator()
         self.streams = RandomStreams(self.config.seed)
@@ -192,7 +196,7 @@ class NetworkSimulation:
             link.link_id: LinkTransmitter(
                 self.sim,
                 link,
-                deliver=self._deliver,
+                deliver=None,  # the far PSN's receive, wired below
                 on_drop=self._on_drop,
                 error_rate=error_rate,
                 error_rng=(
@@ -233,11 +237,8 @@ class NetworkSimulation:
             )
             for node in network
         }
-        # Short-circuit delivery: hand each transmitter the far PSN's
-        # receive and forward directly, skipping the _deliver dispatch
-        # for every packet at every hop; transit data skips receive too.
-        # (_deliver stays as the generic entry point for transmitters
-        # created without this wiring.)
+        # Each transmitter hands packets straight to the far PSN: transit
+        # data to its forward, everything else to its receive.
         for transmitter in self.transmitters.values():
             far = self.psns[transmitter.link.dst]
             transmitter.deliver = far.receive
@@ -289,9 +290,6 @@ class NetworkSimulation:
     # ------------------------------------------------------------------
     # Wiring callbacks
     # ------------------------------------------------------------------
-    def _deliver(self, packet: Packet, link: Link) -> None:
-        self.psns[link.dst].receive(packet, link)
-
     def _on_drop(self, packet: Packet, link: Link) -> None:
         if packet.kind is PacketKind.DATA:
             self.stats.packet_dropped(packet, "congestion", self.sim.now)

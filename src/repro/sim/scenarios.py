@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.metrics import DelayMetric, HopNormalizedMetric
-from repro.sim.legacy_sim import BellmanFordSimulation
+from repro.routing.bellman_ford import QueueLengthMetric
 from repro.sim.network_sim import NetworkSimulation, ScenarioConfig
 from repro.topology import (
     build_arpanet_1987,
@@ -68,7 +68,7 @@ def _arpanet_1969(config: ScenarioConfig):
     traffic = TrafficMatrix.gravity(
         network, MAY_1987_BPS, weights=site_weights()
     )
-    return BellmanFordSimulation(network, traffic, config)
+    return NetworkSimulation(network, QueueLengthMetric(), traffic, config)
 
 
 def _milnet_dspf(config: ScenarioConfig):

@@ -1,4 +1,5 @@
-"""Tests for the live 1969 Bellman-Ford simulation."""
+"""Tests for the live 1969 Bellman-Ford generation: a
+:class:`NetworkSimulation` under :class:`QueueLengthMetric`."""
 
 import dataclasses
 import hashlib
@@ -6,8 +7,9 @@ import json
 
 import pytest
 
-from repro.sim import BellmanFordSimulation, NetworkSimulation, ScenarioConfig
+from repro.sim import NetworkSimulation, ScenarioConfig
 from repro.metrics import HopNormalizedMetric
+from repro.routing import QueueLengthMetric
 from repro.topology import (
     build_arpanet_1987,
     build_ring_network,
@@ -21,10 +23,14 @@ def config(duration=120.0, warmup=30.0, seed=0):
     return ScenarioConfig(duration_s=duration, warmup_s=warmup, seed=seed)
 
 
+def bellman_ford(net, traffic, scenario):
+    return NetworkSimulation(net, QueueLengthMetric(), traffic, scenario)
+
+
 def test_delivers_on_light_ring():
     net = build_ring_network(6)
     traffic = TrafficMatrix.uniform(net, 40_000.0)
-    report = BellmanFordSimulation(net, traffic, config()).run()
+    report = bellman_ford(net, traffic, config()).run()
     assert report.metric_name == "BF-1969"
     assert report.delivery_ratio > 0.98
     assert report.path_ratio < 1.2
@@ -33,17 +39,17 @@ def test_delivers_on_light_ring():
 def test_exchanges_cost_control_bandwidth():
     net = build_ring_network(4)
     traffic = TrafficMatrix.uniform(net, 10_000.0)
-    sim = BellmanFordSimulation(net, traffic, config())
+    sim = bellman_ford(net, traffic, config())
     report = sim.run()
     # Vectors go out every 2/3 s on every circuit in both directions.
     assert report.updates_per_trunk_s == pytest.approx(1.5, abs=0.2)
-    assert all(n.vectors_sent > 0 for n in sim.nodes.values())
+    assert all(psn.flooding.vectors_sent > 0 for psn in sim.psns.values())
 
 
 def test_chain_converges_end_to_end():
     net = build_string_network(5)
     traffic = TrafficMatrix.hot_pairs({(0, 4): 10_000.0})
-    report = BellmanFordSimulation(net, traffic, config()).run()
+    report = bellman_ford(net, traffic, config()).run()
     assert report.delivery_ratio > 0.98
     assert report.actual_path_hops == pytest.approx(4.0, abs=0.05)
 
@@ -54,7 +60,7 @@ def test_initial_convergence_drops_then_settles():
     hole from the report; the raw counters show it.)"""
     net = build_ring_network(6)
     traffic = TrafficMatrix.uniform(net, 40_000.0)
-    sim = BellmanFordSimulation(net, traffic, config(warmup=20.0))
+    sim = bellman_ford(net, traffic, config(warmup=20.0))
     sim.run(until_s=120.0)
     # Unreachable drops occurred only at startup (t < warmup), so they
     # are NOT in the post-warmup counters...
@@ -96,7 +102,7 @@ def test_report_digest_is_pinned(probe, digest, delivered):
     circuit failure: ``minimum_path_hops`` alone went 1.80682 -> 2.14414
     (ring6) and 4.22207 -> 4.30620 (arpanet-1987)."""
     net, traffic, scenario, link_id, fail_at_s = probe()
-    sim = BellmanFordSimulation(net, traffic, scenario)
+    sim = bellman_ford(net, traffic, scenario)
     sim.fail_circuit_at(link_id, fail_at_s)
     report = sim.run()
     text = json.dumps(dataclasses.asdict(report), sort_keys=True)
@@ -113,8 +119,8 @@ def test_failure_reconvergence_slower_than_spf():
     def run_bf():
         net = build_ring_network(8)
         traffic = TrafficMatrix.uniform(net, 60_000.0)
-        sim = BellmanFordSimulation(net, traffic,
-                                    config(duration=240.0, warmup=60.0))
+        sim = bellman_ford(net, traffic,
+                           config(duration=240.0, warmup=60.0))
         sim.fail_circuit_at(net.links_between(0, 1)[0].link_id, at_s=120.0)
         report = sim.run()
         return report, sim.stats
@@ -136,3 +142,4 @@ def test_failure_reconvergence_slower_than_spf():
                 + spf_report.congestion_drops)
     assert bf_lost > spf_lost
     assert spf_report.delivery_ratio >= bf_report.delivery_ratio
+

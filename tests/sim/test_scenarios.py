@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    BellmanFordSimulation,
     NetworkSimulation,
     ScenarioConfig,
     build_scenario,
@@ -46,7 +45,8 @@ def test_aug87_offers_13_percent_more():
 
 def test_1969_scenario_is_bellman_ford():
     sim = build_scenario("arpanet-1969", SHORT)
-    assert isinstance(sim, BellmanFordSimulation)
+    assert isinstance(sim, NetworkSimulation)
+    assert sim.metric.name == "BF-1969"
 
 
 def test_explicit_config_wins():

@@ -8,12 +8,8 @@ import pytest
 from repro.des import Simulator
 from repro.metrics import HopNormalizedMetric
 from repro.psn import Packet, PacketKind
-from repro.sim import (
-    BellmanFordSimulation,
-    NetworkSimulation,
-    ScenarioConfig,
-    StatsCollector,
-)
+from repro.routing import QueueLengthMetric
+from repro.sim import NetworkSimulation, ScenarioConfig, StatsCollector
 from repro.topology import (
     build_arpanet_1987,
     build_random_network,
@@ -171,10 +167,10 @@ def test_min_hop_distance_is_zero_when_unreachable():
     assert stats.min_hop_distance(3, 3) == 0
 
 
-def _string_with_middle(simulation_class, *metric):
+def _string_with_middle(metric):
     network = build_string_network(4)
-    simulation = simulation_class(
-        network, *metric, TrafficMatrix.uniform(network, 4_000.0),
+    simulation = NetworkSimulation(
+        network, metric, TrafficMatrix.uniform(network, 4_000.0),
         ScenarioConfig(duration_s=30.0, warmup_s=1.0, seed=3),
     )
     return simulation, network.links_between(1, 2)[0].link_id
@@ -184,9 +180,7 @@ def test_min_hops_follow_circuit_failure_and_restore():
     """Rows computed before a circuit fails go with it: on a 4-node
     string whose middle circuit is down, neither end reaches the other,
     whichever asked first, and both read 3 again after the restore."""
-    simulation, middle = _string_with_middle(
-        NetworkSimulation, HopNormalizedMetric()
-    )
+    simulation, middle = _string_with_middle(HopNormalizedMetric())
     stats = simulation.stats
     assert stats.min_hop_distance(0, 3) == 3
     simulation.fail_circuit_at(middle, at_s=5.0)
@@ -200,7 +194,7 @@ def test_min_hops_follow_circuit_failure_and_restore():
 
 
 def test_bellman_ford_min_hops_follow_circuit_failure():
-    simulation, middle = _string_with_middle(BellmanFordSimulation)
+    simulation, middle = _string_with_middle(QueueLengthMetric())
     stats = simulation.stats
     assert stats.min_hop_distance(0, 3) == 3
     simulation.fail_circuit_at(middle, at_s=5.0)
@@ -254,19 +248,16 @@ def test_update_trunk_rate_post_warmup_cut(net):
     assert report.updates_per_trunk_s == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("build", [
-    lambda net, traffic, config: NetworkSimulation(
-        net, HopNormalizedMetric(), traffic, config
-    ),
-    BellmanFordSimulation,
+@pytest.mark.parametrize("metric", [
+    HopNormalizedMetric(), QueueLengthMetric(),
 ], ids=["spf", "bellman-ford"])
-def test_update_trunk_rate_counts_only_post_warmup_transmissions(build):
-    # Both simulators count the wire through the collector: the rate
+def test_update_trunk_rate_counts_only_post_warmup_transmissions(metric):
+    # Every generation counts the wire through the collector: the rate
     # times trunks times the window is exactly what was sent after the
     # warm-up instant, boot flood excluded.
     net = build_ring_network(4)
-    simulation = build(
-        net, TrafficMatrix.uniform(net, 30_000.0),
+    simulation = NetworkSimulation(
+        net, metric, TrafficMatrix.uniform(net, 30_000.0),
         ScenarioConfig(duration_s=40.0, warmup_s=12.5, seed=3),
     )
 

@@ -143,6 +143,51 @@ def test_resilience_summary_without_faults_notes_the_gap(capsys):
     assert "no resilience summary" in out
 
 
+def test_simulate_1969_with_telemetry_and_trace(capsys, tmp_path):
+    trace_path = tmp_path / "bf.jsonl"
+    assert main([
+        "simulate", "--scenario", "arpanet-1969", "--duration", "20",
+        "--telemetry", "--trace", str(trace_path),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "BF-1969" in out
+    assert "run telemetry" in out
+    from repro.report import read_trace
+
+    assert read_trace(str(trace_path))
+
+
+def test_simulate_1969_with_fault_plan(capsys, tmp_path):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(
+        '{"events": ['
+        '{"at_s": 8.0, "action": "fail-circuit", "link_id": 0},'
+        '{"at_s": 14.0, "action": "restore-circuit", "link_id": 0}]}'
+    )
+    assert main([
+        "simulate", "--scenario", "arpanet-1969", "--duration", "20",
+        "--faults", str(plan_path), "--resilience-summary",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "resilience summary" in out
+    assert '"fault_count": 2' in out
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--defenses"], "defenses"),
+    (["--check-invariants"], "check_invariants"),
+    (["--multipath", "packet"], "multipath"),
+])
+def test_simulate_1969_refuses_spf_only_flags(capsys, flags, field):
+    assert main([
+        "simulate", "--scenario", "arpanet-1969", "--duration", "20",
+        *flags,
+    ]) != 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert f"{field}: BF-1969" in err[0]
+
+
 def test_example_fault_plan_is_loadable():
     import pathlib
 
