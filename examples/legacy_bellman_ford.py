@@ -12,7 +12,7 @@ Run:  python examples/legacy_bellman_ford.py
 
 from repro.routing import (
     BellmanFordNode,
-    has_routing_loop,
+    find_routing_loop,
     queue_length_metric,
 )
 from repro.topology import build_ring_network
@@ -53,8 +53,8 @@ def main() -> None:
     # tables from before the spike.
     nodes[1].recompute(metrics[1])
 
-    looped, cycle = has_routing_loop(nodes, dest=2)
-    print(f"forwarding loop toward node 2? {looped} "
+    cycle = find_routing_loop(nodes, 2, lambda n: nodes[n].next_hop(2))
+    print(f"forwarding loop toward node 2? {cycle is not None} "
           f"(cycle: {cycle})")
     print("node 0 thinks: via", nodes[0].next_hop(2),
           "| node 1 thinks: via", nodes[1].next_hop(2))

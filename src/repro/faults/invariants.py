@@ -20,8 +20,11 @@ protocol, not just properties of the transform in isolation:
 
 :class:`InvariantMonitor` checks all five each routing period while a
 simulation runs, enabled via ``ScenarioConfig(check_invariants=True)``.
-It only ever *reads* simulation state (advertised-cost history, SPF
-trees), so a monitored run stays bit-identical to an unmonitored one.
+The 1969 protocol advertises no link costs, so it gets the loop check
+alone, in every period: section 2.1's "persistent loops", counted.  The
+monitor only ever *reads* simulation state (advertised-cost history,
+next-hop choices), so a monitored run stays bit-identical to an
+unmonitored one.
 Violations are recorded as typed ``invariant-violation`` trace events
 and collected on :attr:`InvariantMonitor.violations`; in strict mode
 (``check_invariants="strict"``) the first violation raises
@@ -36,6 +39,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import INVARIANT_VIOLATION
 from repro.psn.node import DOWN_COST
+from repro.routing.loops import find_routing_loop
 from repro.units import MAX_UPDATE_INTERVAL_S, MEASUREMENT_INTERVAL_S
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a faults <-> sim import cycle
@@ -128,7 +132,14 @@ class InvariantMonitor:
         self._index = 0
         #: link_id -> (t, cost) of its latest advertisement.
         self._last_advert: Dict[int, Tuple[float, int]] = {}
-        self._last_loop_key: Optional[tuple] = None
+        self._walked_at: Optional[float] = None
+        link_state = simulation.spf_cache is not None  # None under 1969
+        #: node -> its next hops' side-effect-free source: the SPF tree
+        #: (under multipath too), or the 1969 protocol.
+        self._routes = {
+            node: psn.tree if link_state else psn.router
+            for node, psn in simulation.psns.items()
+        }
 
         metric = simulation.metric
         network = simulation.network
@@ -142,7 +153,7 @@ class InvariantMonitor:
         self._threshold: Dict[int, Tuple[float, float]] = {}
         #: link_id -> expected first advertisement after a restore.
         self._initial: Dict[int, int] = {}
-        for link in network.links:
+        for link in network.links if link_state else ():  # 1969: no adverts
             link_id = link.link_id
             self._initial[link_id] = metric.initial_cost(link)
             self._bounds[link_id] = metric.cost_bounds(link)
@@ -171,9 +182,13 @@ class InvariantMonitor:
         report -- then -- only when the network was quiet
         for the whole period (no new updates, no buffered batched-SPF
         repairs) -- the loop-freedom check over the next-hop decisions.
+        The final sweep of a run that ends on a quiet tick does nothing.
         """
-        self.checks_run += 1
         stats = self.simulation.stats
+        now = self.simulation.sim.now
+        if now == self._walked_at and self._index == len(stats.cost_history):
+            return
+        self.checks_run += 1
         entries = stats.cost_history[self._index:]
         self._index = len(stats.cost_history)
         for t, link_id, cost in entries:
@@ -184,10 +199,8 @@ class InvariantMonitor:
             psn._pending_old for psn in self.simulation.psns.values()
         ):
             return
-        key = (self.simulation.network.topology_version, self._index)
-        if key != self._last_loop_key:
-            self._last_loop_key = key
-            self._check_loops()
+        self._walked_at = now
+        self._check_loops()
 
     def _check_advertisement(self, t: float, link_id: int, cost: int) -> None:
         previous = self._last_advert.get(link_id)
@@ -258,43 +271,27 @@ class InvariantMonitor:
     def _check_loops(self) -> None:
         """No cycle in the union of per-destination next-hop decisions.
 
-        For each destination the next-hop choices of all PSNs form a
-        functional graph; converged link-state routing must make it a
-        forest into the destination.  Classic three-color walk, one pass
-        per destination, pure reads of the SPF trees (the forwarding
-        tables resolve exactly these decisions).
+        One :func:`~repro.routing.loops.find_routing_loop` walk per
+        destination; the first loop found is recorded, one per period.
         """
         self.loop_checks_run += 1
         simulation = self.simulation
         network = simulation.network
-        psns = simulation.psns
+        links, routes = network.links, self._routes
         for dst in network.nodes:
-            state: Dict[int, int] = {dst: 2}  # 1 = on current walk, 2 = done
-            for start in network.nodes:
-                if state.get(start):
-                    continue
-                walk: List[int] = []
-                node = start
-                while True:
-                    mark = state.get(node)
-                    if mark == 2:
-                        break
-                    if mark == 1:
-                        self._record(
-                            simulation.sim.now, "routing-loop",
-                            f"forwarding loop toward node {dst} through "
-                            f"node {node}",
-                            node=node,
-                        )
-                        return  # one loop is enough evidence; don't spam
-                    state[node] = 1
-                    walk.append(node)
-                    link_id = psns[node].tree.next_hop_link(dst)
-                    if link_id is None:
-                        break  # unreachable: a drop, not a loop
-                    node = network.link(link_id).dst
-                for visited in walk:
-                    state[visited] = 2
+            def next_hop(node: int) -> Optional[int]:
+                link_id = routes[node].next_hop_link(dst)
+                return None if link_id is None else links[link_id].dst
+
+            cycle = find_routing_loop(network.nodes, dst, next_hop)
+            if cycle is not None:
+                self._record(
+                    simulation.sim.now, "routing-loop",
+                    f"forwarding loop toward node {dst}: "
+                    + " -> ".join(map(str, cycle + cycle[:1])),
+                    node=cycle[0],
+                )
+                return
 
     # ------------------------------------------------------------------
     def _record(

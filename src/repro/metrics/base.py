@@ -253,8 +253,23 @@ class LinkMetric(abc.ABC):
     def check_config(self, config) -> None:
         """Refuse a ScenarioConfig setting this routing cannot honour."""
 
-    def start_routing(self, psn, streams, *spf_settings) -> None:
-        psn.start_link_state(streams, *spf_settings)
+    def start_routing(self, simulation) -> None:
+        """Start SPF in every PSN: one idle cost table, copied per PSN,
+        one shared SPF cache and, with ``defenses`` set, one policy."""
+        from repro.routing.defense import DefensePolicy
+        from repro.routing.spf import CostTable
+        from repro.routing.spf_cache import SpfCache
+
+        network, config = simulation.network, simulation.config
+        simulation.spf_cache = SpfCache(network)
+        if config.defenses:
+            simulation.defense_policy = DefensePolicy(network, self)
+        idle_costs = CostTable.from_metric(network, self)
+        for psn in simulation.psns.values():
+            psn.start_link_state(
+                idle_costs.copy(), simulation.spf_cache, simulation.streams,
+                config.multipath, simulation.defense_policy, simulation.tracer,
+            )
 
     # ------------------------------------------------------------------
     # Equilibrium view (used by the analysis/ package)

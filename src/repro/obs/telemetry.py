@@ -143,24 +143,25 @@ class RunTelemetry:
             wall_s=wall_s,
         )
         for psn in simulation.psns.values():
-            if psn.tree is not None:  # the 1969 protocol keeps no tree
-                spf = psn.tree.stats
-                telemetry.spf_full_computations += spf.full_computations
-                telemetry.spf_no_op_updates += spf.no_op_updates
-                telemetry.spf_nodes_scanned += spf.nodes_scanned
-                telemetry.spf_batched_passes += spf.batched_passes
-                telemetry.spf_batched_changes += spf.batched_changes
             flood = psn.flooding.stats
             telemetry.flood_generated += flood.generated
             telemetry.flood_accepted += flood.accepted
             telemetry.flood_duplicates += flood.duplicates
             telemetry.flood_forwarded += flood.forwarded
             telemetry.updates_retransmitted += flood.retransmitted
-        cache = simulation.spf_cache.stats
-        telemetry.cache_table_misses = cache.table_misses
-        telemetry.cache_tree_hits = cache.tree_hits
-        telemetry.cache_tree_misses = cache.tree_misses
-        telemetry.cache_evictions = cache.evictions
+        cache = simulation.spf_cache
+        if cache is not None:  # None: the 1969 protocol builds no SPF
+            for psn in simulation.psns.values():
+                spf = psn.tree.stats
+                telemetry.spf_full_computations += spf.full_computations
+                telemetry.spf_no_op_updates += spf.no_op_updates
+                telemetry.spf_nodes_scanned += spf.nodes_scanned
+                telemetry.spf_batched_passes += spf.batched_passes
+                telemetry.spf_batched_changes += spf.batched_changes
+            telemetry.cache_table_misses = cache.stats.table_misses
+            telemetry.cache_tree_hits = cache.stats.tree_hits
+            telemetry.cache_tree_misses = cache.stats.tree_misses
+            telemetry.cache_evictions = cache.stats.evictions
         for transmitter in simulation.transmitters.values():
             telemetry.data_packets_sent += transmitter.data_packets_sent
             telemetry.control_packets_sent += transmitter.control_packets_sent
@@ -179,18 +180,17 @@ class RunTelemetry:
                 injector.babble_updates_injected
             telemetry.stuck_transitions = injector.stuck_transitions
             telemetry.reorder_swaps = injector.reorder_swaps
-        for psn in simulation.psns.values():
-            if psn.flooding.defense is None:
-                continue
-            stats = psn.flooding.defense.stats
-            telemetry.defense_rejected_quarantine += stats.rejected_quarantine
-            telemetry.defense_rejected_rate += stats.rejected_rate
-            telemetry.defense_rejected_cost += stats.rejected_cost
-            telemetry.defense_rejected_seq += stats.rejected_seq
-            telemetry.defense_quarantines += stats.quarantines
-            telemetry.defense_rehabilitations += stats.rehabilitations
-            telemetry.defense_purge_passes += stats.purge_passes
-            telemetry.defense_purged_entries += stats.purged_entries
+        if simulation.defense_policy is not None:
+            for psn in simulation.psns.values():
+                stats = psn.flooding.defense.stats
+                telemetry.defense_rejected_quarantine += stats.rejected_quarantine
+                telemetry.defense_rejected_rate += stats.rejected_rate
+                telemetry.defense_rejected_cost += stats.rejected_cost
+                telemetry.defense_rejected_seq += stats.rejected_seq
+                telemetry.defense_quarantines += stats.quarantines
+                telemetry.defense_rehabilitations += stats.rehabilitations
+                telemetry.defense_purge_passes += stats.purge_passes
+                telemetry.defense_purged_entries += stats.purged_entries
         monitor = getattr(simulation, "invariant_monitor", None)
         if monitor is not None:
             telemetry.invariant_checks = monitor.checks_run

@@ -1,13 +1,16 @@
 """The PSN: forwarding, measurement, update generation, route maintenance.
 
-Each :class:`Psn` owns the transmitters of its outgoing links, a private
-cost table with an incrementally-maintained SPF tree, per-link metric
-state, and the update protocol it runs
-(:class:`~repro.routing.flooding.FloodingState`: acks, screening,
-re-flooding, retransmission).  A measurement process closes a ten-second
-averaging interval per link and runs the metric; when any link's change
-is significant (or its 50-second cap expires) the node floods one update
-carrying the costs of all its links.
+Each :class:`Psn` owns the transmitters of its outgoing links and holds
+the routing its metric starts (``metric.start_routing``).  Link-state
+SPF (1979, 1987) gives it an incrementally-maintained SPF tree over its
+own view of the link costs, per-link metric state, and the update
+protocol (:class:`~repro.routing.flooding.FloodingState`: acks,
+screening, re-flooding, retransmission).  A measurement process closes a
+ten-second averaging interval per link and runs the metric; when any
+link's change is significant (or its 50-second cap expires) the node
+floods one update carrying the costs of all its links.  The 1969 metric
+gives it a :class:`~repro.routing.bellman_ford.DistanceVectorProtocol`
+instead, as both update protocol and router, and no SPF state.
 
 Routing-update packets are processed the instant they are delivered --
 *"routing update processing is a high priority process within the PSN"* --
@@ -18,10 +21,9 @@ simultaneously and fuels D-SPF's oscillation.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from repro.des import RandomStreams, Simulator
-from repro.metrics.base import LinkMetric
 from repro.obs.tracer import SPF_BATCH_REPAIR, UPDATE_GENERATED, Tracer
 from repro.psn.flow_control import RFNM_BITS, HostInterface
 from repro.psn.interfaces import LinkTransmitter
@@ -37,7 +39,9 @@ from repro.routing.spf_cache import ForwardingTable, SpfCache
 from repro.topology.graph import Link, Network
 from repro.units import DOWN_COST, MEASUREMENT_INTERVAL_S
 
-if TYPE_CHECKING:  # pragma: no cover - avoids a psn <-> sim import cycle
+if TYPE_CHECKING:  # pragma: no cover - avoids psn <-> sim, routing cycles
+    from repro.metrics.base import LinkMetric
+    from repro.routing.bellman_ford import QueueLengthMetric
     from repro.sim.stats import StatsCollector
 
 #: Hot-path aliases: one global load instead of two attribute chases.
@@ -68,29 +72,15 @@ class Psn:
     sim, network, node_id:
         Where and who.
     metric:
-        The metric in force (shared by all nodes); it starts the routing.
+        The metric in force (shared by all nodes).  Once every PSN is
+        built, its ``start_routing`` gives each one its routing.
     transmitters:
         This node's outgoing-link transmitters, keyed by link id.
     stats:
         The run-wide statistics collector.
-    streams:
-        Random streams (used to stagger measurement phases).
-    costs:
-        This node's private cost table, already holding every link's
-        idle cost.  The simulation evaluates the metric once and hands
-        each PSN a :meth:`~repro.routing.spf.CostTable.copy`.
-    spf_cache:
-        The network-wide :class:`~repro.routing.spf_cache.SpfCache`.
-        Per-packet forwarding consults a next-hop table it hands out for
-        the node's SPF tree: a new one after each burst of updates that
-        moves the tree, its entries resolved on first lookup.  The
-        equal-cost multipath router shares its Dijkstra trees through
-        it.
-    defense_policy:
-        Optional shared :class:`~repro.routing.defense.DefensePolicy`
-        for the update protocol's screen, with a periodic purge pass
-        (the post-1980 hardening).  ``None`` (the default)
-        allocates nothing and adds no checks.
+    flow_control_window:
+        The RFNM window per destination, or ``None`` for no end-to-end
+        flow control.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` recording this node's
         control-plane events (update generation, SPF repairs, and the
@@ -104,15 +94,10 @@ class Psn:
         sim: Simulator,
         network: Network,
         node_id: int,
-        metric: LinkMetric,
+        metric: Union[LinkMetric, QueueLengthMetric],
         transmitters: Dict[int, LinkTransmitter],
         stats: "StatsCollector",
-        streams: RandomStreams,
-        costs: CostTable,
-        spf_cache: SpfCache,
-        multipath_mode: Optional[str] = None,
         flow_control_window: Optional[int] = None,
-        defense_policy: Optional[DefensePolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
@@ -134,40 +119,41 @@ class Psn:
                 window=flow_control_window, send=self._inject_now
             )
 
-        self.costs = costs
-        self.spf_cache = spf_cache
-        self.tree: Optional[SpfTree] = None  # none under the 1969 protocol
-        # Hot-path forwarding: a next-hop table for the tree, taken on
-        # first use and dropped whenever a flushed burst of routing
-        # updates moves the tree.  Its entries resolve on first lookup.
-        self._table: Optional[ForwardingTable] = None
-        # What ``forward`` tests, and all it tests: ``_table`` while no
-        # update is buffered and no router is attached, else ``None``
-        # (the slow path, :meth:`_forward_slow`, then flushes, takes a
-        # table or asks the router).
+        # What ``forward`` tests, and all it tests: the SPF next-hop
+        # table while no update is buffered and no router is attached,
+        # else ``None`` (the slow path, :meth:`_forward_slow`, then
+        # flushes, takes a table or asks the router).
         self._forwarding: Optional[ForwardingTable] = None
-        # Batched SPF repair: the *cost table* is written eagerly as
-        # updates arrive -- only the tree repair lags -- so reading
-        # ``psn.costs`` never depends on when this node last forwarded a
-        # packet.  ``_pending_old`` is the whole buffer: each changed
-        # link's pre-batch cost, in first-change order.  The flush reads
-        # the final costs from the table and hands ``update_costs`` the
-        # true before/after diff in one pass when the tree is next
-        # consulted.
+        # Batched SPF repair: each changed link's pre-batch cost, in
+        # first-change order (empty under the 1969 protocol).
         self._pending_old: Dict[int, float] = {}
-        # The metric installs the generation once, here: the protocol,
-        # its reaction to a local link going down or up, and the router
+        # ``metric.start_routing`` installs the protocol, its reaction
+        # to a local link going down or up, and the router
         # (:meth:`start_link_state`, or the 1969 protocol in all three).
         self.flooding = self.router = None
         self.on_link_change: Callable[[int, bool], None]
-        metric.start_routing(self, streams, multipath_mode, defense_policy, tracer)
 
     def start_link_state(
-        self, streams: RandomStreams, multipath_mode: Optional[str],
-        defense_policy: Optional[DefensePolicy], tracer: Optional[Tracer],
+        self, costs: CostTable, spf_cache: SpfCache, streams: RandomStreams,
+        multipath_mode: Optional[str], defense_policy: Optional[DefensePolicy],
+        tracer: Optional[Tracer],
     ) -> None:
-        """Start link-state SPF: flooding, measurement, tree, router."""
+        """Start link-state SPF: flooding, measurement, tree, router.
+
+        ``costs`` holds every link's idle cost, for this node alone;
+        ``spf_cache`` hands out the next-hop tables for its tree and
+        shares the multipath router's trees; ``defense_policy`` (or
+        ``None``) screens the update protocol, with a purge pass.
+        """
         sim, network, node_id = self.sim, self.network, self.node_id
+        # Written eagerly as updates arrive (only the tree repair lags),
+        # so reading ``psn.costs`` never depends on when this node last
+        # forwarded a packet.
+        self.costs = costs
+        self.spf_cache = spf_cache
+        # The tree's next-hop table, taken on first use and dropped
+        # whenever a flushed burst of routing updates moves the tree.
+        self._table: Optional[ForwardingTable] = None
         # While the update protocol is stuck nothing originates; the
         # data plane keeps forwarding on the frozen tables.
         self.flooding = FloodingState(

@@ -11,6 +11,8 @@
   1969 distributed Bellman-Ford algorithm with the instantaneous
   queue-length metric; under ``QueueLengthMetric`` a simulation runs it
   live in every PSN (``DistanceVectorProtocol``),
+* :func:`~repro.routing.loops.find_routing_loop` -- the one forwarding-
+  loop walk, over any generation's next-hop choices,
 * :class:`~repro.routing.spf_cache.SpfCache` -- network-wide sharing of
   Dijkstra trees, plus counted next-hop forwarding tables whose entries
   resolve from the tree on first lookup,
@@ -22,7 +24,6 @@
 from repro.routing.bellman_ford import (
     BellmanFordNode,
     QueueLengthMetric,
-    has_routing_loop,
     queue_length_metric,
 )
 from repro.routing.defense import (
@@ -32,6 +33,7 @@ from repro.routing.defense import (
     NodeDefense,
 )
 from repro.routing.flooding import FloodingState, FloodingStats, RoutingUpdate
+from repro.routing.loops import find_routing_loop
 from repro.routing.multipath import MultipathRouter
 from repro.routing.spf import UNREACHABLE, CostTable, SpfStats, SpfTree
 from repro.routing.spf_cache import (
@@ -58,6 +60,6 @@ __all__ = [
     "SpfTree",
     "UNREACHABLE",
     "compile_forwarding_table",
-    "has_routing_loop",
+    "find_routing_loop",
     "queue_length_metric",
 ]

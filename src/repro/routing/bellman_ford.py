@@ -10,9 +10,10 @@ constant"*.
 
 The paper lists its failure modes -- a volatile instantaneous metric,
 persistent loops while the computation converges, and routing oscillation
--- which our simulation and tests reproduce.  :class:`BellmanFordNode` is
-the pure logic; a simulation under :class:`QueueLengthMetric` runs it
-live, one :class:`DistanceVectorProtocol` per PSN.
+-- which our simulation and tests reproduce; the invariant monitor counts
+the loops.  :class:`BellmanFordNode` is the pure logic; a simulation
+under :class:`QueueLengthMetric` runs it live, one
+:class:`DistanceVectorProtocol` per PSN.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.psn.packet import Packet, PacketKind
 from repro.routing.flooding import FloodingStats
@@ -129,8 +130,6 @@ class DistanceVectorProtocol(BellmanFordNode):
     the next hop.  ``stats`` counts exchanges (``generated``) and
     vectors sent (``forwarded``) and heard (``accepted``)."""
 
-    defense = None  # the 1969 protocol screens nothing
-
     def __init__(self, psn: "Psn", streams) -> None:
         super().__init__(psn.network, psn.node_id)
         self.clock, self.transmitters = psn.sim, psn.transmitters
@@ -192,46 +191,23 @@ class QueueLengthMetric:
 
     name = "BF-1969"
 
-    def idle_cost(self, link: Link) -> float:
-        return queue_length_metric(0)
-
     def check_config(self, config) -> None:
         """Refuse by field name what acts on SPF routing: multipath trees,
-        the update screen, the SPF metrics' invariants, adversarial faults."""
+        the update screen, adversarial faults on the update protocol."""
         adversarial = getattr(config.faults, "adversarial", ())
         for name, value in (
             ("multipath", config.multipath), ("defenses", config.defenses),
-            ("check_invariants", config.check_invariants),
             ("faults", tuple(fault.kind for fault in adversarial)),
         ):
             if value:
                 raise ValueError(f"{name}: {self.name} routing cannot honour "
                                  f"{value!r}; it acts on SPF routing")
 
-    def start_routing(self, psn: "Psn", streams, *_spf_settings) -> None:
-        psn.flooding = psn.router = DistanceVectorProtocol(psn, streams)
-        psn.on_link_change = psn.flooding.link_changed
-
-
-def has_routing_loop(
-    nodes: Dict[int, "BellmanFordNode"], dest: int
-) -> Tuple[bool, Optional[Tuple[int, ...]]]:
-    """Detect a forwarding loop toward ``dest`` across all nodes.
-
-    Follows next hops from every source; returns ``(True, cycle)`` with
-    the node cycle if any forwarding walk revisits a node before reaching
-    the destination.  This is the "persistent loops" failure mode of the
-    original algorithm.
-    """
-    for start in nodes:
-        seen: Dict[int, int] = {}
-        walk = []
-        node = start
-        while node != dest and node is not None:
-            if node in seen:
-                cycle = tuple(walk[seen[node]:])
-                return True, cycle
-            seen[node] = len(walk)
-            walk.append(node)
-            node = nodes[node].next_hop(dest)
-    return False, None
+    def start_routing(self, simulation) -> None:
+        """Give each PSN the protocol as update protocol and router; no
+        cost table, tree or cache is built."""
+        for psn in simulation.psns.values():
+            psn.flooding = psn.router = DistanceVectorProtocol(
+                psn, simulation.streams
+            )
+            psn.on_link_change = psn.flooding.link_changed

@@ -27,18 +27,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.des import RandomStreams, Simulator
-from repro.metrics.base import LinkMetric
 from repro.obs.telemetry import RunTelemetry
 from repro.obs.tracer import CIRCUIT_FAIL, CIRCUIT_RESTORE, Tracer, build_tracer
 from repro.psn.interfaces import LinkTransmitter
 from repro.psn.node import Psn
 from repro.psn.packet import Packet, PacketKind
-from repro.routing.defense import DefensePolicy
-from repro.routing.spf import CostTable
-from repro.routing.spf_cache import SpfCache
 from repro.sim.stats import DeliveryTimeline, SimulationReport, StatsCollector
 from repro.topology.graph import Link, Network
 from repro.traffic.matrix import TrafficMatrix
@@ -47,7 +43,9 @@ from repro.traffic.sources import PoissonSource
 if TYPE_CHECKING:  # pragma: no cover - optional subsystems load where used
     from repro.faults.injector import FaultInjector
     from repro.faults.invariants import InvariantMonitor
+    from repro.metrics.base import LinkMetric
     from repro.obs.meters import SimulationMeters
+    from repro.routing.bellman_ford import QueueLengthMetric
 
 
 @dataclass
@@ -157,7 +155,7 @@ class NetworkSimulation:
     def __init__(
         self,
         network: Network,
-        metric: LinkMetric,
+        metric: Union[LinkMetric, QueueLengthMetric],
         traffic: TrafficMatrix,
         config: Optional[ScenarioConfig] = None,
     ) -> None:
@@ -186,9 +184,6 @@ class NetworkSimulation:
             tracer=self.tracer,
             timeline=self.timeline,
         )
-        #: Shared SPF trees and counted forwarding tables, network-wide.
-        self.spf_cache = SpfCache(network)
-
         # A line-error stream only where errors are drawn: each stream is
         # seeded from its own name, so skipping one moves no other draw.
         error_rate = self.config.line_error_rate
@@ -206,14 +201,6 @@ class NetworkSimulation:
             )
             for link in network.links
         }
-        #: Shared update-screening policy (None with defenses off: the
-        #: per-update fast path then costs one ``is not None`` check).
-        self.defense_policy: Optional[DefensePolicy] = None
-        if self.config.defenses:
-            self.defense_policy = DefensePolicy(network, metric)
-        # Every PSN boots assuming idle costs everywhere: evaluate the
-        # metric once, copy per node.
-        idle_costs = CostTable.from_metric(network, metric)
         self.psns: Dict[int, Psn] = {
             node.node_id: Psn(
                 self.sim,
@@ -227,16 +214,17 @@ class NetworkSimulation:
                     )
                 },
                 self.stats,
-                self.streams,
-                idle_costs.copy(),
-                self.spf_cache,
-                multipath_mode=self.config.multipath,
                 flow_control_window=self.config.flow_control_window,
                 tracer=self.tracer,
-                defense_policy=self.defense_policy,
             )
             for node in network
         }
+        #: The routing state the metric's generation builds and shares
+        #: across PSNs: SPF's tree cache and, with ``defenses`` set, its
+        #: update-screening policy.  Both stay None under the 1969
+        #: protocol, which builds no SPF state.
+        self.spf_cache = self.defense_policy = None
+        metric.start_routing(self)
         # Each transmitter hands packets straight to the far PSN: transit
         # data to its forward, everything else to its receive.
         for transmitter in self.transmitters.values():

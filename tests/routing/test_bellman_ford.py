@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.routing import BellmanFordNode, has_routing_loop, queue_length_metric
+from repro.routing import BellmanFordNode, find_routing_loop, queue_length_metric
+from repro.routing.bellman_ford import INFINITY_THRESHOLD, QUEUE_METRIC_CONSTANT
 from repro.topology import build_ring_network, build_string_network
 
 
@@ -16,16 +17,26 @@ def converge(network, metrics_per_node, rounds=None):
     nodes = {n: BellmanFordNode(network, n) for n in network.nodes}
     rounds = rounds or 2 * len(network.nodes)
     for _ in range(rounds):
-        vectors = {n: node.snapshot() for n, node in nodes.items()}
-        changed = False
-        for n, node in nodes.items():
-            for neighbour in network.neighbors(n):
-                node.receive_vector(neighbour, vectors[neighbour])
-            if node.recompute(metrics_per_node[n]):
-                changed = True
-        if not changed:
+        if not exchange(nodes, metrics_per_node):
             break
     return nodes
+
+
+def exchange(nodes, metrics_per_node):
+    """One synchronous round: each node hears the vectors its linked
+    neighbours held at the round's start, then re-minimizes."""
+    vectors = {n: node.snapshot() for n, node in nodes.items()}
+    changed = False
+    for n, node in nodes.items():
+        for neighbour in metrics_per_node[n]:
+            node.receive_vector(neighbour, vectors[neighbour])
+        changed |= node.recompute(metrics_per_node[n])
+    return changed
+
+
+def routing_loop(nodes, dest):
+    """The forwarding cycle the nodes' tables form toward ``dest``."""
+    return find_routing_loop(nodes, dest, lambda n: nodes[n].next_hop(dest))
 
 
 def uniform_metrics(network, value=1.0):
@@ -76,8 +87,7 @@ def test_no_loop_after_convergence():
     net = build_ring_network(6)
     nodes = converge(net, uniform_metrics(net))
     for dest in net.nodes:
-        looped, _cycle = has_routing_loop(nodes, dest)
-        assert not looped
+        assert routing_loop(nodes, dest) is None
 
 
 def test_volatile_metric_causes_transient_loops():
@@ -94,8 +104,8 @@ def test_volatile_metric_causes_transient_loops():
     nodes[1].recompute(metrics[1])
     # Node 1 now routes to 2 the long way (via 0) using 0's *stale* table,
     # while 0 still routes to 2 via 1: a loop.
-    looped, cycle = has_routing_loop(nodes, dest=2)
-    assert looped
+    cycle = routing_loop(nodes, dest=2)
+    assert cycle is not None
     assert set(cycle) == {0, 1}
 
 
@@ -127,3 +137,35 @@ def test_counting_to_infinity_is_bounded():
                     nodes[n].receive_vector(neighbour, vectors[neighbour])
             nodes[n].recompute(metrics[n])
     assert math.isinf(nodes[2].table.distance[0])
+
+
+def test_count_to_infinity_meets_its_bound():
+    """The textbook distance-vector oracle (RFC 1058 section 2.2): cut a
+    node off a converged ring and the survivors' stale vectors bounce.
+    No distance to the lost node ever falls, the smallest rises by at
+    least the metric constant per exchange, and every node declares it
+    unreachable within INFINITY_THRESHOLD / QUEUE_METRIC_CONSTANT
+    exchanges."""
+    net = build_ring_network(6)
+    metrics = uniform_metrics(net, queue_length_metric(0))  # idle queues
+    nodes = converge(net, metrics)
+    lost = 0
+    for neighbour in net.neighbors(lost):
+        del metrics[neighbour][lost]
+    survivors = {n: node for n, node in nodes.items() if n != lost}
+    bound = math.ceil(INFINITY_THRESHOLD / QUEUE_METRIC_CONSTANT)
+
+    def distances():
+        return {n: node.table.distance[lost] for n, node in survivors.items()}
+
+    before = distances()
+    assert max(before.values()) < INFINITY_THRESHOLD
+    for _ in range(bound):
+        exchange(survivors, metrics)
+        after = distances()
+        assert all(after[n] >= before[n] for n in survivors)
+        assert min(after.values()) >= (
+            min(before.values()) + QUEUE_METRIC_CONSTANT
+        )
+        before = after
+    assert all(math.isinf(d) for d in before.values())

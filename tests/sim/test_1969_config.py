@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.faults import FaultEvent, FaultPlan
+from repro.faults import FaultEvent, FaultPlan, InvariantViolationError
 from repro.faults.adversarial import (
     BabblingNode,
     CorruptUpdate,
@@ -13,6 +13,8 @@ from repro.faults.adversarial import (
     StuckNode,
 )
 from repro.faults.plan import LinkFlap
+from repro.routing.spf import CostTable, SpfTree
+from repro.routing.spf_cache import ForwardingTable, SpfCache
 from repro.sim import ScenarioConfig, build_scenario
 from repro.topology import build_arpanet_1987
 
@@ -56,13 +58,20 @@ _HONOURED = {
             and report.telemetry.flap_transitions >= 1
         ),
     ),
+    # The 1969 protocol advertises no link costs: every check is a loop
+    # check.
+    "check_invariants": (
+        "record", lambda sim, report: (
+            sim.invariant_monitor.loop_checks_run
+            == sim.invariant_monitor.checks_run > 0
+        ),
+    ),
 }
 
 #: field -> a value the 1969 protocol cannot honour.
 _REFUSED = {
     "multipath": "packet",
     "defenses": True,
-    "check_invariants": "strict",
 }
 
 
@@ -83,7 +92,6 @@ def test_config_field_takes_effect(field):
 
 @pytest.mark.parametrize("field,value", [
     *sorted(_REFUSED.items()),
-    ("check_invariants", True),
     *(
         pytest.param(
             "faults", FaultPlan(adversarial=(fault,)), id=f"faults-{fault.kind}"
@@ -95,6 +103,49 @@ def test_config_field_takes_effect(field):
 def test_config_field_is_refused_at_build(field, value):
     with pytest.raises(ValueError, match=f"^{field}: BF-1969"):
         _arpanet_1969(**{field: value})
+
+
+def test_no_spf_state_is_built():
+    sim = _arpanet_1969()
+    assert sim.spf_cache is None
+    spf_state = (CostTable, SpfTree, SpfCache, ForwardingTable)
+    for psn in sim.psns.values():
+        assert not [
+            name for name, value in vars(psn).items()
+            if isinstance(value, spf_state)
+        ], psn.node_id
+    sim.run()
+    for psn in sim.psns.values():
+        assert psn._forwarding is None and psn._pending_old == {}
+
+
+def test_persistent_loops_are_counted_and_change_nothing():
+    """Section 2.1's persistent loops, as ``routing-loop`` violations of
+    a monitor that only reads: the report is the unmonitored one but
+    for the monitor's own counters and its timer's six ticks."""
+    shape = dict(duration_s=60.0, seed=1)
+    plain = build_scenario("arpanet-1969", ScenarioConfig(**shape)).run()
+    checked = build_scenario("arpanet-1969", ScenarioConfig(
+        **shape, check_invariants="record",
+    )).run()
+    loops = [v for v in checked.invariant_violations
+             if v.invariant == "routing-loop"]
+    assert loops and len(loops) == len(checked.invariant_violations)
+    assert checked.telemetry.invariant_violations == len(loops)
+    assert checked.telemetry.invariant_checks > 0
+    assert dataclasses.asdict(checked) == dataclasses.asdict(plain)
+    unmonitored, monitored = plain.telemetry.to_dict(), checked.telemetry.to_dict()
+    assert monitored.pop("events_processed") == (
+        unmonitored.pop("events_processed") + 6
+    )
+    assert monitored.pop("events_pending") == unmonitored.pop("events_pending") + 1
+    for name in ("invariant_checks", "invariant_violations", "wall_s"):
+        monitored[name] = unmonitored[name]
+    assert monitored == unmonitored
+    with pytest.raises(InvariantViolationError, match="routing-loop"):
+        build_scenario("arpanet-1969", ScenarioConfig(
+            **shape, check_invariants="strict",
+        )).run()
 
 
 def _utah_gwc(network):

@@ -1,6 +1,7 @@
 """Tests for the top-level CLI (python -m repro)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -173,9 +174,15 @@ def test_simulate_1969_with_fault_plan(capsys, tmp_path):
     assert '"fault_count": 2' in out
 
 
+_CORRUPT_UPDATE_PLAN = str(
+    pathlib.Path(__file__).resolve().parent.parent
+    / "examples" / "faultplans" / "corrupt-update.json"
+)
+
+
 @pytest.mark.parametrize("flags,field", [
     (["--defenses"], "defenses"),
-    (["--check-invariants"], "check_invariants"),
+    (["--faults", _CORRUPT_UPDATE_PLAN], "faults"),
     (["--multipath", "packet"], "multipath"),
 ])
 def test_simulate_1969_refuses_spf_only_flags(capsys, flags, field):
@@ -188,9 +195,19 @@ def test_simulate_1969_refuses_spf_only_flags(capsys, flags, field):
     assert f"{field}: BF-1969" in err[0]
 
 
-def test_example_fault_plan_is_loadable():
-    import pathlib
+def test_simulate_1969_check_invariants_reports_loops(capsys):
+    """The monitor runs on the 1969 generation, and its persistent
+    loops are violations: the run exits 1 and lists them."""
+    assert main([
+        "simulate", "--scenario", "arpanet-1969", "--duration", "20",
+        "--seed", "1", "--check-invariants",
+    ]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].endswith("invariant violation(s):")
+    assert err[1:] and all("routing-loop" in line for line in err[1:])
 
+
+def test_example_fault_plan_is_loadable():
     from repro.faults import load_fault_plan
 
     path = (pathlib.Path(__file__).resolve().parent.parent
